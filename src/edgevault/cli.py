@@ -86,6 +86,12 @@ class AppState:
         except json.JSONDecodeError as exc:
             raise StateError(f"corrupted state file {path}: {exc}") from exc
 
+    def _write_json(self, path: Path, obj: dict):
+        """Replace ``path`` atomically: a crash leaves the old or the new file."""
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(json.dumps(obj))
+        os.replace(tmp, path)
+
     def load_tsa(self) -> TimestampAuthority:
         if self.tsa_path.exists():
             return TimestampAuthority.from_state_dict(self._read_json(self.tsa_path))
@@ -93,7 +99,7 @@ class AppState:
 
     def save_tsa(self, tsa: TimestampAuthority):
         self.ensure_root()
-        self.tsa_path.write_text(json.dumps(tsa.state_dict()))
+        self._write_json(self.tsa_path, tsa.state_dict())
 
     def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
         tsa = self.load_tsa()
@@ -106,11 +112,12 @@ class AppState:
         return zone, tsa
 
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
-        self.ensure_root()
-        self.zone_path.write_text(json.dumps(zone.state_dict()))
+        # the TSA goes first: a crash before the zone is written leaves the
+        # TSA sequence ahead of the zone's last-seen timestamps, never behind
         self.save_tsa(tsa)
+        self._write_json(self.zone_path, zone.state_dict())
         if zone.ledger is not None:
-            self.ledger_path.write_text(json.dumps(zone.ledger.state_dict()))
+            self._write_json(self.ledger_path, zone.ledger.state_dict())
 
     def load_ledger(self) -> IdentityLedger:
         if not self.ledger_path.exists():
@@ -358,14 +365,11 @@ def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp
     context_id = _hex_bytes(context, 32, "--context")
     with state.lock():
         zone, tsa = state.load_zone()
-        try:
-            share = SealedShare.from_json(Path(share_file).read_text())
-        except (KeyError, ValueError) as exc:
-            raise StateError(f"share file is not a sealed share: {exc}")
+        share = SealedShare.from_json(Path(share_file).read_text())
         if ts_file:
             ts = Timestamp.from_json_dict(json.loads(Path(ts_file).read_text()))
         else:
-            ts = tsa.issue(for_context=context_id)
+            ts = tsa.issue()
         if save_timestamp:
             Path(save_timestamp).write_text(json.dumps(ts.to_json_dict()))
         decision = zone.authorize_transaction(context_id, share, ts)

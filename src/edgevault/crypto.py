@@ -109,17 +109,16 @@ class AeadRecord:
         )
 
 
-def aead_encrypt(key: bytes, plaintext: bytes, associated_data: bytes, nonces) -> AeadRecord:
-    """AES-256-GCM encryption.
+def aead_encrypt(
+    key: bytes, plaintext: bytes, associated_data: bytes, nonces: NonceSequence
+) -> AeadRecord:
+    """AES-256-GCM encryption under the next nonce of ``nonces``.
 
-    ``nonces`` is a NonceSequence (advanced by one) or an integer seed for a
-    one-shot sequence; with an integer, the caller is responsible for never
-    repeating a (key, seed) pair.
+    The sequence is advanced by one, so repeated calls with the same
+    sequence never reuse a nonce under ``key``.
     """
     if len(key) != KEY_LEN:
         raise EncryptionError(f"key must be {KEY_LEN} bytes, got {len(key)}")
-    if not isinstance(nonces, NonceSequence):
-        nonces = NonceSequence(nonces)
     nonce = nonces.next_nonce()
     blob = AESGCM(key).encrypt(nonce, plaintext, associated_data)
     return AeadRecord(nonce=nonce, ciphertext=blob[:-TAG_LEN], tag=blob[-TAG_LEN:])
@@ -191,7 +190,7 @@ class TimestampAuthority:
         self._sequence = start_sequence
         self._last_epoch = 0
 
-    def issue(self, for_context: bytes = b"") -> Timestamp:
+    def issue(self) -> Timestamp:
         now = int(self._clock())
         if now < self._last_epoch:
             raise ClockError(f"clock regressed: {now} < {self._last_epoch}")

@@ -1,15 +1,8 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: vectorized numpy for the share algebra.
 
 The digit-wise share algebra, Latin-square validation, parastroph identity
 sweeps, and power-of-two base packing dominate runtime at large orders and
-secret sizes.  Each kernel exists twice: a ``*_numpy`` vectorized version and
-a ``*_numba`` jitted loop.  The active backend is chosen once at import:
-
-* ``EDGEVAULT_NO_NUMBA=1`` (or ``true``/``yes``) forces the numpy path;
-* a missing/broken numba install silently falls back to numpy.
-
-``BACKEND`` reports which path is live.  ``benchmarks/bench_kernels.py``
-times both paths side by side.
+secret sizes.  ``BACKEND`` names the implementation for benchmark reports.
 
 All kernels assume pre-validated inputs: tables are square uint16 arrays with
 entries in ``[0, n)``, digit arrays are uint16, byte buffers are uint8.
@@ -18,20 +11,12 @@ Validation lives in the calling modules.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENV_FLAG = "EDGEVAULT_NO_NUMBA"
-
-_disabled = os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations (always available; the reference semantics)
-# ---------------------------------------------------------------------------
-
-def latin_square_ok_numpy(table: np.ndarray) -> bool:
+def latin_square_ok(table: np.ndarray) -> bool:
     """True iff every row and every column is a permutation of [0, n)."""
     n = table.shape[0]
     want = np.arange(n, dtype=table.dtype)
@@ -40,7 +25,7 @@ def latin_square_ok_numpy(table: np.ndarray) -> bool:
     return np.array_equal(np.sort(table, axis=0), np.broadcast_to(want[:, None], table.shape))
 
 
-def identity_violations_numpy(
+def identity_violations(
     table: np.ndarray,
     ldiv: np.ndarray,
     rdiv: np.ndarray,
@@ -70,12 +55,12 @@ def identity_violations_numpy(
     return out
 
 
-def pair_lookup_numpy(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pair_lookup(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise gather out[i] = table[a[i], b[i]]."""
     return table[a.astype(np.intp), b.astype(np.intp)]
 
 
-def pack_pow2_numpy(data: np.ndarray, width: int, count: int) -> np.ndarray:
+def pack_pow2(data: np.ndarray, width: int, count: int) -> np.ndarray:
     """Split a uint8 byte buffer into ``count`` MSB-first digits of ``width`` bits.
 
     Zero bits are padded at the most-significant end so the buffer's
@@ -89,134 +74,9 @@ def pack_pow2_numpy(data: np.ndarray, width: int, count: int) -> np.ndarray:
     return (bits.reshape(count, width).astype(np.uint32) @ weights).astype(np.uint16)
 
 
-def unpack_pow2_numpy(digits: np.ndarray, width: int, n_bytes: int) -> np.ndarray:
+def unpack_pow2(digits: np.ndarray, width: int, n_bytes: int) -> np.ndarray:
     """Inverse of pack_pow2: digits back to a uint8 buffer of ``n_bytes``."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint16)
     bits = ((digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
     pad = bits.shape[0] - n_bytes * 8
     return np.packbits(bits[pad:])
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_numba_ok = False
-if not _disabled:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def latin_square_ok_numba(table):
-            n = table.shape[0]
-            seen = np.zeros(n, dtype=np.uint8)
-            for i in range(n):
-                seen[:] = 0
-                for j in range(n):
-                    v = table[i, j]
-                    if seen[v]:
-                        return False
-                    seen[v] = 1
-            for j in range(n):
-                seen[:] = 0
-                for i in range(n):
-                    v = table[i, j]
-                    if seen[v]:
-                        return False
-                    seen[v] = 1
-            return True
-
-        @njit(cache=True)
-        def _identity_violations_numba(table, ldiv, rdiv, xs, ys, out):
-            for i in range(xs.shape[0]):
-                x = np.intp(xs[i])
-                y = np.intp(ys[i])
-                out[0, i] = table[x, np.intp(ldiv[x, y])] != y
-                out[1, i] = table[np.intp(rdiv[y, x]), x] != y
-                out[2, i] = ldiv[x, np.intp(table[x, y])] != y
-                out[3, i] = rdiv[np.intp(table[y, x]), x] != y
-                out[4, i] = rdiv[x, np.intp(ldiv[y, x])] != y
-                out[5, i] = ldiv[np.intp(rdiv[x, y]), x] != y
-
-        def identity_violations_numba(table, ldiv, rdiv, xs, ys):
-            out = np.empty((6, xs.shape[0]), dtype=np.uint8)
-            _identity_violations_numba(table, ldiv, rdiv, xs, ys, out)
-            return out
-
-        @njit(cache=True)
-        def _pair_lookup_numba(table, a, b, out):
-            for i in range(a.shape[0]):
-                out[i] = table[np.intp(a[i]), np.intp(b[i])]
-
-        def pair_lookup_numba(table, a, b):
-            out = np.empty(a.shape[0], dtype=table.dtype)
-            _pair_lookup_numba(table, a, b, out)
-            return out
-
-        @njit(cache=True)
-        def _pack_pow2_numba(data, width, out):
-            mask = (1 << width) - 1
-            pad = out.shape[0] * width - data.shape[0] * 8
-            acc = 0
-            nbits = pad
-            j = 0
-            for i in range(data.shape[0]):
-                acc = (acc << 8) | data[i]
-                nbits += 8
-                while nbits >= width:
-                    nbits -= width
-                    out[j] = (acc >> nbits) & mask
-                    j += 1
-                acc &= (1 << nbits) - 1 if nbits > 0 else 0
-
-        def pack_pow2_numba(data, width, count):
-            out = np.empty(count, dtype=np.uint16)
-            _pack_pow2_numba(data, width, out)
-            return out
-
-        @njit(cache=True)
-        def _unpack_pow2_numba(digits, width, out):
-            pad = digits.shape[0] * width - out.shape[0] * 8
-            acc = 0
-            nbits = 0
-            j = 0
-            for i in range(digits.shape[0]):
-                acc = (acc << width) | digits[i]
-                nbits += width
-                if i == 0:
-                    nbits -= pad
-                    acc &= (1 << nbits) - 1
-                while nbits >= 8:
-                    nbits -= 8
-                    out[j] = (acc >> nbits) & 0xFF
-                    j += 1
-                acc &= (1 << nbits) - 1 if nbits > 0 else 0
-
-        def unpack_pow2_numba(digits, width, n_bytes):
-            out = np.empty(n_bytes, dtype=np.uint8)
-            _unpack_pow2_numba(digits, width, out)
-            return out
-
-        _numba_ok = True
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if _numba_ok:
-    BACKEND = "numba"
-    latin_square_ok = latin_square_ok_numba
-    identity_violations = identity_violations_numba
-    pair_lookup = pair_lookup_numba
-    pack_pow2 = pack_pow2_numba
-    unpack_pow2 = unpack_pow2_numba
-else:
-    BACKEND = "numpy"
-    latin_square_ok = latin_square_ok_numpy
-    identity_violations = identity_violations_numpy
-    pair_lookup = pair_lookup_numpy
-    pack_pow2 = pack_pow2_numpy
-    unpack_pow2 = unpack_pow2_numpy

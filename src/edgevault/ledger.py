@@ -128,7 +128,7 @@ class IdentityLedger:
             b"point" + device_label.encode(),
             NonceSequence(nonce_seed),
         )
-        ts = tsa.issue(for_context=device_label.encode())
+        ts = tsa.issue()
         prev_h2 = self.entries[-1].h2 if self.entries else None
         h1, h2 = _chain_digests(prev_h2, record, ts)
         entry = LedgerEntry(
@@ -182,20 +182,22 @@ class IdentityLedger:
         Imported timestamps carry an empty issuer (the snapshot's frozen hash
         form covers epoch and sequence only).
         """
-        lines = data.decode().splitlines()
-        if not lines:
-            raise StateError("empty snapshot")
         try:
+            lines = data.decode().splitlines()
+            if not lines:
+                raise StateError("empty snapshot")
             header = json.loads(lines[0])
             curve = WeierstrassCurve.from_json_dict(header)
             ledger = cls(group_id=str(header["group_id"]), curve=curve)
+            entry_count = int(header["entry_count"])
             for line in lines[1:]:
                 entry = LedgerEntry.from_json_dict(json.loads(line))
                 ledger.entries.append(entry)
                 ledger._labels.add(entry.device_label)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
+            # ValueError covers UnicodeDecodeError and JSONDecodeError
             raise StateError(f"malformed snapshot: {exc}") from exc
-        if len(ledger.entries) != int(header["entry_count"]):
+        if len(ledger.entries) != entry_count:
             raise StateError("snapshot entry count mismatch")
         return ledger
 

@@ -7,15 +7,14 @@ a snapshot with the secrets stripped.  The zone also hosts the identity
 ledger so sealed points and the used-point registry stay inside the
 boundary.
 
-State files written by :meth:`SecureZone.save` emulate the HSM's internal
-tamper-proof storage; they are not exported artifacts and must be treated as
-inside the boundary.
+The state written from :meth:`SecureZone.state_dict` emulates the HSM's
+internal tamper-proof storage; it is not an exported artifact and must be
+treated as inside the boundary.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -177,7 +176,7 @@ class SecureZone:
             state="generated",
             usage_budget=budget,
             uses=0,
-            created_at=self._tsa.issue(for_context=key_id),
+            created_at=self._tsa.issue(),
         )
         self._key_bytes[key_id] = material
         self._nonces[key_id] = NonceSequence(key_id)
@@ -399,14 +398,3 @@ class SecureZone:
         zone._audit = list(d["audit"])
         zone.ledger = None
         return zone
-
-    def save(self, path: str):
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.state_dict(), fh)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str, tsa: TimestampAuthority) -> "SecureZone":
-        with open(path) as fh:
-            return cls.from_state_dict(json.load(fh), tsa)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .crypto import AeadRecord, aead_decrypt, aead_encrypt, sha256
+from .crypto import AeadRecord, NonceSequence, aead_decrypt, aead_encrypt, sha256
 from .errors import (
     AuthenticationFailure,
     AlgebraFailureError,
@@ -29,6 +29,7 @@ from .errors import (
     EmptySecretError,
     InvalidOrderError,
     MalformedTableError,
+    StateError,
     TagMismatchError,
     UnsupportedOrderError,
 )
@@ -164,18 +165,24 @@ class SealedShare:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SealedShare":
-        return cls(
-            index=int(d["index"]),
-            record=AeadRecord.from_json_dict(d),
-            binding_tag=bytes.fromhex(d["binding_tag"]),
-        )
+        try:
+            return cls(
+                index=int(d["index"]),
+                record=AeadRecord.from_json_dict(d),
+                binding_tag=bytes.fromhex(d["binding_tag"]),
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise StateError(f"not a sealed share: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SealedShare":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except ValueError as exc:
+            raise StateError(f"not a sealed share: {exc}") from exc
 
 
 @dataclass
@@ -251,7 +258,9 @@ def _share_ad(index: int, context_id: bytes) -> bytes:
     return bytes([index]) + context_id
 
 
-def seal_share(share: PlainShare, key: bytes, context_id: bytes, nonces) -> SealedShare:
+def seal_share(
+    share: PlainShare, key: bytes, context_id: bytes, nonces: NonceSequence
+) -> SealedShare:
     """Encrypt a share under ``key`` and attach its context binding tag."""
     plain = share.to_bytes()
     record = aead_encrypt(key, plain, _share_ad(share.index, context_id), nonces)

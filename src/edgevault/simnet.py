@@ -289,7 +289,7 @@ class _Runner:
     def do_transact(self, step: SimStep):
         context = self._context_for(step)
         share = self.cloud.shares[context]
-        ts = self.tsa.issue(for_context=context)
+        ts = self.tsa.issue()
         outcome = self._authorize(context, share, ts)
         if outcome == "accepted":
             self.last_transaction = (context, share, ts)
@@ -335,7 +335,7 @@ class _Runner:
             ),
             binding_tag=rng.bytes(32),
         )
-        ts = self.tsa.issue(for_context=context)
+        ts = self.tsa.issue()
         outcome = self._authorize(context, forged, ts)
         self._emit(
             "adversary", "attack-forge-share",
@@ -355,7 +355,7 @@ class _Runner:
             record=AeadRecord(genuine.record.nonce, bytes(ct), genuine.record.tag),
             binding_tag=genuine.binding_tag,
         )
-        ts = self.tsa.issue(for_context=context)
+        ts = self.tsa.issue()
         outcome = self._authorize(context, tampered, ts)
         self._emit(
             "adversary", "attack-tamper-share",

@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, main
 
 
 @pytest.fixture
@@ -175,6 +176,19 @@ def test_keys_authorize_rejects_tampered_share(runner, tmp_path):
     assert "decrypt-failure" in r.output
 
 
+@pytest.mark.parametrize("text", ['{"index": 1}', "not json {"])
+def test_keys_authorize_malformed_share_file_is_state_error(runner, tmp_path, text):
+    state = tmp_path / "state"
+    doc = _init_ledger(runner, state)
+    share_file = tmp_path / "cloud.json"
+    share_file.write_text(text)
+    r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+               "--share", str(share_file))
+    assert r.exit_code == 1
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+
+
 def test_keys_split_requires_context_or_device(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "keys", "split", "ab" * 16)
     assert r.exit_code == 64  # usage error, not the tamper code
@@ -292,3 +306,47 @@ def test_lock_blocks_concurrent_mutation(runner, tmp_path):
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "corrupted-state"
     (state / ".lock").unlink()
+
+
+# --- state files -----------------------------------------------------------------
+
+@pytest.mark.parametrize("fail_at", [0, 1, 2])
+def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, fail_at):
+    """A crash at any file replacement leaves each file old or new, never torn,
+    and the TSA sequence never behind a timestamp the zone or ledger holds."""
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    app = AppState(state, "json")
+    paths = (app.tsa_path, app.zone_path, app.ledger_path)
+    old = {p: p.read_bytes() for p in paths}
+
+    zone, tsa = app.load_zone()
+    zone.generate_key("data-encryption")
+    zone.register_device("gamma", rng_seed=12)
+    new = {
+        app.tsa_path: json.dumps(tsa.state_dict()).encode(),
+        app.zone_path: json.dumps(zone.state_dict()).encode(),
+        app.ledger_path: json.dumps(zone.ledger.state_dict()).encode(),
+    }
+
+    real_replace = os.replace
+    calls = []
+
+    def crashing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) > fail_at:
+            raise OSError("simulated crash")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crashing_replace)
+    with pytest.raises(OSError, match="simulated crash"):
+        app.save_zone(zone, tsa)
+    monkeypatch.undo()
+
+    for p in paths:
+        assert p.read_bytes() in (old[p], new[p])
+    assert calls[-1].read_bytes() == old[calls[-1]]
+    loaded, loaded_tsa = app.load_zone()
+    issued = [k["created_at"]["sequence"] for k in loaded.state_dict()["keys"]]
+    issued += [e.timestamp.sequence for e in loaded.ledger.entries]
+    assert loaded_tsa.view.last_sequence >= max(issued)

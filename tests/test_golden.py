@@ -1,0 +1,75 @@
+"""Golden hashes of the frozen layouts.
+
+Shares, split records, sealed shares and simulator event logs are frozen
+byte layouts (see the ``crypto`` module docstring).  These digests were
+taken from the implementation and must not change: a refactor of the share
+algebra, the digit packing or the simulator that moves any of them breaks
+compatibility with state written by earlier versions.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from edgevault.crypto import NonceSequence, sha256
+from edgevault.quasigroup import generate_quasigroup
+from edgevault.shares import seal_share, split
+from edgevault.simnet import builtin_scenarios, events_to_jsonl, run_scenario
+
+SECRET = bytes(range(1, 33))
+CTX = sha256(b"edgevault.golden")
+KEY = bytes(range(32))
+
+
+def _hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# order 256 goes through the power-of-two digit packing, 251 through the
+# big-integer base conversion
+SPLITS = {
+    (256, 7, 11): {
+        "share1": "f4597e9b0c999f2b89a7dbfa33bd9c5f910f3cd80704a7a1c42767f89ea989a8",
+        "share2": "86cb8fb88a6626c86247c6930c45a3c7c722e0a794c951546f899b7ab0ebf611",
+        "record": "6b7c36780a490a3b509ea7d7cb4923896d333fbee1bbbee1dbb53d6e419e1f55",
+        "sealed": "bcce5bfa9d5e01d4cd0445ba7d0c0ec292aa76626a648502a07afdaa8af064f7",
+    },
+    (251, 9, 13): {
+        "share1": "5ed7aa9b7db24c35c105ae022a158363efdadc29950a796297d0e9323a837067",
+        "share2": "3ec092f1867f24b3cf0920a433e51bfee7425af3ec518bd05d0e82f505f50b36",
+        "record": "38d0018d18f119bddeae7b685e47e7d810d03acddb369ffa6ead2f725d1183a9",
+        "sealed": "19cf6e5aa1f5d40aef257526a03cf7a68eaadf810417453dd80c00edb4038a19",
+    },
+}
+
+EVENT_LOGS = {
+    "happy-path": "5da281c14ed0d930cf3738f7bf3aca71d3eaac4de77ff4a0e1f98cddcdfe574f",
+    "attack-suite": "336954b2945e28e00526a7cc4e3a1b9f3763ac0d9bdbee570a9da723392e0122",
+    "replay-storm": "85c2adc49b64e46674cace07f7af929a9e26b5618e764d904cdf78fb41cbaad1",
+}
+
+
+@pytest.mark.parametrize("order,qg_seed,mask_seed", sorted(SPLITS))
+def test_split_layouts_are_frozen(order, qg_seed, mask_seed):
+    s1, s2, record = split(SECRET, generate_quasigroup(order, qg_seed), CTX, rng_seed=mask_seed)
+    nonces = NonceSequence(99)
+    sealed = seal_share(s1, KEY, CTX, nonces).to_json() + seal_share(s2, KEY, CTX, nonces).to_json()
+    got = {
+        "share1": _hex(s1.to_bytes()),
+        "share2": _hex(s2.to_bytes()),
+        "record": _hex(json.dumps(record.to_state_dict(), sort_keys=True).encode()),
+        "sealed": _hex(sealed.encode()),
+    }
+    assert got == SPLITS[(order, qg_seed, mask_seed)]
+
+
+def test_every_builtin_scenario_is_pinned():
+    assert set(builtin_scenarios()) == set(EVENT_LOGS)
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_LOGS))
+def test_event_logs_are_frozen(name):
+    scenario = builtin_scenarios()[name]
+    log = events_to_jsonl(scenario, run_scenario(scenario).events)
+    assert _hex(log) == EVENT_LOGS[name]

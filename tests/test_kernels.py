@@ -1,13 +1,10 @@
-"""Both kernel backends must agree with each other and with slow oracles."""
+"""The kernels must agree with slow, independent oracles."""
 
 import numpy as np
 import pytest
 
 from edgevault import kernels
 from edgevault.quasigroup import generate_quasigroup
-
-HAS_NUMBA = kernels.BACKEND == "numba"
-
 
 def latin_oracle(table):
     """Set-based brute force, independent of the kernels."""
@@ -34,16 +31,12 @@ def division_by_search(table, n):
 def test_latin_square_kernels_match_oracle(n, seed):
     q = generate_quasigroup(n, seed)
     assert latin_oracle(q.table.tolist())
-    assert kernels.latin_square_ok_numpy(q.table)
-    if HAS_NUMBA:
-        assert kernels.latin_square_ok_numba(q.table)
+    assert kernels.latin_square_ok(q.table)
 
     bad = q.table.copy()
     bad[0, 0] = bad[0, 1]  # duplicate in row 0
     assert not latin_oracle(bad.tolist())
-    assert not kernels.latin_square_ok_numpy(bad)
-    if HAS_NUMBA:
-        assert not kernels.latin_square_ok_numba(bad)
+    assert not kernels.latin_square_ok(bad)
 
 
 @pytest.mark.parametrize("n,seed", [(4, 3), (9, 4), (16, 7)])
@@ -54,12 +47,9 @@ def test_identity_kernels_match_bruteforce(n, seed):
 
     xs = np.repeat(np.arange(n, dtype=np.uint16), n)
     ys = np.tile(np.arange(n, dtype=np.uint16), n)
-    out_np = kernels.identity_violations_numpy(q.table, q.left_div, q.right_div, xs, ys)
-    assert out_np.shape == (6, n * n)
-    assert not out_np.any()
-    if HAS_NUMBA:
-        out_nb = kernels.identity_violations_numba(q.table, q.left_div, q.right_div, xs, ys)
-        assert np.array_equal(out_np, out_nb)
+    out = kernels.identity_violations(q.table, q.left_div, q.right_div, xs, ys)
+    assert out.shape == (6, n * n)
+    assert not out.any()
 
     # spot-check the oracle itself agrees on all six identities
     for x in range(n):
@@ -78,22 +68,17 @@ def test_identity_kernel_reports_violations():
     wrong_ldiv = np.roll(q.left_div, 1, axis=1).copy()
     xs = np.repeat(np.arange(8, dtype=np.uint16), 8)
     ys = np.tile(np.arange(8, dtype=np.uint16), 8)
-    out = kernels.identity_violations_numpy(q.table, wrong_ldiv, q.right_div, xs, ys)
+    out = kernels.identity_violations(q.table, wrong_ldiv, q.right_div, xs, ys)
     assert out[0].any()  # identity 1 uses ldiv directly
-    if HAS_NUMBA:
-        out_nb = kernels.identity_violations_numba(q.table, wrong_ldiv, q.right_div, xs, ys)
-        assert np.array_equal(out, out_nb)
 
 
 def test_pair_lookup_backends_agree(rng):
     q = generate_quasigroup(256, 11)
     a = rng.integers(0, 256, size=10_000, dtype=np.uint16)
     b = rng.integers(0, 256, size=10_000, dtype=np.uint16)
-    out_np = kernels.pair_lookup_numpy(q.table, a, b)
+    out = kernels.pair_lookup(q.table, a, b)
     expected = np.array([q.table[int(x), int(y)] for x, y in zip(a[:50], b[:50])])
-    assert np.array_equal(out_np[:50], expected)
-    if HAS_NUMBA:
-        assert np.array_equal(out_np, kernels.pair_lookup_numba(q.table, a, b))
+    assert np.array_equal(out[:50], expected)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8])
@@ -101,14 +86,9 @@ def test_pair_lookup_backends_agree(rng):
 def test_pack_unpack_roundtrip_both_backends(width, length, rng):
     data = rng.integers(0, 256, size=length, dtype=np.uint8)
     count = -(-length * 8 // width)
-    packed_np = kernels.pack_pow2_numpy(data, width, count)
-    assert packed_np.max(initial=0) < (1 << width)
-    back_np = kernels.unpack_pow2_numpy(packed_np, width, length)
-    assert np.array_equal(back_np, data)
-    if HAS_NUMBA:
-        packed_nb = kernels.pack_pow2_numba(data, width, count)
-        assert np.array_equal(packed_np, packed_nb)
-        assert np.array_equal(kernels.unpack_pow2_numba(packed_nb, width, length), data)
+    packed = kernels.pack_pow2(data, width, count)
+    assert packed.max(initial=0) < (1 << width)
+    assert np.array_equal(kernels.unpack_pow2(packed, width, length), data)
 
 
 def test_pack_matches_bigint_oracle(rng):
@@ -124,8 +104,3 @@ def test_pack_matches_bigint_oracle(rng):
         expected.reverse()
         got = kernels.pack_pow2(data, width, count)
         assert got.tolist() == expected
-
-
-def test_backend_flag_reports():
-    assert kernels.BACKEND in ("numpy", "numba")
-    assert kernels.NUMBA_ENV_FLAG == "EDGEVAULT_NO_NUMBA"

@@ -7,6 +7,7 @@ from edgevault.crypto import AeadRecord
 from edgevault.curves import standard_curve, tiny_curve
 from edgevault.errors import DuplicateDeviceError, GroupFullError, RefuseSyncError, StateError
 from edgevault.ledger import IdentityLedger, LedgerEntry
+from edgevault.shares import SealedShare
 
 POINT_KEY = bytes(32)
 
@@ -192,3 +193,23 @@ def test_recompute_chain_from_raw_records_10_devices(tsa):
     ]
     raw = [(e.ciphertext_record.to_bytes(), e.timestamp.to_bytes()) for e in entries]
     assert [h2 for _, h2 in chain_oracle(raw)] == [e.h2 for e in entries]
+
+
+def _snapshot_without_entry_count():
+    header = {"group_id": "g", **tiny_curve().to_json_dict()}
+    return json.dumps(header).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "parse,payload",
+    [
+        (IdentityLedger.import_snapshot, _snapshot_without_entry_count()),
+        (IdentityLedger.import_snapshot, b"\xff\xfe not utf-8\n"),
+        (IdentityLedger.import_snapshot, b'["a header", "that is an array"]\n'),
+        (SealedShare.from_json_dict, {"index": 1}),
+    ],
+    ids=["missing-entry-count", "not-utf8", "array-header", "sealed-share-missing-fields"],
+)
+def test_parsers_raise_state_error(parse, payload):
+    with pytest.raises(StateError):
+        parse(payload)
