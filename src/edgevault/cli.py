@@ -79,12 +79,13 @@ class AppState:
         finally:
             self.lock_path.unlink(missing_ok=True)
 
-    def _read_json(self, path: Path) -> dict:
+    @staticmethod
+    def _read_json(path: str | Path) -> dict:
+        """Parse a JSON file; the caller's parser validates its structure."""
         try:
-            with open(path) as fh:
-                return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateError(f"corrupted state file {path}: {exc}") from exc
+            return json.loads(Path(path).read_bytes())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise StateError(f"corrupted JSON file {path}: {exc}") from exc
 
     def _write_json(self, path: Path, obj: dict):
         """Replace ``path`` atomically: a crash leaves the old or the new file."""
@@ -182,8 +183,7 @@ def ledger():
 
 def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve:
     if curve_json:
-        with open(curve_json) as fh:
-            return WeierstrassCurve.from_json_dict(json.load(fh))
+        return WeierstrassCurve.from_json_dict(AppState._read_json(curve_json))
     return tiny_curve() if preset == "tiny" else standard_curve()
 
 
@@ -365,9 +365,9 @@ def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp
     context_id = _hex_bytes(context, 32, "--context")
     with state.lock():
         zone, tsa = state.load_zone()
-        share = SealedShare.from_json(Path(share_file).read_text())
+        share = SealedShare.from_json_dict(state._read_json(share_file))
         if ts_file:
-            ts = Timestamp.from_json_dict(json.loads(Path(ts_file).read_text()))
+            ts = Timestamp.from_json_dict(state._read_json(ts_file))
         else:
             ts = tsa.issue()
         if save_timestamp:
@@ -578,7 +578,7 @@ def sim_builtin(state: AppState, name, output):
 @handle_errors
 def sim_run(state: AppState, scenario_file, log_file, seed):
     """Run a scenario; exit 0 iff the verdict passes."""
-    scenario = SimScenario.from_json(Path(scenario_file).read_text())
+    scenario = SimScenario.from_json(Path(scenario_file).read_bytes())
     if seed is not None:
         scenario.seed = seed
     events, verdict = run_scenario(scenario)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import AuthenticationFailure, ClockError, EncryptionError
+from .errors import AuthenticationFailure, ClockError, EncryptionError, StateError
 
 __all__ = [
     "sha256",
@@ -159,7 +159,10 @@ class Timestamp:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Timestamp":
-        return cls(int(d["epoch_seconds"]), str(d.get("issuer", "")), int(d["sequence"]))
+        try:
+            return cls(int(d["epoch_seconds"]), str(d.get("issuer", "")), int(d["sequence"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise StateError(f"not a timestamp: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -207,8 +210,11 @@ class TimestampAuthority:
 
     @classmethod
     def from_state_dict(cls, d: dict, clock: Optional[Callable[[], int]] = None):
-        tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
-        tsa._last_epoch = int(d["last_epoch"])
+        try:
+            tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
+            tsa._last_epoch = int(d["last_epoch"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise StateError(f"corrupted TSA state: {exc}") from exc
         return tsa
 
 

@@ -166,7 +166,11 @@ class WeierstrassCurve:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WeierstrassCurve":
-        return cls(**{k: int(str(d[k]), 0) for k in ("p", "a1", "a2", "a3", "a4", "a6")})
+        try:
+            params = {k: int(str(d[k]), 0) for k in ("p", "a1", "a2", "a3", "a4", "a6")}
+        except (KeyError, ValueError, TypeError) as exc:
+            raise CurveError(f"malformed curve parameters: {exc}") from exc
+        return cls(**params)
 
 
 def is_on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:

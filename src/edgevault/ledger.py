@@ -21,7 +21,7 @@ from typing import Optional
 
 from .crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_encrypt, sha256
 from .curves import WeierstrassCurve, point_to_bytes, select_unique_point
-from .errors import DuplicateDeviceError, RefuseSyncError, StateError
+from .errors import CurveError, DuplicateDeviceError, RefuseSyncError, StateError
 
 __all__ = ["LedgerEntry", "ChainReport", "IdentityLedger"]
 
@@ -194,7 +194,7 @@ class IdentityLedger:
                 entry = LedgerEntry.from_json_dict(json.loads(line))
                 ledger.entries.append(entry)
                 ledger._labels.add(entry.device_label)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, CurveError) as exc:
             # ValueError covers UnicodeDecodeError and JSONDecodeError
             raise StateError(f"malformed snapshot: {exc}") from exc
         if len(ledger.entries) != entry_count:
@@ -233,7 +233,7 @@ class IdentityLedger:
             ledger.used_points = {
                 (int(x, 0), int(y, 0)) for x, y in d.get("used_points", [])
             }
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, CurveError) as exc:
             raise StateError(f"corrupted ledger state: {exc}") from exc
         return ledger
 

@@ -24,17 +24,6 @@ __all__ = [
     "verify_parastroph_identities",
 ]
 
-#: identity number (1-based) -> human-readable form, matching the kernel rows
-IDENTITY_FORMS = {
-    1: "x * (x \\ y) = y",
-    2: "(y / x) * x = y",
-    3: "x \\ (x * y) = y",
-    4: "(y * x) / x = y",
-    5: "x / (y \\ x) = y",
-    6: "(x / y) \\ x = y",
-}
-
-
 def _coerce_table(table) -> np.ndarray:
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
@@ -61,9 +50,9 @@ class Quasigroup:
     """An order-n quasigroup given by its Cayley table (a Latin square).
 
     Immutable after construction; the left/right division tables are derived
-    once via row/column permutation inversion.  ``generation_seed`` records
-    the seed when the table came from :func:`generate_quasigroup`, so the
-    structure can be rebuilt from ``(order, seed)`` alone.
+    once by inverting the row and column permutations.  ``generation_seed``
+    records the seed when the table came from :func:`generate_quasigroup`, so
+    the structure can be rebuilt from ``(order, seed)`` alone.
     """
 
     __slots__ = ("order", "table", "left_div", "right_div", "generation_seed")
@@ -74,10 +63,16 @@ class Quasigroup:
             raise MalformedTableError("table is not a Latin square")
         self.order = int(arr.shape[0])
         self.table = arr
-        # Rows are permutations: argsort of a row is its inverse, giving x\y.
-        # Columns likewise give y/x (row = dividend).
-        self.left_div = np.ascontiguousarray(np.argsort(arr, axis=1).astype(np.uint16))
-        self.right_div = np.ascontiguousarray(np.argsort(arr, axis=0).astype(np.uint16))
+        # Rows and columns are permutations, so scattering the index vector
+        # through them inverts them: left_div[x, x*y] = y (x\y) and
+        # right_div[x*y, y] = x (row = dividend).  The Latin-square check
+        # above guarantees every cell is written.
+        index = np.arange(self.order, dtype=np.uint16)
+        self.left_div = np.empty_like(arr)
+        np.put_along_axis(self.left_div, arr, np.broadcast_to(index, arr.shape), axis=1)
+        self.right_div = np.empty_like(arr)
+        np.put_along_axis(self.right_div, arr, np.broadcast_to(index[:, None], arr.shape),
+                          axis=0)
         self.generation_seed = generation_seed
         for a in (self.table, self.left_div, self.right_div):
             a.flags.writeable = False
@@ -150,7 +145,8 @@ def generate_quasigroup(order: int, seed: int) -> Quasigroup:
     sigma = rng.permutation(order).astype(np.uint16)
     pi = rng.permutation(order).astype(np.intp)
     rho = rng.permutation(order).astype(np.intp)
-    table = sigma[(pi[:, None] + rho[None, :]) % order]
+    # pi[x] + rho[y] < 2n, so indexing a doubled sigma replaces the mod n
+    table = np.concatenate([sigma, sigma])[pi[:, None] + rho[None, :]]
     return Quasigroup(table, generation_seed=int(seed))
 
 

@@ -30,12 +30,10 @@ from .crypto import (
     AeadRecord,
 )
 from .errors import (
-    AlgebraFailureError,
     AlreadySplitError,
-    ChecksumMismatchError,
-    DecryptFailureError,
     KeyStateError,
-    TagMismatchError,
+    ShareVerificationError,
+    StateError,
     UnknownKeyError,
     WrongPurposeError,
 )
@@ -292,14 +290,8 @@ class SecureZone:
                 record,
                 self._key_bytes[self._share_key_id],
             )
-        except DecryptFailureError:
-            return reject("decrypt-failure")
-        except TagMismatchError:
-            return reject("tag-mismatch")
-        except AlgebraFailureError:
-            return reject("algebra-failure")
-        except ChecksumMismatchError:
-            return reject("checksum-mismatch")
+        except ShareVerificationError as exc:
+            return reject(exc.code)
 
         # Deep check: the reconstructed wrap record must restore the stored key.
         if not self.verify_wrapped(self._kek_id, key_id, AeadRecord.from_bytes(wrapped)):
@@ -360,41 +352,45 @@ class SecureZone:
     def from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
         zone = cls.__new__(cls)
         zone._tsa = tsa
-        zone._zone_seed = int(d["zone_seed"])
-        zone._op_counter = int(d["op_counter"])
-        zone._kek_id = bytes.fromhex(d["kek_id"])
-        zone._share_key_id = bytes.fromhex(d["share_key_id"])
-        zone._point_key_id = bytes.fromhex(d["point_key_id"])
-        zone._keys = {}
-        zone._key_bytes = {}
-        zone._nonces = {}
-        for kd in d["keys"]:
-            kid = bytes.fromhex(kd["key_id"])
-            zone._keys[kid] = ManagedKey(
-                key_id=kid,
-                purpose=kd["purpose"],
-                state=kd["state"],
-                usage_budget=int(kd["usage_budget"]),
-                uses=int(kd["uses"]),
-                created_at=Timestamp.from_json_dict(kd["created_at"]),
-            )
-            zone._key_bytes[kid] = bytes.fromhex(kd["material"])
-            seq = NonceSequence(kid, counter=int(kd["nonce_counter"]))
-            zone._nonces[kid] = seq
-        zone._split_records = {
-            bytes.fromhex(rd["context_id"]): SplitRecord.from_state_dict(rd)
-            for rd in d["split_records"]
-        }
-        zone._edge_shares = {
-            bytes.fromhex(c): SealedShare.from_json_dict(s)
-            for c, s in d["edge_shares"].items()
-        }
-        zone._context_keys = {
-            bytes.fromhex(c): bytes.fromhex(k) for c, k in d["context_keys"].items()
-        }
-        zone._last_seen = {
-            bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
-        }
-        zone._audit = list(d["audit"])
+        try:
+            zone._zone_seed = int(d["zone_seed"])
+            zone._op_counter = int(d["op_counter"])
+            zone._kek_id = bytes.fromhex(d["kek_id"])
+            zone._share_key_id = bytes.fromhex(d["share_key_id"])
+            zone._point_key_id = bytes.fromhex(d["point_key_id"])
+            zone._keys = {}
+            zone._key_bytes = {}
+            zone._nonces = {}
+            for kd in d["keys"]:
+                kid = bytes.fromhex(kd["key_id"])
+                zone._keys[kid] = ManagedKey(
+                    key_id=kid,
+                    purpose=kd["purpose"],
+                    state=kd["state"],
+                    usage_budget=int(kd["usage_budget"]),
+                    uses=int(kd["uses"]),
+                    created_at=Timestamp.from_json_dict(kd["created_at"]),
+                )
+                zone._key_bytes[kid] = bytes.fromhex(kd["material"])
+                seq = NonceSequence(kid, counter=int(kd["nonce_counter"]))
+                zone._nonces[kid] = seq
+            zone._split_records = {
+                bytes.fromhex(rd["context_id"]): SplitRecord.from_state_dict(rd)
+                for rd in d["split_records"]
+            }
+            zone._edge_shares = {
+                bytes.fromhex(c): SealedShare.from_json_dict(s)
+                for c, s in d["edge_shares"].items()
+            }
+            zone._context_keys = {
+                bytes.fromhex(c): bytes.fromhex(k) for c, k in d["context_keys"].items()
+            }
+            zone._last_seen = {
+                bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
+            }
+            zone._audit = list(d["audit"])
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            # AttributeError: a JSON list where a mapping belongs (``.items()``)
+            raise StateError(f"corrupted zone state: {exc}") from exc
         zone.ledger = None
         return zone

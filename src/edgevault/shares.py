@@ -11,7 +11,6 @@ whole-secret checksum.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
@@ -277,13 +276,6 @@ def unseal_share(sealed: SealedShare, key: bytes, context_id: bytes) -> PlainSha
     return PlainShare.from_bytes(plain)
 
 
-# Rebuilding is deterministic, so transaction-heavy flows can share one
-# instance per (order, seed); Quasigroup is immutable after construction.
-@functools.lru_cache(maxsize=64)
-def _rebuild_quasigroup(order: int, seed: int) -> Quasigroup:
-    return generate_quasigroup(order, seed)
-
-
 def combine_and_verify(
     s1: SealedShare, s2: SealedShare, record: SplitRecord, key: bytes
 ) -> bytes:
@@ -314,7 +306,7 @@ def combine_and_verify(
     if s1.binding_tag != tags[0] or s2.binding_tag != tags[1]:
         raise TagMismatchError("transported binding tag altered in flight")
 
-    q = _rebuild_quasigroup(record.order, record.qg_seed)
+    q = generate_quasigroup(record.order, record.qg_seed)
     sample_seed = int.from_bytes(sha256(q.to_bytes() + record.context_id)[:8], "big")
     algebra = verify_parastroph_identities(q, mode="sampled", k=COMBINE_SAMPLE_K, seed=sample_seed)
     if not algebra.passed:

@@ -22,7 +22,7 @@ import numpy as np
 from .bloom import BloomFilter
 from .crypto import TimestampAuthority, Timestamp, derive_seed, sha256
 from .curves import WeierstrassCurve, standard_curve
-from .errors import ClassificationError, ScenarioConfigError
+from .errors import ClassificationError, CurveError, ScenarioConfigError
 from .ledger import IdentityLedger, LedgerEntry
 from .securezone import SecureZone
 from .shares import SealedShare
@@ -104,14 +104,14 @@ class SimScenario:
                 curve=curve,
                 script=[SimStep.from_json_dict(s) for s in d["script"]],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, CurveError) as exc:
             raise ScenarioConfigError(f"malformed scenario: {exc}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "SimScenario":
+    def from_json(cls, text: str | bytes) -> "SimScenario":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ScenarioConfigError(f"scenario is not valid JSON: {exc}") from exc
         return cls.from_json_dict(payload)
 

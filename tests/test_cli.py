@@ -189,6 +189,44 @@ def test_keys_authorize_malformed_share_file_is_state_error(runner, tmp_path, te
     assert err["error"]["code"] == "corrupted-state"
 
 
+@pytest.mark.parametrize(
+    "target,content,code",
+    [
+        ("timestamp", b"{}", "corrupted-state"),
+        ("timestamp", b"not json {", "corrupted-state"),
+        ("tsa", b"\xff\xfe not utf-8", "corrupted-state"),
+        ("tsa", b"[]", "corrupted-state"),
+        ("curve", b"{}", "invalid-curve"),
+    ],
+    ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
+         "curve-missing-fields"],
+)
+def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
+    state = tmp_path / "state"
+    bad = tmp_path / "bad.json"
+    if target == "curve":
+        bad.write_bytes(content)
+        r = invoke(runner, state, "ledger", "init", "--group", "g", "--curve-json", str(bad))
+    else:
+        doc = _init_ledger(runner, state)
+        key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+        share_file = tmp_path / "cloud.json"
+        r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+                   "--order", "16", "-o", str(share_file))
+        assert r.exit_code == 0, r.output
+        args = ["keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+                "--share", str(share_file)]
+        if target == "timestamp":
+            bad.write_bytes(content)
+            args += ["--timestamp", str(bad)]
+        else:
+            (state / "tsa.json").write_bytes(content)
+        r = invoke(runner, state, *args)
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == code
+
+
 def test_keys_split_requires_context_or_device(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "keys", "split", "ab" * 16)
     assert r.exit_code == 64  # usage error, not the tamper code

@@ -72,7 +72,7 @@ def test_identity_kernel_reports_violations():
     assert out[0].any()  # identity 1 uses ldiv directly
 
 
-def test_pair_lookup_backends_agree(rng):
+def test_pair_lookup_matches_oracle(rng):
     q = generate_quasigroup(256, 11)
     a = rng.integers(0, 256, size=10_000, dtype=np.uint16)
     b = rng.integers(0, 256, size=10_000, dtype=np.uint16)

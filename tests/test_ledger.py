@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from edgevault.crypto import AeadRecord
+from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
 from edgevault.curves import standard_curve, tiny_curve
 from edgevault.errors import DuplicateDeviceError, GroupFullError, RefuseSyncError, StateError
 from edgevault.ledger import IdentityLedger, LedgerEntry
+from edgevault.securezone import SecureZone
 from edgevault.shares import SealedShare
 
 POINT_KEY = bytes(32)
@@ -200,6 +201,16 @@ def _snapshot_without_entry_count():
     return json.dumps(header).encode() + b"\n"
 
 
+def _load_zone(d):
+    return SecureZone.from_state_dict(d, TimestampAuthority())
+
+
+def _zone_state_list_shares():
+    d = SecureZone(0, TimestampAuthority()).state_dict()
+    d["edge_shares"] = []  # a JSON list where the parser expects an object
+    return d
+
+
 @pytest.mark.parametrize(
     "parse,payload",
     [
@@ -207,8 +218,15 @@ def _snapshot_without_entry_count():
         (IdentityLedger.import_snapshot, b"\xff\xfe not utf-8\n"),
         (IdentityLedger.import_snapshot, b'["a header", "that is an array"]\n'),
         (SealedShare.from_json_dict, {"index": 1}),
+        (Timestamp.from_json_dict, {}),
+        (TimestampAuthority.from_state_dict, []),
+        (_load_zone, {"zone_seed": 0}),
+        (_load_zone, _zone_state_list_shares()),
+        (IdentityLedger.from_state_dict, {"group_id": "g", "curve": {}, "entries": []}),
     ],
-    ids=["missing-entry-count", "not-utf8", "array-header", "sealed-share-missing-fields"],
+    ids=["missing-entry-count", "not-utf8", "array-header", "sealed-share-missing-fields",
+         "timestamp-missing-fields", "tsa-array", "zone-missing-fields", "zone-list-for-mapping",
+         "ledger-curve-missing-fields"],
 )
 def test_parsers_raise_state_error(parse, payload):
     with pytest.raises(StateError):

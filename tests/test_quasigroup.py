@@ -206,6 +206,24 @@ def test_from_bytes_rejects_garbage():
         Quasigroup.from_bytes(b"\x00\x00\x00\x03" + b"\x00" * 5)
 
 
+@pytest.mark.parametrize(
+    "kind,n",
+    [("generated", 2), ("generated", 3), ("generated", 251), ("generated", 256),
+     ("xor", 8), ("xor", 16), ("xor-from-bytes", 8), ("xor-from-bytes", 16)],
+)
+def test_division_tables_match_argsort_oracle(kind, n):
+    if kind == "generated":
+        q = generate_quasigroup(n, 9)
+    else:
+        # x ^ y is Latin but, at n = 8 and 16, no isotope of the cyclic group,
+        # so it yields division tables generate_quasigroup never makes
+        q = Quasigroup(np.bitwise_xor.outer(np.arange(n), np.arange(n)))
+        if kind == "xor-from-bytes":
+            q = Quasigroup.from_bytes(q.to_bytes())
+    assert np.array_equal(q.left_div, np.argsort(q.table, axis=1))
+    assert np.array_equal(q.right_div, np.argsort(q.table, axis=0))
+
+
 def test_tables_immutable():
     q = generate_quasigroup(4, 0)
     with pytest.raises(ValueError):

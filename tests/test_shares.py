@@ -275,7 +275,7 @@ def test_combine_under_50ms_for_32_byte_secret_order_256():
     s1, s2, record = split(secret, q, CTX, rng_seed=1)
     nonces = NonceSequence(1)
     sealed = (seal_share(s1, KEY, CTX, nonces), seal_share(s2, KEY, CTX, nonces))
-    combine_and_verify(*sealed, record, KEY)  # warm caches/JIT
+    combine_and_verify(*sealed, record, KEY)  # warm-up: first-call imports and allocations
     start = time.perf_counter()
     combine_and_verify(*sealed, record, KEY)
     elapsed = time.perf_counter() - start
