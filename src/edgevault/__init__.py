@@ -34,6 +34,7 @@ from .ledger import ChainReport, IdentityLedger, LedgerEntry
 from .profiler import FitReport, Sample, detect_outliers, fit_distribution, regroup_devices
 from .quasigroup import (
     IdentityReport,
+    IsotopeQuasigroup,
     Quasigroup,
     generate_quasigroup,
     is_latin_square,

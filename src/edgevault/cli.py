@@ -90,8 +90,12 @@ class AppState:
     def _write_json(self, path: Path, obj: dict):
         """Replace ``path`` atomically: a crash leaves the old or the new file."""
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(obj))
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(json.dumps(obj))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load_tsa(self) -> TimestampAuthority:
         if self.tsa_path.exists():
@@ -446,19 +450,26 @@ def qg_check(state: AppState, table_file, order, seed):
 # profile
 # ---------------------------------------------------------------------------
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; StateError if it is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise StateError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_csv_values(path: str) -> list[float]:
     values: list[float] = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            cell = line.strip().split(",")[0]
-            if not cell:
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise StateError(f"non-numeric value on line {i + 1}: {cell!r}")
+    for i, line in enumerate(_read_lines(path)):
+        cell = line.strip().split(",")[0]
+        if not cell:
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            if i == 0:
+                continue  # header
+            raise StateError(f"non-numeric value on line {i + 1}: {cell!r}")
     return values
 
 
@@ -519,7 +530,7 @@ def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
         ids = [e.h2 for e in state.load_ledger().entries]
     else:
         ids = [_hex_bytes(line.strip(), what="device id") for line
-               in Path(ids_file).read_text().splitlines() if line.strip()]
+               in _read_lines(ids_file) if line.strip()]
     filt = BloomFilter.create(max(len(ids), 1), fpr)
     for device_id in ids:
         filt.insert(device_id)

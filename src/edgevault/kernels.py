@@ -1,8 +1,9 @@
 """Hot numeric kernels: vectorized numpy for the share algebra.
 
-The digit-wise share algebra, Latin-square validation, parastroph identity
-sweeps, and power-of-two base packing dominate runtime at large orders and
-secret sizes.  ``BACKEND`` names the implementation for benchmark reports.
+The digit-wise share algebra, Latin-square validation of arbitrary tables,
+parastroph identity sweeps over either quasigroup form, and power-of-two
+base packing dominate runtime at large orders and secret sizes.  ``BACKEND``
+names the implementation for benchmark reports.
 
 All kernels assume pre-validated inputs: tables are square uint16 arrays with
 entries in ``[0, n)``, digit arrays are uint16, byte buffers are uint8.
@@ -25,13 +26,7 @@ def latin_square_ok(table: np.ndarray) -> bool:
     return np.array_equal(np.sort(table, axis=0), np.broadcast_to(want[:, None], table.shape))
 
 
-def identity_violations(
-    table: np.ndarray,
-    ldiv: np.ndarray,
-    rdiv: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
+def identity_violations(mul, ldiv, rdiv, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Evaluate the six quasigroup identities at the pairs (xs[i], ys[i]).
 
     Returns a uint8 array of shape (6, len(xs)); 1 marks a violation of the
@@ -41,17 +36,17 @@ def identity_violations(
       1: (y / x) * x == y         4: x / (y \\ x) == y
       2: x \\ (x * y) == y        5: (x / y) \\ x == y
 
-    ``ldiv[a, b]`` is a\\b and ``rdiv[a, b]`` is a/b (row = dividend).
+    ``mul(a, b)``, ``ldiv(a, b)`` and ``rdiv(a, b)`` are the quasigroup's
+    elementwise operations a*b, a\\b and a/b over uint16 arrays, so a
+    table-backed quasigroup and a closed-form isotope share this check.
     """
-    x = xs.astype(np.intp)
-    y = ys.astype(np.intp)
-    out = np.empty((6, x.shape[0]), dtype=np.uint8)
-    out[0] = table[x, ldiv[x, y]] != y
-    out[1] = table[rdiv[y, x], x] != y
-    out[2] = ldiv[x, table[x, y]] != y
-    out[3] = rdiv[table[y, x], x] != y
-    out[4] = rdiv[x, ldiv[y, x]] != y
-    out[5] = ldiv[rdiv[x, y], x] != y
+    out = np.empty((6, xs.shape[0]), dtype=np.uint8)
+    out[0] = mul(xs, ldiv(xs, ys)) != ys
+    out[1] = mul(rdiv(ys, xs), xs) != ys
+    out[2] = ldiv(xs, mul(xs, ys)) != ys
+    out[3] = rdiv(mul(ys, xs), xs) != ys
+    out[4] = rdiv(xs, ldiv(ys, xs)) != ys
+    out[5] = ldiv(rdiv(xs, ys), xs) != ys
     return out
 
 

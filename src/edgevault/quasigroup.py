@@ -1,9 +1,14 @@
-"""Finite quasigroups: Latin-square tables, the three binary operations, and
-verification of the six parastroph identities.
+"""Finite quasigroups: the three binary operations, in table-backed and
+isotope form, and verification of the six parastroph identities.
 
 Elements are the indices ``[0, n)``; callers map any external alphabet onto
-them.  Division tables are precomputed at construction because division sits
-on the hot path of share combination.
+them.  :class:`Quasigroup` holds any Latin-square table and derives both
+division tables from it at construction; ``from_bytes`` and ``qg check FILE``
+use it.  :class:`IsotopeQuasigroup`, which :func:`generate_quasigroup`
+returns, keeps three permutations ``sigma``, ``pi``, ``rho`` of the isotope
+``x*y = sigma[(pi[x] + rho[y]) mod n]`` and their inverses, and evaluates
+multiplication and both divisions in closed form: it costs O(n) to build
+and check, and its n*n tables are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import InvalidElementError, InvalidOrderError, MalformedTableError
 
 __all__ = [
     "Quasigroup",
+    "IsotopeQuasigroup",
     "IdentityReport",
     "generate_quasigroup",
     "is_latin_square",
@@ -77,34 +83,42 @@ class Quasigroup:
         for a in (self.table, self.left_div, self.right_div):
             a.flags.writeable = False
 
-    def _check_element(self, v: int) -> int:
+    def _check_element(self, v: int) -> np.uint16:
+        """The element as a numpy scalar, which the array forms accept."""
         v = int(v)
         if not 0 <= v < self.order:
             raise InvalidElementError(f"element {v} outside [0, {self.order})")
-        return v
+        return np.uint16(v)
 
     def multiply(self, x: int, y: int) -> int:
         """x * y."""
-        return int(self.table[self._check_element(x), self._check_element(y)])
+        return int(self.multiply_many(self._check_element(x), self._check_element(y)))
 
     def left_divide(self, x: int, y: int) -> int:
         """x \\ y: the unique z with x * z = y."""
-        return int(self.left_div[self._check_element(x), self._check_element(y)])
+        return int(self.left_divide_many(self._check_element(x), self._check_element(y)))
 
     def right_divide(self, y: int, x: int) -> int:
         """y / x: the unique z with z * x = y."""
-        return int(self.right_div[self._check_element(y), self._check_element(x)])
+        return int(self.right_divide_many(self._check_element(y), self._check_element(x)))
 
-    # array forms used by the share-splitting hot path
+    # elementwise array forms, used by the share algebra and the identity check
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return kernels.pair_lookup(self.table, a, b)
 
     def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return kernels.pair_lookup(self.left_div, a, b)
 
+    def right_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return kernels.pair_lookup(self.right_div, a, b)
+
     def to_bytes(self) -> bytes:
         """Canonical form: order as u32 BE, then n*n row-major u16 BE entries."""
-        return struct.pack(">I", self.order) + self.table.astype(">u2").tobytes()
+        return struct.pack(">I", self.order) + self._table_be().tobytes()
+
+    def _table_be(self) -> np.ndarray:
+        """The table as big-endian u16."""
+        return self.table.astype(">u2")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Quasigroup":
@@ -117,7 +131,7 @@ class Quasigroup:
                 f"expected {2 * n * n} table bytes for order {n}, got {len(body)}"
             )
         table = np.frombuffer(body, dtype=">u2").astype(np.uint16).reshape(n, n)
-        return cls(table)
+        return Quasigroup(table)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Quasigroup) and np.array_equal(self.table, other.table)
@@ -129,25 +143,115 @@ class Quasigroup:
         return f"Quasigroup(order={self.order}, seed={self.generation_seed})"
 
 
-def generate_quasigroup(order: int, seed: int) -> Quasigroup:
+def _permutation_inverse(perm, n: int, name: str) -> np.ndarray:
+    """The inverse of ``perm``; MalformedTableError unless it permutes [0, n)."""
+    arr = np.asarray(perm)
+    if arr.shape != (n,) or not np.issubdtype(arr.dtype, np.integer):
+        raise MalformedTableError(f"{name} must be {n} integers, got shape {arr.shape}")
+    if arr.min() < 0 or arr.max() >= n:
+        raise MalformedTableError(f"{name} entries must lie in [0, {n})")
+    inverse = np.full(n, -1, dtype=np.intp)
+    inverse[arr] = np.arange(n)
+    # n in-range entries hit every slot iff no two of them are equal
+    if inverse.min() < 0:
+        raise MalformedTableError(f"{name} is not a permutation of [0, {n})")
+    return inverse
+
+
+def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+class IsotopeQuasigroup(Quasigroup):
+    """The isotope ``x*y = sigma[(pi[x] + rho[y]) mod n]`` of the cyclic group.
+
+    Every row and column of that table is a permutation exactly when
+    ``sigma``, ``pi`` and ``rho`` are, so checking the three permutations
+    checks the Latin property in O(n).  Every operation has a closed form:
+
+      x * y  = sigma[(pi[x] + rho[y]) mod n]
+      x \\ s = rho^-1[(sigma^-1[s] - pi[x]) mod n]
+      s / y  = pi^-1[(sigma^-1[s] - rho[y]) mod n]
+
+    ``table``, ``left_div`` and ``right_div`` are built on first read.
+    """
+
+    __slots__ = ("sigma", "pi", "rho", "_sigma_inv", "_pi_inv", "_rho_inv", "_tables")
+
+    def __init__(self, sigma, pi, rho, generation_seed: int | None = None):
+        n = len(sigma)
+        if n < 2:
+            raise MalformedTableError(f"order must be >= 2, got {n}")
+        if n > 0xFFFF:
+            raise InvalidOrderError("orders above 65535 are not supported")
+        sigma_inv = _permutation_inverse(sigma, n, "sigma")
+        pi_inv = _permutation_inverse(pi, n, "pi")
+        rho_inv = _permutation_inverse(rho, n, "rho")
+        self.order = n
+        self.generation_seed = generation_seed
+        # operands are intp, results uint16 like the table-backed form's
+        self.sigma = _frozen(sigma, np.uint16)
+        self.pi = _frozen(pi, np.intp)
+        self.rho = _frozen(rho, np.intp)
+        self._sigma_inv = _frozen(sigma_inv, np.intp)
+        self._pi_inv = _frozen(pi_inv, np.uint16)
+        self._rho_inv = _frozen(rho_inv, np.uint16)
+        self._tables: dict[str, np.ndarray] = {}
+
+    def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.sigma[(self.pi[a] + self.rho[b]) % self.order]
+
+    def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._rho_inv[(self._sigma_inv[b] - self.pi[a]) % self.order]
+
+    def right_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._pi_inv[(self._sigma_inv[a] - self.rho[b]) % self.order]
+
+    def _table_be(self) -> np.ndarray:
+        # pi[x] + rho[y] < 2n, so indexing a doubled sigma replaces the mod n
+        doubled = np.concatenate([self.sigma, self.sigma]).astype(">u2")
+        return doubled[self.pi[:, None] + self.rho[None, :]]
+
+    def _square(self, name: str, op) -> np.ndarray:
+        """The n*n table of ``op``, built on first read."""
+        if name not in self._tables:
+            index = np.arange(self.order)
+            self._tables[name] = _frozen(op(index[:, None], index[None, :]), np.uint16)
+        return self._tables[name]
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._square("table", self.multiply_many)
+
+    @property
+    def left_div(self) -> np.ndarray:
+        return self._square("left_div", self.left_divide_many)
+
+    @property
+    def right_div(self) -> np.ndarray:
+        """right_div[s, y] = s / y (row = dividend)."""
+        return self._square("right_div", self.right_divide_many)
+
+
+def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     """Deterministically construct an order-n quasigroup from a 64-bit seed.
 
-    The table is an isotope of the cyclic group:
-    ``table[x][y] = sigma((pi(x) + rho(y)) mod n)`` for three seed-derived
-    permutations.  Not uniform over all Latin squares, but O(n^2) to build
-    and reproducible across platforms.
+    It is an isotope of the cyclic group,
+    ``x*y = sigma[(pi[x] + rho[y]) mod n]`` for three seed-derived
+    permutations.  Not uniform over all Latin squares, but O(n) to build and
+    reproducible across platforms.
     """
     if order < 2:
         raise InvalidOrderError(f"order must be >= 2, got {order}")
     if order > 0xFFFF:
         raise InvalidOrderError("orders above 65535 are not supported")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    sigma = rng.permutation(order).astype(np.uint16)
-    pi = rng.permutation(order).astype(np.intp)
-    rho = rng.permutation(order).astype(np.intp)
-    # pi[x] + rho[y] < 2n, so indexing a doubled sigma replaces the mod n
-    table = np.concatenate([sigma, sigma])[pi[:, None] + rho[None, :]]
-    return Quasigroup(table, generation_seed=int(seed))
+    sigma = rng.permutation(order)
+    pi = rng.permutation(order)
+    rho = rng.permutation(order)
+    return IsotopeQuasigroup(sigma, pi, rho, generation_seed=int(seed))
 
 
 @dataclass
@@ -169,9 +273,10 @@ def verify_parastroph_identities(
     """Check the six quasigroup identities over element pairs.
 
     ``mode="exhaustive"`` covers all n^2 pairs; ``mode="sampled"`` draws k
-    seed-chosen pairs.  Identities 1-4 hold by construction for any table
-    passing the Latin-square check; 5 and 6 are nonetheless checked
-    explicitly, as are 1-4, so the report reflects a direct evaluation.
+    seed-chosen pairs.  Identities 1-4 hold by construction for any
+    quasigroup that passed its construction check (Latin square or three
+    permutations); all six are nonetheless evaluated through the
+    quasigroup's own operations, so the report reflects a direct evaluation.
 
     Accepts a Quasigroup or a raw table (which is validated first).
     """
@@ -188,7 +293,9 @@ def verify_parastroph_identities(
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
 
-    mask = kernels.identity_violations(q.table, q.left_div, q.right_div, xs, ys)
+    mask = kernels.identity_violations(
+        q.multiply_many, q.left_divide_many, q.right_divide_many, xs, ys
+    )
     failures = [
         (int(ident) + 1, int(xs[pos]), int(ys[pos]))
         for ident, pos in zip(*np.nonzero(mask))

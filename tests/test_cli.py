@@ -227,6 +227,21 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
     assert err["error"]["code"] == code
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("profile", "fit"), ("profile", "outliers"), ("filter", "build", "-o", "f.bin", "--ids-file")],
+    ids=["profile-fit", "profile-outliers", "filter-build-ids-file"],
+)
+def test_non_utf8_text_input_gets_error_envelope(runner, tmp_path, args):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not utf-8\n1.0\n")
+    args = [str(tmp_path / a) if a == "f.bin" else a for a in args]
+    r = invoke(runner, tmp_path / "state", *args, str(bad))
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+
+
 def test_keys_split_requires_context_or_device(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "keys", "split", "ab" * 16)
     assert r.exit_code == 64  # usage error, not the tamper code
@@ -384,6 +399,7 @@ def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, fa
     for p in paths:
         assert p.read_bytes() in (old[p], new[p])
     assert calls[-1].read_bytes() == old[calls[-1]]
+    assert not list(state.glob("*.tmp"))
     loaded, loaded_tsa = app.load_zone()
     issued = [k["created_at"]["sequence"] for k in loaded.state_dict()["keys"]]
     issued += [e.timestamp.sequence for e in loaded.ledger.entries]

@@ -1,7 +1,7 @@
 """Golden hashes of the frozen layouts.
 
-Shares, split records, sealed shares and simulator event logs are frozen
-byte layouts (see the ``crypto`` module docstring).  These digests were
+Shares, split records, sealed shares, generated quasigroup tables and
+simulator event logs are frozen byte layouts (see the ``crypto`` module docstring).  These digests were
 taken from the implementation and must not change: a refactor of the share
 algebra, the digit packing or the simulator that moves any of them breaks
 compatibility with state written by earlier versions.
@@ -43,6 +43,15 @@ SPLITS = {
     },
 }
 
+# canonical table bytes: the sampled algebra check in combine_and_verify seeds
+# from them, so a drift would silently move the sampled pairs
+TABLES = {
+    (2, 5): "50a2f7d2501bf1e5af02ab47d7d7b9c0e8cbf02e0ed7766c29b54097595691db",
+    (3, 1): "e66ab2e0c82490f4c69362fa1e1f481946ef0e51cf8141c8afd3a29b18def4b5",
+    (251, 9): "89c4ab29bea2d023434e6e8698ff6f20ffe31dc5fcab3a2dea9f33da9bd11c32",
+    (256, 7): "67e0455b85d5f264390431db111a19f6809016ace20d7c005eb41de25d2d968f",
+}
+
 EVENT_LOGS = {
     "happy-path": "5da281c14ed0d930cf3738f7bf3aca71d3eaac4de77ff4a0e1f98cddcdfe574f",
     "attack-suite": "336954b2945e28e00526a7cc4e3a1b9f3763ac0d9bdbee570a9da723392e0122",
@@ -62,6 +71,11 @@ def test_split_layouts_are_frozen(order, qg_seed, mask_seed):
         "sealed": _hex(sealed.encode()),
     }
     assert got == SPLITS[(order, qg_seed, mask_seed)]
+
+
+@pytest.mark.parametrize("order,seed", sorted(TABLES))
+def test_table_bytes_are_frozen(order, seed):
+    assert _hex(generate_quasigroup(order, seed).to_bytes()) == TABLES[(order, seed)]
 
 
 def test_every_builtin_scenario_is_pinned():

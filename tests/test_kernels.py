@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgevault import kernels
-from edgevault.quasigroup import generate_quasigroup
+from edgevault.quasigroup import Quasigroup, generate_quasigroup
 
 def latin_oracle(table):
     """Set-based brute force, independent of the kernels."""
@@ -47,9 +47,13 @@ def test_identity_kernels_match_bruteforce(n, seed):
 
     xs = np.repeat(np.arange(n, dtype=np.uint16), n)
     ys = np.tile(np.arange(n, dtype=np.uint16), n)
-    out = kernels.identity_violations(q.table, q.left_div, q.right_div, xs, ys)
-    assert out.shape == (6, n * n)
-    assert not out.any()
+    # the closed-form isotope and the table-backed form of the same quasigroup
+    for form in (q, Quasigroup(q.table)):
+        out = kernels.identity_violations(
+            form.multiply_many, form.left_divide_many, form.right_divide_many, xs, ys
+        )
+        assert out.shape == (6, n * n)
+        assert not out.any()
 
     # spot-check the oracle itself agrees on all six identities
     for x in range(n):
@@ -63,13 +67,19 @@ def test_identity_kernels_match_bruteforce(n, seed):
 
 
 def test_identity_kernel_reports_violations():
-    # break the derived tables on purpose: wrong left-division table
+    # break left division on purpose: x \\ y answers what x \\ (y - 1) should
     q = generate_quasigroup(8, 1)
-    wrong_ldiv = np.roll(q.left_div, 1, axis=1).copy()
     xs = np.repeat(np.arange(8, dtype=np.uint16), 8)
     ys = np.tile(np.arange(8, dtype=np.uint16), 8)
-    out = kernels.identity_violations(q.table, wrong_ldiv, q.right_div, xs, ys)
-    assert out[0].any()  # identity 1 uses ldiv directly
+    for form in (q, Quasigroup(q.table)):
+
+        def wrong_ldiv(a, b, form=form):
+            return form.left_divide_many(a, ((b.astype(np.intp) - 1) % 8).astype(np.uint16))
+
+        out = kernels.identity_violations(
+            form.multiply_many, wrong_ldiv, form.right_divide_many, xs, ys
+        )
+        assert out[0].any()  # identity 1 uses ldiv directly
 
 
 def test_pair_lookup_matches_oracle(rng):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edgevault.errors import InvalidElementError, InvalidOrderError, MalformedTableError
 from edgevault.quasigroup import (
+    IsotopeQuasigroup,
     Quasigroup,
     generate_quasigroup,
     is_latin_square,
@@ -222,6 +223,39 @@ def test_division_tables_match_argsort_oracle(kind, n):
             q = Quasigroup.from_bytes(q.to_bytes())
     assert np.array_equal(q.left_div, np.argsort(q.table, axis=1))
     assert np.array_equal(q.right_div, np.argsort(q.table, axis=0))
+
+
+# --- the isotope form -------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 16, 251, 256])
+def test_isotope_closed_forms_match_table_lookups(n):
+    q = generate_quasigroup(n, 5)
+    assert isinstance(q, IsotopeQuasigroup)
+    # table-backed oracle: its table comes from the canonical bytes (built from
+    # a doubled sigma, pinned in test_golden), its divisions by scatter
+    oracle = Quasigroup.from_bytes(q.to_bytes())
+    assert oracle == Quasigroup(q.table)
+    xs = np.repeat(np.arange(n, dtype=np.uint16), n)
+    ys = np.tile(np.arange(n, dtype=np.uint16), n)
+    assert np.array_equal(q.multiply_many(xs, ys), oracle.table[xs, ys])
+    assert np.array_equal(q.left_divide_many(xs, ys), oracle.left_div[xs, ys])
+    assert np.array_equal(q.right_divide_many(xs, ys), oracle.right_div[xs, ys])
+    table, left_div, right_div = (t.tolist() for t in (oracle.table, oracle.left_div,
+                                                        oracle.right_div))
+    for x in range(n):
+        for y in range(n):
+            assert q.multiply(x, y) == table[x][y]
+            assert q.left_divide(x, y) == left_div[x][y]
+            assert q.right_divide(x, y) == right_div[x][y]
+
+
+@pytest.mark.parametrize("bad", ["sigma", "pi", "rho"])
+def test_isotope_rejects_non_permutation(bad):
+    perms = {"sigma": [2, 0, 1, 3], "pi": [1, 2, 3, 0], "rho": [0, 3, 2, 1]}
+    for broken in ([0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2], [0, -1, 2, 3]):
+        with pytest.raises(MalformedTableError):
+            IsotopeQuasigroup(**{**perms, bad: broken})
+    assert IsotopeQuasigroup(**perms).order == 4
 
 
 def test_tables_immutable():
