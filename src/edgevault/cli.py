@@ -84,7 +84,7 @@ class AppState:
         """Parse a JSON file; the caller's parser validates its structure."""
         try:
             return json.loads(Path(path).read_bytes())
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise StateError(f"corrupted JSON file {path}: {exc}") from exc
 
     def _write_json(self, path: Path, obj: dict):

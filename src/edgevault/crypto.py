@@ -161,7 +161,7 @@ class Timestamp:
     def from_json_dict(cls, d: dict) -> "Timestamp":
         try:
             return cls(int(d["epoch_seconds"]), str(d.get("issuer", "")), int(d["sequence"]))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise StateError(f"not a timestamp: {exc}") from exc
 
 
@@ -213,7 +213,7 @@ class TimestampAuthority:
         try:
             tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
             tsa._last_epoch = int(d["last_epoch"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise StateError(f"corrupted TSA state: {exc}") from exc
         return tsa
 

@@ -11,19 +11,31 @@ h2 is the device's unique ID.  The chain is append-only; verification
 recomputes every digest from the raw records and reports the earliest
 mismatch.  Snapshots carry entries only, never key material or plaintext
 points, so the cloud replica can verify but not mint identities.
+
+A replica that already holds ``count`` verified entries ending in ``tip_h2``
+needs only the entries after its tip: ``sync_delta`` returns those lines,
+byte-identical to the ones in a full snapshot, after checking that the tip is
+on this chain and that every line it sends chains from it.  The receiver
+parses them with ``parse_entry_lines`` (the parser ``import_snapshot`` uses
+for a snapshot body) and re-chains them from its tip with ``verify_entries``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_encrypt, sha256
 from .curves import WeierstrassCurve, point_to_bytes, select_unique_point
-from .errors import CurveError, DuplicateDeviceError, RefuseSyncError, StateError
+from .errors import CurveError, DuplicateDeviceError, EncryptionError, RefuseSyncError, StateError
 
-__all__ = ["LedgerEntry", "ChainReport", "IdentityLedger"]
+__all__ = [
+    "LedgerEntry", "ChainReport", "IdentityLedger",
+    "snapshot_header", "parse_entry_lines", "verify_entries",
+]
+
+_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,13 @@ class LedgerEntry:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LedgerEntry":
+        timestamp = Timestamp(
+            epoch_seconds=int(d["epoch_seconds"]),
+            issuer=str(d.get("issuer", "")),
+            sequence=int(d["sequence"]),
+        )
+        if not (0 <= timestamp.epoch_seconds < _U64 and 0 <= timestamp.sequence < _U64):
+            raise ValueError("timestamp fields must fit its 8-byte hash form")
         return cls(
             device_label=str(d["device_label"]),
             ciphertext_record=AeadRecord(
@@ -60,11 +79,7 @@ class LedgerEntry:
                 ciphertext=bytes.fromhex(d["ciphertext_hex"]),
                 tag=bytes.fromhex(d["tag_hex"]),
             ),
-            timestamp=Timestamp(
-                epoch_seconds=int(d["epoch_seconds"]),
-                issuer=str(d.get("issuer", "")),
-                sequence=int(d["sequence"]),
-            ),
+            timestamp=timestamp,
             h1=bytes.fromhex(d["h1_hex"]),
             h2=bytes.fromhex(d["h2_hex"]),
         )
@@ -83,6 +98,57 @@ def _chain_digests(prev_h2: Optional[bytes], record: AeadRecord, ts: Timestamp) 
     h1 = sha256(record.to_bytes() + ts.to_bytes())
     h2 = h1 if prev_h2 is None else sha256(prev_h2 + h1)
     return h1, h2
+
+
+def verify_entries(
+    entries: Iterable[LedgerEntry], prev_h2: Optional[bytes] = None, start: int = 0
+) -> ChainReport:
+    """Recompute h1/h2 for the chain entries from index ``start`` on.
+
+    ``prev_h2`` is the h2 of entry ``start - 1`` (None for the first entry).
+    The earliest mismatch is reported by its absolute index.
+    """
+    for i, entry in enumerate(entries, start):
+        h1, h2 = _chain_digests(prev_h2, entry.ciphertext_record, entry.timestamp)
+        if h1 != entry.h1 or h2 != entry.h2:
+            return ChainReport(valid=False, first_bad_index=i)
+        prev_h2 = h2
+    return ChainReport(valid=True)
+
+
+def _entry_lines(entries: Iterable[LedgerEntry], start: int = 0) -> str:
+    """Snapshot entry lines, each newline-terminated, numbered from ``start``."""
+    return "".join(
+        json.dumps(e.to_json_dict(i), sort_keys=True, separators=(",", ":")) + "\n"
+        for i, e in enumerate(entries, start)
+    )
+
+
+def snapshot_header(group_id: str, curve: WeierstrassCurve, entry_count: int) -> bytes:
+    """The first line of a snapshot, newline included."""
+    header = {"group_id": group_id, "entry_count": entry_count, **curve.to_json_dict()}
+    return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def parse_entry_lines(data: bytes, start: int = 0) -> list[LedgerEntry]:
+    """Parse snapshot entry lines (a snapshot body or a delta).
+
+    Line k must carry ``index`` ``start + k``; a malformed line or an index
+    out of place raises ``StateError``.
+    """
+    entries = []
+    try:
+        for index, line in enumerate(data.decode().splitlines(), start):
+            d = json.loads(line)
+            entry = LedgerEntry.from_json_dict(d)
+            if type(d["index"]) is not int or d["index"] != index:
+                raise StateError(f"entry line {index} carries index {d['index']!r}")
+            entries.append(entry)
+    except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
+            EncryptionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise StateError(f"malformed entry line: {exc}") from exc
+    return entries
 
 
 class IdentityLedger:
@@ -143,15 +209,11 @@ class IdentityLedger:
         self._labels.add(device_label)
         return entry
 
-    def verify_chain(self) -> ChainReport:
-        """Recompute h1/h2 for every entry; report the earliest mismatch."""
-        prev_h2: Optional[bytes] = None
-        for i, entry in enumerate(self.entries):
-            h1, h2 = _chain_digests(prev_h2, entry.ciphertext_record, entry.timestamp)
-            if h1 != entry.h1 or h2 != entry.h2:
-                return ChainReport(valid=False, first_bad_index=i)
-            prev_h2 = h2
-        return ChainReport(valid=True)
+    def verify_chain(self, start: int = 0) -> ChainReport:
+        """Recompute h1/h2 from entry ``start`` on, chained from the stored
+        h2 of entry ``start - 1``; report the earliest mismatch."""
+        prev_h2 = self.entries[start - 1].h2 if start else None
+        return verify_entries(self.entries[start:], prev_h2, start)
 
     # --- snapshots -------------------------------------------------------
 
@@ -163,17 +225,22 @@ class IdentityLedger:
         report = self.verify_chain()
         if not report.valid:
             raise RefuseSyncError(f"chain invalid at index {report.first_bad_index}")
-        header = {
-            "group_id": self.group_id,
-            "entry_count": len(self.entries),
-            **self.curve.to_json_dict(),
-        }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines += [
-            json.dumps(e.to_json_dict(i), sort_keys=True, separators=(",", ":"))
-            for i, e in enumerate(self.entries)
-        ]
-        return ("\n".join(lines) + "\n").encode()
+        header = snapshot_header(self.group_id, self.curve, len(self.entries))
+        return header + _entry_lines(self.entries).encode()
+
+    def sync_delta(self, count: int, tip_h2: bytes) -> bytes:
+        """The snapshot lines after a replica of ``count`` entries ending in ``tip_h2``.
+
+        Refuses a replica whose tip is not entry ``count - 1`` of this chain
+        (a replica with no entries takes a full ``sync_to_cloud``), and any
+        entry to be sent that does not chain from that tip.
+        """
+        if not 0 < count <= len(self.entries) or self.entries[count - 1].h2 != tip_h2:
+            raise RefuseSyncError(f"replica tip at {count} entries is not on this chain")
+        report = self.verify_chain(start=count)
+        if not report.valid:
+            raise RefuseSyncError(f"chain invalid at index {report.first_bad_index}")
+        return _entry_lines(self.entries[count:], count).encode()
 
     @classmethod
     def import_snapshot(cls, data: bytes) -> "IdentityLedger":
@@ -182,31 +249,25 @@ class IdentityLedger:
         Imported timestamps carry an empty issuer (the snapshot's frozen hash
         form covers epoch and sequence only).
         """
+        head, _, body = data.partition(b"\n")
         try:
-            lines = data.decode().splitlines()
-            if not lines:
-                raise StateError("empty snapshot")
-            header = json.loads(lines[0])
+            header = json.loads(head.decode())
             curve = WeierstrassCurve.from_json_dict(header)
             ledger = cls(group_id=str(header["group_id"]), curve=curve)
             entry_count = int(header["entry_count"])
-            for line in lines[1:]:
-                entry = LedgerEntry.from_json_dict(json.loads(line))
-                ledger.entries.append(entry)
-                ledger._labels.add(entry.device_label)
-        except (KeyError, ValueError, TypeError, CurveError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
+                CurveError) as exc:
             # ValueError covers UnicodeDecodeError and JSONDecodeError
-            raise StateError(f"malformed snapshot: {exc}") from exc
+            raise StateError(f"malformed snapshot header: {exc}") from exc
+        ledger.entries = parse_entry_lines(body)
+        ledger._labels = {entry.device_label for entry in ledger.entries}
         if len(ledger.entries) != entry_count:
             raise StateError("snapshot entry count mismatch")
         return ledger
 
     def export_jsonl(self) -> str:
         """Ledger export (same entry lines as the snapshot, no header)."""
-        return "".join(
-            json.dumps(e.to_json_dict(i), sort_keys=True, separators=(",", ":")) + "\n"
-            for i, e in enumerate(self.entries)
-        )
+        return _entry_lines(self.entries)
 
     # --- edge-side persistence (stays in the secure zone's state dir) -----
 
@@ -233,7 +294,7 @@ class IdentityLedger:
             ledger.used_points = {
                 (int(x, 0), int(y, 0)) for x, y in d.get("used_points", [])
             }
-        except (KeyError, ValueError, TypeError, CurveError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, CurveError) as exc:
             raise StateError(f"corrupted ledger state: {exc}") from exc
         return ledger
 

@@ -389,7 +389,7 @@ class SecureZone:
                 bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
             }
             zone._audit = list(d["audit"])
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, AttributeError) as exc:
             # AttributeError: a JSON list where a mapping belongs (``.items()``)
             raise StateError(f"corrupted zone state: {exc}") from exc
         zone.ledger = None

@@ -170,7 +170,7 @@ class SealedShare:
                 record=AeadRecord.from_json_dict(d),
                 binding_tag=bytes.fromhex(d["binding_tag"]),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise StateError(f"not a sealed share: {exc}") from exc
 
     def to_json(self) -> str:

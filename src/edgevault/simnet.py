@@ -6,6 +6,15 @@ channel.  A scripted adversary can tamper with shares in flight, forge
 shares, replay transactions, or flip bits in the cloud's ledger replica;
 every adversary action is logged together with its detection outcome.
 
+The cloud keeps its replica by delta sync.  The first registration sends a
+full snapshot, which the cloud imports and verifies; after that the cloud
+holds only what it has verified (group and curve, entry count, tip h2 and the
+received entry-line chunks) and asks the edge for the lines after its tip,
+which it parses and re-chains from that tip.  Each entry is thus verified
+once on each side, and onboarding N devices costs O(N) ledger work.  The
+replica bytes are joined only when read, and run end still verifies the full
+chain at both nodes and compares the replica with a fresh full snapshot.
+
 Time is a logical tick counter and all randomness derives from the scenario
 seed, so replaying a scenario yields a byte-identical event log.  The log
 header echoes a hash of the scenario config as a code-integrity stand-in.
@@ -13,6 +22,7 @@ header echoes a hash of the scenario config as a code-integrity stand-in.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -22,8 +32,15 @@ import numpy as np
 from .bloom import BloomFilter
 from .crypto import TimestampAuthority, Timestamp, derive_seed, sha256
 from .curves import WeierstrassCurve, standard_curve
-from .errors import ClassificationError, CurveError, ScenarioConfigError
-from .ledger import IdentityLedger, LedgerEntry
+from .errors import ClassificationError, CurveError, ScenarioConfigError, StateError
+from .ledger import (
+    ChainReport,
+    IdentityLedger,
+    LedgerEntry,
+    parse_entry_lines,
+    snapshot_header,
+    verify_entries,
+)
 from .securezone import SecureZone
 from .shares import SealedShare
 from .crypto import AeadRecord
@@ -104,14 +121,14 @@ class SimScenario:
                 curve=curve,
                 script=[SimStep.from_json_dict(s) for s in d["script"]],
             )
-        except (KeyError, TypeError, ValueError, CurveError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, CurveError) as exc:
             raise ScenarioConfigError(f"malformed scenario: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "SimScenario":
         try:
             payload = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
             raise ScenarioConfigError(f"scenario is not valid JSON: {exc}") from exc
         return cls.from_json_dict(payload)
 
@@ -192,15 +209,78 @@ def edge_data_split(records: list[dict], policy: dict) -> DataSplit:
 # ---------------------------------------------------------------------------
 
 class _Cloud:
-    """The cloud node: ledger replica bytes plus its half of every key."""
+    """The cloud node: its ledger replica plus its half of every key.
+
+    The replica is held as the verified state only: group and curve, entry
+    count, tip h2 and the entry-line chunks received so far.
+    """
 
     def __init__(self):
-        self.replica: Optional[bytes] = None
+        self.group_id: Optional[str] = None
+        self.curve: Optional[WeierstrassCurve] = None
+        self.count = 0
+        self.tip: Optional[bytes] = None
+        self.chunks: list[bytes] = []
         self.shares: dict[bytes, SealedShare] = {}
 
-    def verify_replica(self):
-        ledger = IdentityLedger.import_snapshot(self.replica)
-        return ledger.verify_chain()
+    def _header(self) -> bytes:
+        return snapshot_header(self.group_id, self.curve, self.count)
+
+    @property
+    def replica(self) -> Optional[bytes]:
+        """The replica's snapshot bytes, joined on read; None before the first sync."""
+        if self.tip is None:
+            return None
+        return b"".join([self._header(), *self.chunks])
+
+    def replica_sha256(self) -> bytes:
+        digest = hashlib.sha256(self._header())
+        for chunk in self.chunks:
+            digest.update(chunk)
+        return digest.digest()
+
+    def sync(self, edge: IdentityLedger) -> ChainReport:
+        """Bring the replica up to the edge ledger: a full snapshot the
+        first time, then the lines after the verified tip."""
+        if self.tip is not None:
+            return self.apply_delta(edge.sync_delta(self.count, self.tip))
+        snapshot = edge.sync_to_cloud()
+        replica = IdentityLedger.import_snapshot(snapshot)
+        report = replica.verify_chain()
+        if report.valid and replica.entries:
+            self.group_id, self.curve = replica.group_id, replica.curve
+            self.count, self.tip = len(replica), replica.entries[-1].h2
+            self.chunks = [snapshot.partition(b"\n")[2]]
+        return report
+
+    def apply_delta(self, delta: bytes) -> ChainReport:
+        """Verify the entry lines after the tip and append them if they chain.
+
+        A malformed line or an index other than the next one raises
+        ``StateError``; a line that fails to chain is reported by its
+        absolute index and nothing is appended.
+        """
+        if delta and not delta.endswith(b"\n"):
+            raise StateError("a delta must be whole newline-terminated lines")
+        entries = parse_entry_lines(delta, start=self.count)
+        report = verify_entries(entries, self.tip, self.count)
+        if report.valid and entries:
+            self.chunks.append(delta)
+            self.count += len(entries)
+            self.tip = entries[-1].h2
+        return report
+
+
+class _LogicalClock:
+    """The run's tick counter.  The TSA reads it through this object rather
+    than through the runner, so a finished run holds no reference cycle and
+    is freed as soon as it is dropped."""
+
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self) -> int:
+        return self.now
 
 
 class _Runner:
@@ -213,12 +293,12 @@ class _Runner:
             if step.action == "attack" and step.kind not in ATTACK_KINDS:
                 raise ScenarioConfigError(f"unknown attack kind {step.kind!r}")
         self.scenario = scenario
-        self.tick = 0
+        self.clock = _LogicalClock()
         self.events: list[SimEvent] = []
         self.diffs: list[str] = []
 
         seed = scenario.seed
-        self.tsa = TimestampAuthority(issuer="sim-tsa", clock=lambda: self.tick)
+        self.tsa = TimestampAuthority(issuer="sim-tsa", clock=self.clock)
         self.zone = SecureZone(derive_seed(seed, b"zone"), self.tsa)
         curve = scenario.curve if scenario.curve is not None else standard_curve()
         self.zone.attach_ledger(IdentityLedger(group_id=scenario.name, curve=curve))
@@ -229,7 +309,7 @@ class _Runner:
         self.last_transaction: Optional[tuple[bytes, SealedShare, Timestamp]] = None
 
     def _emit(self, actor: str, kind: str, summary: dict, outcome: str) -> SimEvent:
-        event = SimEvent(tick=self.tick, actor=actor, kind=kind, summary=summary, outcome=outcome)
+        event = SimEvent(tick=self.clock.now, actor=actor, kind=kind, summary=summary, outcome=outcome)
         self.events.append(event)
         return event
 
@@ -254,10 +334,9 @@ class _Runner:
             key_id, entry.h2, self.scenario.order,
             rng_seed=derive_seed(seed, b"split:" + label.encode()),
         )
-        # channel: cloud share + fresh ledger snapshot travel to the cloud
+        # channel: cloud share + the ledger lines the replica lacks travel to the cloud
         self.cloud.shares[entry.h2] = dist.cloud_share
-        self.cloud.replica = self.zone.ledger.sync_to_cloud()
-        replica_ok = self.cloud.verify_replica()
+        replica_ok = self.cloud.sync(self.zone.ledger)
         self._emit(
             "edge", "register",
             {"device": label, "device_id": entry.h2.hex(), "key_id": key_id.hex()},
@@ -265,7 +344,7 @@ class _Runner:
         )
         self._emit(
             "cloud", "ledger-sync",
-            {"entries": len(self.zone.ledger), "replica_sha256": sha256(self.cloud.replica).hex()},
+            {"entries": len(self.zone.ledger), "replica_sha256": self.cloud.replica_sha256().hex()},
             "replica-verified" if replica_ok.valid else f"replica-invalid:{replica_ok.first_bad_index}",
         )
         self._expect(step, "registered")
@@ -365,9 +444,10 @@ class _Runner:
         return outcome
 
     def _attack_tamper_ledger(self, step: SimStep) -> str:
-        if self.cloud.replica is None:
+        snapshot = self.cloud.replica
+        if snapshot is None:
             raise ScenarioConfigError("tamper-ledger-bit needs a synced replica")
-        replica = IdentityLedger.import_snapshot(self.cloud.replica)
+        replica = IdentityLedger.import_snapshot(snapshot)
         if not replica.entries:
             raise ScenarioConfigError("tamper-ledger-bit needs a non-empty replica")
         idx = step.entry if step.entry is not None else int(
@@ -405,7 +485,7 @@ class _Runner:
 
     def run(self) -> RunResult:
         for step in self.scenario.script:
-            self.tick += 1
+            self.clock.now += 1
             if step.action == "register":
                 self.do_register(step)
             elif step.action == "transact":
@@ -414,15 +494,16 @@ class _Runner:
                 self.do_attack(step)
 
         # closing health checks at both nodes
-        self.tick += 1
+        self.clock.now += 1
         edge_report = self.zone.ledger.verify_chain()
         self._emit(
             "edge", "final-verify", {"entries": len(self.zone.ledger)},
             "chain-valid" if edge_report.valid else f"chain-invalid:{edge_report.first_bad_index}",
         )
-        if self.cloud.replica is not None:
-            cloud_report = self.cloud.verify_replica()
-            replica_matches = self.cloud.replica == self.zone.ledger.sync_to_cloud()
+        replica = self.cloud.replica
+        if replica is not None:
+            cloud_report = IdentityLedger.import_snapshot(replica).verify_chain()
+            replica_matches = replica == self.zone.ledger.sync_to_cloud()
             self._emit(
                 "cloud", "final-verify",
                 {"replica_matches_edge": replica_matches},

@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, main
 
 
@@ -197,9 +199,10 @@ def test_keys_authorize_malformed_share_file_is_state_error(runner, tmp_path, te
         ("tsa", b"\xff\xfe not utf-8", "corrupted-state"),
         ("tsa", b"[]", "corrupted-state"),
         ("curve", b"{}", "invalid-curve"),
+        ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
-         "curve-missing-fields"],
+         "curve-missing-fields", "timestamp-infinite-epoch"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
     state = tmp_path / "state"
@@ -242,6 +245,24 @@ def test_non_utf8_text_input_gets_error_envelope(runner, tmp_path, args):
     assert err["error"]["code"] == "corrupted-state"
 
 
+@pytest.mark.parametrize("command", ["keys-authorize-share", "sim-run"])
+def test_deeply_nested_json_gets_error_envelope(runner, tmp_path, command):
+    state = tmp_path / "state"
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100_000)
+    if command == "sim-run":
+        r = invoke(runner, state, "sim", "run", str(deep))
+        code = "config-error"
+    else:
+        doc = _init_ledger(runner, state)
+        r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+                   "--share", str(deep))
+        code = "corrupted-state"
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == code
+
+
 def test_keys_split_requires_context_or_device(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "keys", "split", "ab" * 16)
     assert r.exit_code == 64  # usage error, not the tamper code
@@ -277,19 +298,26 @@ def test_profile_fit_error_envelope(runner, tmp_path):
 
 # --- filter ----------------------------------------------------------------------------
 
-def test_filter_build_query(runner, tmp_path):
+def test_filter_build_query(runner, tmp_path, monkeypatch):
+    # the TSA reads wall time, which feeds the device ids; pin it
+    monkeypatch.setattr(time, "time", lambda: 1_792_000_000.0)
     state = tmp_path / "state"
     doc = _init_ledger(runner, state)
-    device_id = doc["entries"][0]["h2_hex"]
     filt = tmp_path / "allow.bin"
 
     r = invoke(runner, state, "filter", "build", "--from-ledger", "-o", str(filt))
     assert r.exit_code == 0
     assert json.loads(r.output)["inserted"] == 2
 
-    r = invoke(runner, state, "filter", "query", str(filt), device_id)
-    assert json.loads(r.output)["present"] is True
-    r = invoke(runner, state, "filter", "query", str(filt), "cd" * 32)
+    for entry in doc["entries"]:
+        r = invoke(runner, state, "filter", "query", str(filt), entry["h2_hex"])
+        assert json.loads(r.output)["present"] is True
+    # an id the filter holds no bits for; the false-positive rate is
+    # acceptance criterion 8's concern, not this test's
+    bloom = BloomFilter.from_bytes(filt.read_bytes())
+    absent = next(c for c in (f"{b:02x}" * 32 for b in range(256))
+                  if not bloom.contains(bytes.fromhex(c)))
+    r = invoke(runner, state, "filter", "query", str(filt), absent)
     assert json.loads(r.output)["present"] is False
 
 

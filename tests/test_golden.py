@@ -15,7 +15,7 @@ import pytest
 from edgevault.crypto import NonceSequence, sha256
 from edgevault.quasigroup import generate_quasigroup
 from edgevault.shares import seal_share, split
-from edgevault.simnet import builtin_scenarios, events_to_jsonl, run_scenario
+from edgevault.simnet import SimScenario, SimStep, builtin_scenarios, events_to_jsonl, run_scenario
 
 SECRET = bytes(range(1, 33))
 CTX = sha256(b"edgevault.golden")
@@ -59,6 +59,30 @@ EVENT_LOGS = {
 }
 
 
+# 60 devices, each registered then transacting; every 10th device also sees a
+# replay and a tampered share, and one ledger bit is flipped halfway.  Each
+# registration syncs the cloud replica, so this pins the ledger-sync events
+# (entry count and replica SHA-256) across a long run.
+ONBOARDING_LOG = "84888cafdeca268bd15d1afb2604f4789fc3991272792a01657d6a04e8020174"
+
+
+def _onboarding_scenario():
+    script = []
+    for i in range(60):
+        device = f"device-{i}"
+        script.append(SimStep(action="register", device=device, expect="registered"))
+        script.append(SimStep(action="transact", device=device, expect="accepted"))
+        if (i + 1) % 10 == 0:
+            script.append(SimStep(action="attack", kind="replay", device=device,
+                                  expect="rejected:replay"))
+            script.append(SimStep(action="attack", kind="tamper-share", device=device,
+                                  expect="rejected:decrypt-failure"))
+        if i == 29:
+            script.append(SimStep(action="attack", kind="tamper-ledger-bit", entry=17,
+                                  expect="detected:17"))
+    return SimScenario(name="onboarding-60", seed=6060, device_count=60, script=script)
+
+
 @pytest.mark.parametrize("order,qg_seed,mask_seed", sorted(SPLITS))
 def test_split_layouts_are_frozen(order, qg_seed, mask_seed):
     s1, s2, record = split(SECRET, generate_quasigroup(order, qg_seed), CTX, rng_seed=mask_seed)
@@ -87,3 +111,10 @@ def test_event_logs_are_frozen(name):
     scenario = builtin_scenarios()[name]
     log = events_to_jsonl(scenario, run_scenario(scenario).events)
     assert _hex(log) == EVENT_LOGS[name]
+
+
+def test_onboarding_event_log_is_frozen():
+    scenario = _onboarding_scenario()
+    result = run_scenario(scenario)
+    assert result.verdict.passed, result.verdict.diffs
+    assert _hex(events_to_jsonl(scenario, result.events)) == ONBOARDING_LOG

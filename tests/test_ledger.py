@@ -2,13 +2,22 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
 from edgevault.curves import standard_curve, tiny_curve
-from edgevault.errors import DuplicateDeviceError, GroupFullError, RefuseSyncError, StateError
-from edgevault.ledger import IdentityLedger, LedgerEntry
+from edgevault.errors import (
+    DuplicateDeviceError,
+    EdgeVaultError,
+    GroupFullError,
+    RefuseSyncError,
+    StateError,
+)
+from edgevault.ledger import IdentityLedger, LedgerEntry, parse_entry_lines
 from edgevault.securezone import SecureZone
 from edgevault.shares import SealedShare
+from edgevault.simnet import _Cloud
 
 POINT_KEY = bytes(32)
 
@@ -196,6 +205,137 @@ def test_recompute_chain_from_raw_records_10_devices(tsa):
     assert [h2 for _, h2 in chain_oracle(raw)] == [e.h2 for e in entries]
 
 
+# --- delta sync -------------------------------------------------------------
+
+def _tamper_ciphertext(ledger, index):
+    e = ledger.entries[index]
+    ct = bytes([e.ciphertext_record.ciphertext[0] ^ 1]) + e.ciphertext_record.ciphertext[1:]
+    ledger.entries[index] = LedgerEntry(
+        device_label=e.device_label,
+        ciphertext_record=AeadRecord(e.ciphertext_record.nonce, ct, e.ciphertext_record.tag),
+        timestamp=e.timestamp,
+        h1=e.h1,
+        h2=e.h2,
+    )
+
+
+def test_sync_delta_is_the_tail_of_the_full_snapshot(f5_ledger, tsa):
+    entries = _register_n(f5_ledger, tsa, 5)
+    body = f5_ledger.sync_to_cloud().partition(b"\n")[2].splitlines(keepends=True)
+    for count in range(1, 6):
+        delta = f5_ledger.sync_delta(count, entries[count - 1].h2)
+        assert delta == b"".join(body[count:])
+        parsed = parse_entry_lines(delta, start=count)
+        assert [e.h2 for e in parsed] == [e.h2 for e in entries[count:]]
+
+
+def test_sync_delta_refuses_a_tip_not_on_the_chain(f5_ledger, tsa):
+    entries = _register_n(f5_ledger, tsa, 3)
+    bad_tips = [
+        (0, entries[0].h2),  # a replica with no entries takes a full snapshot
+        (4, entries[2].h2),  # more entries than the edge holds
+        (2, entries[0].h2),  # a tip that is not entry count-1
+        (3, bytes(32)),
+    ]
+    for count, tip in bad_tips:
+        with pytest.raises(RefuseSyncError):
+            f5_ledger.sync_delta(count, tip)
+
+
+def test_sync_delta_refuses_an_entry_that_does_not_chain(f5_ledger, tsa):
+    entries = _register_n(f5_ledger, tsa, 4)
+    _tamper_ciphertext(f5_ledger, 2)
+    for count in (1, 2):
+        with pytest.raises(RefuseSyncError, match="index 2"):
+            f5_ledger.sync_delta(count, entries[count - 1].h2)
+    # entries before the tip are the replica's, already verified when sent
+    assert f5_ledger.sync_delta(3, entries[2].h2).count(b"\n") == 1
+
+
+def test_verify_chain_from_start_reports_absolute_index(f5_ledger, tsa):
+    _register_n(f5_ledger, tsa, 5)
+    assert all(f5_ledger.verify_chain(start=k).valid for k in range(6))
+    _tamper_ciphertext(f5_ledger, 3)
+    assert f5_ledger.verify_chain().first_bad_index == 3
+    assert f5_ledger.verify_chain(start=2).first_bad_index == 3
+    # chained from the stored h2 of entry 3, so entry 4 still verifies
+    assert f5_ledger.verify_chain(start=4).valid
+
+
+def test_parse_entry_lines_requires_consecutive_indexes(f5_ledger, tsa):
+    entries = _register_n(f5_ledger, tsa, 4)
+    delta = f5_ledger.sync_delta(1, entries[0].h2)
+    lines = delta.splitlines(keepends=True)
+    for data, start in [
+        (b"".join(lines[1:]), 1),  # a gap: index 2 where 1 belongs
+        (delta, 2),
+        (delta, 0),
+        (lines[0] * 2, 1),  # a repeated line
+    ]:
+        with pytest.raises(StateError):
+            parse_entry_lines(data, start=start)
+
+
+def _tiny_ledger(n):
+    ledger = IdentityLedger(group_id="g", curve=tiny_curve())
+    tsa = TimestampAuthority(issuer="t", clock=lambda: 1_700_000_000)
+    _register_n(ledger, tsa, n)
+    return ledger
+
+
+_LEDGER = _tiny_ledger(4)
+SNAPSHOT = _LEDGER.sync_to_cloud()
+DELTA = _LEDGER.sync_delta(2, _LEDGER.entries[1].h2)
+DEEP = b"[" * 100_000 + b"\n"
+
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(0, 1 << 16), st.integers(0, 255)),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(data, edits):
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        if op == "insert":
+            buf.insert(pos % (len(buf) + 1), byte)
+        elif buf and op == "replace":
+            buf[pos % len(buf)] = byte
+        elif buf:
+            del buf[pos % len(buf)]
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(_mutate, st.just(SNAPSHOT), EDITS), st.binary(max_size=600)))
+def test_mutated_snapshot_raises_only_edgevault_errors(payload):
+    try:
+        replica = IdentityLedger.import_snapshot(payload)
+        replica.verify_chain()
+        replica.sync_to_cloud()
+    except EdgeVaultError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(_mutate, st.just(DELTA), EDITS), st.binary(max_size=600)))
+def test_mutated_delta_raises_only_edgevault_errors(payload):
+    cloud = _Cloud()
+    cloud.sync(_tiny_ledger(2))
+    try:
+        if cloud.apply_delta(payload).valid:
+            IdentityLedger.import_snapshot(cloud.replica).verify_chain()
+    except EdgeVaultError:
+        pass
+
+
+def _ledger_state_with_infinite_epoch():
+    d = _tiny_ledger(1).state_dict()
+    d["entries"][0]["epoch_seconds"] = float("inf")
+    return d
+
+
 def _snapshot_without_entry_count():
     header = {"group_id": "g", **tiny_curve().to_json_dict()}
     return json.dumps(header).encode() + b"\n"
@@ -223,10 +363,28 @@ def _zone_state_list_shares():
         (_load_zone, {"zone_seed": 0}),
         (_load_zone, _zone_state_list_shares()),
         (IdentityLedger.from_state_dict, {"group_id": "g", "curve": {}, "entries": []}),
+        (IdentityLedger.import_snapshot, DEEP),
+        (IdentityLedger.import_snapshot, SNAPSHOT + DEEP),
+        (parse_entry_lines, DEEP),
+        (IdentityLedger.import_snapshot, SNAPSHOT.replace(b'"index":0', b'"index":1', 1)),
+        (IdentityLedger.import_snapshot,
+         SNAPSHOT.replace(b'"epoch_seconds":1700000000', b'"epoch_seconds":-1', 1)),
+        (IdentityLedger.import_snapshot,
+         SNAPSHOT.replace(b'"epoch_seconds":1700000000', b'"epoch_seconds":1e999', 1)),
+        (IdentityLedger.import_snapshot, SNAPSHOT.replace(b'"entry_count":4', b'"entry_count":1e999')),
+        (IdentityLedger.from_state_dict, _ledger_state_with_infinite_epoch()),
+        (Timestamp.from_json_dict, {"epoch_seconds": float("inf"), "sequence": 1}),
+        (TimestampAuthority.from_state_dict,
+         {"issuer": "t", "sequence": float("inf"), "last_epoch": 0}),
+        (SealedShare.from_json_dict, {"index": float("inf")}),
+        (_load_zone, {"zone_seed": float("inf")}),
     ],
     ids=["missing-entry-count", "not-utf8", "array-header", "sealed-share-missing-fields",
          "timestamp-missing-fields", "tsa-array", "zone-missing-fields", "zone-list-for-mapping",
-         "ledger-curve-missing-fields"],
+         "ledger-curve-missing-fields", "deep-header", "deep-entry-line", "deep-delta-line",
+         "entry-index-out-of-place", "negative-epoch", "infinite-epoch", "infinite-entry-count",
+         "ledger-state-infinite-epoch", "timestamp-infinite-epoch", "tsa-infinite-sequence",
+         "sealed-share-infinite-index", "zone-infinite-seed"],
 )
 def test_parsers_raise_state_error(parse, payload):
     with pytest.raises(StateError):

@@ -1,10 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+from edgevault.crypto import TimestampAuthority
 from edgevault.curves import tiny_curve
-from edgevault.errors import ClassificationError, ScenarioConfigError
+from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
+from edgevault.ledger import IdentityLedger
 from edgevault.simnet import (
+    _Cloud,
     SimScenario,
     SimStep,
     builtin_scenarios,
@@ -40,6 +44,68 @@ def test_replica_byte_equality_after_sync():
     assert verdict.passed
     cloud_final = next(e for e in events if e.kind == "final-verify" and e.actor == "cloud")
     assert cloud_final.summary["replica_matches_edge"] is True
+
+
+# --- cloud delta sync ----------------------------------------------------------------
+
+def _edge():
+    ledger = IdentityLedger(group_id="g", curve=tiny_curve())
+    tsa = TimestampAuthority(issuer="t", clock=lambda: 9)
+
+    def register(i):
+        return ledger.register_device(f"d{i}", tsa, bytes(32), rng_seed=i)
+
+    return ledger, register
+
+
+def test_cloud_replica_equals_full_snapshot_after_each_registration():
+    edge, register = _edge()
+    cloud = _Cloud()
+    for i in range(8):  # every point of the tiny curve
+        register(i)
+        assert cloud.sync(edge).valid
+        assert cloud.count == i + 1
+        assert cloud.replica == edge.sync_to_cloud()
+        assert cloud.replica_sha256() == hashlib.sha256(cloud.replica).digest()
+
+
+def _cloud_behind_edge(synced, total):
+    edge, register = _edge()
+    cloud = _Cloud()
+    for i in range(total):
+        register(i)
+        if i + 1 == synced:
+            assert cloud.sync(edge).valid
+    return edge, cloud
+
+
+def test_cloud_reports_a_tampered_delta_at_its_absolute_index():
+    edge, cloud = _cloud_behind_edge(2, 6)
+    lines = edge.sync_delta(2, cloud.tip).splitlines(keepends=True)
+    before = cloud.replica
+    for k in range(2, 6):
+        row = json.loads(lines[k - 2])
+        ct = bytearray.fromhex(row["ciphertext_hex"])
+        ct[-1] ^= 0x10  # one bit
+        row["ciphertext_hex"] = ct.hex()
+        tampered = list(lines)
+        tampered[k - 2] = (json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        report = cloud.apply_delta(b"".join(tampered))
+        assert not report.valid
+        assert report.first_bad_index == k
+        assert cloud.replica == before  # nothing unverified is appended
+
+
+def test_cloud_rejects_an_index_gap():
+    edge, cloud = _cloud_behind_edge(2, 5)
+    lines = edge.sync_delta(2, cloud.tip).splitlines(keepends=True)
+    for delta in (b"".join(lines[1:]), lines[0] + lines[2], lines[0] + lines[0]):
+        with pytest.raises(StateError):
+            cloud.apply_delta(delta)
+    with pytest.raises(StateError):
+        cloud.apply_delta(lines[0].rstrip(b"\n"))  # a line cut short
+    assert cloud.apply_delta(b"".join(lines)).valid
+    assert cloud.replica == edge.sync_to_cloud()
 
 
 # --- attacks ---------------------------------------------------------------------
@@ -200,6 +266,10 @@ def test_scenario_rejects_malformed_json():
         SimScenario.from_json("not json at all {")
     with pytest.raises(ScenarioConfigError):
         SimScenario.from_json(json.dumps({"name": "x"}))
+    with pytest.raises(ScenarioConfigError):
+        SimScenario.from_json(b"[" * 100_000)
+    with pytest.raises(ScenarioConfigError):
+        SimScenario.from_json(b'{"name": "x", "seed": 1e999, "device_count": 1, "script": []}')
 
 
 # --- edge data split -------------------------------------------------------------------
