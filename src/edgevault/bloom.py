@@ -25,8 +25,9 @@ class BloomFilter:
     """m-bit filter with k double-hashed probes; no false negatives ever."""
 
     def __init__(self, m: int, k: int):
-        if m < 1 or k < 1:
-            raise FilterParameterError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+        # sizing never gives k > m; a parsed k near 2^64 would make every lookup hang
+        if m < 1 or not 1 <= k <= m:
+            raise FilterParameterError(f"need m >= 1 and 1 <= k <= m, got m={m}, k={k}")
         self.m = int(m)
         self.k = int(k)
         self.bits = np.zeros(self.m, dtype=bool)

@@ -123,7 +123,8 @@ class WeierstrassCurve:
     a6: int = 0
 
     def __post_init__(self):
-        if self.p <= 3 or not _is_probable_prime(self.p):
+        # a test proves P256 prime once; every ledger parse rebuilds its curve
+        if self.p != P256 and (self.p <= 3 or not _is_probable_prime(self.p)):
             raise CurveError(f"modulus must be an odd prime > 3, got {self.p}")
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, getattr(self, name) % self.p)

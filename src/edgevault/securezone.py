@@ -261,8 +261,8 @@ class SecureZone:
 
         Checks, in order: timestamp freshness against the TSA view and the
         last accepted timestamp for this context, the key's usage budget,
-        then the full share combination (AEAD, binding tags, quasigroup
-        algebra, checksum).  Every call is audit-logged.
+        the share combination (AEAD, binding tags, quasigroup rebuild,
+        checksum), then the wrap record.  Every call is audit-logged.
         """
         record = self._split_records.get(context_id)
         if record is None:

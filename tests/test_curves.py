@@ -6,6 +6,7 @@ from edgevault.curves import (
     CurvePoint,
     P256,
     WeierstrassCurve,
+    _is_probable_prime,
     discriminant,
     is_on_curve,
     point_from_bytes,
@@ -61,6 +62,22 @@ def test_curve_rejects_bad_modulus():
         WeierstrassCurve.short(3, 1, 1)  # too small
     with pytest.raises(CurveError):
         WeierstrassCurve.short(561, 1, 1)  # Carmichael number
+
+
+def test_preset_modulus_is_prime():
+    # construction skips the primality test for P256, so this is its proof
+    assert P256.bit_length() == 256
+    assert _is_probable_prime(P256)
+
+
+def test_curve_rejects_composite_256_bit_modulus():
+    # (2^127 - 1) is a Mersenne prime; the cofactor has no factor below 41,
+    # so only Miller-Rabin can reject this modulus
+    composite = (2 ** 127 - 1) * (2 ** 129 - 9)
+    assert composite.bit_length() == 256
+    assert all(composite % q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    with pytest.raises(CurveError):
+        WeierstrassCurve.short(composite, 0, 7)
 
 
 def test_coefficients_reduced_mod_p():

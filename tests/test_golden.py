@@ -43,8 +43,8 @@ SPLITS = {
     },
 }
 
-# canonical table bytes: the sampled algebra check in combine_and_verify seeds
-# from them, so a drift would silently move the sampled pairs
+# canonical table bytes: they are the frozen `qg generate` output, and a drift
+# means an (order, seed) split record no longer rebuilds its quasigroup
 TABLES = {
     (2, 5): "50a2f7d2501bf1e5af02ab47d7d7b9c0e8cbf02e0ed7766c29b54097595691db",
     (3, 1): "e66ab2e0c82490f4c69362fa1e1f481946ef0e51cf8141c8afd3a29b18def4b5",

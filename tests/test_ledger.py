@@ -3,7 +3,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
 from edgevault.curves import standard_curve, tiny_curve
@@ -18,6 +17,8 @@ from edgevault.ledger import IdentityLedger, LedgerEntry, parse_entry_lines
 from edgevault.securezone import SecureZone
 from edgevault.shares import SealedShare
 from edgevault.simnet import _Cloud
+
+from mutation import mutants
 
 POINT_KEY = bytes(32)
 
@@ -288,27 +289,8 @@ SNAPSHOT = _LEDGER.sync_to_cloud()
 DELTA = _LEDGER.sync_delta(2, _LEDGER.entries[1].h2)
 DEEP = b"[" * 100_000 + b"\n"
 
-EDITS = st.lists(
-    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
-              st.integers(0, 1 << 16), st.integers(0, 255)),
-    min_size=1, max_size=3,
-)
-
-
-def _mutate(data, edits):
-    buf = bytearray(data)
-    for op, pos, byte in edits:
-        if op == "insert":
-            buf.insert(pos % (len(buf) + 1), byte)
-        elif buf and op == "replace":
-            buf[pos % len(buf)] = byte
-        elif buf:
-            del buf[pos % len(buf)]
-    return bytes(buf)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.builds(_mutate, st.just(SNAPSHOT), EDITS), st.binary(max_size=600)))
+@given(mutants(SNAPSHOT))
 def test_mutated_snapshot_raises_only_edgevault_errors(payload):
     try:
         replica = IdentityLedger.import_snapshot(payload)
@@ -319,7 +301,7 @@ def test_mutated_snapshot_raises_only_edgevault_errors(payload):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.builds(_mutate, st.just(DELTA), EDITS), st.binary(max_size=600)))
+@given(mutants(DELTA))
 def test_mutated_delta_raises_only_edgevault_errors(payload):
     cloud = _Cloud()
     cloud.sync(_tiny_ledger(2))

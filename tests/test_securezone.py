@@ -2,17 +2,20 @@ import json
 
 import pytest
 
+import edgevault.shares
 from edgevault.crypto import AeadRecord, TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import (
+    AlgebraFailureError,
     AlreadySplitError,
     KeyStateError,
     UnknownKeyError,
     WrongPurposeError,
 )
 from edgevault.ledger import IdentityLedger
-from edgevault.securezone import DEFAULT_BUDGET, SecureZone
-from edgevault.shares import SealedShare
+from edgevault.quasigroup import IsotopeQuasigroup, generate_quasigroup
+from edgevault.securezone import DEFAULT_BUDGET, Decision, SecureZone
+from edgevault.shares import SealedShare, combine_and_verify
 
 CTX = bytes(range(32))
 
@@ -158,6 +161,29 @@ def test_forged_share_rejected(zone, tsa, rng):
     decision = zone.authorize_transaction(CTX, forged, tsa.issue())
     assert not decision.accepted
     assert decision.reason in ("decrypt-failure", "tag-mismatch")
+
+
+def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
+    # the rebuild's permutation check is the only algebra gate at combine
+    # time, so a sigma that repeats an entry must reject, not reconstruct
+    key_id, result = _distributed(zone)
+
+    def broken_rebuild(order, seed):
+        good = generate_quasigroup(order, seed)
+        sigma = good.sigma.copy()
+        sigma[1] = sigma[0]
+        return IsotopeQuasigroup(sigma, good.pi, good.rho, generation_seed=seed)
+
+    monkeypatch.setattr(edgevault.shares, "generate_quasigroup", broken_rebuild)
+    record = zone._split_records[CTX]
+    edge_share = zone._edge_shares[CTX]
+    share_key = zone._key_bytes[zone._share_key_id]
+    with pytest.raises(AlgebraFailureError):
+        combine_and_verify(edge_share, result.cloud_share, record, share_key)
+
+    decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="algebra-failure")
+    assert zone._keys[key_id].uses == 0
 
 
 def test_unknown_context_raises(zone, tsa):
