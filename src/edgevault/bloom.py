@@ -76,6 +76,8 @@ class BloomFilter:
         body = np.frombuffer(data[_HEADER.size:], dtype=np.uint8)
         if body.shape[0] != (m + 7) // 8:
             raise FilterParameterError("filter bit array length mismatch")
+        if m % 8 and body[-1] & (0xFF >> (m % 8)):
+            raise FilterParameterError("non-zero padding bits after bit m")
         filt = cls(m, k)
         filt.bits = np.unpackbits(body)[:m].astype(bool)
         filt.n_inserted = int(n_inserted)

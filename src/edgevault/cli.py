@@ -24,9 +24,9 @@ from pathlib import Path
 import click
 
 from .bloom import BloomFilter
-from .crypto import Timestamp, TimestampAuthority
+from .crypto import U64_LIMIT, Timestamp, TimestampAuthority
 from .curves import WeierstrassCurve, standard_curve, tiny_curve
-from .errors import EdgeVaultError, StateError
+from .errors import EdgeVaultError, StateError, parses
 from .ledger import IdentityLedger
 from .profiler import Sample, detect_outliers, fit_distribution
 from .quasigroup import Quasigroup, generate_quasigroup, verify_parastroph_identities
@@ -46,6 +46,9 @@ click.exceptions.UsageError.exit_code = EXIT_USAGE
 STATE_ENV = "EDGEVAULT_STATE_DIR"
 
 _EXHAUSTIVE_CHECK_LIMIT = 512
+
+#: the --seed of every state or scenario command; out of range is a usage error
+SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
 
 
 class AppState:
@@ -80,12 +83,10 @@ class AppState:
             self.lock_path.unlink(missing_ok=True)
 
     @staticmethod
+    @parses(StateError, "corrupted JSON file {0}")
     def _read_json(path: str | Path) -> dict:
         """Parse a JSON file; the caller's parser validates its structure."""
-        try:
-            return json.loads(Path(path).read_bytes())
-        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-            raise StateError(f"corrupted JSON file {path}: {exc}") from exc
+        return json.loads(Path(path).read_bytes())
 
     def _write_json(self, path: Path, obj: dict):
         """Replace ``path`` atomically: a crash leaves the old or the new file."""
@@ -196,7 +197,7 @@ def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve
 @click.option("--preset", type=click.Choice(["standard", "tiny"]), default="standard")
 @click.option("--curve-json", type=click.Path(exists=True), default=None,
               help="JSON file with explicit curve parameters p, a1..a6.")
-@click.option("--seed", type=int, default=0, help="Zone seed if the zone is new.")
+@click.option("--seed", type=SEED_RANGE, default=0, help="Zone seed if the zone is new.")
 @click.pass_obj
 @handle_errors
 def ledger_init(state: AppState, group, preset, curve_json, seed):
@@ -222,7 +223,7 @@ def _exit_if_tampered(state: AppState, ledger: IdentityLedger):
 
 @ledger.command("register")
 @click.argument("label")
-@click.option("--seed", type=int, default=0, help="Point-selection seed.")
+@click.option("--seed", type=SEED_RANGE, default=0, help="Point-selection seed.")
 @click.pass_obj
 @handle_errors
 def ledger_register(state: AppState, label, seed):
@@ -304,7 +305,7 @@ def keys():
 @click.option("--purpose", type=click.Choice(["data-encryption", "key-encryption", "point-sealing"]),
               default="data-encryption")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED_RANGE, default=0)
 @click.pass_obj
 @handle_errors
 def keys_generate(state: AppState, purpose, budget, seed):
@@ -321,7 +322,7 @@ def keys_generate(state: AppState, purpose, budget, seed):
 @click.option("--context", default=None, help="32-byte context id (hex).")
 @click.option("--device", default=None, help="Use a registered device's ledger id as context.")
 @click.option("--order", type=int, default=256)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED_RANGE, default=0)
 @click.option("-o", "output", type=click.Path(path_type=Path), default=None,
               help="Where to write the cloud share JSON (default stdout).")
 @click.pass_obj
@@ -450,12 +451,10 @@ def qg_check(state: AppState, table_file, order, seed):
 # profile
 # ---------------------------------------------------------------------------
 
+@parses(StateError, "{0} is not UTF-8 text")
 def _read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file; StateError if it is not UTF-8."""
-    try:
-        return Path(path).read_bytes().decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise StateError(f"{path} is not UTF-8 text: {exc}") from exc
+    return Path(path).read_bytes().decode("utf-8").splitlines()
 
 
 def _read_csv_values(path: str) -> list[float]:
@@ -584,7 +583,7 @@ def sim_builtin(state: AppState, name, output):
 @click.argument("scenario_file", type=click.Path(exists=True))
 @click.option("--log", "log_file", type=click.Path(path_type=Path), default=None,
               help="Write the event log as JSON Lines.")
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=SEED_RANGE, default=None, help="Override the scenario seed.")
 @click.pass_obj
 @handle_errors
 def sim_run(state: AppState, scenario_file, log_file, seed):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import AuthenticationFailure, ClockError, EncryptionError, StateError
+from .errors import AuthenticationFailure, ClockError, EncryptionError, StateError, parses
 
 __all__ = [
     "sha256",
@@ -34,6 +34,8 @@ __all__ = [
 NONCE_LEN = 12
 TAG_LEN = 16
 KEY_LEN = 32
+#: nonce counters, TSA counters, timestamps and seeds are unsigned 64-bit
+U64_LIMIT = 1 << 64
 
 
 def sha256(data: bytes) -> bytes:
@@ -62,6 +64,8 @@ class NonceSequence:
     __slots__ = ("tag", "counter")
 
     def __init__(self, seed, counter: int = 0):
+        if not 0 <= counter < U64_LIMIT:
+            raise ValueError(f"nonce counter {counter} outside [0, 2^64)")
         self.tag = sha256(b"edgevault.nonce" + _seed_to_bytes(seed))[:4]
         self.counter = counter
 
@@ -101,6 +105,7 @@ class AeadRecord:
         }
 
     @classmethod
+    @parses(StateError, "malformed AEAD record")
     def from_json_dict(cls, d: dict) -> "AeadRecord":
         return cls(
             bytes.fromhex(d["nonce"]),
@@ -158,11 +163,12 @@ class Timestamp:
         }
 
     @classmethod
+    @parses(StateError, "not a timestamp")
     def from_json_dict(cls, d: dict) -> "Timestamp":
-        try:
-            return cls(int(d["epoch_seconds"]), str(d.get("issuer", "")), int(d["sequence"]))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise StateError(f"not a timestamp: {exc}") from exc
+        ts = cls(int(d["epoch_seconds"]), str(d.get("issuer", "")), int(d["sequence"]))
+        if not (0 <= ts.epoch_seconds < U64_LIMIT and 0 <= ts.sequence < U64_LIMIT):
+            raise ValueError("timestamp fields must fit its 8-byte hash form")
+        return ts
 
 
 @dataclass(frozen=True)
@@ -209,12 +215,12 @@ class TimestampAuthority:
         return {"issuer": self.issuer, "sequence": self._sequence, "last_epoch": self._last_epoch}
 
     @classmethod
+    @parses(StateError, "corrupted TSA state")
     def from_state_dict(cls, d: dict, clock: Optional[Callable[[], int]] = None):
-        try:
-            tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
-            tsa._last_epoch = int(d["last_epoch"])
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise StateError(f"corrupted TSA state: {exc}") from exc
+        tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
+        tsa._last_epoch = int(d["last_epoch"])
+        if not (0 <= tsa._sequence < U64_LIMIT and 0 <= tsa._last_epoch < U64_LIMIT):
+            raise ValueError("TSA sequence and last_epoch must lie in [0, 2^64)")
         return tsa
 
 

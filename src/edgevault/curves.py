@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CurveError, GroupFullError
+from .errors import CurveError, GroupFullError, parses
 
 __all__ = [
     "CurvePoint",
@@ -166,12 +166,9 @@ class WeierstrassCurve:
         }
 
     @classmethod
+    @parses(CurveError, "malformed curve parameters")
     def from_json_dict(cls, d: dict) -> "WeierstrassCurve":
-        try:
-            params = {k: int(str(d[k]), 0) for k in ("p", "a1", "a2", "a3", "a4", "a6")}
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CurveError(f"malformed curve parameters: {exc}") from exc
-        return cls(**params)
+        return cls(**{k: int(str(d[k]), 0) for k in ("p", "a1", "a2", "a3", "a4", "a6")})
 
 
 def is_on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:

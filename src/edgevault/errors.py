@@ -2,7 +2,15 @@
 
 Every error carries a stable machine-readable ``code`` so the CLI can emit a
 uniform error envelope and callers can dispatch without string matching.
+
+Malformed input follows one rule.  Each parser of outside data declares its
+error with :func:`parses`.  An exception in ``MALFORMED`` or an
+``EdgeVaultError`` (from a nested parser, say) escaping it is re-raised as
+that error, so the outermost parser names the code.  A parser checks what
+later code indexes (lengths, ranges, cross-references) and catches nothing.
 """
+
+import functools
 
 
 class EdgeVaultError(Exception):
@@ -12,6 +20,28 @@ class EdgeVaultError(Exception):
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.__doc__ or self.code)
+
+
+#: built-in exceptions that mean bad input; ``ValueError`` covers bad UTF-8 and
+#: JSON, ``AttributeError`` a JSON list where a mapping belongs
+MALFORMED = (LookupError, ValueError, TypeError, OverflowError, RecursionError, AttributeError)
+
+
+def parses(error: type[EdgeVaultError], what: str):
+    """Make ``error`` the parser's error; ``what`` starts its message and may
+    name the parser's positional arguments as ``{0}``, ``{1}``..."""
+
+    def decorate(parser):
+        @functools.wraps(parser)
+        def wrapper(*args, **kwargs):
+            try:
+                return parser(*args, **kwargs)
+            except (*MALFORMED, EdgeVaultError) as exc:
+                raise error(f"{what.format(*args)}: {exc}") from exc
+
+        return wrapper
+
+    return decorate
 
 
 # --- quasigroup algebra ---

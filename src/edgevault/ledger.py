@@ -28,14 +28,12 @@ from typing import Iterable, Optional
 
 from .crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_encrypt, sha256
 from .curves import WeierstrassCurve, point_to_bytes, select_unique_point
-from .errors import CurveError, DuplicateDeviceError, EncryptionError, RefuseSyncError, StateError
+from .errors import DuplicateDeviceError, RefuseSyncError, StateError, parses
 
 __all__ = [
     "LedgerEntry", "ChainReport", "IdentityLedger",
     "snapshot_header", "parse_entry_lines", "verify_entries",
 ]
-
-_U64 = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,8 @@ class LedgerEntry:
         }
 
     @classmethod
+    @parses(StateError, "malformed ledger entry")
     def from_json_dict(cls, d: dict) -> "LedgerEntry":
-        timestamp = Timestamp(
-            epoch_seconds=int(d["epoch_seconds"]),
-            issuer=str(d.get("issuer", "")),
-            sequence=int(d["sequence"]),
-        )
-        if not (0 <= timestamp.epoch_seconds < _U64 and 0 <= timestamp.sequence < _U64):
-            raise ValueError("timestamp fields must fit its 8-byte hash form")
         return cls(
             device_label=str(d["device_label"]),
             ciphertext_record=AeadRecord(
@@ -79,7 +71,7 @@ class LedgerEntry:
                 ciphertext=bytes.fromhex(d["ciphertext_hex"]),
                 tag=bytes.fromhex(d["tag_hex"]),
             ),
-            timestamp=timestamp,
+            timestamp=Timestamp.from_json_dict(d),
             h1=bytes.fromhex(d["h1_hex"]),
             h2=bytes.fromhex(d["h2_hex"]),
         )
@@ -130,6 +122,7 @@ def snapshot_header(group_id: str, curve: WeierstrassCurve, entry_count: int) ->
     return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+@parses(StateError, "malformed entry line")
 def parse_entry_lines(data: bytes, start: int = 0) -> list[LedgerEntry]:
     """Parse snapshot entry lines (a snapshot body or a delta).
 
@@ -137,17 +130,12 @@ def parse_entry_lines(data: bytes, start: int = 0) -> list[LedgerEntry]:
     out of place raises ``StateError``.
     """
     entries = []
-    try:
-        for index, line in enumerate(data.decode().splitlines(), start):
-            d = json.loads(line)
-            entry = LedgerEntry.from_json_dict(d)
-            if type(d["index"]) is not int or d["index"] != index:
-                raise StateError(f"entry line {index} carries index {d['index']!r}")
-            entries.append(entry)
-    except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
-            EncryptionError) as exc:
-        # ValueError covers UnicodeDecodeError and JSONDecodeError
-        raise StateError(f"malformed entry line: {exc}") from exc
+    for index, line in enumerate(data.decode().splitlines(), start):
+        d = json.loads(line)
+        entry = LedgerEntry.from_json_dict(d)
+        if type(d["index"]) is not int or d["index"] != index:
+            raise StateError(f"entry line {index} carries index {d['index']!r}")
+        entries.append(entry)
     return entries
 
 
@@ -243,6 +231,7 @@ class IdentityLedger:
         return _entry_lines(self.entries[count:], count).encode()
 
     @classmethod
+    @parses(StateError, "malformed snapshot")
     def import_snapshot(cls, data: bytes) -> "IdentityLedger":
         """Rebuild a replica from a snapshot; it can verify but not register.
 
@@ -250,15 +239,9 @@ class IdentityLedger:
         form covers epoch and sequence only).
         """
         head, _, body = data.partition(b"\n")
-        try:
-            header = json.loads(head.decode())
-            curve = WeierstrassCurve.from_json_dict(header)
-            ledger = cls(group_id=str(header["group_id"]), curve=curve)
-            entry_count = int(header["entry_count"])
-        except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
-                CurveError) as exc:
-            # ValueError covers UnicodeDecodeError and JSONDecodeError
-            raise StateError(f"malformed snapshot header: {exc}") from exc
+        header = json.loads(head.decode())
+        ledger = cls(str(header["group_id"]), WeierstrassCurve.from_json_dict(header))
+        entry_count = int(header["entry_count"])
         ledger.entries = parse_entry_lines(body)
         ledger._labels = {entry.device_label for entry in ledger.entries}
         if len(ledger.entries) != entry_count:
@@ -281,21 +264,14 @@ class IdentityLedger:
         }
 
     @classmethod
+    @parses(StateError, "corrupted ledger state")
     def from_state_dict(cls, d: dict) -> "IdentityLedger":
-        try:
-            ledger = cls(
-                group_id=str(d["group_id"]),
-                curve=WeierstrassCurve.from_json_dict(d["curve"]),
-            )
-            for ed in d["entries"]:
-                entry = LedgerEntry.from_json_dict(ed)
-                ledger.entries.append(entry)
-                ledger._labels.add(entry.device_label)
-            ledger.used_points = {
-                (int(x, 0), int(y, 0)) for x, y in d.get("used_points", [])
-            }
-        except (KeyError, ValueError, TypeError, OverflowError, CurveError) as exc:
-            raise StateError(f"corrupted ledger state: {exc}") from exc
+        ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
+        for ed in d["entries"]:
+            entry = LedgerEntry.from_json_dict(ed)
+            ledger.entries.append(entry)
+            ledger._labels.add(entry.device_label)
+        ledger.used_points = {(int(x, 0), int(y, 0)) for x, y in d.get("used_points", [])}
         return ledger
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .crypto import (
+    KEY_LEN,
+    U64_LIMIT,
     NonceSequence,
     Timestamp,
     TimestampAuthority,
@@ -36,6 +38,7 @@ from .errors import (
     StateError,
     UnknownKeyError,
     WrongPurposeError,
+    parses,
 )
 from .ledger import IdentityLedger, LedgerEntry
 from .quasigroup import generate_quasigroup
@@ -349,48 +352,54 @@ class SecureZone:
         }
 
     @classmethod
+    @parses(StateError, "corrupted zone state")
     def from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
         zone = cls.__new__(cls)
         zone._tsa = tsa
-        try:
-            zone._zone_seed = int(d["zone_seed"])
-            zone._op_counter = int(d["op_counter"])
-            zone._kek_id = bytes.fromhex(d["kek_id"])
-            zone._share_key_id = bytes.fromhex(d["share_key_id"])
-            zone._point_key_id = bytes.fromhex(d["point_key_id"])
-            zone._keys = {}
-            zone._key_bytes = {}
-            zone._nonces = {}
-            for kd in d["keys"]:
-                kid = bytes.fromhex(kd["key_id"])
-                zone._keys[kid] = ManagedKey(
-                    key_id=kid,
-                    purpose=kd["purpose"],
-                    state=kd["state"],
-                    usage_budget=int(kd["usage_budget"]),
-                    uses=int(kd["uses"]),
-                    created_at=Timestamp.from_json_dict(kd["created_at"]),
-                )
-                zone._key_bytes[kid] = bytes.fromhex(kd["material"])
-                seq = NonceSequence(kid, counter=int(kd["nonce_counter"]))
-                zone._nonces[kid] = seq
-            zone._split_records = {
-                bytes.fromhex(rd["context_id"]): SplitRecord.from_state_dict(rd)
-                for rd in d["split_records"]
-            }
-            zone._edge_shares = {
-                bytes.fromhex(c): SealedShare.from_json_dict(s)
-                for c, s in d["edge_shares"].items()
-            }
-            zone._context_keys = {
-                bytes.fromhex(c): bytes.fromhex(k) for c, k in d["context_keys"].items()
-            }
-            zone._last_seen = {
-                bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
-            }
-            zone._audit = list(d["audit"])
-        except (KeyError, ValueError, TypeError, OverflowError, AttributeError) as exc:
-            # AttributeError: a JSON list where a mapping belongs (``.items()``)
-            raise StateError(f"corrupted zone state: {exc}") from exc
+        zone._zone_seed = int(d["zone_seed"])
+        zone._op_counter = int(d["op_counter"])
+        if not 0 <= zone._op_counter < U64_LIMIT:
+            raise ValueError("op_counter must lie in [0, 2^64)")
+        zone._kek_id = bytes.fromhex(d["kek_id"])
+        zone._share_key_id = bytes.fromhex(d["share_key_id"])
+        zone._point_key_id = bytes.fromhex(d["point_key_id"])
+        zone._keys = {}
+        zone._key_bytes = {}
+        zone._nonces = {}
+        for kd in d["keys"]:
+            kid = bytes.fromhex(kd["key_id"])
+            if kd["purpose"] not in PURPOSES or kd["state"] not in STATES:
+                raise ValueError(f"key {kid.hex()} has an unknown purpose or state")
+            zone._keys[kid] = ManagedKey(
+                key_id=kid,
+                purpose=kd["purpose"],
+                state=kd["state"],
+                usage_budget=int(kd["usage_budget"]),
+                uses=int(kd["uses"]),
+                created_at=Timestamp.from_json_dict(kd["created_at"]),
+            )
+            zone._key_bytes[kid] = bytes.fromhex(kd["material"])
+            if len(zone._key_bytes[kid]) != KEY_LEN:
+                raise ValueError(f"key {kid.hex()} is not {KEY_LEN} bytes")
+            zone._nonces[kid] = NonceSequence(kid, counter=int(kd["nonce_counter"]))
+        zone._split_records = {
+            r.context_id: r for r in map(SplitRecord.from_state_dict, d["split_records"])
+        }
+        zone._edge_shares = {
+            bytes.fromhex(c): SealedShare.from_json_dict(s) for c, s in d["edge_shares"].items()
+        }
+        zone._context_keys = {
+            bytes.fromhex(c): bytes.fromhex(k) for c, k in d["context_keys"].items()
+        }
+        zone._last_seen = {
+            bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
+        }
+        zone._audit = list(d["audit"])
+        if not {zone._kek_id, zone._share_key_id, zone._point_key_id} <= zone._keys.keys():
+            raise ValueError("an infrastructure key id names no stored key")
+        for context in zone._split_records:
+            key_id = zone._context_keys.get(context)
+            if context not in zone._edge_shares or key_id not in zone._keys:
+                raise ValueError(f"context {context.hex()} lacks its edge share or key")
         zone.ledger = None
         return zone

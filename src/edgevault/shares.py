@@ -31,6 +31,7 @@ from .errors import (
     StateError,
     TagMismatchError,
     UnsupportedOrderError,
+    parses,
 )
 from .quasigroup import Quasigroup, generate_quasigroup
 
@@ -132,6 +133,8 @@ class PlainShare:
         if digits.size and int(digits.max()) >= order:
             raise MalformedTableError("share digit outside [0, order)")
         secret_len = (count * _digit_width(order)) // 8
+        if not secret_len or _digit_count(secret_len, order) != count:
+            raise MalformedTableError(f"{count} digits of order {order} encode no whole secret")
         return cls(index=index, order=order, digits=digits, secret_len_bytes=secret_len)
 
     def __eq__(self, other) -> bool:
@@ -162,25 +165,24 @@ class SealedShare:
         return d
 
     @classmethod
+    @parses(StateError, "not a sealed share")
     def from_json_dict(cls, d: dict) -> "SealedShare":
-        try:
-            return cls(
-                index=int(d["index"]),
-                record=AeadRecord.from_json_dict(d),
-                binding_tag=bytes.fromhex(d["binding_tag"]),
-            )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise StateError(f"not a sealed share: {exc}") from exc
+        index = int(d["index"])
+        if index not in (1, 2):
+            raise ValueError(f"share index must be 1 (edge) or 2 (cloud), got {index}")
+        return cls(
+            index=index,
+            record=AeadRecord.from_json_dict(d),
+            binding_tag=bytes.fromhex(d["binding_tag"]),
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
+    @parses(StateError, "not a sealed share")
     def from_json(cls, text: str) -> "SealedShare":
-        try:
-            return cls.from_json_dict(json.loads(text))
-        except (ValueError, RecursionError) as exc:
-            raise StateError(f"not a sealed share: {exc}") from exc
+        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass
@@ -208,14 +210,21 @@ class SplitRecord:
         }
 
     @classmethod
+    @parses(StateError, "corrupted split record")
     def from_state_dict(cls, d: dict) -> "SplitRecord":
-        return cls(
+        record = cls(
             context_id=bytes.fromhex(d["context_id"]),
             order=int(d["order"]),
             qg_seed=int(d["qg_seed"]),
             secret_checksum=bytes.fromhex(d["secret_checksum"]),
             expected_tags=tuple(bytes.fromhex(t) for t in d["expected_tags"]),
         )
+        digests = (record.context_id, record.secret_checksum, *record.expected_tags)
+        if len(record.expected_tags) != 2 or any(len(x) != CONTEXT_LEN for x in digests):
+            raise ValueError("need a 32-byte context id, checksum and two 32-byte tags")
+        if not 2 <= record.order <= 0xFFFF:
+            raise ValueError(f"order must be in [2, 65535], got {record.order}")
+        return record
 
 
 def split(

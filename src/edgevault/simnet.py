@@ -30,9 +30,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bloom import BloomFilter
-from .crypto import TimestampAuthority, Timestamp, derive_seed, sha256
+from .crypto import U64_LIMIT, TimestampAuthority, Timestamp, derive_seed, sha256
 from .curves import WeierstrassCurve, standard_curve
-from .errors import ClassificationError, CurveError, ScenarioConfigError, StateError
+from .errors import ClassificationError, ScenarioConfigError, StateError, parses
 from .ledger import (
     ChainReport,
     IdentityLedger,
@@ -80,8 +80,15 @@ class SimStep:
         return d
 
     @classmethod
+    @parses(ScenarioConfigError, "malformed scenario step")
     def from_json_dict(cls, d: dict) -> "SimStep":
         known = {k: d[k] for k in ("action", "device", "kind", "expect", "entry", "bit") if k in d}
+        for key, value in known.items():
+            if key in ("entry", "bit"):
+                if type(value) is not int or value < 0:
+                    raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+            elif not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
         return cls(**known)
 
 
@@ -110,27 +117,24 @@ class SimScenario:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     @classmethod
+    @parses(ScenarioConfigError, "malformed scenario")
     def from_json_dict(cls, d: dict) -> "SimScenario":
-        try:
-            curve = WeierstrassCurve.from_json_dict(d["curve"]) if "curve" in d else None
-            return cls(
-                name=str(d["name"]),
-                seed=int(d["seed"]),
-                device_count=int(d["device_count"]),
-                order=int(d.get("order", 256)),
-                curve=curve,
-                script=[SimStep.from_json_dict(s) for s in d["script"]],
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, CurveError) as exc:
-            raise ScenarioConfigError(f"malformed scenario: {exc}") from exc
+        scenario = cls(
+            name=str(d["name"]),
+            seed=int(d["seed"]),
+            device_count=int(d["device_count"]),
+            order=int(d.get("order", 256)),
+            curve=WeierstrassCurve.from_json_dict(d["curve"]) if "curve" in d else None,
+            script=[SimStep.from_json_dict(s) for s in d["script"]],
+        )
+        if not 0 <= scenario.seed < U64_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2^64), got {scenario.seed}")
+        return scenario
 
     @classmethod
+    @parses(ScenarioConfigError, "malformed scenario")
     def from_json(cls, text: str | bytes) -> "SimScenario":
-        try:
-            payload = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-            raise ScenarioConfigError(f"scenario is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(json.loads(text))
 
     def config_digest(self) -> str:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

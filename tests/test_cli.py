@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, main
+from edgevault.simnet import builtin_scenarios
 
 
 @pytest.fixture
@@ -191,6 +192,21 @@ def test_keys_authorize_malformed_share_file_is_state_error(runner, tmp_path, te
     assert err["error"]["code"] == "corrupted-state"
 
 
+def _one_byte_tag(share):
+    share["tag"] = "00"
+
+
+def _one_expected_tag(zone):
+    zone["split_records"][0]["expected_tags"].pop()
+
+
+_STRING_ENTRY_SCENARIO = json.dumps({
+    "name": "x", "seed": 1, "device_count": 1,
+    "script": [{"action": "register", "device": "a"},
+               {"action": "attack", "kind": "tamper-ledger-bit", "entry": "1"}],
+}).encode()
+
+
 @pytest.mark.parametrize(
     "target,content,code",
     [
@@ -200,16 +216,24 @@ def test_keys_authorize_malformed_share_file_is_state_error(runner, tmp_path, te
         ("tsa", b"[]", "corrupted-state"),
         ("curve", b"{}", "invalid-curve"),
         ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
+        ("share", _one_byte_tag, "corrupted-state"),
+        ("zone", _one_expected_tag, "corrupted-state"),
+        ("scenario", _STRING_ENTRY_SCENARIO, "config-error"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
-         "curve-missing-fields", "timestamp-infinite-epoch"],
+         "curve-missing-fields", "timestamp-infinite-epoch", "share-one-byte-tag",
+         "zone-one-expected-tag", "scenario-string-entry"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
+    """``content`` is the bad file, or an edit of the command's own valid file."""
     state = tmp_path / "state"
     bad = tmp_path / "bad.json"
     if target == "curve":
         bad.write_bytes(content)
         r = invoke(runner, state, "ledger", "init", "--group", "g", "--curve-json", str(bad))
+    elif target == "scenario":
+        bad.write_bytes(content)
+        r = invoke(runner, state, "sim", "run", str(bad))
     else:
         doc = _init_ledger(runner, state)
         key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
@@ -222,8 +246,13 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
         if target == "timestamp":
             bad.write_bytes(content)
             args += ["--timestamp", str(bad)]
-        else:
+        elif target == "tsa":
             (state / "tsa.json").write_bytes(content)
+        else:
+            path = share_file if target == "share" else state / "zone.json"
+            edited = json.loads(path.read_bytes())
+            content(edited)
+            path.write_text(json.dumps(edited))
         r = invoke(runner, state, *args)
     assert r.exit_code == 1, r.output
     err = json.loads(r.output.strip().splitlines()[-1])
@@ -261,6 +290,29 @@ def test_deeply_nested_json_gets_error_envelope(runner, tmp_path, command):
     assert r.exit_code == 1, r.output
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == code
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ledger", "init", "--group", "g"),
+        ("ledger", "register", "a"),
+        ("keys", "generate"),
+        ("keys", "split", "ab" * 16, "--context", "cd" * 32),
+        ("sim", "run", "scenario.json"),
+    ],
+    ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "sim-run"],
+)
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_out_of_range_seed_is_a_usage_error(runner, tmp_path, args, seed):
+    # each of these once ended in a raw OverflowError from the 8-byte seed encoding
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(builtin_scenarios()["replay-storm"].to_json())
+    args = [str(scenario) if a == "scenario.json" else a for a in args]
+    r = invoke(runner, tmp_path / "state", *args, "--seed", seed)
+    assert r.exit_code == 64, r.output
+    assert "Traceback" not in r.output
+    assert "--seed" in r.output
 
 
 def test_keys_split_requires_context_or_device(runner, tmp_path):
