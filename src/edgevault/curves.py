@@ -111,8 +111,9 @@ def discriminant(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
 class WeierstrassCurve:
     """A non-singular long-Weierstrass curve over F_p.
 
-    Construction rejects composite or tiny moduli and singular coefficient
-    sets (discriminant zero); coefficients are reduced mod p.
+    Construction rejects moduli wider than 256 bits, composite or tiny
+    moduli and singular coefficient sets (discriminant zero); coefficients
+    are reduced mod p.
     """
 
     p: int
@@ -123,6 +124,10 @@ class WeierstrassCurve:
     a6: int = 0
 
     def __post_init__(self):
+        # Miller-Rabin's cost grows with the cube of the width, so a parsed
+        # 8192-bit modulus would stall it for seconds; the width goes first
+        if self.p.bit_length() > 256:
+            raise CurveError(f"modulus must be at most 256 bits, got {self.p.bit_length()}")
         # a test proves P256 prime once; every ledger parse rebuilds its curve
         if self.p != P256 and (self.p <= 3 or not _is_probable_prime(self.p)):
             raise CurveError(f"modulus must be an odd prime > 3, got {self.p}")

@@ -12,12 +12,14 @@ recomputes every digest from the raw records and reports the earliest
 mismatch.  Snapshots carry entries only, never key material or plaintext
 points, so the cloud replica can verify but not mint identities.
 
-A replica that already holds ``count`` verified entries ending in ``tip_h2``
-needs only the entries after its tip: ``sync_delta`` returns those lines,
+A replica that holds ``count`` verified entries ending in ``tip_h2`` needs
+only the entries after its tip: ``sync_delta`` returns those lines,
 byte-identical to the ones in a full snapshot, after checking that the tip is
-on this chain and that every line it sends chains from it.  The receiver
-parses them with ``parse_entry_lines`` (the parser ``import_snapshot`` uses
-for a snapshot body) and re-chains them from its tip with ``verify_entries``.
+on this chain and that every line it sends chains from it.  An empty replica
+(count 0, no tip) gets every line, which is the full snapshot's body, so the
+first sync is a delta too.  The receiver parses the lines with
+``parse_entry_lines`` (the parser ``import_snapshot`` uses for a snapshot
+body) and re-chains them from its tip with ``verify_entries``.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ class LedgerEntry:
     timestamp: Timestamp
     h1: bytes
     h2: bytes
-
-    def hashed_bytes(self) -> bytes:
-        """The exact h1 preimage: sealed point record ‖ timestamp bytes."""
-        return self.ciphertext_record.to_bytes() + self.timestamp.to_bytes()
 
     def to_json_dict(self, index: int) -> dict:
         return {
@@ -210,20 +208,18 @@ class IdentityLedger:
 
         Refuses to sync a chain that does not verify.
         """
-        report = self.verify_chain()
-        if not report.valid:
-            raise RefuseSyncError(f"chain invalid at index {report.first_bad_index}")
         header = snapshot_header(self.group_id, self.curve, len(self.entries))
-        return header + _entry_lines(self.entries).encode()
+        return header + self.sync_delta(0, None)
 
-    def sync_delta(self, count: int, tip_h2: bytes) -> bytes:
+    def sync_delta(self, count: int, tip_h2: Optional[bytes]) -> bytes:
         """The snapshot lines after a replica of ``count`` entries ending in ``tip_h2``.
 
         Refuses a replica whose tip is not entry ``count - 1`` of this chain
-        (a replica with no entries takes a full ``sync_to_cloud``), and any
-        entry to be sent that does not chain from that tip.
+        (an empty replica has count 0 and tip None), and any entry to be sent
+        that does not chain from that tip.
         """
-        if not 0 < count <= len(self.entries) or self.entries[count - 1].h2 != tip_h2:
+        if not 0 <= count <= len(self.entries) or tip_h2 != (
+                self.entries[count - 1].h2 if count else None):
             raise RefuseSyncError(f"replica tip at {count} entries is not on this chain")
         report = self.verify_chain(start=count)
         if not report.valid:

@@ -1,7 +1,9 @@
 """Software emulation of the edge HSM secure zone.
 
 The zone is an API boundary, not hardware: raw key bytes and split records
-live only in its private tables, every mutating call is audit-logged, and
+live only in its two private maps, one record per key (metadata, material,
+nonce counter) and one per distributed context (split record, edge share,
+key id, last accepted timestamp).  Every mutating call is audit-logged, and
 everything that leaves the zone is either an identifier, a sealed record, or
 a snapshot with the secrets stripped.  The zone also hosts the identity
 ledger so sealed points and the used-point registry stay inside the
@@ -15,7 +17,7 @@ treated as inside the boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .crypto import (
@@ -54,7 +56,8 @@ STATES = ("generated", "split", "distributed", "retired")
 
 @dataclass
 class ManagedKey:
-    """Metadata for one key in the zone; raw bytes live in the zone table."""
+    """One key in the zone.  Its material and nonce sequence never leave the
+    zone: they stay out of ``repr`` and :meth:`to_public_dict`."""
 
     key_id: bytes  # 16 bytes
     purpose: str
@@ -62,6 +65,8 @@ class ManagedKey:
     usage_budget: int
     uses: int
     created_at: Timestamp
+    material: bytes = field(repr=False)
+    nonces: NonceSequence = field(repr=False)
 
     def to_public_dict(self) -> dict:
         return {
@@ -89,6 +94,16 @@ class DistributionResult:
     cloud_share: SealedShare
 
 
+@dataclass
+class _Context:
+    """One distributed context: what authorizing its transactions reads."""
+
+    record: SplitRecord
+    edge_share: SealedShare
+    key_id: bytes
+    last_seen: Optional[Timestamp] = None  # the last accepted timestamp
+
+
 _FORWARD = {s: i for i, s in enumerate(STATES)}
 
 
@@ -105,12 +120,7 @@ class SecureZone:
         self._tsa = tsa
         self._zone_seed = int(zone_seed)
         self._keys: dict[bytes, ManagedKey] = {}
-        self._key_bytes: dict[bytes, bytes] = {}
-        self._nonces: dict[bytes, NonceSequence] = {}
-        self._split_records: dict[bytes, SplitRecord] = {}
-        self._edge_shares: dict[bytes, SealedShare] = {}
-        self._context_keys: dict[bytes, bytes] = {}
-        self._last_seen: dict[bytes, Timestamp] = {}
+        self._contexts: dict[bytes, _Context] = {}
         self._audit: list[dict] = []
         self._op_counter = 0
         self.ledger: Optional[IdentityLedger] = None
@@ -178,9 +188,9 @@ class SecureZone:
             usage_budget=budget,
             uses=0,
             created_at=self._tsa.issue(),
+            material=material,
+            nonces=NonceSequence(key_id),
         )
-        self._key_bytes[key_id] = material
-        self._nonces[key_id] = NonceSequence(key_id)
         self._log("generate_key", "ok", key_id=key_id)
         return key_id
 
@@ -195,25 +205,17 @@ class SecureZone:
         target = self._require_key(target_id)
         if kek.purpose != "key-encryption":
             raise WrongPurposeError(f"key {kek_id.hex()} is {kek.purpose}, not key-encryption")
-        record = aead_encrypt(
-            self._key_bytes[kek_id],
-            self._key_bytes[target.key_id],
-            b"wrap" + target_id,
-            self._nonces[kek_id],
-        )
+        record = aead_encrypt(kek.material, target.material, b"wrap" + target_id, kek.nonces)
         self._log("wrap_key", "ok", key_id=target_id)
         return record
-
-    def _unwrap_key(self, kek_id: bytes, target_id: bytes, record: AeadRecord) -> bytes:
-        return aead_decrypt(self._key_bytes[kek_id], record, b"wrap" + target_id)
 
     def verify_wrapped(self, kek_id: bytes, target_id: bytes, record: AeadRecord) -> bool:
         """Check (inside the zone) that a wrap record restores the target key."""
         try:
-            restored = self._unwrap_key(kek_id, target_id, record)
+            restored = aead_decrypt(self._keys[kek_id].material, record, b"wrap" + target_id)
         except Exception:
             return False
-        return sha256(restored) == sha256(self._key_bytes[self._require_key(target_id).key_id])
+        return sha256(restored) == sha256(self._require_key(target_id).material)
 
     # --- splitting and distribution ----------------------------------------
 
@@ -228,7 +230,7 @@ class SecureZone:
         key = self._require_key(key_id)
         if key.state != "generated":
             raise AlreadySplitError(f"key {key_id.hex()} is already {key.state}")
-        if context_id in self._split_records:
+        if context_id in self._contexts:
             raise AlreadySplitError(f"context {context_id.hex()} already has a distribution")
 
         wrapped = self.wrap_key(self._kek_id, key_id).to_bytes()
@@ -238,22 +240,19 @@ class SecureZone:
         )
         self._advance_state(key, "split")
 
-        share_key = self._key_bytes[self._share_key_id]
-        nonces = self._nonces[self._share_key_id]
-        sealed1 = seal_share(share1, share_key, context_id, nonces)
-        sealed2 = seal_share(share2, share_key, context_id, nonces)
+        share_key = self._keys[self._share_key_id]
+        sealed1 = seal_share(share1, share_key.material, context_id, share_key.nonces)
+        sealed2 = seal_share(share2, share_key.material, context_id, share_key.nonces)
 
-        self._split_records[context_id] = record
-        self._edge_shares[context_id] = sealed1
-        self._context_keys[context_id] = key_id
+        self._contexts[context_id] = _Context(record, sealed1, key_id)
         self._advance_state(key, "distributed")
         self._log("split_and_distribute", "ok", key_id=key_id, context_id=context_id)
         return DistributionResult(edge_share=sealed1, cloud_share=sealed2)
 
     def edge_share_for(self, context_id: bytes) -> SealedShare:
-        if context_id not in self._edge_shares:
+        if context_id not in self._contexts:
             raise UnknownKeyError(f"no distribution for context {context_id.hex()}")
-        return self._edge_shares[context_id]
+        return self._contexts[context_id].edge_share
 
     # --- transaction authorization ------------------------------------------
 
@@ -267,8 +266,8 @@ class SecureZone:
         the share combination (AEAD, binding tags, quasigroup rebuild,
         checksum), then the wrap record.  Every call is audit-logged.
         """
-        record = self._split_records.get(context_id)
-        if record is None:
+        context = self._contexts.get(context_id)
+        if context is None:
             self._log("authorize_transaction", "error", context_id=context_id,
                       reason="unknown-context")
             raise UnknownKeyError(f"no split record for context {context_id.hex()}")
@@ -278,21 +277,17 @@ class SecureZone:
                       context_id=context_id, reason=reason)
             return Decision(accepted=False, reason=reason)
 
-        key_id = self._context_keys[context_id]
+        key_id = context.key_id
         key = self._keys[key_id]
 
-        if not verify_freshness(self._tsa.view, ts, self._last_seen.get(context_id)):
+        if not verify_freshness(self._tsa.view, ts, context.last_seen):
             return reject("replay")
         if key.uses >= key.usage_budget:
             return reject("budget-exhausted")
 
         try:
-            wrapped = combine_and_verify(
-                self._edge_shares[context_id],
-                presented_cloud_share,
-                record,
-                self._key_bytes[self._share_key_id],
-            )
+            wrapped = combine_and_verify(context.edge_share, presented_cloud_share,
+                                         context.record, self._keys[self._share_key_id].material)
         except ShareVerificationError as exc:
             return reject(exc.code)
 
@@ -301,7 +296,7 @@ class SecureZone:
             return reject("checksum-mismatch")
 
         key.uses += 1
-        self._last_seen[context_id] = ts
+        context.last_seen = ts
         self._log("authorize_transaction", "accepted", key_id=key_id, context_id=context_id)
         return Decision(accepted=True)
 
@@ -315,7 +310,7 @@ class SecureZone:
         if self.ledger is None:
             raise KeyStateError("no ledger attached to this zone")
         entry = self.ledger.register_device(
-            device_label, self._tsa, self._key_bytes[self._point_key_id], rng_seed
+            device_label, self._tsa, self._keys[self._point_key_id].material, rng_seed
         )
         self._log("register_device", "ok", key_id=self._point_key_id,
                   context_id=entry.h2)
@@ -327,12 +322,13 @@ class SecureZone:
         """Exportable view: identifiers and metadata only, never secrets."""
         return {
             "keys": [k.to_public_dict() for k in self._keys.values()],
-            "contexts": sorted(c.hex() for c in self._split_records),
+            "contexts": sorted(c.hex() for c in self._contexts),
             "audit_length": len(self._audit),
         }
 
     def state_dict(self) -> dict:
         """Full internal state for zone-internal persistence (see module doc)."""
+        contexts = self._contexts.items()
         return {
             "zone_seed": self._zone_seed,
             "op_counter": self._op_counter,
@@ -340,36 +336,37 @@ class SecureZone:
             "share_key_id": self._share_key_id.hex(),
             "point_key_id": self._point_key_id.hex(),
             "keys": [
-                {**k.to_public_dict(), "material": self._key_bytes[kid].hex(),
-                 "nonce_counter": self._nonces[kid].counter}
-                for kid, k in self._keys.items()
+                {**k.to_public_dict(), "material": k.material.hex(),
+                 "nonce_counter": k.nonces.counter}
+                for k in self._keys.values()
             ],
-            "split_records": [r.to_state_dict() for r in self._split_records.values()],
-            "edge_shares": {c.hex(): s.to_json_dict() for c, s in self._edge_shares.items()},
-            "context_keys": {c.hex(): k.hex() for c, k in self._context_keys.items()},
-            "last_seen": {c.hex(): t.to_json_dict() for c, t in self._last_seen.items()},
+            "split_records": [c.record.to_state_dict() for _, c in contexts],
+            "edge_shares": {cid.hex(): c.edge_share.to_json_dict() for cid, c in contexts},
+            "context_keys": {cid.hex(): c.key_id.hex() for cid, c in contexts},
+            "last_seen": {cid.hex(): c.last_seen.to_json_dict()
+                          for cid, c in contexts if c.last_seen is not None},
             "audit": self._audit,
         }
 
     @classmethod
     @parses(StateError, "corrupted zone state")
     def from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
+        """Parse a zone; each context joins the four context sections on its
+        split record's context id, so a missing entry fails that lookup."""
         zone = cls.__new__(cls)
         zone._tsa = tsa
         zone._zone_seed = int(d["zone_seed"])
         zone._op_counter = int(d["op_counter"])
         if not 0 <= zone._op_counter < U64_LIMIT:
             raise ValueError("op_counter must lie in [0, 2^64)")
-        zone._kek_id = bytes.fromhex(d["kek_id"])
-        zone._share_key_id = bytes.fromhex(d["share_key_id"])
-        zone._point_key_id = bytes.fromhex(d["point_key_id"])
         zone._keys = {}
-        zone._key_bytes = {}
-        zone._nonces = {}
         for kd in d["keys"]:
             kid = bytes.fromhex(kd["key_id"])
             if kd["purpose"] not in PURPOSES or kd["state"] not in STATES:
                 raise ValueError(f"key {kid.hex()} has an unknown purpose or state")
+            material = bytes.fromhex(kd["material"])
+            if len(material) != KEY_LEN:
+                raise ValueError(f"key {kid.hex()} is not {KEY_LEN} bytes")
             zone._keys[kid] = ManagedKey(
                 key_id=kid,
                 purpose=kd["purpose"],
@@ -377,29 +374,29 @@ class SecureZone:
                 usage_budget=int(kd["usage_budget"]),
                 uses=int(kd["uses"]),
                 created_at=Timestamp.from_json_dict(kd["created_at"]),
+                material=material,
+                nonces=NonceSequence(kid, counter=int(kd["nonce_counter"])),
             )
-            zone._key_bytes[kid] = bytes.fromhex(kd["material"])
-            if len(zone._key_bytes[kid]) != KEY_LEN:
-                raise ValueError(f"key {kid.hex()} is not {KEY_LEN} bytes")
-            zone._nonces[kid] = NonceSequence(kid, counter=int(kd["nonce_counter"]))
-        zone._split_records = {
-            r.context_id: r for r in map(SplitRecord.from_state_dict, d["split_records"])
-        }
-        zone._edge_shares = {
-            bytes.fromhex(c): SealedShare.from_json_dict(s) for c, s in d["edge_shares"].items()
-        }
-        zone._context_keys = {
-            bytes.fromhex(c): bytes.fromhex(k) for c, k in d["context_keys"].items()
-        }
-        zone._last_seen = {
-            bytes.fromhex(c): Timestamp.from_json_dict(t) for c, t in d["last_seen"].items()
-        }
+
+        def stored_key_id(key_id_hex: str) -> bytes:
+            return zone._keys[bytes.fromhex(key_id_hex)].key_id
+
+        zone._kek_id = stored_key_id(d["kek_id"])
+        zone._share_key_id = stored_key_id(d["share_key_id"])
+        zone._point_key_id = stored_key_id(d["point_key_id"])
+        shares, context_keys, last_seen = d["edge_shares"], d["context_keys"], d["last_seen"]
+        zone._contexts = {}
+        for record in map(SplitRecord.from_state_dict, d["split_records"]):
+            c = record.context_id.hex()
+            zone._contexts[record.context_id] = _Context(
+                record=record,
+                edge_share=SealedShare.from_json_dict(shares[c]),
+                key_id=stored_key_id(context_keys[c]),
+                last_seen=Timestamp.from_json_dict(last_seen[c]) if c in last_seen else None,
+            )
+        named = shares.keys() | context_keys.keys() | last_seen.keys()
+        if not named <= {c.hex() for c in zone._contexts}:
+            raise ValueError("a context section names a context with no split record")
         zone._audit = list(d["audit"])
-        if not {zone._kek_id, zone._share_key_id, zone._point_key_id} <= zone._keys.keys():
-            raise ValueError("an infrastructure key id names no stored key")
-        for context in zone._split_records:
-            key_id = zone._context_keys.get(context)
-            if context not in zone._edge_shares or key_id not in zone._keys:
-                raise ValueError(f"context {context.hex()} lacks its edge share or key")
         zone.ledger = None
         return zone

@@ -6,14 +6,14 @@ channel.  A scripted adversary can tamper with shares in flight, forge
 shares, replay transactions, or flip bits in the cloud's ledger replica;
 every adversary action is logged together with its detection outcome.
 
-The cloud keeps its replica by delta sync.  The first registration sends a
-full snapshot, which the cloud imports and verifies; after that the cloud
-holds only what it has verified (group and curve, entry count, tip h2 and the
-received entry-line chunks) and asks the edge for the lines after its tip,
-which it parses and re-chains from that tip.  Each entry is thus verified
-once on each side, and onboarding N devices costs O(N) ledger work.  The
-replica bytes are joined only when read, and run end still verifies the full
-chain at both nodes and compares the replica with a fresh full snapshot.
+The cloud keeps its replica by delta sync.  It knows the group and curve
+from the start and holds only what it has verified (entry count, tip h2 and
+the received entry-line chunks).  At each registration it asks the edge for
+the lines after its tip (every line, the first time, from the empty replica),
+then parses them and re-chains them from that tip.  Each entry is thus
+verified once on each side, and onboarding N devices costs O(N) ledger work.
+The replica bytes are joined only when read, and run end still verifies the
+full chain at both nodes and compares the replica with a fresh full snapshot.
 
 Time is a logical tick counter and all randomness derives from the scenario
 seed, so replaying a scenario yields a byte-identical event log.  The log
@@ -219,9 +219,9 @@ class _Cloud:
     count, tip h2 and the entry-line chunks received so far.
     """
 
-    def __init__(self):
-        self.group_id: Optional[str] = None
-        self.curve: Optional[WeierstrassCurve] = None
+    def __init__(self, group_id: str, curve: WeierstrassCurve):
+        self.group_id = group_id
+        self.curve = curve
         self.count = 0
         self.tip: Optional[bytes] = None
         self.chunks: list[bytes] = []
@@ -232,7 +232,7 @@ class _Cloud:
 
     @property
     def replica(self) -> Optional[bytes]:
-        """The replica's snapshot bytes, joined on read; None before the first sync."""
+        """The replica's snapshot bytes, joined on read; None while it holds no entry."""
         if self.tip is None:
             return None
         return b"".join([self._header(), *self.chunks])
@@ -244,18 +244,9 @@ class _Cloud:
         return digest.digest()
 
     def sync(self, edge: IdentityLedger) -> ChainReport:
-        """Bring the replica up to the edge ledger: a full snapshot the
-        first time, then the lines after the verified tip."""
-        if self.tip is not None:
-            return self.apply_delta(edge.sync_delta(self.count, self.tip))
-        snapshot = edge.sync_to_cloud()
-        replica = IdentityLedger.import_snapshot(snapshot)
-        report = replica.verify_chain()
-        if report.valid and replica.entries:
-            self.group_id, self.curve = replica.group_id, replica.curve
-            self.count, self.tip = len(replica), replica.entries[-1].h2
-            self.chunks = [snapshot.partition(b"\n")[2]]
-        return report
+        """Bring the replica up to the edge ledger: the lines after the
+        verified tip, every line the first time."""
+        return self.apply_delta(edge.sync_delta(self.count, self.tip))
 
     def apply_delta(self, delta: bytes) -> ChainReport:
         """Verify the entry lines after the tip and append them if they chain.
@@ -291,11 +282,13 @@ class _Runner:
     def __init__(self, scenario: SimScenario):
         if scenario.device_count < 0:
             raise ScenarioConfigError("device_count must be >= 0")
+        registers = 0  # sizes the Bloom filter; device_count is declared, not enforced
         for step in scenario.script:
             if step.action not in ("register", "transact", "attack"):
                 raise ScenarioConfigError(f"unknown action {step.action!r}")
             if step.action == "attack" and step.kind not in ATTACK_KINDS:
                 raise ScenarioConfigError(f"unknown attack kind {step.kind!r}")
+            registers += step.action == "register"
         self.scenario = scenario
         self.clock = _LogicalClock()
         self.events: list[SimEvent] = []
@@ -306,8 +299,8 @@ class _Runner:
         self.zone = SecureZone(derive_seed(seed, b"zone"), self.tsa)
         curve = scenario.curve if scenario.curve is not None else standard_curve()
         self.zone.attach_ledger(IdentityLedger(group_id=scenario.name, curve=curve))
-        self.bloom = BloomFilter.create(max(scenario.device_count, 1), 0.01)
-        self.cloud = _Cloud()
+        self.bloom = BloomFilter.create(max(registers, 1), 0.01)
+        self.cloud = _Cloud(scenario.name, curve)
         self.adversary_rng = np.random.default_rng(derive_seed(seed, b"adversary"))
         self.contexts: dict[str, bytes] = {}  # device label -> h2
         self.last_transaction: Optional[tuple[bytes, SealedShare, Timestamp]] = None
@@ -452,8 +445,6 @@ class _Runner:
         if snapshot is None:
             raise ScenarioConfigError("tamper-ledger-bit needs a synced replica")
         replica = IdentityLedger.import_snapshot(snapshot)
-        if not replica.entries:
-            raise ScenarioConfigError("tamper-ledger-bit needs a non-empty replica")
         idx = step.entry if step.entry is not None else int(
             self.adversary_rng.integers(0, len(replica.entries))
         )

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, main
+from edgevault.curves import standard_curve
 from edgevault.simnet import builtin_scenarios
 
 
@@ -200,6 +201,14 @@ def _one_expected_tag(zone):
     zone["split_records"][0]["expected_tags"].pop()
 
 
+# M8191: composite with no factor below 41, so only its width rejects it quickly
+_WIDE_CURVE = json.dumps(dict(standard_curve().to_json_dict(), p=hex((1 << 8191) - 1)))
+
+
+def _wide_curve(ledger):
+    ledger["curve"] = json.loads(_WIDE_CURVE)
+
+
 _STRING_ENTRY_SCENARIO = json.dumps({
     "name": "x", "seed": 1, "device_count": 1,
     "script": [{"action": "register", "device": "a"},
@@ -215,13 +224,16 @@ _STRING_ENTRY_SCENARIO = json.dumps({
         ("tsa", b"\xff\xfe not utf-8", "corrupted-state"),
         ("tsa", b"[]", "corrupted-state"),
         ("curve", b"{}", "invalid-curve"),
+        ("curve", _WIDE_CURVE.encode(), "invalid-curve"),
+        ("ledger", _wide_curve, "corrupted-state"),
         ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
         ("share", _one_byte_tag, "corrupted-state"),
         ("zone", _one_expected_tag, "corrupted-state"),
         ("scenario", _STRING_ENTRY_SCENARIO, "config-error"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
-         "curve-missing-fields", "timestamp-infinite-epoch", "share-one-byte-tag",
+         "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
+         "timestamp-infinite-epoch", "share-one-byte-tag",
          "zone-one-expected-tag", "scenario-string-entry"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
@@ -249,7 +261,8 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
         elif target == "tsa":
             (state / "tsa.json").write_bytes(content)
         else:
-            path = share_file if target == "share" else state / "zone.json"
+            path = {"share": share_file, "ledger": state / "ledger.json"}.get(
+                target, state / "zone.json")
             edited = json.loads(path.read_bytes())
             content(edited)
             path.write_text(json.dumps(edited))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_curve_rejects_composite_256_bit_modulus():
     assert all(composite % q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     with pytest.raises(CurveError):
         WeierstrassCurve.short(composite, 0, 7)
+
+
+def test_curve_rejects_a_wide_modulus_before_testing_primality():
+    # M8191 is composite with no factor below 41, so Miller-Rabin would run;
+    # at that width it took about 1.7 s of CPU to reject
+    wide = dict(standard_curve().to_json_dict(), p=hex((1 << 8191) - 1))
+    start = time.process_time()
+    with pytest.raises(CurveError, match="at most 256 bits"):
+        WeierstrassCurve.from_json_dict(wide)
+    assert time.process_time() - start < 0.25
+    with pytest.raises(CurveError):
+        WeierstrassCurve.short(1 << 256, 0, 7)  # one bit wider than P256
 
 
 def test_coefficients_reduced_mod_p():

@@ -223,8 +223,8 @@ def _tamper_ciphertext(ledger, index):
 def test_sync_delta_is_the_tail_of_the_full_snapshot(f5_ledger, tsa):
     entries = _register_n(f5_ledger, tsa, 5)
     body = f5_ledger.sync_to_cloud().partition(b"\n")[2].splitlines(keepends=True)
-    for count in range(1, 6):
-        delta = f5_ledger.sync_delta(count, entries[count - 1].h2)
+    for count in range(6):
+        delta = f5_ledger.sync_delta(count, entries[count - 1].h2 if count else None)
         assert delta == b"".join(body[count:])
         parsed = parse_entry_lines(delta, start=count)
         assert [e.h2 for e in parsed] == [e.h2 for e in entries[count:]]
@@ -233,7 +233,7 @@ def test_sync_delta_is_the_tail_of_the_full_snapshot(f5_ledger, tsa):
 def test_sync_delta_refuses_a_tip_not_on_the_chain(f5_ledger, tsa):
     entries = _register_n(f5_ledger, tsa, 3)
     bad_tips = [
-        (0, entries[0].h2),  # a replica with no entries takes a full snapshot
+        (0, entries[0].h2),  # a replica with no entries has no tip
         (4, entries[2].h2),  # more entries than the edge holds
         (2, entries[0].h2),  # a tip that is not entry count-1
         (3, bytes(32)),
@@ -303,7 +303,7 @@ def test_mutated_snapshot_raises_only_edgevault_errors(payload):
 @settings(max_examples=300, deadline=None)
 @given(mutants(DELTA))
 def test_mutated_delta_raises_only_edgevault_errors(payload):
-    cloud = _Cloud()
+    cloud = _Cloud("g", tiny_curve())
     cloud.sync(_tiny_ledger(2))
     try:
         if cloud.apply_delta(payload).valid:

@@ -197,7 +197,7 @@ def test_mutated_zone_state_parses_to_a_working_zone(payload):
     zone = _parses_or_raises(lambda d: SecureZone.from_state_dict(d, tsa), payload, StateError)
     if zone is None:
         return
-    for context in zone._split_records:
+    for context in zone._contexts:
         share = CLOUD_SHARES.get(context, _SEALED)
         assert isinstance(zone.authorize_transaction(context, share, tsa.issue()), Decision)
     for key_id in zone._keys:
@@ -211,7 +211,6 @@ def test_mutated_scenario_parses_to_a_runnable_scenario(payload):
     scenario = _parses_or_raises(SimScenario.from_json, text, ScenarioConfigError)
     if scenario is None:
         return
-    scenario.device_count = min(scenario.device_count, 4)  # sizes the Bloom filter
     try:
         run_scenario(scenario)
     except EdgeVaultError:
@@ -234,6 +233,13 @@ def _load_zone(d):
 def _set_key_field(field, value):
     def edit(zone):
         zone["keys"][-1][field] = value
+    return edit
+
+
+def _orphan_entry(section):
+    """Copy a ``section`` entry to a context that has no split record."""
+    def edit(zone):
+        zone[section]["ab" * 32] = next(iter(zone[section].values()))
     return edit
 
 
@@ -261,6 +267,10 @@ def _step(**fields):
         # authorize_transaction raised KeyError on the missing entries
         (_load_zone, _edited(ZONE, lambda d: d["context_keys"].clear()), StateError),
         (_load_zone, _edited(ZONE, lambda d: d["edge_shares"].clear()), StateError),
+        # an entry for a context with no split record parsed and was kept
+        (_load_zone, _edited(ZONE, _orphan_entry("edge_shares")), StateError),
+        (_load_zone, _edited(ZONE, _orphan_entry("context_keys")), StateError),
+        (_load_zone, _edited(ZONE, _orphan_entry("last_seen")), StateError),
         (_load_zone, _edited(ZONE, _set_key_field("state", "bogus")), StateError),
         (_load_zone, _edited(ZONE, _set_key_field("purpose", "bogus")), StateError),
         # the next nonce raised struct.error
@@ -299,6 +309,7 @@ def _step(**fields):
     ],
     ids=["zone-one-expected-tag", "split-record-short-context", "split-record-empty-checksum",
          "split-record-three-tags", "zone-no-context-key", "zone-no-edge-share",
+         "zone-orphan-edge-share", "zone-orphan-context-key", "zone-orphan-last-seen",
          "zone-bogus-key-state", "zone-bogus-purpose", "zone-negative-nonce-counter",
          "zone-edge-share-index-300", "zone-record-order-1", "zone-unknown-share-key-id",
          "zone-short-key-material", "zone-negative-op-counter",

@@ -45,10 +45,19 @@ def test_generation_deterministic_for_fresh_zone(tsa, clock):
 
 def test_exported_state_contains_no_raw_key_bytes(zone):
     key_id = zone.generate_key("data-encryption", rng_seed=1)
-    material = zone._key_bytes[key_id]
+    material = zone._keys[key_id].material
     exported = json.dumps(zone.public_state())
     assert material.hex() not in exported
     assert key_id.hex() in exported
+
+
+def test_stored_key_repr_hides_its_material(zone):
+    key = zone._keys[zone.generate_key("data-encryption", rng_seed=1)]
+    shown = repr(key)
+    assert repr(key.key_id) in shown
+    assert key.material.hex() not in shown
+    assert repr(key.material) not in shown
+    assert "nonces" not in shown
 
 
 def test_unknown_purpose_rejected(zone):
@@ -175,9 +184,9 @@ def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
         return IsotopeQuasigroup(sigma, good.pi, good.rho, generation_seed=seed)
 
     monkeypatch.setattr(edgevault.shares, "generate_quasigroup", broken_rebuild)
-    record = zone._split_records[CTX]
-    edge_share = zone._edge_shares[CTX]
-    share_key = zone._key_bytes[zone._share_key_id]
+    record = zone._contexts[CTX].record
+    edge_share = zone._contexts[CTX].edge_share
+    share_key = zone._keys[zone._share_key_id].material
     with pytest.raises(AlgebraFailureError):
         combine_and_verify(edge_share, result.cloud_share, record, share_key)
 
@@ -259,13 +268,15 @@ def test_zone_state_roundtrip(zone, tsa):
     _, result = _distributed(zone)
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
     restored = SecureZone.from_state_dict(zone.state_dict(), tsa)
+    assert restored.state_dict() == zone.state_dict()
     # replay of the consumed timestamp still rejected after reload
-    old_ts_seq = zone._last_seen[CTX].sequence
-    decision = restored.authorize_transaction(CTX, result.cloud_share, zone._last_seen[CTX])
+    consumed = zone._contexts[CTX].last_seen
+    old_ts_seq = consumed.sequence
+    decision = restored.authorize_transaction(CTX, result.cloud_share, consumed)
     assert decision.reason == "replay"
     # a fresh transaction succeeds
     assert restored.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
-    assert restored._last_seen[CTX].sequence > old_ts_seq
+    assert restored._contexts[CTX].last_seen.sequence > old_ts_seq
 
 
 def test_zone_hosts_ledger(zone, tsa):
