@@ -3,8 +3,9 @@
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
 default ``.edgevault``): ``zone.json`` (secure-zone internal storage),
 ``tsa.json`` (timestamp authority counters), ``ledger.json`` (identity
-ledger), and whatever filters/snapshots commands write.  An advisory
-``.lock`` file serializes mutating commands.
+ledger), and whatever filters/snapshots commands write.  Every mutating
+command runs in one ``AppState.session()``: it takes the advisory ``.lock``
+file, loads the state, and saves it once, only if the command completes.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -14,7 +15,6 @@ Exit codes are frozen so shell tests need no output parsing:
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -62,12 +62,14 @@ class AppState:
         self.ledger_path = root / "ledger.json"
         self.lock_path = root / ".lock"
 
-    def ensure_root(self):
-        self.root.mkdir(parents=True, exist_ok=True)
-
     @contextmanager
-    def lock(self):
-        self.ensure_root()
+    def session(self, seed: int = 0):
+        """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
+
+        An exception or ``sys.exit`` inside the block saves nothing, so a
+        refused or failed command leaves every state file as it was.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -78,7 +80,9 @@ class AppState:
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
-            yield
+            zone, tsa = self.load_zone(seed)
+            yield zone, tsa
+            self.save_zone(zone, tsa)
         finally:
             self.lock_path.unlink(missing_ok=True)
 
@@ -98,17 +102,11 @@ class AppState:
             tmp.unlink(missing_ok=True)
             raise
 
-    def load_tsa(self) -> TimestampAuthority:
-        if self.tsa_path.exists():
-            return TimestampAuthority.from_state_dict(self._read_json(self.tsa_path))
-        return TimestampAuthority(issuer="edgevault-tsa")
-
-    def save_tsa(self, tsa: TimestampAuthority):
-        self.ensure_root()
-        self._write_json(self.tsa_path, tsa.state_dict())
-
     def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
-        tsa = self.load_tsa()
+        if self.tsa_path.exists():
+            tsa = TimestampAuthority.from_state_dict(self._read_json(self.tsa_path))
+        else:
+            tsa = TimestampAuthority(issuer="edgevault-tsa")
         if self.zone_path.exists():
             zone = SecureZone.from_state_dict(self._read_json(self.zone_path), tsa)
         else:
@@ -118,9 +116,10 @@ class AppState:
         return zone, tsa
 
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
+        self.root.mkdir(parents=True, exist_ok=True)
         # the TSA goes first: a crash before the zone is written leaves the
         # TSA sequence ahead of the zone's last-seen timestamps, never behind
-        self.save_tsa(tsa)
+        self._write_json(self.tsa_path, tsa.state_dict())
         self._write_json(self.zone_path, zone.state_dict())
         if zone.ledger is not None:
             self._write_json(self.ledger_path, zone.ledger.state_dict())
@@ -137,21 +136,6 @@ class AppState:
             click.echo(text if text is not None else json.dumps(payload, sort_keys=True))
 
 
-def handle_errors(fn):
-    """Map domain errors to the uniform envelope and exit code 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except EdgeVaultError as exc:
-            envelope = {"error": {"code": exc.code, "message": str(exc)}}
-            click.echo(json.dumps(envelope), err=True)
-            sys.exit(EXIT_ERROR)
-
-    return wrapper
-
-
 def _hex_bytes(value: str, length: int | None = None, what: str = "value") -> bytes:
     try:
         raw = bytes.fromhex(value)
@@ -162,7 +146,19 @@ def _hex_bytes(value: str, length: int | None = None, what: str = "value") -> by
     return raw
 
 
-@click.group()
+class _RootGroup(click.Group):
+    """Maps any domain error a command raises to the envelope and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except EdgeVaultError as exc:
+            envelope = {"error": {"code": exc.code, "message": str(exc)}}
+            click.echo(json.dumps(envelope), err=True)
+            sys.exit(EXIT_ERROR)
+
+
+@click.group(cls=_RootGroup)
 @click.option(
     "--state-dir",
     type=click.Path(path_type=Path),
@@ -199,15 +195,12 @@ def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve
               help="JSON file with explicit curve parameters p, a1..a6.")
 @click.option("--seed", type=SEED_RANGE, default=0, help="Zone seed if the zone is new.")
 @click.pass_obj
-@handle_errors
 def ledger_init(state: AppState, group, preset, curve_json, seed):
     """Create an empty ledger (and the secure zone, if missing)."""
-    if state.ledger_path.exists():
-        raise StateError(f"ledger already exists at {state.ledger_path}")
-    with state.lock():
-        zone, tsa = state.load_zone(seed)
+    with state.session(seed) as (zone, _):
+        if zone.ledger is not None:
+            raise StateError(f"ledger already exists at {state.ledger_path}")
         zone.attach_ledger(IdentityLedger(group_id=group, curve=_curve_from_options(preset, curve_json)))
-        state.save_zone(zone, tsa)
     state.emit({"group_id": group, "entries": 0}, f"initialized ledger for group {group}")
 
 
@@ -225,43 +218,31 @@ def _exit_if_tampered(state: AppState, ledger: IdentityLedger):
 @click.argument("label")
 @click.option("--seed", type=SEED_RANGE, default=0, help="Point-selection seed.")
 @click.pass_obj
-@handle_errors
 def ledger_register(state: AppState, label, seed):
     """Register a device: select + seal a point, extend the hash chain.
 
     Refuses (exit 2) if the stored chain no longer verifies.
     """
-    with state.lock():
-        zone, tsa = state.load_zone()
+    with state.session() as (zone, _):
         if zone.ledger is None:
             raise StateError("no ledger; run 'ledger init' first")
         _exit_if_tampered(state, zone.ledger)
         entry = zone.register_device(label, rng_seed=seed)
-        state.save_zone(zone, tsa)
     payload = {"device_label": label, "device_id": entry.h2.hex(), "h1": entry.h1.hex()}
     state.emit(payload, f"registered {label}: {entry.h2.hex()}")
 
 
 @ledger.command("verify")
 @click.pass_obj
-@handle_errors
 def ledger_verify(state: AppState):
     """Recompute the whole chain; exit 2 with the index on any mismatch."""
-    report = state.load_ledger().verify_chain()
-    if report.valid:
-        state.emit({"valid": True}, "chain valid")
-        sys.exit(EXIT_OK)
-    state.emit(
-        {"valid": False, "first_bad_index": report.first_bad_index},
-        f"chain INVALID at index {report.first_bad_index}",
-    )
-    sys.exit(EXIT_TAMPER)
+    _exit_if_tampered(state, state.load_ledger())
+    state.emit({"valid": True}, "chain valid")
 
 
 @ledger.command("export")
 @click.option("-o", "output", type=click.Path(path_type=Path), default=None)
 @click.pass_obj
-@handle_errors
 def ledger_export(state: AppState, output):
     """Write the ledger entries as JSON Lines; exit 2 on a tampered chain."""
     ldg = state.load_ledger()
@@ -277,17 +258,10 @@ def ledger_export(state: AppState, output):
 @ledger.command("sync")
 @click.option("-o", "output", type=click.Path(path_type=Path), required=True)
 @click.pass_obj
-@handle_errors
 def ledger_sync(state: AppState, output):
     """Write a cloud snapshot (entries only, no key material)."""
     ldg = state.load_ledger()
-    report = ldg.verify_chain()
-    if not report.valid:
-        state.emit(
-            {"valid": False, "first_bad_index": report.first_bad_index},
-            f"refusing to sync: chain invalid at {report.first_bad_index}",
-        )
-        sys.exit(EXIT_TAMPER)
+    _exit_if_tampered(state, ldg)
     Path(output).write_bytes(ldg.sync_to_cloud())
     state.emit({"written": str(output), "entries": len(ldg)}, f"wrote snapshot {output}")
 
@@ -307,13 +281,10 @@ def keys():
 @click.option("--budget", type=int, default=DEFAULT_BUDGET)
 @click.option("--seed", type=SEED_RANGE, default=0)
 @click.pass_obj
-@handle_errors
 def keys_generate(state: AppState, purpose, budget, seed):
     """Generate a key; only its identifier leaves the zone."""
-    with state.lock():
-        zone, tsa = state.load_zone()
+    with state.session() as (zone, _):
         key_id = zone.generate_key(purpose, budget=budget, rng_seed=seed)
-        state.save_zone(zone, tsa)
     state.emit({"key_id": key_id.hex(), "purpose": purpose}, key_id.hex())
 
 
@@ -326,13 +297,11 @@ def keys_generate(state: AppState, purpose, budget, seed):
 @click.option("-o", "output", type=click.Path(path_type=Path), default=None,
               help="Where to write the cloud share JSON (default stdout).")
 @click.pass_obj
-@handle_errors
 def keys_split(state: AppState, key_id, context, device, order, seed, output):
     """Split a key 2-of-2; the edge share stays in the zone."""
     if (context is None) == (device is None):
         raise click.UsageError("provide exactly one of --context or --device")
-    with state.lock():
-        zone, tsa = state.load_zone()
+    with state.session() as (zone, _):
         if device is not None:
             if zone.ledger is None:
                 raise StateError("no ledger; register the device first")
@@ -345,7 +314,6 @@ def keys_split(state: AppState, key_id, context, device, order, seed, output):
         result = zone.split_and_distribute(
             _hex_bytes(key_id, 16, "key id"), context_id, q_order=order, rng_seed=seed
         )
-        state.save_zone(zone, tsa)
     share_json = result.cloud_share.to_json()
     if output:
         Path(output).write_text(share_json + "\n")
@@ -364,12 +332,10 @@ def keys_split(state: AppState, key_id, context, device, order, seed, output):
 @click.option("--save-timestamp", type=click.Path(path_type=Path), default=None,
               help="Write the presented timestamp (useful for replay testing).")
 @click.pass_obj
-@handle_errors
 def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp):
     """Verify a cloud share for a transaction; exit 0 accepted, 3 rejected."""
     context_id = _hex_bytes(context, 32, "--context")
-    with state.lock():
-        zone, tsa = state.load_zone()
+    with state.session() as (zone, tsa):
         share = SealedShare.from_json_dict(state._read_json(share_file))
         if ts_file:
             ts = Timestamp.from_json_dict(state._read_json(ts_file))
@@ -378,7 +344,6 @@ def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp
         if save_timestamp:
             Path(save_timestamp).write_text(json.dumps(ts.to_json_dict()))
         decision = zone.authorize_transaction(context_id, share, ts)
-        state.save_zone(zone, tsa)
     if decision.accepted:
         state.emit({"accepted": True}, "accepted")
         sys.exit(EXIT_OK)
@@ -402,7 +367,6 @@ def qg():
 @click.option("-o", "output", type=click.Path(path_type=Path), default=None,
               help="Write canonical bytes (default: hex on stdout).")
 @click.pass_obj
-@handle_errors
 def qg_generate(state: AppState, order, seed, output):
     """Generate a Latin-square table from (order, seed)."""
     q = generate_quasigroup(order, seed)
@@ -420,7 +384,6 @@ def qg_generate(state: AppState, order, seed, output):
 @click.option("-n", "--order", type=int, default=None)
 @click.option("--seed", type=int, default=0)
 @click.pass_obj
-@handle_errors
 def qg_check(state: AppState, table_file, order, seed):
     """Verify all six parastroph identities; exit 0 iff they all hold.
 
@@ -481,7 +444,6 @@ def profile():
 @click.argument("csv_file", type=click.Path(exists=True))
 @click.option("--device", default="", help="Device label for the report.")
 @click.pass_obj
-@handle_errors
 def profile_fit(state: AppState, csv_file, device):
     """Best-fit family by RSS against the density histogram."""
     report = fit_distribution(Sample(_read_csv_values(csv_file), device_label=device))
@@ -495,7 +457,6 @@ def profile_fit(state: AppState, csv_file, device):
 @click.argument("csv_file", type=click.Path(exists=True))
 @click.option("--sigmas", type=float, default=3.0)
 @click.pass_obj
-@handle_errors
 def profile_outliers(state: AppState, csv_file, sigmas):
     """Indices deviating more than --sigmas standard deviations."""
     idx = detect_outliers(Sample(_read_csv_values(csv_file)), threshold_sigmas=sigmas)
@@ -520,7 +481,6 @@ def filter_group():
 @click.option("--ids-file", type=click.Path(exists=True), default=None,
               help="File with one hex device id per line.")
 @click.pass_obj
-@handle_errors
 def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
     """Build and serialize a filter sized for the inserted ids."""
     if from_ledger == (ids_file is not None):
@@ -542,7 +502,6 @@ def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
 @click.argument("filter_file", type=click.Path(exists=True))
 @click.argument("device_id_hex")
 @click.pass_obj
-@handle_errors
 def filter_query(state: AppState, filter_file, device_id_hex):
     """Membership pre-check (false positives possible, negatives authoritative)."""
     filt = BloomFilter.from_bytes(Path(filter_file).read_bytes())
@@ -564,7 +523,6 @@ def sim():
 @click.argument("name", type=click.Choice(sorted(builtin_scenarios())), required=False)
 @click.option("-o", "output", type=click.Path(path_type=Path), default=None)
 @click.pass_obj
-@handle_errors
 def sim_builtin(state: AppState, name, output):
     """Emit a built-in scenario as JSON (or list them)."""
     if name is None:
@@ -585,7 +543,6 @@ def sim_builtin(state: AppState, name, output):
               help="Write the event log as JSON Lines.")
 @click.option("--seed", type=SEED_RANGE, default=None, help="Override the scenario seed.")
 @click.pass_obj
-@handle_errors
 def sim_run(state: AppState, scenario_file, log_file, seed):
     """Run a scenario; exit 0 iff the verdict passes."""
     scenario = SimScenario.from_json(Path(scenario_file).read_bytes())

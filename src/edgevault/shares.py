@@ -322,7 +322,12 @@ def combine_and_verify(
     if p1.order != q.order or p2.order != q.order or p1.digits.shape != p2.digits.shape:
         raise TagMismatchError("share parameters disagree with the split record")
     secret_digits = q.multiply_many(p1.digits, p2.digits)
-    secret = decode_secret(secret_digits, q.order)
+    try:
+        secret = decode_secret(secret_digits, q.order)
+    except ValueError as exc:
+        # a wrong table at a non-power-of-two order can give digits worth
+        # more than the secret's bytes; that is a wrong secret too
+        raise ChecksumMismatchError(f"reconstructed secret is malformed: {exc}") from exc
 
     if sha256(secret) != record.secret_checksum:
         raise ChecksumMismatchError("reconstructed secret fails its checksum")

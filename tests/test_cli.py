@@ -2,12 +2,14 @@ import json
 import os
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, keys, main
 from edgevault.curves import standard_curve
+from edgevault.errors import StateError
 from edgevault.simnet import builtin_scenarios
 
 
@@ -28,6 +30,10 @@ def _init_ledger(runner, state):
         r = invoke(runner, state, "ledger", "register", label, "--seed", str(10 + i))
         assert r.exit_code == 0, r.output
     return json.loads((state / "ledger.json").read_text())
+
+
+def _state_files(state):
+    return {name: (state / name).read_bytes() for name in ("zone.json", "tsa.json", "ledger.json")}
 
 
 # --- qg ------------------------------------------------------------------------
@@ -96,10 +102,15 @@ def test_ledger_verify_detects_hex_edit(runner, tmp_path):
     # tamper blocks every ledger subcommand with the same exit code
     r = invoke(runner, state, "ledger", "sync", "-o", str(tmp_path / "x"))
     assert r.exit_code == EXIT_TAMPER
+    assert json.loads(r.output) == payload
     r = invoke(runner, state, "ledger", "export")
     assert r.exit_code == EXIT_TAMPER
+    before = _state_files(state)
     r = invoke(runner, state, "ledger", "register", "late-device")
     assert r.exit_code == EXIT_TAMPER
+    # the refused command saves nothing and releases the lock
+    assert _state_files(state) == before
+    assert not (state / ".lock").exists()
 
 
 def test_ledger_register_needs_init(runner, tmp_path):
@@ -116,6 +127,27 @@ def test_ledger_reinit_refused(runner, tmp_path):
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "corrupted-state"
+
+
+def test_ledger_init_refuses_a_ledger_written_while_it_waited(runner, tmp_path, monkeypatch):
+    """Another init that held the lock wrote its ledger after this one started."""
+    r = invoke(runner, tmp_path / "other", "ledger", "init", "--group", "first", "--preset", "tiny")
+    assert r.exit_code == 0, r.output
+    planted = (tmp_path / "other" / "ledger.json").read_bytes()
+    state = tmp_path / "state"
+    real_open = os.open
+
+    def open_after_the_other_init(path, *args, **kwargs):
+        if str(path).endswith(".lock"):
+            (state / "ledger.json").write_bytes(planted)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_after_the_other_init)
+    r = invoke(runner, state, "ledger", "init", "--group", "second", "--preset", "tiny")
+    assert r.exit_code == 1
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+    assert (state / "ledger.json").read_bytes() == planted
 
 
 def test_bad_hex_context_is_usage_error(runner, tmp_path):
@@ -178,6 +210,25 @@ def test_keys_authorize_rejects_tampered_share(runner, tmp_path):
                "--share", str(share_file))
     assert r.exit_code == EXIT_REJECTED
     assert "decrypt-failure" in r.output
+
+
+def test_keys_authorize_wrong_table_at_order_251_is_rejected(runner, tmp_path):
+    state = tmp_path / "state"
+    doc = _init_ledger(runner, state)
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    share_file = tmp_path / "cloud.json"
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+               "--order", "251", "-o", str(share_file))
+    assert r.exit_code == 0, r.output
+
+    zone = json.loads((state / "zone.json").read_text())
+    zone["split_records"][0]["qg_seed"] += 1
+    (state / "zone.json").write_text(json.dumps(zone))
+
+    r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+               "--share", str(share_file))
+    assert r.exit_code == EXIT_REJECTED
+    assert json.loads(r.stdout)["reason"] == "checksum-mismatch"
 
 
 @pytest.mark.parametrize("text", ['{"index": 1}', "not json {"])
@@ -443,15 +494,37 @@ def test_lock_released_after_commands(runner, tmp_path):
     assert not (state / ".lock").exists()
 
 
-def test_lock_blocks_concurrent_mutation(runner, tmp_path):
+@pytest.mark.parametrize("args", [
+    ("ledger", "init", "--group", "other"),
+    ("ledger", "register", "gamma"),
+    ("keys", "generate"),
+    ("keys", "split", "00" * 16, "--context", "11" * 32),
+    ("keys", "authorize", "--context", "11" * 32, "--share", "{state}/ledger.json"),
+], ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "keys-authorize"])
+def test_lock_blocks_concurrent_mutation(runner, tmp_path, args):
     state = tmp_path / "state"
     _init_ledger(runner, state)
+    before = _state_files(state)
     (state / ".lock").write_text("999999")
-    r = invoke(runner, state, "ledger", "register", "gamma")
+    r = invoke(runner, state, *(a.format(state=state) for a in args))
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "corrupted-state"
+    assert _state_files(state) == before
     (state / ".lock").unlink()
+
+
+def test_root_group_maps_a_domain_error_from_any_command(runner, tmp_path, monkeypatch):
+    @click.command()
+    def boom():
+        raise StateError("state went missing")
+
+    monkeypatch.setitem(keys.commands, "boom", boom)
+    r = invoke(runner, tmp_path / "s", "keys", "boom")
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)  # the envelope's exit, not a raised error
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err == {"error": {"code": "corrupted-state", "message": "state went missing"}}
 
 
 # --- state files -----------------------------------------------------------------

@@ -195,6 +195,17 @@ def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
     assert zone._keys[key_id].uses == 0
 
 
+def test_wrong_table_at_a_non_power_of_two_order_is_a_checksum_mismatch(zone, tsa):
+    # a record whose seed no longer matches rebuilds another table; at order
+    # 251 its digits can encode more than the secret's bytes, which must
+    # reject like any other wrong secret
+    key_id, result = _distributed(zone, order=251)
+    zone._contexts[CTX].record.qg_seed += 1
+    decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="checksum-mismatch")
+    assert zone._keys[key_id].uses == 0
+
+
 def test_unknown_context_raises(zone, tsa):
     with pytest.raises(UnknownKeyError):
         zone.authorize_transaction(bytes(32), SealedShare(
