@@ -1,11 +1,18 @@
 """Command-line surface.
 
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
-default ``.edgevault``): ``zone.json`` (secure-zone internal storage),
-``tsa.json`` (timestamp authority counters), ``ledger.json`` (identity
-ledger), and whatever filters/snapshots commands write.  Every mutating
-command runs in one ``AppState.session()``: it takes the advisory ``.lock``
-file, loads the state, and saves it once, only if the command completes.
+default ``.edgevault``) as one document, ``zone.json``: ``{"tsa", "zone",
+"ledger"}``, the timestamp authority's counters, the secure zone's internal
+storage and the identity ledger (``null`` before ``ledger init``).  Every
+mutating command runs in one ``AppState.session()``: it takes the advisory
+``.lock`` file, loads the document, and saves it once, only if the command
+completes.  A save writes a temporary file and renames it over the document,
+so a crashed process leaves the old state or the new one, whole.  Nothing is
+fsynced: a power loss is not covered.
+
+The old layout kept the TSA and the ledger in ``tsa.json`` and ``ledger.json``
+beside a bare zone ``zone.json``.  It still loads, and the next save replaces
+it with the document, then removes those two files.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -18,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import click
@@ -58,6 +65,7 @@ class AppState:
         self.root = root
         self.fmt = fmt
         self.zone_path = root / "zone.json"
+        # the old layout's other files, read by the upgrade
         self.tsa_path = root / "tsa.json"
         self.ledger_path = root / "ledger.json"
         self.lock_path = root / ".lock"
@@ -67,8 +75,10 @@ class AppState:
         """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
 
         An exception or ``sys.exit`` inside the block saves nothing, so a
-        refused or failed command leaves every state file as it was.
+        refused or failed command leaves the state dir as it was, and removes
+        it if the session created it.
         """
+        created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -85,6 +95,10 @@ class AppState:
             self.save_zone(zone, tsa)
         finally:
             self.lock_path.unlink(missing_ok=True)
+            if created and not self.zone_path.exists():
+                # a concurrent session's .lock keeps the dir non-empty
+                with suppress(OSError):
+                    self.root.rmdir()
 
     @staticmethod
     @parses(StateError, "corrupted JSON file {0}")
@@ -102,32 +116,46 @@ class AppState:
             tmp.unlink(missing_ok=True)
             raise
 
+    @parses(StateError, "corrupted state document {0.zone_path}")
+    def _read_sections(self) -> tuple[dict, dict, dict | None] | None:
+        """The document's tsa, zone and ledger sections; None in a new state dir."""
+        if not self.zone_path.exists():
+            return None
+        doc = self._read_json(self.zone_path)
+        if isinstance(doc, dict) and "tsa" not in doc:
+            # the old layout: this is the zone section
+            if not self.tsa_path.exists():
+                raise StateError(f"{self.tsa_path} is missing")
+            ledger = self._read_json(self.ledger_path) if self.ledger_path.exists() else None
+            doc = {"tsa": self._read_json(self.tsa_path), "zone": doc, "ledger": ledger}
+        return doc["tsa"], doc["zone"], doc["ledger"]
+
     def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
-        if self.tsa_path.exists():
-            tsa = TimestampAuthority.from_state_dict(self._read_json(self.tsa_path))
-        else:
+        sections = self._read_sections()
+        if sections is None:
             tsa = TimestampAuthority(issuer="edgevault-tsa")
-        if self.zone_path.exists():
-            zone = SecureZone.from_state_dict(self._read_json(self.zone_path), tsa)
-        else:
-            zone = SecureZone(seed, tsa)
-        if self.ledger_path.exists():
-            zone.attach_ledger(IdentityLedger.from_state_dict(self._read_json(self.ledger_path)))
+            return SecureZone(seed, tsa), tsa
+        tsa_state, zone_state, ledger_state = sections
+        tsa = TimestampAuthority.from_state_dict(tsa_state)
+        zone = SecureZone.from_state_dict(zone_state, tsa)
+        if ledger_state is not None:
+            zone.attach_ledger(IdentityLedger.from_state_dict(ledger_state))
         return zone, tsa
 
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
+        """Replace the document once; only then remove the old layout's files."""
         self.root.mkdir(parents=True, exist_ok=True)
-        # the TSA goes first: a crash before the zone is written leaves the
-        # TSA sequence ahead of the zone's last-seen timestamps, never behind
-        self._write_json(self.tsa_path, tsa.state_dict())
-        self._write_json(self.zone_path, zone.state_dict())
-        if zone.ledger is not None:
-            self._write_json(self.ledger_path, zone.ledger.state_dict())
+        ledger = zone.ledger.state_dict() if zone.ledger is not None else None
+        self._write_json(self.zone_path,
+                         {"tsa": tsa.state_dict(), "zone": zone.state_dict(), "ledger": ledger})
+        self.tsa_path.unlink(missing_ok=True)
+        self.ledger_path.unlink(missing_ok=True)
 
     def load_ledger(self) -> IdentityLedger:
-        if not self.ledger_path.exists():
-            raise StateError(f"no ledger at {self.ledger_path}; run 'ledger init' first")
-        return IdentityLedger.from_state_dict(self._read_json(self.ledger_path))
+        sections = self._read_sections()
+        if sections is None or sections[2] is None:
+            raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")
+        return IdentityLedger.from_state_dict(sections[2])
 
     def emit(self, payload: dict, text: str | None = None):
         if self.fmt == "json":
@@ -199,7 +227,7 @@ def ledger_init(state: AppState, group, preset, curve_json, seed):
     """Create an empty ledger (and the secure zone, if missing)."""
     with state.session(seed) as (zone, _):
         if zone.ledger is not None:
-            raise StateError(f"ledger already exists at {state.ledger_path}")
+            raise StateError(f"ledger already exists in {state.zone_path}")
         zone.attach_ledger(IdentityLedger(group_id=group, curve=_curve_from_options(preset, curve_json)))
     state.emit({"group_id": group, "entries": 0}, f"initialized ledger for group {group}")
 

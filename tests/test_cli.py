@@ -29,11 +29,18 @@ def _init_ledger(runner, state):
     for i, label in enumerate(("alpha", "beta")):
         r = invoke(runner, state, "ledger", "register", label, "--seed", str(10 + i))
         assert r.exit_code == 0, r.output
-    return json.loads((state / "ledger.json").read_text())
+    return _document(state)["ledger"]
+
+
+def _document(state):
+    return json.loads((state / "zone.json").read_text())
 
 
 def _state_files(state):
-    return {name: (state / name).read_bytes() for name in ("zone.json", "tsa.json", "ledger.json")}
+    """Every file in the state dir by name; None if the dir is absent."""
+    if not state.exists():
+        return None
+    return {p.name: p.read_bytes() for p in state.iterdir()}
 
 
 # --- qg ------------------------------------------------------------------------
@@ -88,10 +95,11 @@ def test_ledger_flow_verify_export_sync(runner, tmp_path):
 
 def test_ledger_verify_detects_hex_edit(runner, tmp_path):
     state = tmp_path / "state"
-    doc = _init_ledger(runner, state)
-    ct = doc["entries"][1]["ciphertext_hex"]
-    doc["entries"][1]["ciphertext_hex"] = ("0" if ct[0] != "0" else "1") + ct[1:]
-    (state / "ledger.json").write_text(json.dumps(doc))
+    _init_ledger(runner, state)
+    doc = _document(state)
+    ct = doc["ledger"]["entries"][1]["ciphertext_hex"]
+    doc["ledger"]["entries"][1]["ciphertext_hex"] = ("0" if ct[0] != "0" else "1") + ct[1:]
+    (state / "zone.json").write_text(json.dumps(doc))
 
     r = invoke(runner, state, "ledger", "verify")
     assert r.exit_code == EXIT_TAMPER
@@ -133,13 +141,13 @@ def test_ledger_init_refuses_a_ledger_written_while_it_waited(runner, tmp_path, 
     """Another init that held the lock wrote its ledger after this one started."""
     r = invoke(runner, tmp_path / "other", "ledger", "init", "--group", "first", "--preset", "tiny")
     assert r.exit_code == 0, r.output
-    planted = (tmp_path / "other" / "ledger.json").read_bytes()
+    planted = (tmp_path / "other" / "zone.json").read_bytes()
     state = tmp_path / "state"
     real_open = os.open
 
     def open_after_the_other_init(path, *args, **kwargs):
         if str(path).endswith(".lock"):
-            (state / "ledger.json").write_bytes(planted)
+            (state / "zone.json").write_bytes(planted)
         return real_open(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", open_after_the_other_init)
@@ -147,14 +155,14 @@ def test_ledger_init_refuses_a_ledger_written_while_it_waited(runner, tmp_path, 
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "corrupted-state"
-    assert (state / "ledger.json").read_bytes() == planted
+    assert (state / "zone.json").read_bytes() == planted
 
 
 def test_bad_hex_context_is_usage_error(runner, tmp_path):
     state = tmp_path / "state"
     _init_ledger(runner, state)
     r = invoke(runner, state, "keys", "authorize", "--context", "zz-not-hex",
-               "--share", str(state / "ledger.json"))
+               "--share", str(state / "zone.json"))
     assert r.exit_code == 64
 
 
@@ -221,9 +229,9 @@ def test_keys_authorize_wrong_table_at_order_251_is_rejected(runner, tmp_path):
                "--order", "251", "-o", str(share_file))
     assert r.exit_code == 0, r.output
 
-    zone = json.loads((state / "zone.json").read_text())
-    zone["split_records"][0]["qg_seed"] += 1
-    (state / "zone.json").write_text(json.dumps(zone))
+    document = _document(state)
+    document["zone"]["split_records"][0]["qg_seed"] += 1
+    (state / "zone.json").write_text(json.dumps(document))
 
     r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
                "--share", str(share_file))
@@ -267,6 +275,29 @@ _STRING_ENTRY_SCENARIO = json.dumps({
 }).encode()
 
 
+def _as_list(doc):
+    return list(doc.values())
+
+
+def _without_zone_section(doc):
+    del doc["zone"]
+    return doc
+
+
+def _string_ledger_section(doc):
+    return dict(doc, ledger="ledger")
+
+
+def _old_layout_without_tsa_json(doc):
+    return doc["zone"]
+
+
+def _spliced(document, section, raw):
+    """The document's bytes with ``raw`` as one section's value, JSON or not."""
+    text = json.dumps(dict(document, **{section: None})).encode()
+    return text.replace(f'"{section}": null'.encode(), f'"{section}": '.encode() + raw, 1)
+
+
 @pytest.mark.parametrize(
     "target,content,code",
     [
@@ -281,22 +312,30 @@ _STRING_ENTRY_SCENARIO = json.dumps({
         ("share", _one_byte_tag, "corrupted-state"),
         ("zone", _one_expected_tag, "corrupted-state"),
         ("scenario", _STRING_ENTRY_SCENARIO, "config-error"),
+        ("document", _as_list, "corrupted-state"),
+        ("document", _without_zone_section, "corrupted-state"),
+        ("document", _string_ledger_section, "corrupted-state"),
+        ("document", _old_layout_without_tsa_json, "corrupted-state"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
          "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
          "timestamp-infinite-epoch", "share-one-byte-tag",
-         "zone-one-expected-tag", "scenario-string-entry"],
+         "zone-one-expected-tag", "scenario-string-entry", "document-list",
+         "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
-    """``content`` is the bad file, or an edit of the command's own valid file."""
+    """``content`` is the bad file, the raw bytes of a state document section,
+    an edit of the command's own valid share file or document section, or a
+    function of the whole document that returns its replacement.  The refused
+    command leaves the state dir as it was."""
     state = tmp_path / "state"
     bad = tmp_path / "bad.json"
     if target == "curve":
         bad.write_bytes(content)
-        r = invoke(runner, state, "ledger", "init", "--group", "g", "--curve-json", str(bad))
+        args = ["ledger", "init", "--group", "g", "--curve-json", str(bad)]
     elif target == "scenario":
         bad.write_bytes(content)
-        r = invoke(runner, state, "sim", "run", str(bad))
+        args = ["sim", "run", str(bad)]
     else:
         doc = _init_ledger(runner, state)
         key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
@@ -306,21 +345,27 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
         assert r.exit_code == 0, r.output
         args = ["keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
                 "--share", str(share_file)]
+        document = _document(state)
         if target == "timestamp":
             bad.write_bytes(content)
             args += ["--timestamp", str(bad)]
-        elif target == "tsa":
-            (state / "tsa.json").write_bytes(content)
-        else:
-            path = {"share": share_file, "ledger": state / "ledger.json"}.get(
-                target, state / "zone.json")
-            edited = json.loads(path.read_bytes())
+        elif target == "share":
+            edited = json.loads(share_file.read_bytes())
             content(edited)
-            path.write_text(json.dumps(edited))
-        r = invoke(runner, state, *args)
+            share_file.write_text(json.dumps(edited))
+        elif target == "document":
+            (state / "zone.json").write_text(json.dumps(content(document)))
+        elif isinstance(content, bytes):
+            (state / "zone.json").write_bytes(_spliced(document, target, content))
+        else:
+            content(document[target])
+            (state / "zone.json").write_text(json.dumps(document))
+    before = _state_files(state)
+    r = invoke(runner, state, *args)
     assert r.exit_code == 1, r.output
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == code
+    assert _state_files(state) == before
 
 
 @pytest.mark.parametrize(
@@ -499,13 +544,13 @@ def test_lock_released_after_commands(runner, tmp_path):
     ("ledger", "register", "gamma"),
     ("keys", "generate"),
     ("keys", "split", "00" * 16, "--context", "11" * 32),
-    ("keys", "authorize", "--context", "11" * 32, "--share", "{state}/ledger.json"),
+    ("keys", "authorize", "--context", "11" * 32, "--share", "{state}/zone.json"),
 ], ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "keys-authorize"])
 def test_lock_blocks_concurrent_mutation(runner, tmp_path, args):
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    before = _state_files(state)
     (state / ".lock").write_text("999999")
+    before = _state_files(state)
     r = invoke(runner, state, *(a.format(state=state) for a in args))
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
@@ -529,44 +574,163 @@ def test_root_group_maps_a_domain_error_from_any_command(runner, tmp_path, monke
 
 # --- state files -----------------------------------------------------------------
 
-@pytest.mark.parametrize("fail_at", [0, 1, 2])
-def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, fail_at):
-    """A crash at any file replacement leaves each file old or new, never torn,
-    and the TSA sequence never behind a timestamp the zone or ledger holds."""
+def _state_of(zone, tsa):
+    """The whole state as the document's three sections."""
+    return {"tsa": tsa.state_dict(), "zone": zone.state_dict(),
+            "ledger": zone.ledger.state_dict() if zone.ledger is not None else None}
+
+
+def test_each_mutating_command_leaves_only_the_document(runner, tmp_path):
+    state = tmp_path / "state"
+    share_file = tmp_path / "cloud.json"
+    doc = _init_ledger(runner, state)  # ledger init, ledger register
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+               "--order", "16", "-o", str(share_file))
+    assert r.exit_code == 0, r.output
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+               "--share", str(share_file))
+    assert r.exit_code == 0, r.output
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    assert set(_document(state)) == {"tsa", "zone", "ledger"}
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new-dir", "existing-dir"])
+def test_refused_command_removes_only_a_state_dir_it_created(runner, tmp_path, existed):
+    fresh = tmp_path / "fresh"
+    if existed:
+        fresh.mkdir()
+    not_a_share = tmp_path / "attack.json"
+    not_a_share.write_text(builtin_scenarios()["attack-suite"].to_json())
+    r = invoke(runner, fresh, "keys", "authorize", "--context", "00" * 32,
+               "--share", str(not_a_share))
+    assert r.exit_code == 1
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+    assert fresh.exists() == existed
+    assert not existed or not any(fresh.iterdir())
+
+
+def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
+    state = tmp_path / "state"
+    doc = _init_ledger(runner, state)
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    share_file = tmp_path / "cloud.json"
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+               "-o", str(share_file))
+    assert r.exit_code == 0, r.output
+    document = _document(state)
+    assert document["zone"]["split_records"][0]["order"] == 256
+    document["zone"]["split_records"][0]["order"] = 128
+    (state / "zone.json").write_text(json.dumps(document))
+
+    r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
+               "--share", str(share_file))
+    assert r.exit_code == EXIT_REJECTED, r.output
+    assert json.loads(r.stdout)["reason"] == "tag-mismatch"
+
+
+@pytest.mark.parametrize("replaces_done", [0, 1, 2])
+def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, replaces_done):
+    """A crash after any number of file replacements leaves the old state or
+    the new one, whole: the ledger holds every device the audit registered,
+    and the TSA sequence is never behind a timestamp the zone or ledger holds."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
     app = AppState(state, "json")
-    paths = (app.tsa_path, app.zone_path, app.ledger_path)
-    old = {p: p.read_bytes() for p in paths}
+    old = _state_of(*app.load_zone())
 
     zone, tsa = app.load_zone()
     zone.generate_key("data-encryption")
     zone.register_device("gamma", rng_seed=12)
-    new = {
-        app.tsa_path: json.dumps(tsa.state_dict()).encode(),
-        app.zone_path: json.dumps(zone.state_dict()).encode(),
-        app.ledger_path: json.dumps(zone.ledger.state_dict()).encode(),
-    }
+    new = _state_of(zone, tsa)
 
     real_replace = os.replace
     calls = []
 
     def crashing_replace(src, dst):
         calls.append(dst)
-        if len(calls) > fail_at:
+        if len(calls) > replaces_done:
             raise OSError("simulated crash")
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", crashing_replace)
+    try:
+        app.save_zone(zone, tsa)
+    except OSError as exc:
+        assert str(exc) == "simulated crash"
+    monkeypatch.undo()
+
+    assert calls == [app.zone_path]
+    assert not list(state.glob("*.tmp"))
+    loaded = _state_of(*app.load_zone())
+    assert loaded in (old, new)
+    registered = [e for e in loaded["zone"]["audit"] if e["op"] == "register_device"]
+    assert len(loaded["ledger"]["entries"]) == len(registered)
+    issued = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"]]
+    issued += [e["sequence"] for e in loaded["ledger"]["entries"]]
+    assert loaded["tsa"]["sequence"] >= max(issued)
+
+
+def _old_layout(runner, state, share_file):
+    """A state dir in the three-file layout, with one split device; its
+    zone, TSA and ledger as the document's sections, and the device's id."""
+    doc = _init_ledger(runner, state)
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+               "--order", "16", "-o", str(share_file))
+    assert r.exit_code == 0, r.output
+    sections = _document(state)
+    (state / "zone.json").write_text(json.dumps(sections["zone"]))
+    (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
+    (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
+    return sections, doc["entries"][0]["h2_hex"]
+
+
+def test_old_layout_loads_and_upgrades_on_the_next_save(runner, tmp_path):
+    state = tmp_path / "state"
+    share_file = tmp_path / "cloud.json"
+    old, context = _old_layout(runner, state, share_file)
+    assert _state_of(*AppState(state, "json").load_zone()) == old
+
+    r = invoke(runner, state, "keys", "authorize", "--context", context,
+               "--share", str(share_file))
+    assert r.exit_code == 0, r.output
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    new = _document(state)
+    assert new["ledger"] == old["ledger"]
+    assert new["tsa"]["sequence"] == old["tsa"]["sequence"] + 1
+    used = old["zone"]["context_keys"][context]
+    expected = {k["key_id"]: (k["material"], k["nonce_counter"], k["uses"] + (k["key_id"] == used))
+                for k in old["zone"]["keys"]}
+    assert {k["key_id"]: (k["material"], k["nonce_counter"], k["uses"])
+            for k in new["zone"]["keys"]} == expected
+    assert any(counter > 0 for _, counter, _ in expected.values())  # nonces were drawn
+
+
+def test_old_layout_crash_between_replace_and_unlinks_loads_the_document(
+        runner, tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    old, _ = _old_layout(runner, state, tmp_path / "cloud.json")
+    app = AppState(state, "json")
+    zone, tsa = app.load_zone()
+    zone.generate_key("data-encryption")
+    new = _state_of(zone, tsa)
+    assert new != old
+
+    def crashing_unlink(path, missing_ok=False):
+        raise OSError("simulated crash")
+
+    monkeypatch.setattr(type(app.tsa_path), "unlink", crashing_unlink)
     with pytest.raises(OSError, match="simulated crash"):
         app.save_zone(zone, tsa)
     monkeypatch.undo()
 
-    for p in paths:
-        assert p.read_bytes() in (old[p], new[p])
-    assert calls[-1].read_bytes() == old[calls[-1]]
-    assert not list(state.glob("*.tmp"))
-    loaded, loaded_tsa = app.load_zone()
-    issued = [k["created_at"]["sequence"] for k in loaded.state_dict()["keys"]]
-    issued += [e.timestamp.sequence for e in loaded.ledger.entries]
-    assert loaded_tsa.view.last_sequence >= max(issued)
+    assert sorted(os.listdir(state)) == ["ledger.json", "tsa.json", "zone.json"]
+    assert _state_of(*app.load_zone()) == new
+    app.save_zone(*app.load_zone())
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    assert _state_of(*app.load_zone()) == new

@@ -9,12 +9,15 @@ once leaked something else are kept below as named cases.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgevault.bloom import BloomFilter
+from edgevault.cli import AppState
 from edgevault.crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority
 from edgevault.curves import WeierstrassCurve, standard_curve, tiny_curve
 from edgevault.errors import (
@@ -151,6 +154,15 @@ def _ledger_state():
 
 
 LEDGER_STATE = _ledger_state()
+DOCUMENT = {"tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE}
+
+
+def _load_document(doc):
+    """``AppState.load_zone`` of a state dir whose ``zone.json`` is ``doc``."""
+    with tempfile.TemporaryDirectory() as root:
+        state = AppState(Path(root), "json")
+        state.zone_path.write_text(json.dumps(doc))
+        return state.load_zone()
 SCENARIO = SimScenario(
     name="fuzz", seed=5, device_count=2, order=16, curve=tiny_curve(),
     script=[
@@ -181,8 +193,10 @@ def _parses_or_raises(parse, payload, error):
         (Timestamp.from_json_dict, Timestamp(1_700_000_000, "t", 3).to_json_dict(), StateError),
         (TimestampAuthority.from_state_dict, TSA_STATE, StateError),
         (IdentityLedger.from_state_dict, LEDGER_STATE, StateError),
+        (_load_document, DOCUMENT, StateError),
     ],
-    ids=["aead-record", "split-record", "curve", "timestamp", "tsa", "ledger-state"],
+    ids=["aead-record", "split-record", "curve", "timestamp", "tsa", "ledger-state",
+         "state-document"],
 )
 @FUZZ
 @given(data=st.data())

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import edgevault.shares
-from edgevault.crypto import AeadRecord, TimestampAuthority
+from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import (
     AlgebraFailureError,
@@ -157,6 +157,17 @@ def test_stale_timestamp_rejected(zone, tsa):
     assert zone.authorize_transaction(CTX, result.cloud_share, newer).accepted
     decision = zone.authorize_transaction(CTX, result.cloud_share, old)
     assert decision.reason == "replay"
+
+
+def test_sequence_zero_rejected_for_a_context_with_no_accepted_timestamp(zone, tsa):
+    """The TSA never issues sequence 0, so it is not fresh even where nothing
+    was accepted yet."""
+    _, result = _distributed(zone)
+    tsa.issue()
+    never_issued = Timestamp(epoch_seconds=0, issuer=tsa.issuer, sequence=0)
+    decision = zone.authorize_transaction(CTX, result.cloud_share, never_issued)
+    assert decision.reason == "replay"
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
 
 
 def test_forged_share_rejected(zone, tsa, rng):
