@@ -82,7 +82,8 @@ class AppState:
         self.root.mkdir(parents=True, exist_ok=True)
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        except (FileExistsError, FileNotFoundError):
+            # not found: a session that created the dir removed it after our mkdir
             raise StateError(
                 f"state dir is locked ({self.lock_path}); remove the stale lock if no "
                 "other process is running"

@@ -534,9 +534,24 @@ def test_json_mode_outputs_are_strict_json(runner, tmp_path):
 
 
 def test_lock_released_after_commands(runner, tmp_path):
+    """After each mutating command the state dir holds only the document:
+    no .lock, no tmp file, no old-layout tsa.json or ledger.json."""
     state = tmp_path / "state"
-    _init_ledger(runner, state)
-    assert not (state / ".lock").exists()
+    share_file = tmp_path / "cloud.json"
+
+    def run(*args):
+        r = invoke(runner, state, *args)
+        assert r.exit_code == 0, r.output
+        assert sorted(os.listdir(state)) == ["zone.json"]
+        return r
+
+    run("ledger", "init", "--group", "g", "--preset", "tiny")
+    run("ledger", "register", "alpha", "--seed", "10")
+    key_id = json.loads(run("keys", "generate").output)["key_id"]
+    run("keys", "split", key_id, "--device", "alpha", "--order", "16", "-o", str(share_file))
+    context = _document(state)["ledger"]["entries"][0]["h2_hex"]
+    run("keys", "authorize", "--context", context, "--share", str(share_file))
+    assert set(_document(state)) == {"tsa", "zone", "ledger"}
 
 
 @pytest.mark.parametrize("args", [
@@ -580,24 +595,6 @@ def _state_of(zone, tsa):
             "ledger": zone.ledger.state_dict() if zone.ledger is not None else None}
 
 
-def test_each_mutating_command_leaves_only_the_document(runner, tmp_path):
-    state = tmp_path / "state"
-    share_file = tmp_path / "cloud.json"
-    doc = _init_ledger(runner, state)  # ledger init, ledger register
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
-               "--order", "16", "-o", str(share_file))
-    assert r.exit_code == 0, r.output
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
-               "--share", str(share_file))
-    assert r.exit_code == 0, r.output
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    assert set(_document(state)) == {"tsa", "zone", "ledger"}
-
-
 @pytest.mark.parametrize("existed", [False, True], ids=["new-dir", "existing-dir"])
 def test_refused_command_removes_only_a_state_dir_it_created(runner, tmp_path, existed):
     fresh = tmp_path / "fresh"
@@ -612,6 +609,28 @@ def test_refused_command_removes_only_a_state_dir_it_created(runner, tmp_path, e
     assert err["error"]["code"] == "corrupted-state"
     assert fresh.exists() == existed
     assert not existed or not any(fresh.iterdir())
+
+
+def test_state_dir_removed_before_the_lock_is_taken_reads_as_locked(
+        runner, tmp_path, monkeypatch):
+    """A first session that created the dir and saved nothing removed it
+    between this session's mkdir and its .lock open."""
+    state = tmp_path / "state"
+    state.mkdir()
+    real_open = os.open
+
+    def open_after_the_removal(path, *args, **kwargs):
+        if str(path).endswith(".lock"):
+            state.rmdir()
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", open_after_the_removal)
+    r = invoke(runner, state, "keys", "generate")
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+    assert not state.exists()
 
 
 def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
@@ -658,16 +677,20 @@ def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, re
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", crashing_replace)
+    raised = False
     try:
         app.save_zone(zone, tsa)
     except OSError as exc:
         assert str(exc) == "simulated crash"
+        raised = True
     monkeypatch.undo()
 
+    # one replace: only a crash at the first one reaches the caller
+    assert raised == (replaces_done == 0)
     assert calls == [app.zone_path]
     assert not list(state.glob("*.tmp"))
     loaded = _state_of(*app.load_zone())
-    assert loaded in (old, new)
+    assert loaded == (old if raised else new)
     registered = [e for e in loaded["zone"]["audit"] if e["op"] == "register_device"]
     assert len(loaded["ledger"]["entries"]) == len(registered)
     issued = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"]]
