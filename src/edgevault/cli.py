@@ -1,18 +1,35 @@
 """Command-line surface.
 
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
-default ``.edgevault``) as one document, ``zone.json``: ``{"tsa", "zone",
-"ledger"}``, the timestamp authority's counters, the secure zone's internal
-storage and the identity ledger (``null`` before ``ledger init``).  Every
-mutating command runs in one ``AppState.session()``: it takes the advisory
-``.lock`` file, loads the document, and saves it once, only if the command
-completes.  A save writes a temporary file and renames it over the document,
-so a crashed process leaves the old state or the new one, whole.  Nothing is
-fsynced: a power loss is not covered.
+default ``.edgevault``) as a snapshot plus a journal.  The snapshot,
+``zone.json``, is the document ``{"tsa", "zone", "ledger", "journal"}``: the
+timestamp authority's counters, the secure zone's internal storage, the
+identity ledger (``null`` before ``ledger init``), and the sequence number
+and hash of the last journal record folded into it.  ``journal.jsonl`` holds
+one line per completed command, ``{"h", "r"}``: the record ``r`` of what the
+command changed (the TSA counters; the op counter; each changed key's or
+context's changed fields, or the whole of a new one; new audit entries; new
+ledger entries and used points, or a new ledger) and
+``h = SHA-256(previous h || r's bytes)``, chained from the snapshot's hash.
+
+Every mutating command runs in one ``AppState.session()``: it takes the
+advisory ``.lock`` file (holding its pid and start time; a lock whose process
+is gone is broken), loads the state, and commits once, only if the command
+completes.  A load parses the snapshot and replays the journal, but decodes a
+key, context or ledger entry only when the command uses it; ``keys
+authorize`` decodes its own context and key and the three infrastructure
+keys.  A commit appends the record as one write, or, once the journal would
+pass ``COMPACT_BYTES``, replaces the snapshot (a temporary file renamed over
+``zone.json``) and then removes the journal.  A crashed process therefore
+leaves the old state or the new one: a torn last line is left out on load and
+cut off by the next commit, and a journal whose records the snapshot already
+holds is left out whole.  A bad ``h`` on any other line is a corrupted state
+that names the record's index.  Nothing is fsynced: a power loss is not
+covered.
 
 The old layout kept the TSA and the ledger in ``tsa.json`` and ``ledger.json``
-beside a bare zone ``zone.json``.  It still loads, and the next save replaces
-it with the document, then removes those two files.
+beside a bare zone ``zone.json``.  It still loads as the first snapshot; the
+next commit writes the document, then removes those two files.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -26,12 +43,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
 from .bloom import BloomFilter
-from .crypto import U64_LIMIT, Timestamp, TimestampAuthority
+from .crypto import U64_LIMIT, Timestamp, TimestampAuthority, sha256
 from .curves import WeierstrassCurve, standard_curve, tiny_curve
 from .errors import EdgeVaultError, StateError, parses
 from .ledger import IdentityLedger
@@ -58,6 +76,68 @@ _EXHAUSTIVE_CHECK_LIMIT = 512
 SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
 
 
+#: a save rewrites the snapshot, and empties the journal, once the journal
+#: would pass this many bytes
+COMPACT_BYTES = 16 * 1024
+
+_GENESIS = bytes(32)  # the h a state dir's first journal record chains from
+_LINE_HEAD, _LINE_MID = b'{"h":"', b'","r":'
+
+
+@dataclass
+class _Tip:
+    """Where the next commit goes: after record ``seq`` whose hash is ``h``,
+    at byte ``valid`` of a journal file of ``size`` bytes.  ``rewrite`` asks
+    for a whole snapshot: the dir is new or in the old layout."""
+
+    seq: int
+    h: bytes
+    valid: int = 0
+    size: int = 0
+    rewrite: bool = False
+
+
+def _write_file(path: Path, data: bytes, mode: int):
+    """Write ``data`` to ``path`` opened with ``mode`` (``os.O_TRUNC`` or ``os.O_APPEND``)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | mode, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+@parses(StateError, "malformed journal record {1}")
+def _journal_line(line: bytes, index: int) -> tuple[bytes, bytes, dict]:
+    """A journal line's h, the record bytes the h covers, and the record."""
+    mid = len(_LINE_HEAD) + 64
+    body = mid + len(_LINE_MID)
+    if line[:len(_LINE_HEAD)] != _LINE_HEAD or line[mid:body] != _LINE_MID or line[-1:] != b"}":
+        raise ValueError("not a journal line")
+    record = json.loads(line[body:-1])
+    if type(record["seq"]) is not int:
+        raise ValueError("the sequence number is not an integer")
+    record["tsa"], record["zone"], record["ledger"]  # a missing section is a KeyError here
+    return bytes.fromhex(line[len(_LINE_HEAD):mid].decode()), line[body:-1], record
+
+
+def _process_start(pid: int) -> str:
+    """When process ``pid`` started, in clock ticks after boot; "-" where no
+    /proc tells, "gone" if no process has that pid."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return "gone"
+    except PermissionError:
+        pass  # another user's process
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_bytes()
+    except OSError:
+        return "-"
+    return stat.rsplit(b")", 1)[1].split()[19].decode()
+
+
 class AppState:
     """Paths and loaders for the state directory."""
 
@@ -65,10 +145,12 @@ class AppState:
         self.root = root
         self.fmt = fmt
         self.zone_path = root / "zone.json"
+        self.journal_path = root / "journal.jsonl"
         # the old layout's other files, read by the upgrade
         self.tsa_path = root / "tsa.json"
         self.ledger_path = root / "ledger.json"
         self.lock_path = root / ".lock"
+        self._loaded = None  # (zone, tsa, tip) of the last load_zone
 
     @contextmanager
     def session(self, seed: int = 0):
@@ -80,26 +162,58 @@ class AppState:
         """
         created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
+        fd = self._take_lock()
         try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except (FileExistsError, FileNotFoundError):
-            # not found: a session that created the dir removed it after our mkdir
-            raise StateError(
-                f"state dir is locked ({self.lock_path}); remove the stale lock if no "
-                "other process is running"
-            )
-        try:
-            os.write(fd, str(os.getpid()).encode())
+            os.write(fd, f"{os.getpid()} {_process_start(os.getpid())}".encode())
             os.close(fd)
             zone, tsa = self.load_zone(seed)
             yield zone, tsa
             self.save_zone(zone, tsa)
         finally:
+            self._loaded = None
             self.lock_path.unlink(missing_ok=True)
             if created and not self.zone_path.exists():
                 # a concurrent session's .lock keeps the dir non-empty
                 with suppress(OSError):
                     self.root.rmdir()
+
+    def _take_lock(self) -> int:
+        """Create ``.lock``; break it first if the process that holds it is gone."""
+        for attempt in range(2):
+            try:
+                return os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                if attempt == 0 and self._break_stale_lock():
+                    continue
+            except FileNotFoundError:
+                pass  # a session that created the dir removed it after our mkdir
+            raise StateError(
+                f"state dir is locked ({self.lock_path}); remove the stale lock if no "
+                "other process is running"
+            )
+
+    def _break_stale_lock(self) -> bool:
+        """Remove a lock whose pid names no process, or a process that started
+        at another time; keep a lock that names no pid and start time."""
+        try:
+            owner = self.lock_path.read_text()
+            pid, started = owner.split()
+            if int(pid) <= 0 or _process_start(int(pid)) == started:
+                return False
+        except (OSError, ValueError):
+            return False
+        # the rename takes the lock from any other session breaking it; a lock
+        # taken since the read above is put back
+        taken = self.root / f".lock.{os.getpid()}"
+        try:
+            os.replace(self.lock_path, taken)
+        except FileNotFoundError:
+            return True
+        if taken.read_text() != owner:
+            with suppress(FileExistsError):
+                os.link(taken, self.lock_path)
+        taken.unlink()
+        return True
 
     @staticmethod
     @parses(StateError, "corrupted JSON file {0}")
@@ -107,56 +221,152 @@ class AppState:
         """Parse a JSON file; the caller's parser validates its structure."""
         return json.loads(Path(path).read_bytes())
 
-    def _write_json(self, path: Path, obj: dict):
-        """Replace ``path`` atomically: a crash leaves the old or the new file."""
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            tmp.write_text(json.dumps(obj))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
     @parses(StateError, "corrupted state document {0.zone_path}")
-    def _read_sections(self) -> tuple[dict, dict, dict | None] | None:
-        """The document's tsa, zone and ledger sections; None in a new state dir."""
+    def _read_snapshot(self) -> tuple[dict, _Tip] | None:
+        """The document and the journal tip it records; None in a new state dir."""
         if not self.zone_path.exists():
+            if self.journal_path.exists():
+                raise StateError(f"{self.journal_path} has no snapshot {self.zone_path}")
             return None
         doc = self._read_json(self.zone_path)
-        if isinstance(doc, dict) and "tsa" not in doc:
-            # the old layout: this is the zone section
+        old_layout = isinstance(doc, dict) and "tsa" not in doc
+        if old_layout:
+            # this is the zone section
             if not self.tsa_path.exists():
                 raise StateError(f"{self.tsa_path} is missing")
             ledger = self._read_json(self.ledger_path) if self.ledger_path.exists() else None
             doc = {"tsa": self._read_json(self.tsa_path), "zone": doc, "ledger": ledger}
-        return doc["tsa"], doc["zone"], doc["ledger"]
+        journal = doc.get("journal", {"seq": 0, "h": _GENESIS.hex()})
+        tip = _Tip(int(journal["seq"]), bytes.fromhex(journal["h"]))
+        if not 0 <= tip.seq < U64_LIMIT or len(tip.h) != len(_GENESIS):
+            raise ValueError("the journal tip needs a sequence number and a 32-byte h")
+        # an upgrade that stopped before removing the old layout's files
+        tip.rewrite = old_layout or self.tsa_path.exists() or self.ledger_path.exists()
+        doc["tsa"], doc["zone"], doc["ledger"]  # a missing section is a KeyError here
+        return doc, tip
+
+    def _read_journal(self, tip: _Tip) -> list[dict]:
+        """The journal's records after the snapshot at ``tip``; moves ``tip``
+        to the last of them.
+
+        An unterminated last line is a torn append: it is left out, and the
+        next commit cuts it off.  A journal whose first record is not after
+        the snapshot was folded into it by a compaction that stopped before
+        removing the file; it is left out whole.
+        """
+        try:
+            data = self.journal_path.read_bytes()
+        except FileNotFoundError:
+            return []
+        tip.size = len(data)
+        records = []
+        for index, line in enumerate(data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]):
+            h, body, record = _journal_line(line, index)
+            if index == 0 and record["seq"] <= tip.seq:
+                return []
+            if record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
+                raise StateError(f"journal record {index} in {self.journal_path} does not "
+                                 "chain from the record before it")
+            tip.seq, tip.h, tip.valid = record["seq"], h, tip.valid + len(line) + 1
+            records.append(record)
+        return records
+
+    @staticmethod
+    def _ledger(doc: dict, records: list[dict]) -> IdentityLedger | None:
+        """The snapshot's ledger with each record's ledger changes applied."""
+        ledger = doc["ledger"]
+        ledger = None if ledger is None else IdentityLedger.lazy_from_state_dict(ledger)
+        for record in records:
+            changes = record["ledger"]
+            if isinstance(changes, dict) and "group_id" in changes:
+                ledger = IdentityLedger.lazy_from_state_dict(changes)
+            elif changes is not None:
+                if ledger is None:
+                    raise StateError("a journal record changes a ledger that does not exist")
+                ledger.apply(changes)
+        return ledger
 
     def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
-        sections = self._read_sections()
-        if sections is None:
+        """The snapshot with the journal replayed; each key and context is
+        decoded the first time the command uses it."""
+        snapshot = self._read_snapshot()
+        if snapshot is None:
             tsa = TimestampAuthority(issuer="edgevault-tsa")
-            return SecureZone(seed, tsa), tsa
-        tsa_state, zone_state, ledger_state = sections
-        tsa = TimestampAuthority.from_state_dict(tsa_state)
-        zone = SecureZone.from_state_dict(zone_state, tsa)
-        if ledger_state is not None:
-            zone.attach_ledger(IdentityLedger.from_state_dict(ledger_state))
+            zone, tip = SecureZone(seed, tsa), _Tip(0, _GENESIS, rewrite=True)
+        else:
+            doc, tip = snapshot
+            records = self._read_journal(tip)
+            tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"] if records else doc["tsa"])
+            zone = SecureZone.lazy_from_state_dict(doc["zone"], tsa)
+            for record in records:
+                zone.apply(record["zone"])
+            ledger = self._ledger(doc, records)
+            if ledger is not None:
+                zone.attach_ledger(ledger)
+        self._loaded = (zone, tsa, tip)
         return zone, tsa
 
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
-        """Replace the document once; only then remove the old layout's files."""
+        """Commit the state.
+
+        For the zone :meth:`load_zone` last returned, append one journal
+        record of what changed, or rewrite the snapshot once the journal
+        would pass ``COMPACT_BYTES``.  Any other zone is written whole.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
+        loaded, self._loaded = self._loaded, None
+        if loaded is None or loaded[0] is not zone or loaded[1] is not tsa:
+            tip = self._current_tip()
+            self._write_snapshot(zone, tsa, tip.seq, tip.h)
+            return
+        tip = loaded[2]
+        ledger = zone.ledger.changes() if zone.ledger is not None else None
+        body = json.dumps({"seq": tip.seq + 1, "tsa": tsa.state_dict(), "zone": zone.changes(),
+                           "ledger": ledger}, sort_keys=True, separators=(",", ":")).encode()
+        h = sha256(tip.h + body)
+        line = _LINE_HEAD + h.hex().encode() + _LINE_MID + body + b"}\n"
+        if tip.rewrite or tip.valid + len(line) > COMPACT_BYTES:
+            self._write_snapshot(zone, tsa, tip.seq + 1, h)
+            return
+        if tip.size != tip.valid:
+            os.truncate(self.journal_path, tip.valid)
+        _write_file(self.journal_path, line, os.O_APPEND)
+
+    def _current_tip(self) -> _Tip:
+        snapshot = self._read_snapshot()
+        if snapshot is None:
+            return _Tip(0, _GENESIS)
+        _, tip = snapshot
+        self._read_journal(tip)
+        return tip
+
+    def _write_snapshot(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
+        """Replace the document at once, then remove the journal it folds in
+        and the old layout's files."""
         ledger = zone.ledger.state_dict() if zone.ledger is not None else None
-        self._write_json(self.zone_path,
-                         {"tsa": tsa.state_dict(), "zone": zone.state_dict(), "ledger": ledger})
-        self.tsa_path.unlink(missing_ok=True)
-        self.ledger_path.unlink(missing_ok=True)
+        doc = {"tsa": tsa.state_dict(), "zone": zone.state_dict(), "ledger": ledger,
+               "journal": {"seq": seq, "h": h.hex()}}
+        tmp = self.zone_path.with_name(self.zone_path.name + ".tmp")
+        try:
+            _write_file(tmp, json.dumps(doc).encode(), os.O_TRUNC)
+            os.replace(tmp, self.zone_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        for path in (self.journal_path, self.tsa_path, self.ledger_path):
+            path.unlink(missing_ok=True)
 
     def load_ledger(self) -> IdentityLedger:
-        sections = self._read_sections()
-        if sections is None or sections[2] is None:
+        """The ledger alone: the snapshot's ledger section and the journal's
+        ledger changes, with no zone decoded."""
+        snapshot = self._read_snapshot()
+        ledger = None
+        if snapshot is not None:
+            doc, tip = snapshot
+            ledger = self._ledger(doc, self._read_journal(tip))
+        if ledger is None:
             raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")
-        return IdentityLedger.from_state_dict(sections[2])
+        return ledger
 
     def emit(self, payload: dict, text: str | None = None):
         if self.fmt == "json":
@@ -220,7 +430,7 @@ def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve
 @ledger.command("init")
 @click.option("--group", required=True, help="Group identifier for this ledger.")
 @click.option("--preset", type=click.Choice(["standard", "tiny"]), default="standard")
-@click.option("--curve-json", type=click.Path(exists=True), default=None,
+@click.option("--curve-json", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with explicit curve parameters p, a1..a6.")
 @click.option("--seed", type=SEED_RANGE, default=0, help="Zone seed if the zone is new.")
 @click.pass_obj
@@ -354,9 +564,9 @@ def keys_split(state: AppState, key_id, context, device, order, seed, output):
 
 @keys.command("authorize")
 @click.option("--context", required=True, help="Context id (hex).")
-@click.option("--share", "share_file", type=click.Path(exists=True), required=True,
+@click.option("--share", "share_file", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Cloud share JSON file presented for the transaction.")
-@click.option("--timestamp", "ts_file", type=click.Path(exists=True), default=None,
+@click.option("--timestamp", "ts_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Timestamp JSON to present (default: issue a fresh one).")
 @click.option("--save-timestamp", type=click.Path(path_type=Path), default=None,
               help="Write the presented timestamp (useful for replay testing).")
@@ -370,9 +580,13 @@ def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp
             ts = Timestamp.from_json_dict(state._read_json(ts_file))
         else:
             ts = tsa.issue()
-        if save_timestamp:
-            Path(save_timestamp).write_text(json.dumps(ts.to_json_dict()))
         decision = zone.authorize_transaction(context_id, share, ts)
+    # the exit's traceback keeps this frame alive until the cyclic GC runs;
+    # an in-process caller should not keep the loaded state with it
+    del zone, tsa
+    if save_timestamp:
+        # only once committed: a timestamp the TSA may issue again never leaves
+        Path(save_timestamp).write_text(json.dumps(ts.to_json_dict()))
     if decision.accepted:
         state.emit({"accepted": True}, "accepted")
         sys.exit(EXIT_OK)
@@ -409,7 +623,7 @@ def qg_generate(state: AppState, order, seed, output):
 
 
 @qg.command("check")
-@click.argument("table_file", type=click.Path(exists=True), required=False)
+@click.argument("table_file", type=click.Path(exists=True, dir_okay=False), required=False)
 @click.option("-n", "--order", type=int, default=None)
 @click.option("--seed", type=int, default=0)
 @click.pass_obj
@@ -470,7 +684,7 @@ def profile():
 
 
 @profile.command("fit")
-@click.argument("csv_file", type=click.Path(exists=True))
+@click.argument("csv_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--device", default="", help="Device label for the report.")
 @click.pass_obj
 def profile_fit(state: AppState, csv_file, device):
@@ -483,7 +697,7 @@ def profile_fit(state: AppState, csv_file, device):
 
 
 @profile.command("outliers")
-@click.argument("csv_file", type=click.Path(exists=True))
+@click.argument("csv_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sigmas", type=float, default=3.0)
 @click.pass_obj
 def profile_outliers(state: AppState, csv_file, sigmas):
@@ -507,7 +721,7 @@ def filter_group():
 @click.option("--fpr", type=float, default=0.01)
 @click.option("--from-ledger", "from_ledger", is_flag=True,
               help="Insert every device id from the state ledger.")
-@click.option("--ids-file", type=click.Path(exists=True), default=None,
+@click.option("--ids-file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="File with one hex device id per line.")
 @click.pass_obj
 def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
@@ -528,7 +742,7 @@ def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
 
 
 @filter_group.command("query")
-@click.argument("filter_file", type=click.Path(exists=True))
+@click.argument("filter_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("device_id_hex")
 @click.pass_obj
 def filter_query(state: AppState, filter_file, device_id_hex):
@@ -567,7 +781,7 @@ def sim_builtin(state: AppState, name, output):
 
 
 @sim.command("run")
-@click.argument("scenario_file", type=click.Path(exists=True))
+@click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--log", "log_file", type=click.Path(path_type=Path), default=None,
               help="Write the event log as JSON Lines.")
 @click.option("--seed", type=SEED_RANGE, default=None, help="Override the scenario seed.")

@@ -137,6 +137,10 @@ def parse_entry_lines(data: bytes, start: int = 0) -> list[LedgerEntry]:
     return entries
 
 
+def _parse_points(points: list) -> set[tuple[int, int]]:
+    return {(int(x, 0), int(y, 0)) for x, y in points}
+
+
 class IdentityLedger:
     """Append-only hash chain of device identities for one group.
 
@@ -147,9 +151,24 @@ class IdentityLedger:
     def __init__(self, group_id: str, curve: WeierstrassCurve):
         self.group_id = group_id
         self.curve = curve
-        self.entries: list[LedgerEntry] = []
-        self.used_points: set[tuple[int, int]] = set()
+        # None until the stored entries are decoded, on first use
+        self._entries: Optional[list[LedgerEntry]] = []
+        self._used_points: set[tuple[int, int]] = set()
         self._labels: set[str] = set()
+        # the stored entries and used points (JSON); None for a ledger never stored
+        self._stored: Optional[dict] = None
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        if self._entries is None:
+            self._decode()
+        return self._entries
+
+    @property
+    def used_points(self) -> set[tuple[int, int]]:
+        if self._entries is None:
+            self._decode()
+        return self._used_points
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -167,6 +186,7 @@ class IdentityLedger:
         decrypts it again.  Nonces are derived from (group, label, seed);
         labels are unique per group, which keeps nonces unique per key.
         """
+        entries = self.entries
         if device_label in self._labels:
             raise DuplicateDeviceError(f"device {device_label!r} already registered")
         point = select_unique_point(self.curve, self.used_points, rng_seed)
@@ -181,7 +201,7 @@ class IdentityLedger:
             NonceSequence(nonce_seed),
         )
         ts = tsa.issue()
-        prev_h2 = self.entries[-1].h2 if self.entries else None
+        prev_h2 = entries[-1].h2 if entries else None
         h1, h2 = _chain_digests(prev_h2, record, ts)
         entry = LedgerEntry(
             device_label=device_label,
@@ -190,8 +210,8 @@ class IdentityLedger:
             h1=h1,
             h2=h2,
         )
-        self.entries.append(entry)
-        self.used_points.add(point.as_tuple())
+        entries.append(entry)
+        self._used_points.add(point.as_tuple())
         self._labels.add(device_label)
         return entry
 
@@ -238,8 +258,8 @@ class IdentityLedger:
         header = json.loads(head.decode())
         ledger = cls(str(header["group_id"]), WeierstrassCurve.from_json_dict(header))
         entry_count = int(header["entry_count"])
-        ledger.entries = parse_entry_lines(body)
-        ledger._labels = {entry.device_label for entry in ledger.entries}
+        ledger._entries = parse_entry_lines(body)
+        ledger._labels = {entry.device_label for entry in ledger._entries}
         if len(ledger.entries) != entry_count:
             raise StateError("snapshot entry count mismatch")
         return ledger
@@ -260,15 +280,54 @@ class IdentityLedger:
         }
 
     @classmethod
-    @parses(StateError, "corrupted ledger state")
     def from_state_dict(cls, d: dict) -> "IdentityLedger":
-        ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
-        for ed in d["entries"]:
-            entry = LedgerEntry.from_json_dict(ed)
-            ledger.entries.append(entry)
-            ledger._labels.add(entry.device_label)
-        ledger.used_points = {(int(x, 0), int(y, 0)) for x, y in d.get("used_points", [])}
+        """Parse a ledger and every entry in it."""
+        ledger = cls.lazy_from_state_dict(d)
+        ledger._decode()
         return ledger
+
+    @classmethod
+    @parses(StateError, "corrupted ledger state")
+    def lazy_from_state_dict(cls, d: dict) -> "IdentityLedger":
+        """A ledger whose group and curve are parsed now and whose entries
+        and used points are decoded the first time they are used."""
+        ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
+        entries, points = d["entries"], d.get("used_points", [])
+        if not isinstance(entries, list) or not isinstance(points, list):
+            raise ValueError("entries and used_points must be lists")
+        ledger._stored = {"entries": list(entries), "used_points": list(points)}
+        ledger._entries = None
+        return ledger
+
+    @parses(StateError, "corrupted ledger state")
+    def _decode(self):
+        self._used_points = _parse_points(self._stored["used_points"])
+        entries = [LedgerEntry.from_json_dict(ed) for ed in self._stored["entries"]]
+        self._labels = {entry.device_label for entry in entries}
+        self._entries = entries
+
+    def changes(self) -> dict:
+        """The entries and used points added since the ledger was loaded, or
+        its whole state if it was never stored."""
+        if self._stored is None:
+            return self.state_dict()
+        if self._entries is None:
+            return {}
+        stored = len(self._stored["entries"])
+        new_points = self._used_points - _parse_points(self._stored["used_points"])
+        return {
+            "entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)],
+            "used_points": [[hex(x), hex(y)] for x, y in sorted(new_points)],
+        }
+
+    @parses(StateError, "corrupted ledger changes")
+    def apply(self, changes: dict):
+        """Merge :meth:`changes` into a loaded ledger before it is used."""
+        for name in ("entries", "used_points"):
+            added = changes.get(name, [])
+            if not isinstance(added, list):
+                raise ValueError(f"{name} must be a list")
+            self._stored[name] += added
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:
         for entry in self.entries:

@@ -11,13 +11,18 @@ boundary.
 
 The state written from :meth:`SecureZone.state_dict` emulates the HSM's
 internal tamper-proof storage; it is not an exported artifact and must be
-treated as inside the boundary.
+treated as inside the boundary.  A zone loaded with
+:meth:`SecureZone.lazy_from_state_dict` decodes each key and context from its
+stored unit the first time it is used; :meth:`SecureZone.changes` gives what
+changed since, in those units, and :meth:`SecureZone.apply` merges such
+changes into a loaded zone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .crypto import (
@@ -107,6 +112,132 @@ class _Context:
 _FORWARD = {s: i for i, s in enumerate(STATES)}
 
 
+class _Units:
+    """One kind of zone record by id, each decoded from its stored unit (a
+    JSON object) the first time it is used.
+
+    A command therefore decodes only the records it reads.  :meth:`changes`
+    encodes the decoded records again and returns what differs from their
+    stored units, which :meth:`apply` merges back in.
+    """
+
+    __slots__ = ("stored", "_live", "_decode", "_encode")
+
+    def __init__(self, decode, encode, stored: Optional[dict] = None):
+        self.stored: dict[bytes, dict] = {} if stored is None else stored
+        self._live: dict = {}
+        self._decode, self._encode = decode, encode
+
+    def get(self, item_id: bytes, default=None):
+        item = self._live.get(item_id)
+        if item is None:
+            unit = self.stored.get(item_id)
+            if unit is None:
+                return default
+            item = self._live[item_id] = self._decode(unit)
+        return item
+
+    def __getitem__(self, item_id: bytes):
+        item = self.get(item_id)
+        if item is None:
+            raise KeyError(item_id)
+        return item
+
+    def __setitem__(self, item_id: bytes, item):
+        self._live[item_id] = item
+
+    def __contains__(self, item_id) -> bool:
+        return item_id in self._live or item_id in self.stored
+
+    def __iter__(self):
+        yield from self.stored
+        yield from (i for i in self._live if i not in self.stored)
+
+    def values(self) -> list:
+        return [self[i] for i in self]
+
+    def units(self) -> list[dict]:
+        """Every record's unit: encoded again if it was decoded, else as stored."""
+        return [self._encode(self._live[i]) if i in self._live else self.stored[i] for i in self]
+
+    def changes(self) -> list:
+        """``[id hex, unit]`` per new record, ``[id hex, changed fields]`` per
+        changed one, in the order the records were first used."""
+        changed = []
+        for item_id, item in self._live.items():
+            unit, old = self._encode(item), self.stored.get(item_id)
+            if old is not None:
+                unit = {f: v for f, v in unit.items() if old.get(f) != v}
+            if unit:
+                changed.append([item_id.hex(), unit])
+        return changed
+
+    def apply(self, changed: list):
+        """Merge :meth:`changes` into the stored units; a changed record is
+        decoded again when next used."""
+        for item_id, unit in changed:
+            item_id = bytes.fromhex(item_id)
+            self.stored[item_id] = {**self.stored.get(item_id, {}), **unit}
+            self._live.pop(item_id, None)
+
+
+@parses(StateError, "corrupted key")
+def _decode_key(kd: dict) -> ManagedKey:
+    kid = bytes.fromhex(kd["key_id"])
+    if kd["purpose"] not in PURPOSES or kd["state"] not in STATES:
+        raise ValueError(f"key {kid.hex()} has an unknown purpose or state")
+    material = bytes.fromhex(kd["material"])
+    if len(material) != KEY_LEN:
+        raise ValueError(f"key {kid.hex()} is not {KEY_LEN} bytes")
+    return ManagedKey(
+        key_id=kid,
+        purpose=kd["purpose"],
+        state=kd["state"],
+        usage_budget=int(kd["usage_budget"]),
+        uses=int(kd["uses"]),
+        created_at=Timestamp.from_json_dict(kd["created_at"]),
+        material=material,
+        nonces=NonceSequence(kid, counter=int(kd["nonce_counter"])),
+    )
+
+
+def _encode_key(key: ManagedKey) -> dict:
+    return {**key.to_public_dict(), "material": key.material.hex(),
+            "nonce_counter": key.nonces.counter}
+
+
+def _stored_key_id(keys: _Units, key_id_hex: str) -> bytes:
+    return keys[bytes.fromhex(key_id_hex)].key_id
+
+
+@parses(StateError, "corrupted context")
+def _decode_context(keys: _Units, unit: dict) -> _Context:
+    last_seen = unit["last_seen"]
+    return _Context(
+        record=SplitRecord.from_state_dict(unit["record"]),
+        edge_share=SealedShare.from_json_dict(unit["edge_share"]),
+        key_id=_stored_key_id(keys, unit["key_id"]),
+        last_seen=Timestamp.from_json_dict(last_seen) if last_seen is not None else None,
+    )
+
+
+def _encode_context(context: _Context) -> dict:
+    last_seen = context.last_seen
+    return {
+        "record": context.record.to_state_dict(),
+        "edge_share": context.edge_share.to_json_dict(),
+        "key_id": context.key_id.hex(),
+        "last_seen": last_seen.to_json_dict() if last_seen is not None else None,
+    }
+
+
+def _op_counter(value) -> int:
+    value = int(value)
+    if not 0 <= value < U64_LIMIT:
+        raise ValueError("op_counter must lie in [0, 2^64)")
+    return value
+
+
 class SecureZone:
     """Single-writer key vault plus transaction verifier.
 
@@ -119,9 +250,10 @@ class SecureZone:
     def __init__(self, zone_seed: int, tsa: TimestampAuthority):
         self._tsa = tsa
         self._zone_seed = int(zone_seed)
-        self._keys: dict[bytes, ManagedKey] = {}
-        self._contexts: dict[bytes, _Context] = {}
+        self._keys = _Units(_decode_key, _encode_key)
+        self._contexts = _Units(partial(_decode_context, self._keys), _encode_context)
         self._audit: list[dict] = []
+        self._stored_audit = 0
         self._op_counter = 0
         self.ledger: Optional[IdentityLedger] = None
         # infrastructure keys: one KEK and one share-sealing key per zone
@@ -328,75 +460,80 @@ class SecureZone:
 
     def state_dict(self) -> dict:
         """Full internal state for zone-internal persistence (see module doc)."""
-        contexts = self._contexts.items()
+        contexts = [(cid.hex(), c) for cid, c in zip(self._contexts, self._contexts.units())]
         return {
             "zone_seed": self._zone_seed,
             "op_counter": self._op_counter,
             "kek_id": self._kek_id.hex(),
             "share_key_id": self._share_key_id.hex(),
             "point_key_id": self._point_key_id.hex(),
-            "keys": [
-                {**k.to_public_dict(), "material": k.material.hex(),
-                 "nonce_counter": k.nonces.counter}
-                for k in self._keys.values()
-            ],
-            "split_records": [c.record.to_state_dict() for _, c in contexts],
-            "edge_shares": {cid.hex(): c.edge_share.to_json_dict() for cid, c in contexts},
-            "context_keys": {cid.hex(): c.key_id.hex() for cid, c in contexts},
-            "last_seen": {cid.hex(): c.last_seen.to_json_dict()
-                          for cid, c in contexts if c.last_seen is not None},
+            "keys": self._keys.units(),
+            "split_records": [c["record"] for _, c in contexts],
+            "edge_shares": {cid: c["edge_share"] for cid, c in contexts},
+            "context_keys": {cid: c["key_id"] for cid, c in contexts},
+            "last_seen": {cid: c["last_seen"] for cid, c in contexts
+                          if c["last_seen"] is not None},
             "audit": self._audit,
         }
 
     @classmethod
-    @parses(StateError, "corrupted zone state")
     def from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
-        """Parse a zone; each context joins the four context sections on its
-        split record's context id, so a missing entry fails that lookup."""
+        """Parse a zone and every key and context in it."""
+        zone = cls.lazy_from_state_dict(d, tsa)
+        zone._contexts.values()  # decodes each context's key too
+        zone._keys.values()
+        return zone
+
+    @classmethod
+    @parses(StateError, "corrupted zone state")
+    def lazy_from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
+        """A zone over its stored state that decodes each key and context the
+        first time it is used, and the three infrastructure keys now.
+
+        Each context joins the four context sections on its split record's
+        context id, so a missing entry fails that lookup.
+        """
         zone = cls.__new__(cls)
         zone._tsa = tsa
         zone._zone_seed = int(d["zone_seed"])
-        zone._op_counter = int(d["op_counter"])
-        if not 0 <= zone._op_counter < U64_LIMIT:
-            raise ValueError("op_counter must lie in [0, 2^64)")
-        zone._keys = {}
-        for kd in d["keys"]:
-            kid = bytes.fromhex(kd["key_id"])
-            if kd["purpose"] not in PURPOSES or kd["state"] not in STATES:
-                raise ValueError(f"key {kid.hex()} has an unknown purpose or state")
-            material = bytes.fromhex(kd["material"])
-            if len(material) != KEY_LEN:
-                raise ValueError(f"key {kid.hex()} is not {KEY_LEN} bytes")
-            zone._keys[kid] = ManagedKey(
-                key_id=kid,
-                purpose=kd["purpose"],
-                state=kd["state"],
-                usage_budget=int(kd["usage_budget"]),
-                uses=int(kd["uses"]),
-                created_at=Timestamp.from_json_dict(kd["created_at"]),
-                material=material,
-                nonces=NonceSequence(kid, counter=int(kd["nonce_counter"])),
-            )
-
-        def stored_key_id(key_id_hex: str) -> bytes:
-            return zone._keys[bytes.fromhex(key_id_hex)].key_id
-
-        zone._kek_id = stored_key_id(d["kek_id"])
-        zone._share_key_id = stored_key_id(d["share_key_id"])
-        zone._point_key_id = stored_key_id(d["point_key_id"])
+        zone._op_counter = _op_counter(d["op_counter"])
+        zone._keys = _Units(_decode_key, _encode_key,
+                            {bytes.fromhex(kd["key_id"]): kd for kd in d["keys"]})
         shares, context_keys, last_seen = d["edge_shares"], d["context_keys"], d["last_seen"]
-        zone._contexts = {}
-        for record in map(SplitRecord.from_state_dict, d["split_records"]):
-            c = record.context_id.hex()
-            zone._contexts[record.context_id] = _Context(
-                record=record,
-                edge_share=SealedShare.from_json_dict(shares[c]),
-                key_id=stored_key_id(context_keys[c]),
-                last_seen=Timestamp.from_json_dict(last_seen[c]) if c in last_seen else None,
-            )
+        contexts = {}
+        for record in d["split_records"]:
+            c = record["context_id"]
+            contexts[bytes.fromhex(c)] = {"record": record, "edge_share": shares[c],
+                                          "key_id": context_keys[c], "last_seen": last_seen.get(c)}
         named = shares.keys() | context_keys.keys() | last_seen.keys()
-        if not named <= {c.hex() for c in zone._contexts}:
+        if not named <= {c.hex() for c in contexts}:
             raise ValueError("a context section names a context with no split record")
+        zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context, contexts)
+        zone._kek_id = _stored_key_id(zone._keys, d["kek_id"])
+        zone._share_key_id = _stored_key_id(zone._keys, d["share_key_id"])
+        zone._point_key_id = _stored_key_id(zone._keys, d["point_key_id"])
         zone._audit = list(d["audit"])
+        zone._stored_audit = len(zone._audit)
         zone.ledger = None
         return zone
+
+    def changes(self) -> dict:
+        """What changed since the zone was loaded: the op counter, the keys and
+        contexts that changed (only their changed fields) and the new audit entries."""
+        return {
+            "op_counter": self._op_counter,
+            "keys": self._keys.changes(),
+            "contexts": self._contexts.changes(),
+            "audit": self._audit[self._stored_audit:],
+        }
+
+    @parses(StateError, "corrupted zone changes")
+    def apply(self, changes: dict):
+        """Merge :meth:`changes` into a loaded zone before it is used."""
+        self._op_counter = _op_counter(changes["op_counter"])
+        self._keys.apply(changes["keys"])
+        self._contexts.apply(changes["contexts"])
+        if not isinstance(changes["audit"], list):
+            raise ValueError("audit entries must be a list")
+        self._audit.extend(changes["audit"])
+        self._stored_audit = len(self._audit)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import click
@@ -7,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, keys, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, _process_start, keys, main
 from edgevault.curves import standard_curve
 from edgevault.errors import StateError
 from edgevault.simnet import builtin_scenarios
@@ -33,7 +35,17 @@ def _init_ledger(runner, state):
 
 
 def _document(state):
-    return json.loads((state / "zone.json").read_text())
+    """The whole state, the snapshot with the journal replayed, as the
+    document's three sections."""
+    return _state_of(*AppState(state, "json").load_zone())
+
+
+def _write_document(state, document):
+    """Make ``document`` (a dict, or raw bytes) the whole state: the snapshot,
+    with no journal."""
+    raw = document if isinstance(document, bytes) else json.dumps(document).encode()
+    (state / "zone.json").write_bytes(raw)
+    (state / "journal.jsonl").unlink(missing_ok=True)
 
 
 def _state_files(state):
@@ -99,7 +111,7 @@ def test_ledger_verify_detects_hex_edit(runner, tmp_path):
     doc = _document(state)
     ct = doc["ledger"]["entries"][1]["ciphertext_hex"]
     doc["ledger"]["entries"][1]["ciphertext_hex"] = ("0" if ct[0] != "0" else "1") + ct[1:]
-    (state / "zone.json").write_text(json.dumps(doc))
+    _write_document(state, doc)
 
     r = invoke(runner, state, "ledger", "verify")
     assert r.exit_code == EXIT_TAMPER
@@ -231,7 +243,7 @@ def test_keys_authorize_wrong_table_at_order_251_is_rejected(runner, tmp_path):
 
     document = _document(state)
     document["zone"]["split_records"][0]["qg_seed"] += 1
-    (state / "zone.json").write_text(json.dumps(document))
+    _write_document(state, document)
 
     r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
                "--share", str(share_file))
@@ -354,12 +366,12 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
             content(edited)
             share_file.write_text(json.dumps(edited))
         elif target == "document":
-            (state / "zone.json").write_text(json.dumps(content(document)))
+            _write_document(state, content(document))
         elif isinstance(content, bytes):
-            (state / "zone.json").write_bytes(_spliced(document, target, content))
+            _write_document(state, _spliced(document, target, content))
         else:
             content(document[target])
-            (state / "zone.json").write_text(json.dumps(document))
+            _write_document(state, document)
     before = _state_files(state)
     r = invoke(runner, state, *args)
     assert r.exit_code == 1, r.output
@@ -534,24 +546,27 @@ def test_json_mode_outputs_are_strict_json(runner, tmp_path):
 
 
 def test_lock_released_after_commands(runner, tmp_path):
-    """After each mutating command the state dir holds only the document:
-    no .lock, no tmp file, no old-layout tsa.json or ledger.json."""
+    """After each mutating command the state dir holds only the snapshot and
+    the journal: no .lock, no tmp file, no old-layout tsa.json or ledger.json.
+    The first command writes the snapshot, each later one a journal line."""
     state = tmp_path / "state"
     share_file = tmp_path / "cloud.json"
 
-    def run(*args):
+    def run(*args, files=("journal.jsonl", "zone.json")):
         r = invoke(runner, state, *args)
         assert r.exit_code == 0, r.output
-        assert sorted(os.listdir(state)) == ["zone.json"]
+        assert sorted(os.listdir(state)) == list(files)
         return r
 
-    run("ledger", "init", "--group", "g", "--preset", "tiny")
+    run("ledger", "init", "--group", "g", "--preset", "tiny", files=["zone.json"])
     run("ledger", "register", "alpha", "--seed", "10")
     key_id = json.loads(run("keys", "generate").output)["key_id"]
     run("keys", "split", key_id, "--device", "alpha", "--order", "16", "-o", str(share_file))
     context = _document(state)["ledger"]["entries"][0]["h2_hex"]
     run("keys", "authorize", "--context", context, "--share", str(share_file))
-    assert set(_document(state)) == {"tsa", "zone", "ledger"}
+    assert set(json.loads((state / "zone.json").read_bytes())) == {
+        "tsa", "zone", "ledger", "journal"}
+    assert len((state / "journal.jsonl").read_bytes().splitlines()) == 4
 
 
 @pytest.mark.parametrize("args", [
@@ -572,6 +587,76 @@ def test_lock_blocks_concurrent_mutation(runner, tmp_path, args):
     assert err["error"]["code"] == "corrupted-state"
     assert _state_files(state) == before
     (state / ".lock").unlink()
+
+
+def _dead_pid():
+    """The pid of a process that has exited."""
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    return int(child.stdout)
+
+
+@pytest.mark.parametrize("owner", ["dead-pid", "reused-pid"])
+def test_lock_of_a_process_that_is_gone_is_broken(runner, tmp_path, owner):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    if owner == "dead-pid":
+        (state / ".lock").write_text(f"{_dead_pid()} 12345")
+    else:
+        # this pid is alive, but the process that took the lock started at another time
+        (state / ".lock").write_text(f"{os.getpid()} 1")
+    r = invoke(runner, state, "keys", "generate")
+    assert r.exit_code == 0, r.output
+    assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
+
+
+def test_lock_of_a_live_process_still_blocks(runner, tmp_path):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    owner = f"{os.getpid()} {_process_start(os.getpid())}"
+    (state / ".lock").write_text(owner)
+    before = _state_files(state)
+    r = invoke(runner, state, "keys", "generate")
+    assert r.exit_code == 1
+    assert json.loads(r.output.strip().splitlines()[-1])["error"]["code"] == "corrupted-state"
+    assert _state_files(state) == before
+
+
+def test_session_lock_names_its_process(runner, tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    held = []
+    real_load = AppState.load_zone
+
+    def load_zone(self, *args):
+        held.append((self.lock_path).read_text())
+        return real_load(self, *args)
+
+    monkeypatch.setattr(AppState, "load_zone", load_zone)
+    assert invoke(runner, state, "keys", "generate").exit_code == 0
+    assert held == [f"{os.getpid()} {_process_start(os.getpid())}"]
+
+
+@pytest.mark.parametrize("args", [
+    ("ledger", "init", "--group", "g", "--curve-json", "{dir}"),
+    ("keys", "authorize", "--context", "00" * 32, "--share", "{dir}"),
+    ("keys", "authorize", "--context", "00" * 32, "--share", "{file}", "--timestamp", "{dir}"),
+    ("qg", "check", "{dir}"),
+    ("profile", "fit", "{dir}"),
+    ("profile", "outliers", "{dir}"),
+    ("filter", "build", "-o", "{file}", "--ids-file", "{dir}"),
+    ("filter", "query", "{dir}", "00"),
+    ("sim", "run", "{dir}"),
+], ids=["curve-json", "share", "timestamp", "qg-check", "profile-fit", "profile-outliers",
+        "ids-file", "filter-query", "sim-run"])
+def test_a_directory_where_a_file_belongs_is_a_usage_error(runner, tmp_path, args):
+    # each of these once ended in a raw IsADirectoryError traceback
+    a_file = tmp_path / "file.json"
+    a_file.write_text("{}")
+    args = [a.format(dir=tmp_path, file=a_file) for a in args]
+    r = invoke(runner, tmp_path / "state", *args)
+    assert r.exit_code == 64, r.output
+    assert "Traceback" not in r.output
+    assert not (tmp_path / "state").exists()
 
 
 def test_root_group_maps_a_domain_error_from_any_command(runner, tmp_path, monkeypatch):
@@ -644,58 +729,12 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
     document = _document(state)
     assert document["zone"]["split_records"][0]["order"] == 256
     document["zone"]["split_records"][0]["order"] = 128
-    (state / "zone.json").write_text(json.dumps(document))
+    _write_document(state, document)
 
     r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
                "--share", str(share_file))
     assert r.exit_code == EXIT_REJECTED, r.output
     assert json.loads(r.stdout)["reason"] == "tag-mismatch"
-
-
-@pytest.mark.parametrize("replaces_done", [0, 1, 2])
-def test_save_zone_crash_leaves_loadable_state(runner, tmp_path, monkeypatch, replaces_done):
-    """A crash after any number of file replacements leaves the old state or
-    the new one, whole: the ledger holds every device the audit registered,
-    and the TSA sequence is never behind a timestamp the zone or ledger holds."""
-    state = tmp_path / "state"
-    _init_ledger(runner, state)
-    app = AppState(state, "json")
-    old = _state_of(*app.load_zone())
-
-    zone, tsa = app.load_zone()
-    zone.generate_key("data-encryption")
-    zone.register_device("gamma", rng_seed=12)
-    new = _state_of(zone, tsa)
-
-    real_replace = os.replace
-    calls = []
-
-    def crashing_replace(src, dst):
-        calls.append(dst)
-        if len(calls) > replaces_done:
-            raise OSError("simulated crash")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", crashing_replace)
-    raised = False
-    try:
-        app.save_zone(zone, tsa)
-    except OSError as exc:
-        assert str(exc) == "simulated crash"
-        raised = True
-    monkeypatch.undo()
-
-    # one replace: only a crash at the first one reaches the caller
-    assert raised == (replaces_done == 0)
-    assert calls == [app.zone_path]
-    assert not list(state.glob("*.tmp"))
-    loaded = _state_of(*app.load_zone())
-    assert loaded == (old if raised else new)
-    registered = [e for e in loaded["zone"]["audit"] if e["op"] == "register_device"]
-    assert len(loaded["ledger"]["entries"]) == len(registered)
-    issued = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"]]
-    issued += [e["sequence"] for e in loaded["ledger"]["entries"]]
-    assert loaded["tsa"]["sequence"] >= max(issued)
 
 
 def _old_layout(runner, state, share_file):
@@ -707,7 +746,7 @@ def _old_layout(runner, state, share_file):
                "--order", "16", "-o", str(share_file))
     assert r.exit_code == 0, r.output
     sections = _document(state)
-    (state / "zone.json").write_text(json.dumps(sections["zone"]))
+    _write_document(state, sections["zone"])
     (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
     (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
     return sections, doc["entries"][0]["h2_hex"]

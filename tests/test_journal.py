@@ -1,0 +1,457 @@
+"""The CLI state dir as a snapshot plus a hash-chained journal.
+
+``test_crash_at_any_effect_leaves_the_state_before_or_after`` is the
+crash-point enumeration of Pillai et al. (OSDI 2014): it runs one mutating
+command with every file call the state dir makes recorded (tmp write,
+``os.replace``, unlink, truncate, journal append), then rebuilds the dir at
+each prefix of those effects, and at each byte of each journal append, and
+loads it.  ``test_reload_equals_the_state_the_command_left`` drives all five
+mutating commands from a hypothesis state machine and compares every reload
+with the state the command had in memory when it saved.
+"""
+
+import json
+import os
+import pathlib
+import shutil
+import tempfile
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from edgevault import cli
+from edgevault.cli import AppState, main
+
+
+def _invoke(state, *args):
+    return CliRunner().invoke(main, ["--state-dir", str(state), *map(str, args)],
+                              catch_exceptions=False)
+
+
+def _run(state, *args):
+    r = _invoke(state, *args)
+    assert r.exit_code == 0, r.output
+    return r
+
+
+def _state_of(zone, tsa):
+    """The whole state as the document's three sections."""
+    return {"tsa": tsa.state_dict(), "zone": zone.state_dict(),
+            "ledger": zone.ledger.state_dict() if zone.ledger is not None else None}
+
+
+def _load(state):
+    return _state_of(*AppState(state, "json").load_zone())
+
+
+def _files(state):
+    return {p.name: p.read_bytes() for p in state.iterdir()}
+
+
+def _capture_saves(monkeypatch):
+    """The state each ``save_zone`` is asked to commit, in order."""
+    saved = []
+    real = AppState.save_zone
+
+    def save_zone(self, zone, tsa):
+        saved.append(_state_of(zone, tsa))
+        real(self, zone, tsa)
+
+    monkeypatch.setattr(AppState, "save_zone", save_zone)
+    return saved
+
+
+# --- crash points -----------------------------------------------------------------
+
+
+class _Recorder:
+    """Records the file effects made in one directory and lets them happen.
+
+    The lock is not state: its effects are left out.
+    """
+
+    def __init__(self, root: pathlib.Path, monkeypatch):
+        self.effects = []
+        fds = {}
+        real = {name: getattr(os, name) for name in ("open", "write", "close", "replace",
+                                                     "truncate")}
+        real_unlink = pathlib.Path.unlink
+
+        def name_of(path):
+            path = pathlib.Path(path)
+            if path.parent == root and not path.name.startswith(".lock"):
+                return path.name
+            return None
+
+        def open_(path, flags, *args, **kwargs):
+            fd = real["open"](path, flags, *args, **kwargs)
+            if name_of(path) is not None:
+                fds[fd] = name_of(path)
+                self.effects.append(("open", fds[fd], flags))
+            return fd
+
+        def write(fd, data):
+            written = real["write"](fd, data)
+            if fd in fds:
+                self.effects.append(("write", fds[fd], bytes(data[:written])))
+            return written
+
+        def close(fd):
+            fds.pop(fd, None)
+            real["close"](fd)
+
+        def replace(src, dst):
+            real["replace"](src, dst)
+            if name_of(dst) is not None:
+                self.effects.append(("replace", name_of(src), name_of(dst)))
+
+        def truncate(path, length):
+            real["truncate"](path, length)
+            if name_of(path) is not None:
+                self.effects.append(("truncate", name_of(path), length))
+
+        def unlink(path, missing_ok=False):
+            real_unlink(path, missing_ok=missing_ok)
+            if name_of(path) is not None:
+                self.effects.append(("unlink", name_of(path)))
+
+        for name, fake in (("open", open_), ("write", write), ("close", close),
+                           ("replace", replace), ("truncate", truncate)):
+            monkeypatch.setattr(os, name, fake)
+        monkeypatch.setattr(pathlib.Path, "unlink", unlink)
+
+
+def _crash_states(files: dict, effects: list):
+    """The dir's files at every point a crash can stop ``effects``: after
+    each whole effect, after every byte of a journal append, and after a few
+    bytes of any other write."""
+    files, appending = dict(files), set()
+    yield dict(files)
+    for kind, name, *arg in effects:
+        if kind == "open":
+            if arg[0] & os.O_TRUNC or name not in files:
+                files[name] = b""
+            if arg[0] & os.O_APPEND:
+                appending.add(name)
+        elif kind == "write":
+            data = arg[0]
+            cuts = range(1, len(data)) if name in appending else {1, len(data) // 2}
+            for cut in cuts:
+                yield {**files, name: files[name] + data[:cut]}
+            files[name] += data
+        elif kind == "replace":
+            files[arg[0]] = files.pop(name)
+        elif kind == "unlink":
+            files.pop(name, None)
+        elif kind == "truncate":
+            files[name] = files[name][:arg[0]]
+        yield dict(files)
+
+
+def _materialize(root: pathlib.Path, files: dict):
+    if root.exists():
+        shutil.rmtree(root)
+    root.mkdir()
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+
+
+def _check_crash_state(state, before, after):
+    """What a crash may leave: load it, and it is the state before or after
+    the command, with no counter behind a used value, every key handed out,
+    and a ledger that matches the audit."""
+    loaded = _load(state)  # any exception fails the test
+    assert loaded in (before, after)
+    counters = {k["key_id"]: k["nonce_counter"] for k in loaded["zone"]["keys"]}
+    assert {k["key_id"] for k in before["zone"]["keys"]} <= counters.keys()
+    for key in before["zone"]["keys"]:
+        assert counters[key["key_id"]] >= key["nonce_counter"]
+    entries = loaded["ledger"]["entries"] if loaded["ledger"] is not None else []
+    held = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"]]
+    held += [ts["sequence"] for ts in loaded["zone"]["last_seen"].values()]
+    held += [e["sequence"] for e in entries]
+    assert loaded["tsa"]["sequence"] >= max(before["tsa"]["sequence"], *held)
+    registered = [e["context_id_hex"] for e in loaded["zone"]["audit"]
+                  if e["op"] == "register_device"]
+    assert registered == [e["h2_hex"] for e in entries]
+
+
+@pytest.fixture(scope="module")
+def bases(tmp_path_factory):
+    """Two state dirs: ``bare`` with one key and no ledger, and ``full`` with
+    two registered devices, one split key used once and one key not split."""
+    root = tmp_path_factory.mktemp("bases")
+    bare, full = root / "bare", root / "full"
+    _run(bare, "keys", "generate")
+    _run(full, "ledger", "init", "--group", "g", "--preset", "tiny")
+    _run(full, "ledger", "register", "alpha", "--seed", 10)
+    _run(full, "ledger", "register", "beta", "--seed", 11)
+    used = json.loads(_run(full, "keys", "generate", "--seed", 1).output)["key_id"]
+    share = root / "alpha.json"
+    _run(full, "keys", "split", used, "--device", "alpha", "--order", 16, "-o", share)
+    alpha = _load(full)["ledger"]["entries"][0]["h2_hex"]
+    _run(full, "keys", "authorize", "--context", alpha, "--share", share)
+    fresh = json.loads(_run(full, "keys", "generate", "--seed", 2).output)["key_id"]
+    return {
+        "ledger-init": (bare, ["ledger", "init", "--group", "g", "--preset", "tiny"]),
+        "ledger-register": (full, ["ledger", "register", "gamma", "--seed", 12]),
+        "keys-generate": (full, ["keys", "generate", "--seed", 3]),
+        "keys-split": (full, ["keys", "split", fresh, "--device", "beta", "--order", 16,
+                              "-o", root / "beta.json"]),
+        "keys-authorize": (full, ["keys", "authorize", "--context", alpha, "--share", share]),
+    }
+
+
+def _to_old_layout(state):
+    """The three-file layout that predates the one document."""
+    sections = _load(state)
+    for path in state.iterdir():
+        path.unlink()
+    (state / "zone.json").write_text(json.dumps(sections["zone"]))
+    (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
+    if sections["ledger"] is not None:
+        (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
+
+
+@pytest.mark.parametrize("mode", ["journal", "torn-tail", "compaction", "old-layout"])
+@pytest.mark.parametrize("command", ["ledger-init", "ledger-register", "keys-generate",
+                                     "keys-split", "keys-authorize"])
+def test_crash_at_any_effect_leaves_the_state_before_or_after(
+        bases, tmp_path, monkeypatch, command, mode):
+    base, args = bases[command]
+    state = tmp_path / "state"
+    shutil.copytree(base, state)
+    if mode == "torn-tail":
+        with open(state / "journal.jsonl", "ab") as journal:
+            journal.write(b'{"h":"00')
+    elif mode == "old-layout":
+        _to_old_layout(state)
+    elif mode == "compaction":
+        monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    before_files, before = _files(state), _load(state)
+
+    saved = _capture_saves(monkeypatch)
+    recorder = _Recorder(state, monkeypatch)
+    _run(state, *args)
+    monkeypatch.undo()
+
+    after, = saved
+    assert _load(state) == after != before
+    kinds = {kind for kind, *_ in recorder.effects}
+    assert kinds == {"journal": {"open", "write"},
+                     "torn-tail": {"truncate", "open", "write"},
+                     "compaction": {"open", "write", "replace", "unlink"},
+                     "old-layout": {"open", "write", "replace", "unlink"}}[mode]
+    crash = tmp_path / "crash"
+    for files in _crash_states(before_files, recorder.effects):
+        _materialize(crash, files)
+        _check_crash_state(crash, before, after)
+    assert files == _files(state)  # the last crash state is the dir the command left
+
+
+# --- torn tails and tampering --------------------------------------------------------
+
+
+@pytest.fixture
+def journaled(tmp_path):
+    """A state dir whose journal holds three records."""
+    state = tmp_path / "state"
+    _run(state, "ledger", "init", "--group", "g", "--preset", "tiny")
+    for seed in (1, 2, 3):
+        _run(state, "keys", "generate", "--seed", seed)
+    assert len((state / "journal.jsonl").read_bytes().splitlines()) == 3
+    return state
+
+
+@pytest.mark.parametrize("fragment", [b'{"h":"12', b"\xff\xfe", None],
+                         ids=["prefix", "not-utf8", "whole-line-without-newline"])
+def test_torn_final_line_is_dropped_and_cut_off_by_the_next_commit(journaled, fragment):
+    journal = journaled / "journal.jsonl"
+    whole = journal.read_bytes()
+    if fragment is None:
+        # the next commit's line, lacking only its newline, is still torn
+        ahead = journaled.parent / "ahead"
+        shutil.copytree(journaled, ahead)
+        _run(ahead, "keys", "generate", "--seed", 5)
+        fragment = (ahead / "journal.jsonl").read_bytes()[len(whole):-1]
+    before = _load(journaled)
+    journal.write_bytes(whole + fragment)
+    assert _load(journaled) == before
+
+    _run(journaled, "keys", "generate", "--seed", 4)
+    lines = journal.read_bytes().split(b"\n")
+    assert journal.read_bytes().startswith(whole) and len(lines) == 5 and lines[-1] == b""
+    assert fragment not in lines
+    assert _load(journaled) != before
+
+
+def _flip_h(line):
+    return line[:6] + (b"0" if line[6:7] != b"0" else b"1") + line[7:]
+
+
+def _edit_body(line):
+    assert b'"uses":0' in line
+    return line.replace(b'"uses":0', b'"uses":9', 1)
+
+
+@pytest.mark.parametrize("edit,index", [(_flip_h, 1), (_flip_h, 2), (_edit_body, 0)],
+                         ids=["middle-record-h", "last-whole-record-h", "first-record-body"])
+def test_bad_h_is_state_error_naming_the_first_bad_record(journaled, edit, index):
+    journal = journaled / "journal.jsonl"
+    lines = journal.read_bytes().split(b"\n")
+    lines[index] = edit(lines[index])
+    journal.write_bytes(b"\n".join(lines))
+    before = _files(journaled)
+
+    for args in (("keys", "generate"), ("ledger", "verify")):
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert f"journal record {index} " in err["message"]
+    assert _files(journaled) == before
+
+
+def test_journal_without_its_snapshot_is_state_error(journaled):
+    (journaled / "zone.json").unlink()
+    r = _invoke(journaled, "keys", "generate")
+    assert r.exit_code == 1
+    assert json.loads(r.output.strip().splitlines()[-1])["error"]["code"] == "corrupted-state"
+    assert (journaled / "journal.jsonl").exists()
+
+
+def test_compaction_folds_the_journal_into_the_snapshot(journaled, monkeypatch):
+    before = _load(journaled)
+    snapshot = json.loads((journaled / "zone.json").read_bytes())["journal"]
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    saved = _capture_saves(monkeypatch)
+    _run(journaled, "keys", "generate", "--seed", 9)
+    assert sorted(os.listdir(journaled)) == ["zone.json"]
+    document = json.loads((journaled / "zone.json").read_bytes())
+    assert document["journal"]["seq"] == snapshot["seq"] + 4  # three records and this commit
+    assert _load(journaled) == saved[0] != before
+
+
+def test_read_only_ledger_commands_decode_no_zone(journaled, monkeypatch):
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+
+    def no_zone(*args, **kwargs):
+        raise AssertionError("a read-only ledger command decoded the zone")
+
+    monkeypatch.setattr(cli.SecureZone, "lazy_from_state_dict", no_zone)
+    monkeypatch.setattr(cli.TimestampAuthority, "from_state_dict", no_zone)
+    for args in (("ledger", "verify"), ("ledger", "export"),
+                 ("ledger", "sync", "-o", journaled.parent / "snap"),
+                 ("filter", "build", "--from-ledger", "-o", journaled.parent / "f.bin")):
+        _run(journaled, *args)
+    assert "alpha" in _run(journaled, "ledger", "export").output
+
+
+# --- the model: every reload equals the state the command left --------------------------
+
+
+class JournalMachine(RuleBasedStateMachine):
+    """Mutating commands against one state dir; after each, a reload must
+    equal the state the command had in memory when it saved."""
+
+    def __init__(self):
+        super().__init__()
+        self.patch = pytest.MonkeyPatch()
+        self.saved = _capture_saves(self.patch)
+        self.root = pathlib.Path(tempfile.mkdtemp(prefix="journal-machine-"))
+        self.state = self.root / "state"
+        self.ledger = False
+        self.devices, self.keys, self.shares = [], [], {}
+        self.timestamp = None
+
+    def teardown(self):
+        self.patch.undo()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @initialize(compact=st.sampled_from([0, 2048, 1 << 30]))
+    def set_compaction(self, compact):
+        self.patch.setattr(cli, "COMPACT_BYTES", compact)
+
+    def _command(self, *args, code=0):
+        del self.saved[:]
+        r = _invoke(self.state, *args)
+        assert r.exit_code == code, r.output
+        return r
+
+    @precondition(lambda self: not self.ledger)
+    @rule()
+    def ledger_init(self):
+        self._command("ledger", "init", "--group", "g", "--preset", "tiny")
+        self.ledger = True
+
+    # the tiny curve has few points: a larger group can run out of fresh ones
+    @precondition(lambda self: self.ledger and len(self.devices) < 4)
+    @rule(seed=st.integers(0, 1000))
+    def ledger_register(self, seed):
+        label = f"d{len(self.devices)}"
+        self._command("ledger", "register", label, "--seed", seed)
+        self.devices.append(label)
+
+    @precondition(lambda self: len(self.keys) < 2)
+    @rule(seed=st.integers(0, 1000))
+    def keys_generate(self, seed):
+        r = self._command("keys", "generate", "--seed", seed)
+        self.keys.append(json.loads(r.output)["key_id"])
+
+    @precondition(lambda self: self.keys and any(d not in self.shares for d in self.devices))
+    @rule()
+    def keys_split(self):
+        device = next(d for d in self.devices if d not in self.shares)
+        share = self.root / f"{device}.json"
+        self._command("keys", "split", self.keys.pop(), "--device", device, "--order", 16,
+                      "-o", share)
+        self.shares[device] = share
+
+    def _authorize(self, device, share, *extra, code):
+        context = next(e["h2_hex"] for e in _load(self.state)["ledger"]["entries"]
+                       if e["device_label"] == device)
+        return self._command("keys", "authorize", "--context", context, "--share", share,
+                             *extra, code=code)
+
+    @precondition(lambda self: self.shares)
+    @rule(data=st.data())
+    def keys_authorize_honest(self, data):
+        device = data.draw(st.sampled_from(sorted(self.shares)))
+        timestamp = self.root / "ts.json"
+        self._authorize(device, self.shares[device], "--save-timestamp", timestamp, code=0)
+        self.timestamp = (device, timestamp)
+
+    @precondition(lambda self: self.timestamp)
+    @rule()
+    def keys_authorize_replayed(self):
+        device, timestamp = self.timestamp
+        r = self._authorize(device, self.shares[device], "--timestamp", timestamp,
+                            code=cli.EXIT_REJECTED)
+        assert json.loads(r.stdout)["reason"] == "replay"
+
+    @precondition(lambda self: self.shares)
+    @rule(data=st.data())
+    def keys_authorize_forged(self, data):
+        device = data.draw(st.sampled_from(sorted(self.shares)))
+        share = json.loads(self.shares[device].read_bytes())
+        cut = data.draw(st.integers(0, len(share["ciphertext"]) - 1))
+        share["ciphertext"] = share["ciphertext"][:cut] + (
+            "0" if share["ciphertext"][cut] != "0" else "1") + share["ciphertext"][cut + 1:]
+        forged = self.root / "forged.json"
+        forged.write_text(json.dumps(share))
+        r = self._authorize(device, forged, code=cli.EXIT_REJECTED)
+        assert json.loads(r.stdout)["reason"] == "decrypt-failure"
+
+    @invariant()
+    def reload_equals_the_saved_state(self):
+        if self.saved:
+            saved, = self.saved
+            assert _load(self.state) == saved
+
+
+JournalMachine.TestCase.settings = settings(max_examples=20, stateful_step_count=25,
+                                            deadline=None)
+test_reload_equals_the_state_the_command_left = JournalMachine.TestCase
