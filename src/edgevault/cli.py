@@ -12,13 +12,13 @@ context's changed fields, or the whole of a new one; new audit entries; new
 ledger entries and used points, or a new ledger) and
 ``h = SHA-256(previous h || r's bytes)``, chained from the snapshot's hash.
 
-Every mutating command runs in one ``AppState.session()``: it takes the
-advisory ``.lock`` file (holding its pid and start time; a lock whose process
-is gone is broken), loads the state, and commits once, only if the command
-completes.  A load parses the snapshot and replays the journal, but decodes a
-key, context or ledger entry only when the command uses it; ``keys
-authorize`` decodes its own context and key and the three infrastructure
-keys.  A commit appends the record as one write, or, once the journal would
+Every mutating command runs in one ``AppState.session()``: it takes an
+``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
+exits, so no lock is ever stale), loads the state, and commits once, only if
+the command completes.  A load parses the snapshot and replays the journal,
+but decodes a key, context or ledger entry only when the command uses it;
+``keys authorize`` decodes its own context and key and the three
+infrastructure keys.  A commit appends the record as one write, or, once the journal would
 pass ``COMPACT_BYTES``, replaces the snapshot (a temporary file renamed over
 ``zone.json``) and then removes the journal.  A crashed process therefore
 leaves the old state or the new one: a torn last line is left out on load and
@@ -39,6 +39,7 @@ Exit codes are frozen so shell tests need no output parsing:
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -122,22 +123,6 @@ def _journal_line(line: bytes, index: int) -> tuple[bytes, bytes, dict]:
     return bytes.fromhex(line[len(_LINE_HEAD):mid].decode()), line[body:-1], record
 
 
-def _process_start(pid: int) -> str:
-    """When process ``pid`` started, in clock ticks after boot; "-" where no
-    /proc tells, "gone" if no process has that pid."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return "gone"
-    except PermissionError:
-        pass  # another user's process
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_bytes()
-    except OSError:
-        return "-"
-    return stat.rsplit(b")", 1)[1].split()[19].decode()
-
-
 class AppState:
     """Paths and loaders for the state directory."""
 
@@ -156,64 +141,42 @@ class AppState:
     def session(self, seed: int = 0):
         """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
 
-        An exception or ``sys.exit`` inside the block saves nothing, so a
-        refused or failed command leaves the state dir as it was, and removes
-        it if the session created it.
+        The lock is an ``flock`` on ``.lock``, which the kernel drops when the
+        holder exits, however it exits.  An exception or ``sys.exit`` inside
+        the block saves nothing, so a refused or failed command leaves the
+        state dir as it was, and removes it if the session created it.
         """
         created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
         fd = self._take_lock()
         try:
-            os.write(fd, f"{os.getpid()} {_process_start(os.getpid())}".encode())
-            os.close(fd)
             zone, tsa = self.load_zone(seed)
             yield zone, tsa
             self.save_zone(zone, tsa)
         finally:
             self._loaded = None
+            # unlink before close: a session that flocks this .lock after the
+            # close finds its path gone and refuses
             self.lock_path.unlink(missing_ok=True)
+            os.close(fd)
             if created and not self.zone_path.exists():
                 # a concurrent session's .lock keeps the dir non-empty
                 with suppress(OSError):
                     self.root.rmdir()
 
     def _take_lock(self) -> int:
-        """Create ``.lock``; break it first if the process that holds it is gone."""
-        for attempt in range(2):
+        """Open ``.lock`` and ``flock`` it; refuse a lock another process holds."""
+        with suppress(FileNotFoundError):  # the dir's creator removed it after our mkdir
+            fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
             try:
-                return os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt == 0 and self._break_stale_lock():
-                    continue
-            except FileNotFoundError:
-                pass  # a session that created the dir removed it after our mkdir
-            raise StateError(
-                f"state dir is locked ({self.lock_path}); remove the stale lock if no "
-                "other process is running"
-            )
-
-    def _break_stale_lock(self) -> bool:
-        """Remove a lock whose pid names no process, or a process that started
-        at another time; keep a lock that names no pid and start time."""
-        try:
-            owner = self.lock_path.read_text()
-            pid, started = owner.split()
-            if int(pid) <= 0 or _process_start(int(pid)) == started:
-                return False
-        except (OSError, ValueError):
-            return False
-        # the rename takes the lock from any other session breaking it; a lock
-        # taken since the read above is put back
-        taken = self.root / f".lock.{os.getpid()}"
-        try:
-            os.replace(self.lock_path, taken)
-        except FileNotFoundError:
-            return True
-        if taken.read_text() != owner:
-            with suppress(FileExistsError):
-                os.link(taken, self.lock_path)
-        taken.unlink()
-        return True
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a lock on a .lock its last holder already unlinked locks nothing
+                if os.path.samestat(os.fstat(fd), os.stat(self.lock_path)):
+                    return fd
+            except OSError:
+                pass
+            os.close(fd)
+        raise StateError(f"state dir is locked ({self.lock_path}); another command is using it")
 
     @staticmethod
     @parses(StateError, "corrupted JSON file {0}")
@@ -400,16 +363,16 @@ class _RootGroup(click.Group):
 @click.group(cls=_RootGroup)
 @click.option(
     "--state-dir",
-    type=click.Path(path_type=Path),
-    default=None,
+    type=click.Path(file_okay=False, path_type=Path),
+    envvar=STATE_ENV,
+    default=".edgevault",
     help=f"State directory (default: ${STATE_ENV} or .edgevault).",
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @click.pass_context
 def main(ctx, state_dir, fmt):
     """Confidential-computing toolkit for the edge/cloud hierarchy."""
-    root = state_dir or Path(os.environ.get(STATE_ENV, ".edgevault"))
-    ctx.obj = AppState(Path(root), fmt)
+    ctx.obj = AppState(state_dir, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
+import fcntl
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import click
 import pytest
 from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, AppState, _process_start, keys, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, keys, main
 from edgevault.curves import standard_curve
 from edgevault.errors import StateError
 from edgevault.simnet import builtin_scenarios
@@ -569,6 +572,20 @@ def test_lock_released_after_commands(runner, tmp_path):
     assert len((state / "journal.jsonl").read_bytes().splitlines()) == 4
 
 
+def _hold_lock(state):
+    """An fd that holds the state dir's lock, as another session's would."""
+    fd = os.open(state / ".lock", os.O_RDWR | os.O_CREAT)
+    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    return fd
+
+
+def _assert_locked(r):
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert err["message"].startswith("state dir is locked (")
+
+
 @pytest.mark.parametrize("args", [
     ("ledger", "init", "--group", "other"),
     ("ledger", "register", "gamma"),
@@ -579,14 +596,39 @@ def test_lock_released_after_commands(runner, tmp_path):
 def test_lock_blocks_concurrent_mutation(runner, tmp_path, args):
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    (state / ".lock").write_text("999999")
-    before = _state_files(state)
-    r = invoke(runner, state, *(a.format(state=state) for a in args))
-    assert r.exit_code == 1
-    err = json.loads(r.output.strip().splitlines()[-1])
-    assert err["error"]["code"] == "corrupted-state"
-    assert _state_files(state) == before
-    (state / ".lock").unlink()
+    fd = _hold_lock(state)  # flocks on two open files conflict within one process too
+    try:
+        before = _state_files(state)
+        _assert_locked(invoke(runner, state, *(a.format(state=state) for a in args)))
+        assert _state_files(state) == before
+    finally:
+        os.close(fd)
+
+
+# holds the lock on argv[1] until its stdin closes
+_HOLDER = ("import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT); "
+           "fcntl.flock(fd, fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()")
+
+
+def _lock_holder(state):
+    """A child process that holds the state dir's lock."""
+    child = subprocess.Popen([sys.executable, "-c", _HOLDER, str(state / ".lock")],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def test_lock_of_a_live_process_still_blocks(runner, tmp_path):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    child = _lock_holder(state)
+    try:
+        before = _state_files(state)
+        _assert_locked(invoke(runner, state, "keys", "generate"))
+        assert _state_files(state) == before
+    finally:
+        child.kill()
+        child.wait()
 
 
 def _dead_pid():
@@ -596,44 +638,79 @@ def _dead_pid():
     return int(child.stdout)
 
 
-@pytest.mark.parametrize("owner", ["dead-pid", "reused-pid"])
-def test_lock_of_a_process_that_is_gone_is_broken(runner, tmp_path, owner):
+@pytest.mark.parametrize("owner", ["empty", "torn", "dead-pid", "live-pid", "killed-holder"])
+def test_lock_no_process_holds_never_blocks(runner, tmp_path, owner):
+    """Whatever a .lock holds, and however its holder ended, only a live
+    flock blocks."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    if owner == "dead-pid":
-        (state / ".lock").write_text(f"{_dead_pid()} 12345")
+    lock = state / ".lock"
+    if owner == "killed-holder":
+        child = _lock_holder(state)
+        child.kill()  # SIGKILL: no unlink, no close but the kernel's
+        child.wait()
     else:
-        # this pid is alive, but the process that took the lock started at another time
-        (state / ".lock").write_text(f"{os.getpid()} 1")
+        # "live-pid" names this live process, which holds no flock
+        lock.write_text({"empty": "", "torn": "1234", "dead-pid": f"{_dead_pid()} 12345",
+                         "live-pid": f"{os.getpid()} 1"}[owner])
+    assert lock.exists()
     r = invoke(runner, state, "keys", "generate")
     assert r.exit_code == 0, r.output
     assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
 
 
-def test_lock_of_a_live_process_still_blocks(runner, tmp_path):
+@pytest.mark.parametrize("release", ["unlinked", "replaced"])
+def test_lock_on_a_lock_file_its_holder_unlinked_reads_as_locked(
+        runner, tmp_path, monkeypatch, release):
+    """This session opened .lock just before its holder unlinked it and
+    released it; the flock then succeeds on a file no other session will
+    open.  "replaced": a third session has since created a new .lock."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    owner = f"{os.getpid()} {_process_start(os.getpid())}"
-    (state / ".lock").write_text(owner)
+    real_open = os.open
+
+    def open_before_the_release(path, *args, **kwargs):
+        fd = real_open(path, *args, **kwargs)
+        if str(path).endswith(".lock"):
+            os.unlink(path)
+            if release == "replaced":
+                os.close(real_open(path, os.O_RDWR | os.O_CREAT))
+        return fd
+
     before = _state_files(state)
-    r = invoke(runner, state, "keys", "generate")
-    assert r.exit_code == 1
-    assert json.loads(r.output.strip().splitlines()[-1])["error"]["code"] == "corrupted-state"
-    assert _state_files(state) == before
+    monkeypatch.setattr(os, "open", open_before_the_release)
+    _assert_locked(invoke(runner, state, "keys", "generate"))
+    monkeypatch.undo()
+    assert {n: v for n, v in _state_files(state).items() if n != ".lock"} == before
 
 
-def test_session_lock_names_its_process(runner, tmp_path, monkeypatch):
+def _generate_keys(state):
+    """The exit code and output of 15 ``keys generate`` in a row."""
+    runner = CliRunner()
+    runs = [runner.invoke(main, ["--state-dir", str(state), "keys", "generate"])
+            for _ in range(15)]
+    return [SimpleNamespace(exit_code=r.exit_code, output=r.output) for r in runs]
+
+
+def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path):
+    """Four processes race 15 key generations each on one state dir: each
+    run commits or is refused as locked, and every committed key is there."""
     state = tmp_path / "state"
-    held = []
-    real_load = AppState.load_zone
-
-    def load_zone(self, *args):
-        held.append((self.lock_path).read_text())
-        return real_load(self, *args)
-
-    monkeypatch.setattr(AppState, "load_zone", load_zone)
-    assert invoke(runner, state, "keys", "generate").exit_code == 0
-    assert held == [f"{os.getpid()} {_process_start(os.getpid())}"]
+    r = invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny")
+    assert r.exit_code == 0, r.output
+    with multiprocessing.get_context("fork").Pool(4) as pool:
+        runs = [run for worker in pool.map(_generate_keys, [state] * 4) for run in worker]
+    generated = []
+    for run in runs:
+        if run.exit_code == 0:
+            generated.append(json.loads(run.output)["key_id"])
+        else:
+            _assert_locked(run)
+    assert generated
+    stored = [k["key_id"] for k in _document(state)["zone"]["keys"]]
+    assert len(stored) == 3 + len(generated)
+    assert set(generated) <= set(stored)
+    assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
 
 
 @pytest.mark.parametrize("args", [
@@ -657,6 +734,30 @@ def test_a_directory_where_a_file_belongs_is_a_usage_error(runner, tmp_path, arg
     assert r.exit_code == 64, r.output
     assert "Traceback" not in r.output
     assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize("source", ["option", "env"])
+def test_a_state_dir_that_is_a_file_is_a_usage_error(runner, tmp_path, source):
+    # this once ended in a raw FileExistsError traceback from mkdir
+    a_file = tmp_path / "state"
+    a_file.write_text("not a dir")
+    args = ["--state-dir", str(a_file)] if source == "option" else []
+    env = {STATE_ENV: str(a_file)} if source == "env" else {}
+    r = runner.invoke(main, [*args, "keys", "generate"], env=env, catch_exceptions=False)
+    assert r.exit_code == 64, r.output
+    assert "is a file" in r.output
+    assert a_file.read_text() == "not a dir"
+
+
+@pytest.mark.parametrize("source", ["option", "env", "default"])
+def test_state_dir_sources(runner, tmp_path, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(STATE_ENV, raising=False)
+    args = ["--state-dir", "mine"] if source == "option" else []
+    env = {STATE_ENV: "mine"} if source == "env" else {}
+    r = runner.invoke(main, [*args, "keys", "generate"], env=env, catch_exceptions=False)
+    assert r.exit_code == 0, r.output
+    assert os.listdir(tmp_path) == [".edgevault" if source == "default" else "mine"]
 
 
 def test_root_group_maps_a_domain_error_from_any_command(runner, tmp_path, monkeypatch):

@@ -217,6 +217,32 @@ def test_wrong_table_at_a_non_power_of_two_order_is_a_checksum_mismatch(zone, ts
     assert zone._keys[key_id].uses == 0
 
 
+def test_edited_edge_tag_in_the_split_record_is_a_tag_mismatch(zone, tsa):
+    # the edge share's transported tag still matches the share, so only the
+    # comparison against the record's first expected tag can catch this
+    key_id, result = _distributed(zone)
+    record = zone._contexts[CTX].record
+    edge_tag, cloud_tag = record.expected_tags
+    record.expected_tags = (bytes([edge_tag[0] ^ 1]) + edge_tag[1:], cloud_tag)
+    decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="tag-mismatch")
+    assert zone._keys[key_id].uses == 0
+
+
+def test_replaced_key_material_is_a_checksum_mismatch(zone, tsa):
+    # the shares still combine to the wrap record made at split time; only
+    # the deep check, which unwraps it and compares, sees the stored key changed
+    key_id, result = _distributed(zone)
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    key, context = zone._keys[key_id], zone._contexts[CTX]
+    last_seen = context.last_seen
+    key.material = bytes(range(32))
+    decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="checksum-mismatch")
+    assert key.uses == 1
+    assert context.last_seen == last_seen
+
+
 def test_unknown_context_raises(zone, tsa):
     with pytest.raises(UnknownKeyError):
         zone.authorize_transaction(bytes(32), SealedShare(
