@@ -25,11 +25,9 @@ leaves the old state or the new one: a torn last line is left out on load and
 cut off by the next commit, and a journal whose records the snapshot already
 holds is left out whole.  A bad ``h`` on any other line is a corrupted state
 that names the record's index.  Nothing is fsynced: a power loss is not
-covered.
-
-The old layout kept the TSA and the ledger in ``tsa.json`` and ``ledger.json``
-beside a bare zone ``zone.json``.  It still loads as the first snapshot; the
-next commit writes the document, then removes those two files.
+covered.  This is the only layout read: a dir in an earlier one (a bare zone
+beside ``tsa.json`` and ``ledger.json``, or a document with no ``journal``
+section) is a corrupted state, refused and left as it is.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -88,14 +86,12 @@ _LINE_HEAD, _LINE_MID = b'{"h":"', b'","r":'
 @dataclass
 class _Tip:
     """Where the next commit goes: after record ``seq`` whose hash is ``h``,
-    at byte ``valid`` of a journal file of ``size`` bytes.  ``rewrite`` asks
-    for a whole snapshot: the dir is new or in the old layout."""
+    at byte ``valid`` of a journal file of ``size`` bytes."""
 
     seq: int
     h: bytes
     valid: int = 0
     size: int = 0
-    rewrite: bool = False
 
 
 def _write_file(path: Path, data: bytes, mode: int):
@@ -131,7 +127,7 @@ class AppState:
         self.fmt = fmt
         self.zone_path = root / "zone.json"
         self.journal_path = root / "journal.jsonl"
-        # the old layout's other files, read by the upgrade
+        # never read or written; perfbench/tracer.py sizes them
         self.tsa_path = root / "tsa.json"
         self.ledger_path = root / "ledger.json"
         self.lock_path = root / ".lock"
@@ -192,20 +188,10 @@ class AppState:
                 raise StateError(f"{self.journal_path} has no snapshot {self.zone_path}")
             return None
         doc = self._read_json(self.zone_path)
-        old_layout = isinstance(doc, dict) and "tsa" not in doc
-        if old_layout:
-            # this is the zone section
-            if not self.tsa_path.exists():
-                raise StateError(f"{self.tsa_path} is missing")
-            ledger = self._read_json(self.ledger_path) if self.ledger_path.exists() else None
-            doc = {"tsa": self._read_json(self.tsa_path), "zone": doc, "ledger": ledger}
-        journal = doc.get("journal", {"seq": 0, "h": _GENESIS.hex()})
-        tip = _Tip(int(journal["seq"]), bytes.fromhex(journal["h"]))
+        doc["tsa"], doc["zone"], doc["ledger"]  # a missing section is a KeyError here
+        tip = _Tip(int(doc["journal"]["seq"]), bytes.fromhex(doc["journal"]["h"]))
         if not 0 <= tip.seq < U64_LIMIT or len(tip.h) != len(_GENESIS):
             raise ValueError("the journal tip needs a sequence number and a 32-byte h")
-        # an upgrade that stopped before removing the old layout's files
-        tip.rewrite = old_layout or self.tsa_path.exists() or self.ledger_path.exists()
-        doc["tsa"], doc["zone"], doc["ledger"]  # a missing section is a KeyError here
         return doc, tip
 
     def _read_journal(self, tip: _Tip) -> list[dict]:
@@ -254,18 +240,18 @@ class AppState:
         decoded the first time the command uses it."""
         snapshot = self._read_snapshot()
         if snapshot is None:
+            # a new dir: save_zone writes a zone it has no tip for whole
             tsa = TimestampAuthority(issuer="edgevault-tsa")
-            zone, tip = SecureZone(seed, tsa), _Tip(0, _GENESIS, rewrite=True)
-        else:
-            doc, tip = snapshot
-            records = self._read_journal(tip)
-            tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"] if records else doc["tsa"])
-            zone = SecureZone.lazy_from_state_dict(doc["zone"], tsa)
-            for record in records:
-                zone.apply(record["zone"])
-            ledger = self._ledger(doc, records)
-            if ledger is not None:
-                zone.attach_ledger(ledger)
+            return SecureZone(seed, tsa), tsa
+        doc, tip = snapshot
+        records = self._read_journal(tip)
+        tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"] if records else doc["tsa"])
+        zone = SecureZone.lazy_from_state_dict(doc["zone"], tsa)
+        for record in records:
+            zone.apply(record["zone"])
+        ledger = self._ledger(doc, records)
+        if ledger is not None:
+            zone.attach_ledger(ledger)
         self._loaded = (zone, tsa, tip)
         return zone, tsa
 
@@ -288,7 +274,7 @@ class AppState:
                            "ledger": ledger}, sort_keys=True, separators=(",", ":")).encode()
         h = sha256(tip.h + body)
         line = _LINE_HEAD + h.hex().encode() + _LINE_MID + body + b"}\n"
-        if tip.rewrite or tip.valid + len(line) > COMPACT_BYTES:
+        if tip.valid + len(line) > COMPACT_BYTES:
             self._write_snapshot(zone, tsa, tip.seq + 1, h)
             return
         if tip.size != tip.valid:
@@ -304,8 +290,7 @@ class AppState:
         return tip
 
     def _write_snapshot(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
-        """Replace the document at once, then remove the journal it folds in
-        and the old layout's files."""
+        """Replace the document at once, then remove the journal it folds in."""
         ledger = zone.ledger.state_dict() if zone.ledger is not None else None
         doc = {"tsa": tsa.state_dict(), "zone": zone.state_dict(), "ledger": ledger,
                "journal": {"seq": seq, "h": h.hex()}}
@@ -316,8 +301,7 @@ class AppState:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        for path in (self.journal_path, self.tsa_path, self.ledger_path):
-            path.unlink(missing_ok=True)
+        self.journal_path.unlink(missing_ok=True)
 
     def load_ledger(self) -> IdentityLedger:
         """The ledger alone: the snapshot's ledger section and the journal's
@@ -480,7 +464,7 @@ def keys():
 @keys.command("generate")
 @click.option("--purpose", type=click.Choice(["data-encryption", "key-encryption", "point-sealing"]),
               default="data-encryption")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET)
+@click.option("--budget", type=click.IntRange(1, U64_LIMIT - 1), default=DEFAULT_BUDGET)
 @click.option("--seed", type=SEED_RANGE, default=0)
 @click.pass_obj
 def keys_generate(state: AppState, purpose, budget, seed):

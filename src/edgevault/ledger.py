@@ -292,7 +292,7 @@ class IdentityLedger:
         """A ledger whose group and curve are parsed now and whose entries
         and used points are decoded the first time they are used."""
         ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
-        entries, points = d["entries"], d.get("used_points", [])
+        entries, points = d["entries"], d["used_points"]
         if not isinstance(entries, list) or not isinstance(points, list):
             raise ValueError("entries and used_points must be lists")
         ledger._stored = {"entries": list(entries), "used_points": list(points)}

@@ -43,9 +43,15 @@ def _document(state):
     return _state_of(*AppState(state, "json").load_zone())
 
 
+# the journal tip of a snapshot that folds in no record
+_GENESIS_TIP = {"seq": 0, "h": "00" * 32}
+
+
 def _write_document(state, document):
     """Make ``document`` (a dict, or raw bytes) the whole state: the snapshot,
-    with no journal."""
+    with no journal.  A dict with no journal tip gets the genesis one."""
+    if isinstance(document, dict):
+        document = {"journal": _GENESIS_TIP, **document}
     raw = document if isinstance(document, bytes) else json.dumps(document).encode()
     (state / "zone.json").write_bytes(raw)
     (state / "journal.jsonl").unlink(missing_ok=True)
@@ -307,9 +313,13 @@ def _old_layout_without_tsa_json(doc):
     return doc["zone"]
 
 
+def _without_used_points(ledger):
+    del ledger["used_points"]
+
+
 def _spliced(document, section, raw):
     """The document's bytes with ``raw`` as one section's value, JSON or not."""
-    text = json.dumps(dict(document, **{section: None})).encode()
+    text = json.dumps({"journal": _GENESIS_TIP, **document, section: None}).encode()
     return text.replace(f'"{section}": null'.encode(), f'"{section}": '.encode() + raw, 1)
 
 
@@ -323,6 +333,8 @@ def _spliced(document, section, raw):
         ("curve", b"{}", "invalid-curve"),
         ("curve", _WIDE_CURVE.encode(), "invalid-curve"),
         ("ledger", _wide_curve, "corrupted-state"),
+        # loaded with an empty point registry, so a new device could take a used point
+        ("ledger", _without_used_points, "corrupted-state"),
         ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
         ("share", _one_byte_tag, "corrupted-state"),
         ("zone", _one_expected_tag, "corrupted-state"),
@@ -334,6 +346,7 @@ def _spliced(document, section, raw):
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
          "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
+         "ledger-without-used-points",
          "timestamp-infinite-epoch", "share-one-byte-tag",
          "zone-one-expected-tag", "scenario-string-entry", "document-list",
          "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json"],
@@ -437,6 +450,15 @@ def test_out_of_range_seed_is_a_usage_error(runner, tmp_path, args, seed):
     assert r.exit_code == 64, r.output
     assert "Traceback" not in r.output
     assert "--seed" in r.output
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", str(1 << 64)], ids=["-1", "0", "2**64"])
+def test_out_of_range_budget_is_a_usage_error(runner, tmp_path, budget):
+    # -1 and 0 once made a key whose every authorize was budget-exhausted
+    r = invoke(runner, tmp_path / "state", "keys", "generate", "--budget", budget)
+    assert r.exit_code == 64, r.output
+    assert "--budget" in r.output
+    assert not (tmp_path / "state").exists()
 
 
 def test_keys_split_requires_context_or_device(runner, tmp_path):
@@ -550,8 +572,8 @@ def test_json_mode_outputs_are_strict_json(runner, tmp_path):
 
 def test_lock_released_after_commands(runner, tmp_path):
     """After each mutating command the state dir holds only the snapshot and
-    the journal: no .lock, no tmp file, no old-layout tsa.json or ledger.json.
-    The first command writes the snapshot, each later one a journal line."""
+    the journal: no .lock and no tmp file.  The first command writes the
+    snapshot, each later one a journal line."""
     state = tmp_path / "state"
     share_file = tmp_path / "cloud.json"
 
@@ -838,62 +860,31 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
     assert json.loads(r.stdout)["reason"] == "tag-mismatch"
 
 
-def _old_layout(runner, state, share_file):
-    """A state dir in the three-file layout, with one split device; its
-    zone, TSA and ledger as the document's sections, and the device's id."""
-    doc = _init_ledger(runner, state)
-    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
-    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
-               "--order", "16", "-o", str(share_file))
-    assert r.exit_code == 0, r.output
+def _to_earlier_layout(state, layout):
+    """Rewrite the state dir in a layout an earlier version wrote: "three-file"
+    keeps the TSA and the ledger in tsa.json and ledger.json beside a bare
+    zone; "journal-less" is the document with no journal section."""
     sections = _document(state)
-    _write_document(state, sections["zone"])
-    (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
-    (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
-    return sections, doc["entries"][0]["h2_hex"]
+    (state / "journal.jsonl").unlink(missing_ok=True)
+    if layout == "three-file":
+        (state / "zone.json").write_text(json.dumps(sections["zone"]))
+        (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
+        (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
+    else:
+        (state / "zone.json").write_text(json.dumps(sections))
 
 
-def test_old_layout_loads_and_upgrades_on_the_next_save(runner, tmp_path):
+@pytest.mark.parametrize("layout", ["three-file", "journal-less"])
+def test_a_state_dir_in_an_earlier_layout_is_refused(runner, tmp_path, layout):
+    """Neither loads as a fresh zone, so no key is overwritten, and neither
+    is rewritten."""
     state = tmp_path / "state"
-    share_file = tmp_path / "cloud.json"
-    old, context = _old_layout(runner, state, share_file)
-    assert _state_of(*AppState(state, "json").load_zone()) == old
-
-    r = invoke(runner, state, "keys", "authorize", "--context", context,
-               "--share", str(share_file))
-    assert r.exit_code == 0, r.output
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    new = _document(state)
-    assert new["ledger"] == old["ledger"]
-    assert new["tsa"]["sequence"] == old["tsa"]["sequence"] + 1
-    used = old["zone"]["context_keys"][context]
-    expected = {k["key_id"]: (k["material"], k["nonce_counter"], k["uses"] + (k["key_id"] == used))
-                for k in old["zone"]["keys"]}
-    assert {k["key_id"]: (k["material"], k["nonce_counter"], k["uses"])
-            for k in new["zone"]["keys"]} == expected
-    assert any(counter > 0 for _, counter, _ in expected.values())  # nonces were drawn
-
-
-def test_old_layout_crash_between_replace_and_unlinks_loads_the_document(
-        runner, tmp_path, monkeypatch):
-    state = tmp_path / "state"
-    old, _ = _old_layout(runner, state, tmp_path / "cloud.json")
-    app = AppState(state, "json")
-    zone, tsa = app.load_zone()
-    zone.generate_key("data-encryption")
-    new = _state_of(zone, tsa)
-    assert new != old
-
-    def crashing_unlink(path, missing_ok=False):
-        raise OSError("simulated crash")
-
-    monkeypatch.setattr(type(app.tsa_path), "unlink", crashing_unlink)
-    with pytest.raises(OSError, match="simulated crash"):
-        app.save_zone(zone, tsa)
-    monkeypatch.undo()
-
-    assert sorted(os.listdir(state)) == ["ledger.json", "tsa.json", "zone.json"]
-    assert _state_of(*app.load_zone()) == new
-    app.save_zone(*app.load_zone())
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    assert _state_of(*app.load_zone()) == new
+    _init_ledger(runner, state)
+    _to_earlier_layout(state, layout)
+    before = _state_files(state)
+    for args in (["keys", "generate"], ["ledger", "verify"]):
+        r = invoke(runner, state, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])
+        assert err["error"]["code"] == "corrupted-state"
+        assert _state_files(state) == before

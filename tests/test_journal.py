@@ -205,18 +205,7 @@ def bases(tmp_path_factory):
     }
 
 
-def _to_old_layout(state):
-    """The three-file layout that predates the one document."""
-    sections = _load(state)
-    for path in state.iterdir():
-        path.unlink()
-    (state / "zone.json").write_text(json.dumps(sections["zone"]))
-    (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
-    if sections["ledger"] is not None:
-        (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
-
-
-@pytest.mark.parametrize("mode", ["journal", "torn-tail", "compaction", "old-layout"])
+@pytest.mark.parametrize("mode", ["journal", "torn-tail", "compaction"])
 @pytest.mark.parametrize("command", ["ledger-init", "ledger-register", "keys-generate",
                                      "keys-split", "keys-authorize"])
 def test_crash_at_any_effect_leaves_the_state_before_or_after(
@@ -227,8 +216,6 @@ def test_crash_at_any_effect_leaves_the_state_before_or_after(
     if mode == "torn-tail":
         with open(state / "journal.jsonl", "ab") as journal:
             journal.write(b'{"h":"00')
-    elif mode == "old-layout":
-        _to_old_layout(state)
     elif mode == "compaction":
         monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
     before_files, before = _files(state), _load(state)
@@ -243,8 +230,7 @@ def test_crash_at_any_effect_leaves_the_state_before_or_after(
     kinds = {kind for kind, *_ in recorder.effects}
     assert kinds == {"journal": {"open", "write"},
                      "torn-tail": {"truncate", "open", "write"},
-                     "compaction": {"open", "write", "replace", "unlink"},
-                     "old-layout": {"open", "write", "replace", "unlink"}}[mode]
+                     "compaction": {"open", "write", "replace", "unlink"}}[mode]
     crash = tmp_path / "crash"
     for files in _crash_states(before_files, recorder.effects):
         _materialize(crash, files)

@@ -154,7 +154,8 @@ def _ledger_state():
 
 
 LEDGER_STATE = _ledger_state()
-DOCUMENT = {"tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE}
+DOCUMENT = {"tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE,
+            "journal": {"seq": 0, "h": "00" * 32}}
 
 
 def _load_document(doc):
@@ -306,6 +307,9 @@ def _step(**fields):
             next(iter(d["edge_shares"].values())))), StateError),
         (IdentityLedger.from_state_dict,
          _edited(LEDGER_STATE, lambda d: d["entries"][0].update(tag_hex="00")), StateError),
+        # loaded with an empty point registry, so registering could reuse a point
+        (IdentityLedger.from_state_dict, _edited(LEDGER_STATE, lambda d: d.pop("used_points")),
+         StateError),
         # run_scenario raised TypeError / AttributeError, from_json OverflowError
         (SimScenario.from_json_dict, _step(entry="1"), ScenarioConfigError),
         (SimScenario.from_json_dict, _step(bit=True), ScenarioConfigError),
@@ -328,7 +332,8 @@ def _step(**fields):
          "zone-edge-share-index-300", "zone-record-order-1", "zone-unknown-share-key-id",
          "zone-short-key-material", "zone-negative-op-counter",
          "tsa-negative-sequence", "tsa-epoch-past-u64", "share-one-byte-tag",
-         "zone-edge-share-one-byte-nonce", "ledger-state-one-byte-tag", "scenario-string-entry",
+         "zone-edge-share-one-byte-nonce", "ledger-state-one-byte-tag",
+         "ledger-state-without-used-points", "scenario-string-entry",
          "scenario-bool-bit", "scenario-negative-bit", "scenario-int-device",
          "scenario-negative-seed", "scenario-seed-past-u64", "plain-share-zero-length-secret",
          "plain-share-extra-digit", "filter-padding-bits"],

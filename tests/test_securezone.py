@@ -229,6 +229,19 @@ def test_edited_edge_tag_in_the_split_record_is_a_tag_mismatch(zone, tsa):
     assert zone._keys[key_id].uses == 0
 
 
+def test_edge_share_presented_as_the_cloud_share_is_a_tag_mismatch(zone, tsa):
+    # the index check and the binding tag both reject it: the tag's preimage
+    # starts with the share's index byte
+    key_id, result = _distributed(zone)
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    key, context = zone._keys[key_id], zone._contexts[CTX]
+    last_seen = context.last_seen
+    decision = zone.authorize_transaction(CTX, result.edge_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="tag-mismatch")
+    assert key.uses == 1
+    assert context.last_seen == last_seen
+
+
 def test_replaced_key_material_is_a_checksum_mismatch(zone, tsa):
     # the shares still combine to the wrap record made at split time; only
     # the deep check, which unwraps it and compares, sees the stored key changed

@@ -233,7 +233,7 @@ def test_combine_rejects_checksum_mismatch():
 
 def test_combine_rejects_swapped_indices():
     s1, s2, record = _sealed_pair()
-    with pytest.raises((TagMismatchError, DecryptFailureError)):
+    with pytest.raises(TagMismatchError):
         combine_and_verify(s2, s1, record, KEY)
 
 
