@@ -3,7 +3,8 @@
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
 default ``.edgevault``) as a snapshot plus a journal.  The snapshot,
 ``zone.json``, is the document ``{"tsa", "zone", "ledger", "journal"}``: the
-timestamp authority's counters, the secure zone's internal storage, the
+timestamp authority's counters, the secure zone's internal storage (keys and
+contexts as maps from id to the units a journal record carries), the
 identity ledger (``null`` before ``ledger init``), and the sequence number
 and hash of the last journal record folded into it.  ``journal.jsonl`` holds
 one line per completed command, ``{"h", "r"}``: the record ``r`` of what the
@@ -26,8 +27,9 @@ cut off by the next commit, and a journal whose records the snapshot already
 holds is left out whole.  A bad ``h`` on any other line is a corrupted state
 that names the record's index.  Nothing is fsynced: a power loss is not
 covered.  This is the only layout read: a dir in an earlier one (a bare zone
-beside ``tsa.json`` and ``ledger.json``, or a document with no ``journal``
-section) is a corrupted state, refused and left as it is.
+beside ``tsa.json`` and ``ledger.json``, a document with no ``journal``
+section, or a zone with four context sections, which only the ledger commands
+still read) is a corrupted state, refused and left as it is.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -189,8 +191,8 @@ class AppState:
             return None
         doc = self._read_json(self.zone_path)
         doc["tsa"], doc["zone"], doc["ledger"]  # a missing section is a KeyError here
-        tip = _Tip(int(doc["journal"]["seq"]), bytes.fromhex(doc["journal"]["h"]))
-        if not 0 <= tip.seq < U64_LIMIT or len(tip.h) != len(_GENESIS):
+        tip = _Tip(doc["journal"]["seq"], bytes.fromhex(doc["journal"]["h"]))
+        if type(tip.seq) is not int or not 0 <= tip.seq < U64_LIMIT or len(tip.h) != len(_GENESIS):
             raise ValueError("the journal tip needs a sequence number and a 32-byte h")
         return doc, tip
 
@@ -260,13 +262,15 @@ class AppState:
 
         For the zone :meth:`load_zone` last returned, append one journal
         record of what changed, or rewrite the snapshot once the journal
-        would pass ``COMPACT_BYTES``.  Any other zone is written whole.
+        would pass ``COMPACT_BYTES``.  Any other zone is written whole, as the
+        first snapshot of a new state dir; a dir that holds state refuses it.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         loaded, self._loaded = self._loaded, None
         if loaded is None or loaded[0] is not zone or loaded[1] is not tsa:
-            tip = self._current_tip()
-            self._write_snapshot(zone, tsa, tip.seq, tip.h)
+            if self.zone_path.exists() or self.journal_path.exists():
+                raise StateError(f"{self.root} holds state, and this zone was not loaded from it")
+            self._write_snapshot(zone, tsa, 0, _GENESIS)
             return
         tip = loaded[2]
         ledger = zone.ledger.changes() if zone.ledger is not None else None
@@ -280,14 +284,6 @@ class AppState:
         if tip.size != tip.valid:
             os.truncate(self.journal_path, tip.valid)
         _write_file(self.journal_path, line, os.O_APPEND)
-
-    def _current_tip(self) -> _Tip:
-        snapshot = self._read_snapshot()
-        if snapshot is None:
-            return _Tip(0, _GENESIS)
-        _, tip = snapshot
-        self._read_journal(tip)
-        return tip
 
     def _write_snapshot(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
         """Replace the document at once, then remove the journal it folds in."""

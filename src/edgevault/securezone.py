@@ -11,11 +11,10 @@ boundary.
 
 The state written from :meth:`SecureZone.state_dict` emulates the HSM's
 internal tamper-proof storage; it is not an exported artifact and must be
-treated as inside the boundary.  A zone loaded with
-:meth:`SecureZone.lazy_from_state_dict` decodes each key and context from its
-stored unit the first time it is used; :meth:`SecureZone.changes` gives what
-changed since, in those units, and :meth:`SecureZone.apply` merges such
-changes into a loaded zone.
+treated as inside the boundary.  It holds the keys and the contexts as maps
+from id to unit; :meth:`SecureZone.changes` gives the same maps of what
+changed, and :meth:`SecureZone.apply` is the one parser of both.  A loaded
+zone decodes each key and context from its unit the first time it is used.
 """
 
 from __future__ import annotations
@@ -113,18 +112,20 @@ _FORWARD = {s: i for i, s in enumerate(STATES)}
 
 
 class _Units:
-    """One kind of zone record by id, each decoded from its stored unit (a
-    JSON object) the first time it is used.
+    """One kind of zone record by id, each decoded from its unit (a JSON
+    object) the first time it is used.
 
-    A command therefore decodes only the records it reads.  :meth:`changes`
-    encodes the decoded records again and returns what differs from their
-    stored units, which :meth:`apply` merges back in.
+    The unit is the only layout: :meth:`units` and :meth:`changes` give
+    ``{id hex: unit}`` maps, of every record or of what changed, and
+    :meth:`apply` merges either into the stored units.  A command therefore
+    decodes only the records it reads, and a decoder is given the id its unit
+    is stored under.
     """
 
     __slots__ = ("stored", "_live", "_decode", "_encode")
 
-    def __init__(self, decode, encode, stored: Optional[dict] = None):
-        self.stored: dict[bytes, dict] = {} if stored is None else stored
+    def __init__(self, decode, encode):
+        self.stored: dict[bytes, dict] = {}
         self._live: dict = {}
         self._decode, self._encode = decode, encode
 
@@ -134,7 +135,7 @@ class _Units:
             unit = self.stored.get(item_id)
             if unit is None:
                 return default
-            item = self._live[item_id] = self._decode(unit)
+            item = self._live[item_id] = self._decode(item_id, unit)
         return item
 
     def __getitem__(self, item_id: bytes):
@@ -156,34 +157,36 @@ class _Units:
     def values(self) -> list:
         return [self[i] for i in self]
 
-    def units(self) -> list[dict]:
+    def units(self) -> dict[str, dict]:
         """Every record's unit: encoded again if it was decoded, else as stored."""
-        return [self._encode(self._live[i]) if i in self._live else self.stored[i] for i in self]
+        return {i.hex(): self._encode(self._live[i]) if i in self._live else self.stored[i]
+                for i in self}
 
-    def changes(self) -> list:
-        """``[id hex, unit]`` per new record, ``[id hex, changed fields]`` per
-        changed one, in the order the records were first used."""
-        changed = []
+    def changes(self) -> dict[str, dict]:
+        """The unit of each new record and the changed fields of each changed
+        one, by id, in the order the records were first used."""
+        changed = {}
         for item_id, item in self._live.items():
             unit, old = self._encode(item), self.stored.get(item_id)
             if old is not None:
                 unit = {f: v for f, v in unit.items() if old.get(f) != v}
             if unit:
-                changed.append([item_id.hex(), unit])
+                changed[item_id.hex()] = unit
         return changed
 
-    def apply(self, changed: list):
-        """Merge :meth:`changes` into the stored units; a changed record is
-        decoded again when next used."""
-        for item_id, unit in changed:
+    def apply(self, changed: dict):
+        """Merge :meth:`units` or :meth:`changes` into the stored units; a
+        changed record is decoded again when next used."""
+        for item_id, unit in changed.items():
             item_id = bytes.fromhex(item_id)
             self.stored[item_id] = {**self.stored.get(item_id, {}), **unit}
             self._live.pop(item_id, None)
 
 
 @parses(StateError, "corrupted key")
-def _decode_key(kd: dict) -> ManagedKey:
-    kid = bytes.fromhex(kd["key_id"])
+def _decode_key(kid: bytes, kd: dict) -> ManagedKey:
+    if bytes.fromhex(kd["key_id"]) != kid:
+        raise ValueError(f"key {kid.hex()} holds the unit of another key")
     if kd["purpose"] not in PURPOSES or kd["state"] not in STATES:
         raise ValueError(f"key {kid.hex()} has an unknown purpose or state")
     material = bytes.fromhex(kd["material"])
@@ -211,10 +214,13 @@ def _stored_key_id(keys: _Units, key_id_hex: str) -> bytes:
 
 
 @parses(StateError, "corrupted context")
-def _decode_context(keys: _Units, unit: dict) -> _Context:
+def _decode_context(keys: _Units, cid: bytes, unit: dict) -> _Context:
+    record = SplitRecord.from_state_dict(unit["record"])
+    if record.context_id != cid:
+        raise ValueError(f"context {cid.hex()} holds the split record of another context")
     last_seen = unit["last_seen"]
     return _Context(
-        record=SplitRecord.from_state_dict(unit["record"]),
+        record=record,
         edge_share=SealedShare.from_json_dict(unit["edge_share"]),
         key_id=_stored_key_id(keys, unit["key_id"]),
         last_seen=Timestamp.from_json_dict(last_seen) if last_seen is not None else None,
@@ -460,7 +466,6 @@ class SecureZone:
 
     def state_dict(self) -> dict:
         """Full internal state for zone-internal persistence (see module doc)."""
-        contexts = [(cid.hex(), c) for cid, c in zip(self._contexts, self._contexts.units())]
         return {
             "zone_seed": self._zone_seed,
             "op_counter": self._op_counter,
@@ -468,11 +473,7 @@ class SecureZone:
             "share_key_id": self._share_key_id.hex(),
             "point_key_id": self._point_key_id.hex(),
             "keys": self._keys.units(),
-            "split_records": [c["record"] for _, c in contexts],
-            "edge_shares": {cid: c["edge_share"] for cid, c in contexts},
-            "context_keys": {cid: c["key_id"] for cid, c in contexts},
-            "last_seen": {cid: c["last_seen"] for cid, c in contexts
-                          if c["last_seen"] is not None},
+            "contexts": self._contexts.units(),
             "audit": self._audit,
         }
 
@@ -488,32 +489,17 @@ class SecureZone:
     @parses(StateError, "corrupted zone state")
     def lazy_from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
         """A zone over its stored state that decodes each key and context the
-        first time it is used, and the three infrastructure keys now.
-
-        Each context joins the four context sections on its split record's
-        context id, so a missing entry fails that lookup.
-        """
+        first time it is used, and the three infrastructure keys now."""
         zone = cls.__new__(cls)
         zone._tsa = tsa
         zone._zone_seed = int(d["zone_seed"])
-        zone._op_counter = _op_counter(d["op_counter"])
-        zone._keys = _Units(_decode_key, _encode_key,
-                            {bytes.fromhex(kd["key_id"]): kd for kd in d["keys"]})
-        shares, context_keys, last_seen = d["edge_shares"], d["context_keys"], d["last_seen"]
-        contexts = {}
-        for record in d["split_records"]:
-            c = record["context_id"]
-            contexts[bytes.fromhex(c)] = {"record": record, "edge_share": shares[c],
-                                          "key_id": context_keys[c], "last_seen": last_seen.get(c)}
-        named = shares.keys() | context_keys.keys() | last_seen.keys()
-        if not named <= {c.hex() for c in contexts}:
-            raise ValueError("a context section names a context with no split record")
-        zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context, contexts)
+        zone._keys = _Units(_decode_key, _encode_key)
+        zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context)
+        zone._audit = []
+        zone.apply(d)
         zone._kek_id = _stored_key_id(zone._keys, d["kek_id"])
         zone._share_key_id = _stored_key_id(zone._keys, d["share_key_id"])
         zone._point_key_id = _stored_key_id(zone._keys, d["point_key_id"])
-        zone._audit = list(d["audit"])
-        zone._stored_audit = len(zone._audit)
         zone.ledger = None
         return zone
 
@@ -527,9 +513,9 @@ class SecureZone:
             "audit": self._audit[self._stored_audit:],
         }
 
-    @parses(StateError, "corrupted zone changes")
+    @parses(StateError, "corrupted zone units")
     def apply(self, changes: dict):
-        """Merge :meth:`changes` into a loaded zone before it is used."""
+        """Merge :meth:`changes` or a :meth:`state_dict` into a zone before it is used."""
         self._op_counter = _op_counter(changes["op_counter"])
         self._keys.apply(changes["keys"])
         self._contexts.apply(changes["contexts"])

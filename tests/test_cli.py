@@ -13,8 +13,10 @@ from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, keys, main
+from edgevault.crypto import TimestampAuthority
 from edgevault.curves import standard_curve
 from edgevault.errors import StateError
+from edgevault.securezone import SecureZone
 from edgevault.simnet import builtin_scenarios
 
 
@@ -55,6 +57,11 @@ def _write_document(state, document):
     raw = document if isinstance(document, bytes) else json.dumps(document).encode()
     (state / "zone.json").write_bytes(raw)
     (state / "journal.jsonl").unlink(missing_ok=True)
+
+
+def _split_record(zone):
+    """The split record in the zone section's first context unit."""
+    return next(iter(zone["contexts"].values()))["record"]
 
 
 def _state_files(state):
@@ -251,7 +258,7 @@ def test_keys_authorize_wrong_table_at_order_251_is_rejected(runner, tmp_path):
     assert r.exit_code == 0, r.output
 
     document = _document(state)
-    document["zone"]["split_records"][0]["qg_seed"] += 1
+    _split_record(document["zone"])["qg_seed"] += 1
     _write_document(state, document)
 
     r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
@@ -278,7 +285,7 @@ def _one_byte_tag(share):
 
 
 def _one_expected_tag(zone):
-    zone["split_records"][0]["expected_tags"].pop()
+    _split_record(zone)["expected_tags"].pop()
 
 
 # M8191: composite with no factor below 41, so only its width rejects it quickly
@@ -317,6 +324,11 @@ def _without_used_points(ledger):
     del ledger["used_points"]
 
 
+def _journal_seq(seq):
+    """The document with a journal tip whose sequence number is ``seq``."""
+    return lambda doc: dict(doc, journal={"seq": seq, "h": "00" * 32})
+
+
 def _spliced(document, section, raw):
     """The document's bytes with ``raw`` as one section's value, JSON or not."""
     text = json.dumps({"journal": _GENESIS_TIP, **document, section: None}).encode()
@@ -343,13 +355,19 @@ def _spliced(document, section, raw):
         ("document", _without_zone_section, "corrupted-state"),
         ("document", _string_ledger_section, "corrupted-state"),
         ("document", _old_layout_without_tsa_json, "corrupted-state"),
+        # each loaded as seq 1 where a journal record's seq must be an int
+        ("document", _journal_seq(True), "corrupted-state"),
+        ("document", _journal_seq("1"), "corrupted-state"),
+        ("document", _journal_seq(1.9), "corrupted-state"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
          "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
          "ledger-without-used-points",
          "timestamp-infinite-epoch", "share-one-byte-tag",
          "zone-one-expected-tag", "scenario-string-entry", "document-list",
-         "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json"],
+         "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json",
+         "document-journal-seq-bool", "document-journal-seq-string",
+         "document-journal-seq-float"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
     """``content`` is the bad file, the raw bytes of a state document section,
@@ -714,12 +732,15 @@ def _generate_keys(state):
     return [SimpleNamespace(exit_code=r.exit_code, output=r.output) for r in runs]
 
 
-def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path):
+def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path, monkeypatch):
     """Four processes race 15 key generations each on one state dir: each
     run commits or is refused as locked, and every committed key is there."""
     state = tmp_path / "state"
     r = invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny")
     assert r.exit_code == 0, r.output
+    # the 25th and 49th commit would compact and remove the journal; the
+    # forked workers inherit this, so every commit appends
+    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 1 << 30)
     with multiprocessing.get_context("fork").Pool(4) as pool:
         runs = [run for worker in pool.map(_generate_keys, [state] * 4) for run in worker]
     generated = []
@@ -729,7 +750,7 @@ def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path):
         else:
             _assert_locked(run)
     assert generated
-    stored = [k["key_id"] for k in _document(state)["zone"]["keys"]]
+    stored = list(_document(state)["zone"]["keys"])
     assert len(stored) == 3 + len(generated)
     assert set(generated) <= set(stored)
     assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
@@ -850,8 +871,8 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
                "-o", str(share_file))
     assert r.exit_code == 0, r.output
     document = _document(state)
-    assert document["zone"]["split_records"][0]["order"] == 256
-    document["zone"]["split_records"][0]["order"] = 128
+    assert _split_record(document["zone"])["order"] == 256
+    _split_record(document["zone"])["order"] = 128
     _write_document(state, document)
 
     r = invoke(runner, state, "keys", "authorize", "--context", doc["entries"][0]["h2_hex"],
@@ -863,28 +884,109 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
 def _to_earlier_layout(state, layout):
     """Rewrite the state dir in a layout an earlier version wrote: "three-file"
     keeps the TSA and the ledger in tsa.json and ledger.json beside a bare
-    zone; "journal-less" is the document with no journal section."""
+    zone; "journal-less" is the document with no journal section;
+    "four-context-sections" is the document whose zone section lists the keys
+    and spreads each context over four sections."""
     sections = _document(state)
     (state / "journal.jsonl").unlink(missing_ok=True)
     if layout == "three-file":
         (state / "zone.json").write_text(json.dumps(sections["zone"]))
         (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
         (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
-    else:
+    elif layout == "journal-less":
         (state / "zone.json").write_text(json.dumps(sections))
+    else:
+        zone = sections["zone"]
+        contexts = zone.pop("contexts")
+        zone["keys"] = list(zone["keys"].values())
+        zone["split_records"] = [c["record"] for c in contexts.values()]
+        zone["edge_shares"] = {cid: c["edge_share"] for cid, c in contexts.items()}
+        zone["context_keys"] = {cid: c["key_id"] for cid, c in contexts.items()}
+        zone["last_seen"] = {cid: c["last_seen"] for cid, c in contexts.items()
+                             if c["last_seen"] is not None}
+        _write_document(state, sections)
 
 
-@pytest.mark.parametrize("layout", ["three-file", "journal-less"])
+@pytest.mark.parametrize("layout", ["three-file", "journal-less", "four-context-sections"])
 def test_a_state_dir_in_an_earlier_layout_is_refused(runner, tmp_path, layout):
-    """Neither loads as a fresh zone, so no key is overwritten, and neither
-    is rewritten."""
+    """None loads as a fresh zone, so no key is overwritten, and none is
+    rewritten.  The last one's ledger section is in the current layout, so
+    the ledger commands, which decode no zone, still read it."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
     _to_earlier_layout(state, layout)
     before = _state_files(state)
     for args in (["keys", "generate"], ["ledger", "verify"]):
         r = invoke(runner, state, *args)
-        assert r.exit_code == 1, r.output
-        err = json.loads(r.output.strip().splitlines()[-1])
-        assert err["error"]["code"] == "corrupted-state"
+        if args[0] == "ledger" and layout == "four-context-sections":
+            assert r.exit_code == 0, r.output
+        else:
+            assert r.exit_code == 1, r.output
+            err = json.loads(r.output.strip().splitlines()[-1])
+            assert err["error"]["code"] == "corrupted-state"
+        assert _state_files(state) == before
+
+
+def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeypatch):
+    """A journal record that stores context A's unit under a new id X does
+    not give X its own replay state over A's key: X is refused, before and
+    after a compaction folds the record into the snapshot, and A still works."""
+    state = tmp_path / "state"
+    context = _init_ledger(runner, state)["entries"][0]["h2_hex"]
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    share_file = tmp_path / "cloud.json"
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha",
+               "--order", "16", "-o", str(share_file))
+    assert r.exit_code == 0, r.output
+    alias = "ab" * 32
+    app = AppState(state, "json")
+    zone, tsa = app.load_zone()
+    zone._contexts[bytes.fromhex(alias)] = zone._contexts[bytes.fromhex(context)]
+    app.save_zone(zone, tsa)
+    assert alias in (state / "journal.jsonl").read_text()
+
+    def authorize(ctx):
+        """Authorize on ``ctx``: refused untouched for the alias, accepted for A."""
+        before = _state_files(state)
+        r = invoke(runner, state, "keys", "authorize", "--context", ctx,
+                   "--share", str(share_file))
+        if ctx == alias:
+            assert r.exit_code == 1, r.output
+            assert json.loads(r.output.strip().splitlines()[-1])["error"]["code"] == \
+                "corrupted-state"
+            assert _state_files(state) == before
+        else:
+            assert r.exit_code == 0, r.output
+
+    authorize(alias)
+    authorize(context)
+    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    authorize(context)  # compacts: the alias's unit moves into the snapshot
+    monkeypatch.undo()
+    assert sorted(os.listdir(state)) == ["zone.json"]
+    assert alias in json.loads((state / "zone.json").read_bytes())["zone"]["contexts"]
+    authorize(alias)
+    authorize(context)
+
+
+def test_a_zone_not_loaded_from_the_dir_is_saved_only_into_a_new_one(runner, tmp_path):
+    """Such a zone becomes the first snapshot of a new dir; a dir that holds
+    state refuses it and is left as it is."""
+    tsa = TimestampAuthority(issuer="edgevault-tsa")
+    zone = SecureZone(0, tsa)
+    fresh = tmp_path / "fresh"
+    AppState(fresh, "json").save_zone(zone, tsa)
+    assert json.loads((fresh / "zone.json").read_bytes())["journal"] == _GENESIS_TIP
+    assert _document(fresh)["zone"] == zone.state_dict()
+
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    app = AppState(state, "json")
+    app.load_zone()
+    for files in ("snapshot-and-journal", "journal-alone"):
+        if files == "journal-alone":
+            (state / "zone.json").unlink()
+        before = _state_files(state)
+        with pytest.raises(StateError):
+            app.save_zone(zone, tsa)
         assert _state_files(state) == before

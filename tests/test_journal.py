@@ -165,13 +165,14 @@ def _check_crash_state(state, before, after):
     and a ledger that matches the audit."""
     loaded = _load(state)  # any exception fails the test
     assert loaded in (before, after)
-    counters = {k["key_id"]: k["nonce_counter"] for k in loaded["zone"]["keys"]}
-    assert {k["key_id"] for k in before["zone"]["keys"]} <= counters.keys()
-    for key in before["zone"]["keys"]:
-        assert counters[key["key_id"]] >= key["nonce_counter"]
+    counters = {kid: k["nonce_counter"] for kid, k in loaded["zone"]["keys"].items()}
+    assert before["zone"]["keys"].keys() <= counters.keys()
+    for kid, key in before["zone"]["keys"].items():
+        assert counters[kid] >= key["nonce_counter"]
     entries = loaded["ledger"]["entries"] if loaded["ledger"] is not None else []
-    held = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"]]
-    held += [ts["sequence"] for ts in loaded["zone"]["last_seen"].values()]
+    held = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"].values()]
+    held += [c["last_seen"]["sequence"] for c in loaded["zone"]["contexts"].values()
+             if c["last_seen"] is not None]
     held += [e["sequence"] for e in entries]
     assert loaded["tsa"]["sequence"] >= max(before["tsa"]["sequence"], *held)
     registered = [e["context_id_hex"] for e in loaded["zone"]["audit"]

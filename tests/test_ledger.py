@@ -329,7 +329,7 @@ def _load_zone(d):
 
 def _zone_state_list_shares():
     d = SecureZone(0, TimestampAuthority()).state_dict()
-    d["edge_shares"] = []  # a JSON list where the parser expects an object
+    d["contexts"] = []  # a JSON list where the parser expects an object
     return d
 
 

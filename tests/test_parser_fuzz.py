@@ -247,14 +247,19 @@ def _load_zone(d):
 
 def _set_key_field(field, value):
     def edit(zone):
-        zone["keys"][-1][field] = value
+        list(zone["keys"].values())[-1][field] = value
     return edit
 
 
-def _orphan_entry(section):
-    """Copy a ``section`` entry to a context that has no split record."""
+def _context(zone):
+    """The zone's first context unit."""
+    return next(iter(zone["contexts"].values()))
+
+
+def _under_another_id(section, other_id):
+    """Store a copy of the section's first unit under an id it does not name."""
     def edit(zone):
-        zone[section]["ab" * 32] = next(iter(zone[section].values()))
+        zone[section][other_id] = next(iter(zone[section].values()))
     return edit
 
 
@@ -270,7 +275,7 @@ def _step(**fields):
     "parse,payload,error",
     [
         # authorize_transaction raised IndexError on the missing tag
-        (_load_zone, _edited(ZONE, lambda d: d["split_records"][0]["expected_tags"].pop()),
+        (_load_zone, _edited(ZONE, lambda d: _context(d)["record"]["expected_tags"].pop()),
          StateError),
         (SplitRecord.from_state_dict,
          _edited(_RECORD.to_state_dict(), lambda d: d.update(context_id="00")), StateError),
@@ -280,21 +285,20 @@ def _step(**fields):
          _edited(_RECORD.to_state_dict(), lambda d: d["expected_tags"].append("00" * 32)),
          StateError),
         # authorize_transaction raised KeyError on the missing entries
-        (_load_zone, _edited(ZONE, lambda d: d["context_keys"].clear()), StateError),
-        (_load_zone, _edited(ZONE, lambda d: d["edge_shares"].clear()), StateError),
-        # an entry for a context with no split record parsed and was kept
-        (_load_zone, _edited(ZONE, _orphan_entry("edge_shares")), StateError),
-        (_load_zone, _edited(ZONE, _orphan_entry("context_keys")), StateError),
-        (_load_zone, _edited(ZONE, _orphan_entry("last_seen")), StateError),
+        (_load_zone, _edited(ZONE, lambda d: _context(d).pop("key_id")), StateError),
+        (_load_zone, _edited(ZONE, lambda d: _context(d).pop("edge_share")), StateError),
+        # a unit under an id its record does not name loaded as an alias of that record
+        (_load_zone, _edited(ZONE, _under_another_id("contexts", "ab" * 32)), StateError),
+        (_load_zone, _edited(ZONE, _under_another_id("keys", "ab" * 16)), StateError),
         (_load_zone, _edited(ZONE, _set_key_field("state", "bogus")), StateError),
         (_load_zone, _edited(ZONE, _set_key_field("purpose", "bogus")), StateError),
         # the next nonce raised struct.error
         (_load_zone, _edited(ZONE, _set_key_field("nonce_counter", -1)), StateError),
         # authorize_transaction raised ValueError, InvalidOrderError, KeyError and
         # EncryptionError; generate_key raised OverflowError
-        (_load_zone, _edited(ZONE, lambda d: next(iter(d["edge_shares"].values())).update(
-            index=300)), StateError),
-        (_load_zone, _edited(ZONE, lambda d: d["split_records"][0].update(order=1)), StateError),
+        (_load_zone, _edited(ZONE, lambda d: _context(d)["edge_share"].update(index=300)),
+         StateError),
+        (_load_zone, _edited(ZONE, lambda d: _context(d)["record"].update(order=1)), StateError),
         (_load_zone, _edited(ZONE, lambda d: d.update(share_key_id="00" * 16)), StateError),
         (_load_zone, _edited(ZONE, _set_key_field("material", "00")), StateError),
         (_load_zone, dict(ZONE, op_counter=-1), StateError),
@@ -304,7 +308,7 @@ def _step(**fields):
         (SealedShare.from_json_dict, _edited(_SEALED.to_json_dict(), _short_aead_field("tag")),
          StateError),
         (_load_zone, _edited(ZONE, lambda d: _short_aead_field("nonce")(
-            next(iter(d["edge_shares"].values())))), StateError),
+            _context(d)["edge_share"])), StateError),
         (IdentityLedger.from_state_dict,
          _edited(LEDGER_STATE, lambda d: d["entries"][0].update(tag_hex="00")), StateError),
         # loaded with an empty point registry, so registering could reuse a point
@@ -327,7 +331,7 @@ def _step(**fields):
     ],
     ids=["zone-one-expected-tag", "split-record-short-context", "split-record-empty-checksum",
          "split-record-three-tags", "zone-no-context-key", "zone-no-edge-share",
-         "zone-orphan-edge-share", "zone-orphan-context-key", "zone-orphan-last-seen",
+         "zone-context-under-another-id", "zone-key-under-another-id",
          "zone-bogus-key-state", "zone-bogus-purpose", "zone-negative-nonce-counter",
          "zone-edge-share-index-300", "zone-record-order-1", "zone-unknown-share-key-id",
          "zone-short-key-material", "zone-negative-op-counter",

@@ -9,6 +9,7 @@ from edgevault.errors import (
     AlgebraFailureError,
     AlreadySplitError,
     KeyStateError,
+    StateError,
     UnknownKeyError,
     WrongPurposeError,
 )
@@ -338,6 +339,22 @@ def test_zone_state_roundtrip(zone, tsa):
     # a fresh transaction succeeds
     assert restored.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
     assert restored._contexts[CTX].last_seen.sequence > old_ts_seq
+
+
+@pytest.mark.parametrize("section,other_id", [("keys", "ab" * 16), ("contexts", "ab" * 32)],
+                         ids=["key", "context"])
+def test_changes_that_store_a_unit_under_another_id_are_corrupted(zone, tsa, section, other_id):
+    """Changes are parsed and checked as a snapshot is: a unit stored under an
+    id it does not name is refused when used, not kept as an alias."""
+    _distributed(zone)
+    state = zone.state_dict()
+    loaded = SecureZone.lazy_from_state_dict(state, tsa)
+    loaded.apply({"op_counter": state["op_counter"], "keys": {}, "contexts": {},
+                  section: {other_id: next(reversed(state[section].values()))}, "audit": []})
+    units = loaded._keys if section == "keys" else loaded._contexts
+    with pytest.raises(StateError):
+        units[bytes.fromhex(other_id)]
+    assert loaded._contexts[CTX].record.context_id == CTX
 
 
 def test_zone_hosts_ledger(zone, tsa):
