@@ -6,9 +6,10 @@ them.  :class:`Quasigroup` holds any Latin-square table and derives both
 division tables from it at construction; ``from_bytes`` and ``qg check FILE``
 use it.  :class:`IsotopeQuasigroup`, which :func:`generate_quasigroup`
 returns, keeps three permutations ``sigma``, ``pi``, ``rho`` of the isotope
-``x*y = sigma[(pi[x] + rho[y]) mod n]`` and their inverses, and evaluates
+``x*y = sigma[(pi[x] + rho[y]) mod n]`` and nothing else, and evaluates
 multiplication and both divisions in closed form: it costs O(n) to build
-and check, and its n*n tables are built only when something reads them.
+and check, a division inverts the two permutations it reads, and its n*n
+tables are built on every read and not cached.
 """
 
 from __future__ import annotations
@@ -114,11 +115,7 @@ class Quasigroup:
 
     def to_bytes(self) -> bytes:
         """Canonical form: order as u32 BE, then n*n row-major u16 BE entries."""
-        return struct.pack(">I", self.order) + self._table_be().tobytes()
-
-    def _table_be(self) -> np.ndarray:
-        """The table as big-endian u16."""
-        return self.table.astype(">u2")
+        return struct.pack(">I", self.order) + self.table.astype(">u2").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Quasigroup":
@@ -175,10 +172,12 @@ class IsotopeQuasigroup(Quasigroup):
       x \\ s = rho^-1[(sigma^-1[s] - pi[x]) mod n]
       s / y  = pi^-1[(sigma^-1[s] - rho[y]) mod n]
 
-    ``table``, ``left_div`` and ``right_div`` are built on first read.
+    Only the three permutations are held.  A division inverts the two it
+    reads on each call, which is O(n) against the n*n tables; ``table``,
+    ``left_div`` and ``right_div`` are built on every read and not cached.
     """
 
-    __slots__ = ("sigma", "pi", "rho", "_sigma_inv", "_pi_inv", "_rho_inv", "_tables")
+    __slots__ = ("sigma", "pi", "rho")
 
     def __init__(self, sigma, pi, rho, generation_seed: int | None = None):
         n = len(sigma)
@@ -186,53 +185,45 @@ class IsotopeQuasigroup(Quasigroup):
             raise MalformedTableError(f"order must be >= 2, got {n}")
         if n > 0xFFFF:
             raise InvalidOrderError("orders above 65535 are not supported")
-        sigma_inv = _permutation_inverse(sigma, n, "sigma")
-        pi_inv = _permutation_inverse(pi, n, "pi")
-        rho_inv = _permutation_inverse(rho, n, "rho")
+        for name, perm in (("sigma", sigma), ("pi", pi), ("rho", rho)):
+            _permutation_inverse(perm, n, name)
         self.order = n
         self.generation_seed = generation_seed
         # operands are intp, results uint16 like the table-backed form's
         self.sigma = _frozen(sigma, np.uint16)
         self.pi = _frozen(pi, np.intp)
         self.rho = _frozen(rho, np.intp)
-        self._sigma_inv = _frozen(sigma_inv, np.intp)
-        self._pi_inv = _frozen(pi_inv, np.uint16)
-        self._rho_inv = _frozen(rho_inv, np.uint16)
-        self._tables: dict[str, np.ndarray] = {}
 
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.sigma[(self.pi[a] + self.rho[b]) % self.order]
 
     def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._rho_inv[(self._sigma_inv[b] - self.pi[a]) % self.order]
+        sigma_inv = _permutation_inverse(self.sigma, self.order, "sigma")
+        rho_inv = _permutation_inverse(self.rho, self.order, "rho")
+        return rho_inv[(sigma_inv[b] - self.pi[a]) % self.order].astype(np.uint16)
 
     def right_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._pi_inv[(self._sigma_inv[a] - self.rho[b]) % self.order]
+        sigma_inv = _permutation_inverse(self.sigma, self.order, "sigma")
+        pi_inv = _permutation_inverse(self.pi, self.order, "pi")
+        return pi_inv[(sigma_inv[a] - self.rho[b]) % self.order].astype(np.uint16)
 
-    def _table_be(self) -> np.ndarray:
-        # pi[x] + rho[y] < 2n, so indexing a doubled sigma replaces the mod n
-        doubled = np.concatenate([self.sigma, self.sigma]).astype(">u2")
-        return doubled[self.pi[:, None] + self.rho[None, :]]
-
-    def _square(self, name: str, op) -> np.ndarray:
-        """The n*n table of ``op``, built on first read."""
-        if name not in self._tables:
-            index = np.arange(self.order)
-            self._tables[name] = _frozen(op(index[:, None], index[None, :]), np.uint16)
-        return self._tables[name]
+    def _square(self, op) -> np.ndarray:
+        """The n*n table of ``op``, built and frozen on every read."""
+        index = np.arange(self.order)
+        return _frozen(op(index[:, None], index[None, :]), np.uint16)
 
     @property
     def table(self) -> np.ndarray:
-        return self._square("table", self.multiply_many)
+        return self._square(self.multiply_many)
 
     @property
     def left_div(self) -> np.ndarray:
-        return self._square("left_div", self.left_divide_many)
+        return self._square(self.left_divide_many)
 
     @property
     def right_div(self) -> np.ndarray:
         """right_div[s, y] = s / y (row = dividend)."""
-        return self._square("right_div", self.right_divide_many)
+        return self._square(self.right_divide_many)
 
 
 def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:

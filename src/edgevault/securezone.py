@@ -108,9 +108,6 @@ class _Context:
     last_seen: Optional[Timestamp] = None  # the last accepted timestamp
 
 
-_FORWARD = {s: i for i, s in enumerate(STATES)}
-
-
 class _Units:
     """One kind of zone record by id, each decoded from its unit (a JSON
     object) the first time it is used.
@@ -301,11 +298,6 @@ class SecureZone:
             raise UnknownKeyError(f"no key {key_id.hex()}")
         return key
 
-    def _advance_state(self, key: ManagedKey, new_state: str):
-        if _FORWARD[new_state] < _FORWARD[key.state]:
-            raise KeyStateError(f"cannot move key {key.key_id.hex()} {key.state} -> {new_state}")
-        key.state = new_state
-
     def generate_key(self, purpose: str, budget: int = DEFAULT_BUDGET,
                      rng_seed: int = 0) -> bytes:
         """Create a 32-byte key inside the zone; only the key id leaves."""
@@ -334,7 +326,7 @@ class SecureZone:
 
     def retire_key(self, key_id: bytes):
         key = self._require_key(key_id)
-        self._advance_state(key, "retired")
+        key.state = "retired"
         self._log("retire_key", "ok", key_id=key_id)
 
     def wrap_key(self, kek_id: bytes, target_id: bytes) -> AeadRecord:
@@ -376,14 +368,14 @@ class SecureZone:
         share1, share2, record = split(
             wrapped, q, context_id, derive_seed(rng_seed, b"mask" + context_id)
         )
-        self._advance_state(key, "split")
+        key.state = "split"
 
         share_key = self._keys[self._share_key_id]
         sealed1 = seal_share(share1, share_key.material, context_id, share_key.nonces)
         sealed2 = seal_share(share2, share_key.material, context_id, share_key.nonces)
 
         self._contexts[context_id] = _Context(record, sealed1, key_id)
-        self._advance_state(key, "distributed")
+        key.state = "distributed"
         self._log("split_and_distribute", "ok", key_id=key_id, context_id=context_id)
         return DistributionResult(edge_share=sealed1, cloud_share=sealed2)
 
@@ -399,24 +391,28 @@ class SecureZone:
     ) -> Decision:
         """Verify a cloud-initiated transaction end to end.
 
-        Checks, in order: timestamp freshness against the TSA view and the
-        last accepted timestamp for this context, the key's usage budget,
-        the share combination (AEAD, binding tags, quasigroup rebuild,
-        checksum), then the wrap record.  Every call is audit-logged.
+        Checks, in order: that the key is not retired, timestamp freshness
+        against the TSA view and the last accepted timestamp for this
+        context, the key's usage budget, the share combination (AEAD,
+        binding tags, quasigroup rebuild, checksum), then the wrap record.
+        Every call is audit-logged.
         """
         context = self._contexts.get(context_id)
         if context is None:
             self._log("authorize_transaction", "error", context_id=context_id,
                       reason="unknown-context")
             raise UnknownKeyError(f"no split record for context {context_id.hex()}")
+        key_id = context.key_id
+        key = self._keys[key_id]
+        if key.state == "retired":
+            self._log("authorize_transaction", "error", key_id=key_id,
+                      context_id=context_id, reason="key-retired")
+            raise KeyStateError(f"key {key_id.hex()} is retired")
 
         def reject(reason: str) -> Decision:
             self._log("authorize_transaction", "rejected", key_id=key_id,
                       context_id=context_id, reason=reason)
             return Decision(accepted=False, reason=reason)
-
-        key_id = context.key_id
-        key = self._keys[key_id]
 
         if not verify_freshness(self._tsa.view, ts, context.last_seen):
             return reject("replay")

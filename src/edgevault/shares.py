@@ -114,7 +114,6 @@ class PlainShare:
     index: int  # 1 = edge, 2 = cloud
     order: int
     digits: np.ndarray
-    secret_len_bytes: int
 
     def to_bytes(self) -> bytes:
         """Canonical form: index u8 ‖ order u16 BE ‖ digit count u32 BE ‖ digits u16 BE."""
@@ -135,14 +134,13 @@ class PlainShare:
         secret_len = (count * _digit_width(order)) // 8
         if not secret_len or _digit_count(secret_len, order) != count:
             raise MalformedTableError(f"{count} digits of order {order} encode no whole secret")
-        return cls(index=index, order=order, digits=digits, secret_len_bytes=secret_len)
+        return cls(index=index, order=order, digits=digits)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PlainShare)
             and self.index == other.index
             and self.order == other.order
-            and self.secret_len_bytes == other.secret_len_bytes
             and np.array_equal(self.digits, other.digits)
         )
 
@@ -246,8 +244,8 @@ def split(
     rng = np.random.default_rng(int(rng_seed) & 0xFFFFFFFFFFFFFFFF)
     r = rng.integers(0, q.order, size=digits.shape[0], dtype=np.uint16)
     complement = q.left_divide_many(r, digits)
-    share1 = PlainShare(index=1, order=q.order, digits=r, secret_len_bytes=len(secret))
-    share2 = PlainShare(index=2, order=q.order, digits=complement, secret_len_bytes=len(secret))
+    share1 = PlainShare(index=1, order=q.order, digits=r)
+    share2 = PlainShare(index=2, order=q.order, digits=complement)
     record = SplitRecord(
         context_id=bytes(context_id),
         order=q.order,

@@ -90,6 +90,15 @@ def test_qg_check_from_params(runner, tmp_path):
     assert r.exit_code == 0
 
 
+def test_qg_check_samples_above_order_512(runner, tmp_path):
+    r = invoke(runner, tmp_path / "s", "qg", "check", "-n", "600", "--seed", "3")
+    assert r.exit_code == 0, r.output
+    payload = json.loads(r.output)
+    assert (payload["order"], payload["mode"], payload["checked_pairs"]) == \
+        (600, "sampled", 65536)
+    assert payload["passed"] is True
+
+
 def test_qg_generate_deterministic(runner, tmp_path):
     outputs = []
     for _ in range(2):

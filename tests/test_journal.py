@@ -24,6 +24,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from edgevault import cli
 from edgevault.cli import AppState, main
+from edgevault.crypto import sha256
 
 
 def _invoke(state, *args):
@@ -300,6 +301,30 @@ def test_bad_h_is_state_error_naming_the_first_bad_record(journaled, edit, index
         assert err["code"] == "corrupted-state"
         assert f"journal record {index} " in err["message"]
     assert _files(journaled) == before
+
+
+def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
+    """A record with a recomputed h still cannot change a ledger that the
+    state lacks; a dir with no ``ledger init`` has none."""
+    state = tmp_path / "state"
+    for seed in (1, 2):
+        _run(state, "keys", "generate", "--seed", seed)
+    journal = state / "journal.jsonl"
+    (line,) = journal.read_bytes().splitlines()
+    record = json.loads(line)["r"]
+    assert record["ledger"] is None
+    body = json.dumps({**record, "ledger": {}}).encode()
+    tip_h = bytes.fromhex(json.loads((state / "zone.json").read_bytes())["journal"]["h"])
+    h = sha256(tip_h + body).hex().encode()
+    journal.write_bytes(cli._LINE_HEAD + h + cli._LINE_MID + body + b"}\n")
+    before = _files(state)
+
+    r = _invoke(state, "keys", "generate")
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert "a journal record changes a ledger that does not exist" in err["message"]
+    assert _files(state) == before
 
 
 def test_journal_without_its_snapshot_is_state_error(journaled):

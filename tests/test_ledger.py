@@ -167,6 +167,16 @@ def test_import_rejects_garbage():
         IdentityLedger.import_snapshot(b'{"group_id": "x"}\n')
 
 
+@pytest.mark.parametrize("off_by", [-1, 1])
+def test_import_rejects_a_header_entry_count_off_by_one(f5_ledger, tsa, off_by):
+    _register_n(f5_ledger, tsa, 3)
+    head, _, body = f5_ledger.sync_to_cloud().partition(b"\n")
+    header = json.loads(head)
+    header["entry_count"] += off_by
+    with pytest.raises(StateError, match="snapshot entry count mismatch"):
+        IdentityLedger.import_snapshot(json.dumps(header).encode() + b"\n" + body)
+
+
 def test_export_jsonl_fields(f5_ledger, tsa):
     _register_n(f5_ledger, tsa, 2)
     lines = f5_ledger.export_jsonl().splitlines()

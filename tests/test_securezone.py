@@ -264,6 +264,23 @@ def test_unknown_context_raises(zone, tsa):
         ), tsa.issue())
 
 
+def test_a_retired_key_no_longer_authorizes(zone, tsa):
+    key_id, result = _distributed(zone)
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    zone.retire_key(key_id)
+    key, context = zone._keys[key_id], zone._contexts[CTX]
+    last_seen = context.last_seen
+    with pytest.raises(KeyStateError) as info:
+        zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert info.value.code == "key-state"
+    assert key.uses == 1
+    assert context.last_seen == last_seen is not None
+    last = zone.audit_log[-1]
+    assert (last["op"], last["outcome"], last["reason"]) == (
+        "authorize_transaction", "error", "key-retired")
+    assert last["key_id"] == key_id.hex() and last["context_id_hex"] == CTX.hex()
+
+
 def test_budget_exhaustion(zone, tsa):
     _, result = _distributed(zone, budget=3)
     for _ in range(3):

@@ -129,8 +129,7 @@ def test_share1_distribution_independent_of_secret():
 # --- canonical share bytes -----------------------------------------------------
 
 def test_plain_share_canonical_layout():
-    share = PlainShare(index=1, order=16, digits=np.array([1, 2, 3], dtype=np.uint16),
-                       secret_len_bytes=1)
+    share = PlainShare(index=1, order=16, digits=np.array([1, 2, 3], dtype=np.uint16))
     blob = share.to_bytes()
     assert blob == b"\x01" + (16).to_bytes(2, "big") + (3).to_bytes(4, "big") + \
         b"\x00\x01\x00\x02\x00\x03"
