@@ -192,11 +192,10 @@ class TimestampAuthority:
         self,
         issuer: str = "tsa",
         clock: Optional[Callable[[], int]] = None,
-        start_sequence: int = 0,
     ):
         self.issuer = issuer
         self._clock = clock if clock is not None else (lambda: int(time.time()))
-        self._sequence = start_sequence
+        self._sequence = 0
         self._last_epoch = 0
 
     def issue(self) -> Timestamp:
@@ -217,7 +216,8 @@ class TimestampAuthority:
     @classmethod
     @parses(StateError, "corrupted TSA state")
     def from_state_dict(cls, d: dict, clock: Optional[Callable[[], int]] = None):
-        tsa = cls(issuer=d["issuer"], clock=clock, start_sequence=int(d["sequence"]))
+        tsa = cls(issuer=d["issuer"], clock=clock)
+        tsa._sequence = int(d["sequence"])
         tsa._last_epoch = int(d["last_epoch"])
         if not (0 <= tsa._sequence < U64_LIMIT and 0 <= tsa._last_epoch < U64_LIMIT):
             raise ValueError("TSA sequence and last_epoch must lie in [0, 2^64)")

@@ -1,15 +1,16 @@
 """Long-Weierstrass curves over prime fields and unique point selection.
 
-Points here are identity material only: they are selected, sealed, and
-hashed, never added or multiplied.  The curve lives over F_p (p an odd prime,
-small test primes through 256-bit) rather than the reals so that point
-encoding is exact and uniqueness is decidable.
+Points here are identity material only: selected, sealed and hashed, never
+added or multiplied, so a point is an affine pair with no neutral element O.
+The curve lives over F_p (p an odd prime, small test primes through 256-bit)
+rather than the reals so that point encoding is exact and uniqueness is decidable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CurveError, GroupFullError, parses
 
@@ -70,25 +71,11 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """An affine point (x, y) or the distinguished point at infinity."""
+class CurvePoint(NamedTuple):
+    """An affine point, equal to and hashed as the tuple (x, y); never added, so never O."""
 
-    x: int | None
-    y: int | None
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls(None, None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def as_tuple(self) -> tuple[int, int]:
-        if self.is_infinity:
-            raise ValueError("the infinity point has no affine coordinates")
-        return (self.x, self.y)
+    x: int
+    y: int
 
 
 def discriminant(p: int, a1: int, a2: int, a3: int, a4: int, a6: int) -> int:
@@ -141,10 +128,6 @@ class WeierstrassCurve:
         """Short form y^2 = x^3 + a*x + b."""
         return cls(p=p, a4=a, a6=b)
 
-    @property
-    def discriminant(self) -> int:
-        return discriminant(self.p, self.a1, self.a2, self.a3, self.a4, self.a6)
-
     def coordinate_width(self) -> int:
         """Bytes needed for one reduced coordinate."""
         return (self.p.bit_length() + 7) // 8
@@ -177,9 +160,7 @@ class WeierstrassCurve:
 
 
 def is_on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
-    """True for infinity, else checks the curve equation with reduced coords."""
-    if point.is_infinity:
-        return True
+    """Checks the curve equation with reduced coords."""
     p = curve.p
     x, y = point.x % p, point.y % p
     lhs = (y * y + curve.a1 * x * y + curve.a3 * y) % p
@@ -224,19 +205,18 @@ def select_unique_point(
     curve: WeierstrassCurve,
     used_points: set[tuple[int, int]],
     rng_seed: int,
-    max_tries: int = MAX_SELECT_TRIES,
 ) -> CurvePoint:
     """Draw a fresh affine point not in ``used_points``, deterministic per seed.
 
     Random x, then the curve equation is solved for y by completing the
     square and taking a modular square root; non-residues and collisions are
-    retried.  Exhausting ``max_tries`` raises GroupFullError (realistic only
-    for tiny fields).
+    retried.  Exhausting ``MAX_SELECT_TRIES`` raises GroupFullError (realistic
+    only for tiny fields).
     """
     rng = random.Random(rng_seed)
     p = curve.p
     inv2 = pow(2, -1, p)
-    for _ in range(max_tries):
+    for _ in range(MAX_SELECT_TRIES):
         x = rng.randrange(p)
         t = sqrt_mod(curve.rhs_completed_square(x), p)
         if t is None:
@@ -249,13 +229,11 @@ def select_unique_point(
         point = CurvePoint(x, y)
         assert is_on_curve(curve, point)
         return point
-    raise GroupFullError(f"no fresh point found in {max_tries} tries")
+    raise GroupFullError(f"no fresh point found in {MAX_SELECT_TRIES} tries (MAX_SELECT_TRIES)")
 
 
 def point_to_bytes(curve: WeierstrassCurve, point: CurvePoint) -> bytes:
     """Fixed-width big-endian x ‖ y; width = ceil(bits(p)/8) per coordinate."""
-    if point.is_infinity:
-        raise ValueError("cannot serialize the infinity point as identity material")
     w = curve.coordinate_width()
     return point.x.to_bytes(w, "big") + point.y.to_bytes(w, "big")
 

@@ -211,7 +211,7 @@ class IdentityLedger:
             h2=h2,
         )
         entries.append(entry)
-        self._used_points.add(point.as_tuple())
+        self._used_points.add(point)
         self._labels.add(device_label)
         return entry
 

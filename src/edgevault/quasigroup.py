@@ -133,9 +133,6 @@ class Quasigroup:
     def __eq__(self, other) -> bool:
         return isinstance(other, Quasigroup) and np.array_equal(self.table, other.table)
 
-    def __hash__(self):
-        return hash(self.to_bytes())
-
     def __repr__(self) -> str:
         return f"Quasigroup(order={self.order}, seed={self.generation_seed})"
 

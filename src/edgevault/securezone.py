@@ -298,6 +298,11 @@ class SecureZone:
             raise UnknownKeyError(f"no key {key_id.hex()}")
         return key
 
+    def _require_user_key(self, key_id: bytes) -> ManagedKey:
+        if key_id in (self._kek_id, self._share_key_id, self._point_key_id):
+            raise KeyStateError(f"key {key_id.hex()} is the zone's KEK, share key or point key")
+        return self._require_key(key_id)
+
     def generate_key(self, purpose: str, budget: int = DEFAULT_BUDGET,
                      rng_seed: int = 0) -> bytes:
         """Create a 32-byte key inside the zone; only the key id leaves."""
@@ -325,7 +330,7 @@ class SecureZone:
         return key_id
 
     def retire_key(self, key_id: bytes):
-        key = self._require_key(key_id)
+        key = self._require_user_key(key_id)
         key.state = "retired"
         self._log("retire_key", "ok", key_id=key_id)
 
@@ -357,7 +362,7 @@ class SecureZone:
         Share 1 stays in the zone (edge), share 2 is returned for transfer
         to the cloud; the split record never leaves.
         """
-        key = self._require_key(key_id)
+        key = self._require_user_key(key_id)
         if key.state != "generated":
             raise AlreadySplitError(f"key {key_id.hex()} is already {key.state}")
         if context_id in self._contexts:

@@ -223,7 +223,7 @@ def test_criterion_6_curve_correctness():
         pt = select_unique_point(curve, used, rng_seed=seed)
         if not is_on_curve(curve, pt):
             off_curve += 1
-        used.add(pt.as_tuple())
+        used.add(pt)
     _report(6, matches and singular_rejected and off_curve == 0 and len(used) == 10_000,
             f"F5 set exact; singular rejected; 10^4 selected points on curve "
             f"({off_curve} off)")

@@ -493,6 +493,41 @@ def test_keys_split_requires_context_or_device(runner, tmp_path):
     assert r.exit_code == 64  # usage error, not the tamper code
 
 
+def _refused(runner, state, *args):
+    """Run a command that must fail with exit 1; its error code, with the
+    state dir checked to be as it was."""
+    before = _state_files(state)
+    r = invoke(runner, state, *args)
+    assert r.exit_code == 1, r.output
+    assert _state_files(state) == before
+    return json.loads(r.output.strip().splitlines()[-1])["error"]["code"]
+
+
+def test_keys_split_of_the_zone_s_kek_is_a_key_state_error(runner, tmp_path):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    kek_id = json.loads((state / "zone.json").read_bytes())["zone"]["kek_id"]
+    assert _refused(runner, state, "keys", "split", kek_id, "--context", "11" * 32,
+                    "--order", "16", "-o", str(tmp_path / "s.json")) == "key-state"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_ledger_verify_without_a_ledger_is_state_error(runner, tmp_path):
+    state = tmp_path / "state"
+    assert invoke(runner, state, "keys", "generate").exit_code == 0
+    assert _refused(runner, state, "ledger", "verify") == "corrupted-state"
+
+
+@pytest.mark.parametrize("ledger", [False, True], ids=["no-ledger", "unknown-device"])
+def test_keys_split_for_a_device_the_ledger_lacks_is_state_error(runner, tmp_path, ledger):
+    state = tmp_path / "state"
+    if ledger:
+        _init_ledger(runner, state)
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    assert _refused(runner, state, "keys", "split", key_id, "--device", "gamma",
+                    "--order", "16") == "corrupted-state"
+
+
 # --- profile ---------------------------------------------------------------------------
 
 def test_profile_fit_and_outliers(runner, tmp_path):
@@ -561,6 +596,26 @@ def test_sim_run_builtin_attack_suite(runner, tmp_path):
     assert payload["adversary_actions"] == 4
     for line in log.read_text().splitlines():
         json.loads(line)  # strict JSON per line
+
+
+def test_sim_builtin_without_a_name_lists_the_scenarios(runner, tmp_path):
+    r = invoke(runner, tmp_path / "s", "sim", "builtin")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output) == {"scenarios": ["attack-suite", "happy-path", "replay-storm"]}
+    assert not (tmp_path / "s").exists()
+
+
+def test_sim_run_seed_overrides_the_scenario_seed(runner, tmp_path):
+    scenario = tmp_path / "happy.json"
+    r = invoke(runner, tmp_path / "s", "sim", "builtin", "happy-path", "-o", str(scenario))
+    assert r.exit_code == 0, r.output
+    assert json.loads(scenario.read_bytes())["seed"] != 12345
+    log = tmp_path / "run.jsonl"
+    r = invoke(runner, tmp_path / "s", "sim", "run", str(scenario), "--seed", "12345",
+               "--log", str(log))
+    assert r.exit_code == 0, r.output
+    assert json.loads(log.read_bytes().splitlines()[0])["seed"] == 12345
+    assert not (tmp_path / "s").exists()
 
 
 def test_sim_run_fail_exits_nonzero(runner, tmp_path):

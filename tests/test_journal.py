@@ -327,6 +327,45 @@ def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
     assert _files(state) == before
 
 
+def _refused_as_malformed(state, index):
+    """The next command refuses the dir, naming journal record ``index``, and
+    leaves every file as it was."""
+    before = _files(state)
+    r = _invoke(state, "keys", "generate")
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert f"malformed journal record {index}" in err["message"]
+    assert _files(state) == before
+
+
+def test_a_whole_line_that_is_not_a_journal_record_is_state_error(journaled):
+    """Record 0 under another key than "r": its h still covers its body."""
+    journal = journaled / "journal.jsonl"
+    data = journal.read_bytes()
+    mid = len(cli._LINE_HEAD) + 64
+    assert data[mid:mid + len(cli._LINE_MID)] == cli._LINE_MID == b'","r":'
+    journal.write_bytes(data[:mid] + b'","x":' + data[mid + len(cli._LINE_MID):])
+    _refused_as_malformed(journaled, 0)
+
+
+@pytest.mark.parametrize("index,seq", [(0, True), (1, "2")], ids=["bool", "string"])
+def test_a_record_whose_seq_is_not_an_int_is_state_error(journaled, index, seq):
+    """The record's h is recomputed, so only the type of its seq is wrong;
+    ``True`` even equals the seq that record 0 must carry."""
+    journal = journaled / "journal.jsonl"
+    lines = journal.read_bytes().splitlines()
+    prev_h = (bytes.fromhex(json.loads(lines[index - 1])["h"]) if index else
+              bytes.fromhex(json.loads((journaled / "zone.json").read_bytes())["journal"]["h"]))
+    record = json.loads(lines[index])["r"]
+    assert record["seq"] == index + 1
+    body = json.dumps({**record, "seq": seq}).encode()
+    h = sha256(prev_h + body).hex().encode()
+    lines[index] = cli._LINE_HEAD + h + cli._LINE_MID + body + b"}"
+    journal.write_bytes(b"\n".join(lines) + b"\n")
+    _refused_as_malformed(journaled, index)
+
+
 def test_journal_without_its_snapshot_is_state_error(journaled):
     (journaled / "zone.json").unlink()
     r = _invoke(journaled, "keys", "generate")

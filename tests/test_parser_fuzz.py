@@ -24,6 +24,7 @@ from edgevault.errors import (
     CurveError,
     EdgeVaultError,
     FilterParameterError,
+    KeyStateError,
     MalformedTableError,
     ScenarioConfigError,
     StateError,
@@ -142,7 +143,8 @@ def _zone_fixture():
 
 
 ZONE, CLOUD_SHARES = _zone_fixture()
-TSA_STATE = TimestampAuthority(issuer="t", start_sequence=9).state_dict()
+TSA_STATE = TimestampAuthority.from_state_dict(
+    {"issuer": "t", "sequence": 9, "last_epoch": 0}).state_dict()
 
 
 def _ledger_state():
@@ -208,15 +210,21 @@ def test_mutated_json_raises_only_the_parsers_error(parse, valid, error, data):
 @FUZZ
 @given(json_mutants(ZONE))
 def test_mutated_zone_state_parses_to_a_working_zone(payload):
-    tsa = TimestampAuthority(issuer="t", clock=lambda: 1_700_000_000, start_sequence=50)
+    tsa = TimestampAuthority.from_state_dict({"issuer": "t", "sequence": 50, "last_epoch": 0},
+                                             clock=lambda: 1_700_000_000)
     zone = _parses_or_raises(lambda d: SecureZone.from_state_dict(d, tsa), payload, StateError)
     if zone is None:
         return
     for context in zone._contexts:
         share = CLOUD_SHARES.get(context, _SEALED)
         assert isinstance(zone.authorize_transaction(context, share, tsa.issue()), Decision)
+    own = (zone._kek_id, zone._share_key_id, zone._point_key_id)
     for key_id in zone._keys:
-        zone.retire_key(key_id)
+        if key_id in own:
+            with pytest.raises(KeyStateError):
+                zone.retire_key(key_id)
+        else:
+            zone.retire_key(key_id)
 
 
 @FUZZ

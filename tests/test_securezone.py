@@ -281,6 +281,23 @@ def test_a_retired_key_no_longer_authorizes(zone, tsa):
     assert last["key_id"] == key_id.hex() and last["context_id_hex"] == CTX.hex()
 
 
+def test_the_zone_s_own_keys_cannot_be_retired_or_split(zone, tsa):
+    own = (zone._kek_id, zone._share_key_id, zone._point_key_id)
+    public = zone.public_state()
+    counters = {k.key_id: k.nonces.counter for k in zone._keys.values()}
+    for key_id in own:
+        with pytest.raises(KeyStateError) as info:
+            zone.retire_key(key_id)
+        assert info.value.code == "key-state"
+        with pytest.raises(KeyStateError) as info:
+            zone.split_and_distribute(key_id, CTX, q_order=16, rng_seed=8)
+        assert info.value.code == "key-state"
+    assert zone.public_state() == public
+    assert {k.key_id: k.nonces.counter for k in zone._keys.values()} == counters
+    _, result = _distributed(zone)
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+
+
 def test_budget_exhaustion(zone, tsa):
     _, result = _distributed(zone, budget=3)
     for _ in range(3):

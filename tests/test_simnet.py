@@ -7,7 +7,8 @@ from edgevault.bloom import BloomFilter
 from edgevault.crypto import TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
-from edgevault.ledger import IdentityLedger
+from edgevault.ledger import ChainReport, IdentityLedger
+from edgevault.securezone import Decision
 from edgevault.simnet import (
     _Cloud,
     _Runner,
@@ -169,6 +170,50 @@ def test_expectation_mismatch_fails_verdict():
     _, verdict = run_scenario(_scenario(script))
     assert not verdict.passed
     assert any("expected" in d for d in verdict.diffs)
+
+
+def _replica_chain_invalid(monkeypatch, runner):
+    real = IdentityLedger.import_snapshot
+
+    def import_snapshot(cls, data):
+        ledger = real(data)
+        ledger.verify_chain = lambda: ChainReport(valid=False, first_bad_index=0)
+        return ledger
+
+    monkeypatch.setattr(IdentityLedger, "import_snapshot", classmethod(import_snapshot))
+
+
+def _edge_chain_invalid_at_run_end(monkeypatch, runner):
+    """A sync verifies from its replica's tip; run end verifies the whole chain."""
+    ledger = runner.zone.ledger
+    real = ledger.verify_chain
+
+    def verify_chain(**kwargs):
+        return real(**kwargs) if kwargs else ChainReport(valid=False, first_bad_index=0)
+
+    monkeypatch.setattr(ledger, "verify_chain", verify_chain)
+
+
+_RUN_END_FAILURES = {
+    "cloud replica diverged from edge ledger":
+        lambda mp, runner: mp.setattr(runner.zone.ledger, "sync_to_cloud", lambda: b""),
+    "cloud replica chain invalid at run end": _replica_chain_invalid,
+    "edge chain invalid at run end": _edge_chain_invalid_at_run_end,
+    "attack succeeded: attack-forge-share at tick 2":
+        lambda mp, runner: mp.setattr(runner.zone, "authorize_transaction",
+                                      lambda *args: Decision(accepted=True)),
+}
+
+
+@pytest.mark.parametrize("diff", list(_RUN_END_FAILURES),
+                         ids=["replica-diverged", "replica-invalid", "edge-invalid", "attack"])
+def test_each_run_end_failure_fails_the_verdict_with_its_diff(monkeypatch, diff):
+    runner = _Runner(_scenario([SimStep("register", device="a"),
+                                SimStep("attack", kind="forge-share", device="a")]))
+    _RUN_END_FAILURES[diff](monkeypatch, runner)
+    verdict = runner.run().verdict
+    assert not verdict.passed
+    assert verdict.diffs == [diff]
 
 
 def test_replay_without_prior_transaction_is_config_error():
