@@ -1,35 +1,32 @@
 """Command-line surface.
 
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
-default ``.edgevault``) as a snapshot plus a journal.  The snapshot,
-``zone.json``, is the document ``{"tsa", "zone", "ledger", "journal"}``: the
-timestamp authority's counters, the secure zone's internal storage (keys and
-contexts as maps from id to the units a journal record carries), the
-identity ledger (``null`` before ``ledger init``), and the sequence number
-and hash of the last journal record folded into it.  ``journal.jsonl`` holds
-one line per completed command, ``{"h", "r"}``: the record ``r`` of what the
-command changed (the TSA counters; the op counter; each changed key's or
-context's changed fields, or the whole of a new one; new audit entries; new
-ledger entries and used points, or a new ledger) and
-``h = SHA-256(previous h || r's bytes)``, chained from the snapshot's hash.
+default ``.edgevault``) as one file, ``zone.json``: a journal of lines
+``{"h", "r"}``.  Record 0 is the whole state, ``{"seq", "tsa", "zone",
+"ledger"}``: the timestamp authority's counters, the secure zone's internal
+storage (keys and contexts as maps from id to unit), and the identity ledger
+(``null`` before ``ledger init``).  Its ``h``, taken as given, is that of the
+last record folded into it, or 32 zero bytes in a new dir.  Each later line
+is one completed command's record of what it changed (the TSA counters; the
+op counter; each changed key's or context's changed fields, or the whole of
+a new one; new audit entries; new ledger entries and used points, or a new
+ledger), with ``seq`` one more than the line before and
+``h = SHA-256(previous h || r's bytes)``.
 
 Every mutating command runs in one ``AppState.session()``: it takes an
 ``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
 exits, so no lock is ever stale), loads the state, and commits once, only if
-the command completes.  A load parses the snapshot and replays the journal,
+the command completes.  A load reads the file once and applies its records,
 but decodes a key, context or ledger entry only when the command uses it;
 ``keys authorize`` decodes its own context and key and the three
-infrastructure keys.  A commit appends the record as one write, or, once the journal would
-pass ``COMPACT_BYTES``, replaces the snapshot (a temporary file renamed over
-``zone.json``) and then removes the journal.  A crashed process therefore
-leaves the old state or the new one: a torn last line is left out on load and
-cut off by the next commit, and a journal whose records the snapshot already
-holds is left out whole.  A bad ``h`` on any other line is a corrupted state
-that names the record's index.  Nothing is fsynced: a power loss is not
-covered.  This is the only layout read: a dir in an earlier one (a bare zone
-beside ``tsa.json`` and ``ledger.json``, a document with no ``journal``
-section, or a zone with four context sections, which only the ledger commands
-still read) is a corrupted state, refused and left as it is.
+infrastructure keys.  A commit appends its record in one write, or, once the
+lines after record 0 would pass ``COMPACT_BYTES``, writes the whole state as
+record 0 of ``zone.json.tmp`` and renames that over ``zone.json``.  A crashed
+process therefore leaves the old state or the new one: a torn last line is
+left out on load and cut off by the next commit.  A bad ``h`` on any other
+line is a corrupted state that names the record's index.  Nothing is fsynced:
+a power loss is not covered.  A dir in an earlier layout has a ``zone.json``
+that is no journal line, so it is a corrupted state, refused and left as it is.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -77,23 +74,24 @@ _EXHAUSTIVE_CHECK_LIMIT = 512
 SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
 
 
-#: a save rewrites the snapshot, and empties the journal, once the journal
+#: a commit rewrites the state as one record once the records after record 0
 #: would pass this many bytes
 COMPACT_BYTES = 16 * 1024
 
-_GENESIS = bytes(32)  # the h a state dir's first journal record chains from
 _LINE_HEAD, _LINE_MID = b'{"h":"', b'","r":'
 
 
 @dataclass
 class _Tip:
     """Where the next commit goes: after record ``seq`` whose hash is ``h``,
-    at byte ``valid`` of a journal file of ``size`` bytes."""
+    at byte ``valid`` of a file of ``size`` bytes whose record 0 ends at
+    byte ``base``."""
 
     seq: int
     h: bytes
-    valid: int = 0
-    size: int = 0
+    base: int
+    valid: int
+    size: int
 
 
 def _write_file(path: Path, data: bytes, mode: int):
@@ -107,18 +105,32 @@ def _write_file(path: Path, data: bytes, mode: int):
         os.close(fd)
 
 
-@parses(StateError, "malformed journal record {1}")
-def _journal_line(line: bytes, index: int) -> tuple[bytes, bytes, dict]:
-    """A journal line's h, the record bytes the h covers, and the record."""
-    mid = len(_LINE_HEAD) + 64
+def _encode(seq: int, tsa: TimestampAuthority, zone: dict, ledger: dict | None) -> bytes:
+    """A record's bytes; ``zone`` and ``ledger`` are whole states in record 0."""
+    record = {"seq": seq, "tsa": tsa.state_dict(), "zone": zone, "ledger": ledger}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _line(h: bytes, body: bytes) -> bytes:
+    """The line ``{"h", "r"}`` of the record whose bytes are ``body``."""
+    return _LINE_HEAD + h.hex().encode() + _LINE_MID + body + b"}\n"
+
+
+@parses(StateError, "malformed journal record {3}")
+def _journal_line(data: bytes, start: int, end: int, index: int) -> tuple[bytes, bytes, dict]:
+    """The h, the record bytes the h covers, and the record of the line
+    ``data[start:end]``."""
+    mid = start + len(_LINE_HEAD) + 64
     body = mid + len(_LINE_MID)
-    if line[:len(_LINE_HEAD)] != _LINE_HEAD or line[mid:body] != _LINE_MID or line[-1:] != b"}":
+    if (not data.startswith(_LINE_HEAD, start, end) or not data.startswith(_LINE_MID, mid, end)
+            or data[end - 1] != ord("}")):
         raise ValueError("not a journal line")
-    record = json.loads(line[body:-1])
-    if type(record["seq"]) is not int:
-        raise ValueError("the sequence number is not an integer")
+    raw = data[body:end - 1]
+    record = json.loads(raw)
+    if type(record["seq"]) is not int or not 0 <= record["seq"] < U64_LIMIT:
+        raise ValueError("the sequence number is not an integer in [0, 2**64)")
     record["tsa"], record["zone"], record["ledger"]  # a missing section is a KeyError here
-    return bytes.fromhex(line[len(_LINE_HEAD):mid].decode()), line[body:-1], record
+    return bytes.fromhex(data[start + len(_LINE_HEAD):mid].decode()), raw, record
 
 
 class AppState:
@@ -128,7 +140,6 @@ class AppState:
         self.root = root
         self.fmt = fmt
         self.zone_path = root / "zone.json"
-        self.journal_path = root / "journal.jsonl"
         # never read or written; perfbench/tracer.py sizes them
         self.tsa_path = root / "tsa.json"
         self.ledger_path = root / "ledger.json"
@@ -182,51 +193,36 @@ class AppState:
         """Parse a JSON file; the caller's parser validates its structure."""
         return json.loads(Path(path).read_bytes())
 
-    @parses(StateError, "corrupted state document {0.zone_path}")
-    def _read_snapshot(self) -> tuple[dict, _Tip] | None:
-        """The document and the journal tip it records; None in a new state dir."""
-        if not self.zone_path.exists():
-            if self.journal_path.exists():
-                raise StateError(f"{self.journal_path} has no snapshot {self.zone_path}")
-            return None
-        doc = self._read_json(self.zone_path)
-        doc["tsa"], doc["zone"], doc["ledger"]  # a missing section is a KeyError here
-        tip = _Tip(doc["journal"]["seq"], bytes.fromhex(doc["journal"]["h"]))
-        if type(tip.seq) is not int or not 0 <= tip.seq < U64_LIMIT or len(tip.h) != len(_GENESIS):
-            raise ValueError("the journal tip needs a sequence number and a 32-byte h")
-        return doc, tip
+    def _read(self) -> tuple[list[dict], _Tip] | None:
+        """Every whole record, and the tip after the last; None in a new state dir.
 
-    def _read_journal(self, tip: _Tip) -> list[dict]:
-        """The journal's records after the snapshot at ``tip``; moves ``tip``
-        to the last of them.
-
-        An unterminated last line is a torn append: it is left out, and the
-        next commit cuts it off.  A journal whose first record is not after
-        the snapshot was folded into it by a compaction that stopped before
-        removing the file; it is left out whole.
+        Record 0's h is taken as given; each later record must chain from
+        the one before it.  An unterminated last line is a torn append: it is
+        left out, and the next commit cuts it off.
         """
         try:
-            data = self.journal_path.read_bytes()
+            data = self.zone_path.read_bytes()
         except FileNotFoundError:
-            return []
-        tip.size = len(data)
-        records = []
-        for index, line in enumerate(data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]):
-            h, body, record = _journal_line(line, index)
-            if index == 0 and record["seq"] <= tip.seq:
-                return []
-            if record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
-                raise StateError(f"journal record {index} in {self.journal_path} does not "
+            return None
+        records, tip, start, end = [], None, 0, data.find(b"\n")
+        if end < 0:
+            raise StateError(f"{self.zone_path} holds no whole record")
+        while end >= 0:
+            h, body, record = _journal_line(data, start, end, len(records))
+            if tip is None:
+                tip = _Tip(record["seq"], h, end + 1, end + 1, len(data))
+            elif record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
+                raise StateError(f"journal record {len(records)} in {self.zone_path} does not "
                                  "chain from the record before it")
-            tip.seq, tip.h, tip.valid = record["seq"], h, tip.valid + len(line) + 1
+            tip.seq, tip.h, tip.valid = record["seq"], h, end + 1
             records.append(record)
-        return records
+            start, end = end + 1, data.find(b"\n", end + 1)
+        return records, tip
 
     @staticmethod
-    def _ledger(doc: dict, records: list[dict]) -> IdentityLedger | None:
-        """The snapshot's ledger with each record's ledger changes applied."""
-        ledger = doc["ledger"]
-        ledger = None if ledger is None else IdentityLedger.lazy_from_state_dict(ledger)
+    def _ledger(records: list[dict]) -> IdentityLedger | None:
+        """The ledger each record makes or changes, in order."""
+        ledger = None
         for record in records:
             changes = record["ledger"]
             if isinstance(changes, dict) and "group_id" in changes:
@@ -238,20 +234,19 @@ class AppState:
         return ledger
 
     def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
-        """The snapshot with the journal replayed; each key and context is
-        decoded the first time the command uses it."""
-        snapshot = self._read_snapshot()
-        if snapshot is None:
+        """Record 0's state with the later records applied; each key and
+        context is decoded the first time the command uses it."""
+        read = self._read()
+        if read is None:
             # a new dir: save_zone writes a zone it has no tip for whole
             tsa = TimestampAuthority(issuer="edgevault-tsa")
             return SecureZone(seed, tsa), tsa
-        doc, tip = snapshot
-        records = self._read_journal(tip)
-        tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"] if records else doc["tsa"])
-        zone = SecureZone.lazy_from_state_dict(doc["zone"], tsa)
-        for record in records:
+        records, tip = read
+        tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"])
+        zone = SecureZone.lazy_from_state_dict(records[0]["zone"], tsa)
+        for record in records[1:]:
             zone.apply(record["zone"])
-        ledger = self._ledger(doc, records)
+        ledger = self._ledger(records)
         if ledger is not None:
             zone.attach_ledger(ledger)
         self._loaded = (zone, tsa, tip)
@@ -260,62 +255,53 @@ class AppState:
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
         """Commit the state.
 
-        For the zone :meth:`load_zone` last returned, append one journal
-        record of what changed, or rewrite the snapshot once the journal
-        would pass ``COMPACT_BYTES``.  Any other zone is written whole, as the
-        first snapshot of a new state dir; a dir that holds state refuses it.
+        For the zone :meth:`load_zone` last returned, append one record of
+        what changed, or rewrite the state as one record once the records
+        after record 0 would pass ``COMPACT_BYTES``.  Any other zone is
+        written whole, as the first record of a new state dir; a dir that
+        holds state refuses it.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         loaded, self._loaded = self._loaded, None
         if loaded is None or loaded[0] is not zone or loaded[1] is not tsa:
-            if self.zone_path.exists() or self.journal_path.exists():
+            if self.zone_path.exists():
                 raise StateError(f"{self.root} holds state, and this zone was not loaded from it")
-            self._write_snapshot(zone, tsa, 0, _GENESIS)
+            self._compact(zone, tsa, 0, bytes(32))  # record 0's h in a new dir
             return
         tip = loaded[2]
         ledger = zone.ledger.changes() if zone.ledger is not None else None
-        body = json.dumps({"seq": tip.seq + 1, "tsa": tsa.state_dict(), "zone": zone.changes(),
-                           "ledger": ledger}, sort_keys=True, separators=(",", ":")).encode()
+        body = _encode(tip.seq + 1, tsa, zone.changes(), ledger)
         h = sha256(tip.h + body)
-        line = _LINE_HEAD + h.hex().encode() + _LINE_MID + body + b"}\n"
-        if tip.valid + len(line) > COMPACT_BYTES:
-            self._write_snapshot(zone, tsa, tip.seq + 1, h)
+        line = _line(h, body)
+        if tip.valid - tip.base + len(line) > COMPACT_BYTES:
+            self._compact(zone, tsa, tip.seq + 1, h)
             return
         if tip.size != tip.valid:
-            os.truncate(self.journal_path, tip.valid)
-        _write_file(self.journal_path, line, os.O_APPEND)
+            os.truncate(self.zone_path, tip.valid)
+        _write_file(self.zone_path, line, os.O_APPEND)
 
-    def _write_snapshot(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
-        """Replace the document at once, then remove the journal it folds in."""
+    def _compact(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
+        """Replace the file at once with the whole state as record 0."""
         ledger = zone.ledger.state_dict() if zone.ledger is not None else None
-        doc = {"tsa": tsa.state_dict(), "zone": zone.state_dict(), "ledger": ledger,
-               "journal": {"seq": seq, "h": h.hex()}}
+        line = _line(h, _encode(seq, tsa, zone.state_dict(), ledger))
         tmp = self.zone_path.with_name(self.zone_path.name + ".tmp")
         try:
-            _write_file(tmp, json.dumps(doc).encode(), os.O_TRUNC)
+            _write_file(tmp, line, os.O_TRUNC)
             os.replace(tmp, self.zone_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        self.journal_path.unlink(missing_ok=True)
 
     def load_ledger(self) -> IdentityLedger:
-        """The ledger alone: the snapshot's ledger section and the journal's
-        ledger changes, with no zone decoded."""
-        snapshot = self._read_snapshot()
-        ledger = None
-        if snapshot is not None:
-            doc, tip = snapshot
-            ledger = self._ledger(doc, self._read_journal(tip))
+        """The ledger alone, from every record's ledger section, with no zone decoded."""
+        read = self._read()
+        ledger = self._ledger(read[0]) if read is not None else None
         if ledger is None:
             raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")
         return ledger
 
-    def emit(self, payload: dict, text: str | None = None):
-        if self.fmt == "json":
-            click.echo(json.dumps(payload, sort_keys=True))
-        else:
-            click.echo(text if text is not None else json.dumps(payload, sort_keys=True))
+    def emit(self, payload: dict, text: str):
+        click.echo(json.dumps(payload, sort_keys=True) if self.fmt == "json" else text)
 
 
 def _hex_bytes(value: str, length: int | None = None, what: str = "value") -> bytes:

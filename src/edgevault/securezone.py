@@ -39,6 +39,7 @@ from .crypto import (
 )
 from .errors import (
     AlreadySplitError,
+    InvalidOrderError,
     KeyStateError,
     ShareVerificationError,
     StateError,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .ledger import IdentityLedger, LedgerEntry
 from .quasigroup import generate_quasigroup
-from .shares import SealedShare, SplitRecord, combine_and_verify, seal_share, split
+from .shares import CONTEXT_LEN, SealedShare, SplitRecord, combine_and_verify, seal_share, split
 
 __all__ = ["ManagedKey", "Decision", "DistributionResult", "SecureZone", "DEFAULT_BUDGET"]
 
@@ -365,6 +366,11 @@ class SecureZone:
         key = self._require_user_key(key_id)
         if key.state != "generated":
             raise AlreadySplitError(f"key {key_id.hex()} is already {key.state}")
+        # refused before the wrap below spends a KEK nonce and logs a split that never happens
+        if len(context_id) != CONTEXT_LEN:
+            raise UnknownKeyError(f"a context id is {CONTEXT_LEN} bytes, not {len(context_id)}")
+        if not 2 <= q_order <= 65535:
+            raise InvalidOrderError(f"order must be in [2, 65535], got {q_order}")
         if context_id in self._contexts:
             raise AlreadySplitError(f"context {context_id.hex()} already has a distribution")
 

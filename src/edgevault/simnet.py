@@ -1,6 +1,6 @@
 """Deterministic single-process simulation of the two-level hierarchy.
 
-One edge node (secure zone + identity ledger + Bloom pre-filter) talks to
+One edge node (secure zone + identity ledger) talks to
 one cloud node (ledger replica + cloud-held key shares) over an in-process
 channel.  A scripted adversary can tamper with shares in flight, forge
 shares, replay transactions, or flip bits in the cloud's ledger replica;
@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bloom import BloomFilter
 from .crypto import U64_LIMIT, TimestampAuthority, Timestamp, derive_seed, sha256
 from .curves import WeierstrassCurve, standard_curve
 from .errors import ClassificationError, ScenarioConfigError, StateError, parses
@@ -282,13 +281,11 @@ class _Runner:
     def __init__(self, scenario: SimScenario):
         if scenario.device_count < 0:
             raise ScenarioConfigError("device_count must be >= 0")
-        registers = 0  # sizes the Bloom filter; device_count is declared, not enforced
         for step in scenario.script:
             if step.action not in ("register", "transact", "attack"):
                 raise ScenarioConfigError(f"unknown action {step.action!r}")
             if step.action == "attack" and step.kind not in ATTACK_KINDS:
                 raise ScenarioConfigError(f"unknown attack kind {step.kind!r}")
-            registers += step.action == "register"
         self.scenario = scenario
         self.clock = _LogicalClock()
         self.events: list[SimEvent] = []
@@ -299,7 +296,6 @@ class _Runner:
         self.zone = SecureZone(derive_seed(seed, b"zone"), self.tsa)
         curve = scenario.curve if scenario.curve is not None else standard_curve()
         self.zone.attach_ledger(IdentityLedger(group_id=scenario.name, curve=curve))
-        self.bloom = BloomFilter.create(max(registers, 1), 0.01)
         self.cloud = _Cloud(scenario.name, curve)
         self.adversary_rng = np.random.default_rng(derive_seed(seed, b"adversary"))
         self.contexts: dict[str, bytes] = {}  # device label -> h2
@@ -323,7 +319,6 @@ class _Runner:
         seed = self.scenario.seed
         entry = self.zone.register_device(label, rng_seed=derive_seed(seed, b"reg:" + label.encode()))
         self.contexts[label] = entry.h2
-        self.bloom.insert(entry.h2)
         key_id = self.zone.generate_key(
             "data-encryption", rng_seed=derive_seed(seed, b"key:" + label.encode())
         )
@@ -357,8 +352,6 @@ class _Runner:
         return self.contexts[label]
 
     def _authorize(self, context: bytes, share: SealedShare, ts: Timestamp) -> str:
-        if not self.bloom.contains(context):
-            return "rejected:not-in-filter"
         decision = self.zone.authorize_transaction(context, share, ts)
         return "accepted" if decision.accepted else f"rejected:{decision.reason}"
 

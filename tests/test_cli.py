@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, keys, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, _line, keys, main
 from edgevault.crypto import TimestampAuthority
 from edgevault.curves import standard_curve
 from edgevault.errors import StateError
@@ -40,23 +40,25 @@ def _init_ledger(runner, state):
 
 
 def _document(state):
-    """The whole state, the snapshot with the journal replayed, as the
-    document's three sections."""
+    """The whole state, every record applied, as record 0's three sections."""
     return _state_of(*AppState(state, "json").load_zone())
 
 
-# the journal tip of a snapshot that folds in no record
-_GENESIS_TIP = {"seq": 0, "h": "00" * 32}
+def _record0(state):
+    """The first line of the state file: ``{"h", "r"}``, ``r`` the whole state."""
+    with open(state / "zone.json", "rb") as f:
+        return json.loads(f.readline())
 
 
 def _write_document(state, document):
-    """Make ``document`` (a dict, or raw bytes) the whole state: the snapshot,
-    with no journal.  A dict with no journal tip gets the genesis one."""
+    """Make ``document`` the whole state: record 0, with no record after it.
+    ``document`` is the record (a dict gets seq 0 if it has none), or its
+    raw bytes."""
     if isinstance(document, dict):
-        document = {"journal": _GENESIS_TIP, **document}
-    raw = document if isinstance(document, bytes) else json.dumps(document).encode()
-    (state / "zone.json").write_bytes(raw)
-    (state / "journal.jsonl").unlink(missing_ok=True)
+        document = {"seq": 0, **document}
+    if not isinstance(document, bytes):
+        document = json.dumps(document).encode()
+    (state / "zone.json").write_bytes(_line(bytes(32), document))
 
 
 def _split_record(zone):
@@ -128,6 +130,16 @@ def test_ledger_flow_verify_export_sync(runner, tmp_path):
     assert snap.exists()
     header = json.loads(snap.read_text().splitlines()[0])
     assert header["entry_count"] == 2
+
+
+def test_ledger_export_to_a_file_writes_what_stdout_gets(runner, tmp_path):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    out = tmp_path / "ledger.jsonl"
+    r = invoke(runner, state, "ledger", "export", "-o", str(out))
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output) == {"written": str(out)}
+    assert out.read_text() == invoke(runner, state, "ledger", "export").output
 
 
 def test_ledger_verify_detects_hex_edit(runner, tmp_path):
@@ -334,13 +346,13 @@ def _without_used_points(ledger):
 
 
 def _journal_seq(seq):
-    """The document with a journal tip whose sequence number is ``seq``."""
-    return lambda doc: dict(doc, journal={"seq": seq, "h": "00" * 32})
+    """Record 0 with the sequence number ``seq``."""
+    return lambda doc: dict(doc, seq=seq)
 
 
 def _spliced(document, section, raw):
-    """The document's bytes with ``raw`` as one section's value, JSON or not."""
-    text = json.dumps({"journal": _GENESIS_TIP, **document, section: None}).encode()
+    """Record 0's bytes with ``raw`` as one section's value, JSON or not."""
+    text = json.dumps({"seq": 0, **document, section: None}).encode()
     return text.replace(f'"{section}": null'.encode(), f'"{section}": '.encode() + raw, 1)
 
 
@@ -364,10 +376,12 @@ def _spliced(document, section, raw):
         ("document", _without_zone_section, "corrupted-state"),
         ("document", _string_ledger_section, "corrupted-state"),
         ("document", _old_layout_without_tsa_json, "corrupted-state"),
-        # each loaded as seq 1 where a journal record's seq must be an int
+        # record 0's seq must be an int in [0, 2**64)
         ("document", _journal_seq(True), "corrupted-state"),
         ("document", _journal_seq("1"), "corrupted-state"),
         ("document", _journal_seq(1.9), "corrupted-state"),
+        ("document", _journal_seq(-1), "corrupted-state"),
+        ("document", _journal_seq(1 << 64), "corrupted-state"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
          "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
@@ -376,7 +390,8 @@ def _spliced(document, section, raw):
          "zone-one-expected-tag", "scenario-string-entry", "document-list",
          "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json",
          "document-journal-seq-bool", "document-journal-seq-string",
-         "document-journal-seq-float"],
+         "document-journal-seq-float", "document-journal-seq-negative",
+         "document-journal-seq-2**64"],
 )
 def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, content, code):
     """``content`` is the bad file, the raw bytes of a state document section,
@@ -488,6 +503,29 @@ def test_out_of_range_budget_is_a_usage_error(runner, tmp_path, budget):
     assert not (tmp_path / "state").exists()
 
 
+def test_keys_split_to_stdout_prints_a_share_that_authorizes(runner, tmp_path):
+    state = tmp_path / "state"
+    context = _init_ledger(runner, state)["entries"][0]["h2_hex"]
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    r = invoke(runner, state, "keys", "split", key_id, "--device", "alpha", "--order", "16")
+    assert r.exit_code == 0, r.output
+    share_file = tmp_path / "cloud.json"
+    share_file.write_text(r.output)
+    r = invoke(runner, state, "keys", "authorize", "--context", context,
+               "--share", str(share_file))
+    assert r.exit_code == 0, r.output
+
+
+def test_a_key_id_of_the_wrong_length_is_a_usage_error(runner, tmp_path):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    before = _state_files(state)
+    r = invoke(runner, state, "keys", "split", "ab" * 15, "--context", "cd" * 32)
+    assert r.exit_code == 64, r.output
+    assert "key id must be 16 bytes" in r.output
+    assert _state_files(state) == before
+
+
 def test_keys_split_requires_context_or_device(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "keys", "split", "ab" * 16)
     assert r.exit_code == 64  # usage error, not the tamper code
@@ -506,7 +544,7 @@ def _refused(runner, state, *args):
 def test_keys_split_of_the_zone_s_kek_is_a_key_state_error(runner, tmp_path):
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    kek_id = json.loads((state / "zone.json").read_bytes())["zone"]["kek_id"]
+    kek_id = _record0(state)["r"]["zone"]["kek_id"]
     assert _refused(runner, state, "keys", "split", kek_id, "--context", "11" * 32,
                     "--order", "16", "-o", str(tmp_path / "s.json")) == "key-state"
     assert not (tmp_path / "s.json").exists()
@@ -598,6 +636,13 @@ def test_sim_run_builtin_attack_suite(runner, tmp_path):
         json.loads(line)  # strict JSON per line
 
 
+def test_sim_builtin_with_a_name_prints_the_scenario(runner, tmp_path):
+    r = invoke(runner, tmp_path / "s", "sim", "builtin", "replay-storm")
+    assert r.exit_code == 0, r.output
+    assert r.output == builtin_scenarios()["replay-storm"].to_json() + "\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_sim_builtin_without_a_name_lists_the_scenarios(runner, tmp_path):
     r = invoke(runner, tmp_path / "s", "sim", "builtin")
     assert r.exit_code == 0, r.output
@@ -653,27 +698,26 @@ def test_json_mode_outputs_are_strict_json(runner, tmp_path):
 
 
 def test_lock_released_after_commands(runner, tmp_path):
-    """After each mutating command the state dir holds only the snapshot and
-    the journal: no .lock and no tmp file.  The first command writes the
-    snapshot, each later one a journal line."""
+    """After each mutating command the state dir holds only the state file:
+    no .lock and no tmp file.  The first command writes record 0, the whole
+    state, and each later one appends a record."""
     state = tmp_path / "state"
     share_file = tmp_path / "cloud.json"
 
-    def run(*args, files=("journal.jsonl", "zone.json")):
+    def run(*args):
         r = invoke(runner, state, *args)
         assert r.exit_code == 0, r.output
-        assert sorted(os.listdir(state)) == list(files)
+        assert os.listdir(state) == ["zone.json"]
         return r
 
-    run("ledger", "init", "--group", "g", "--preset", "tiny", files=["zone.json"])
+    run("ledger", "init", "--group", "g", "--preset", "tiny")
     run("ledger", "register", "alpha", "--seed", "10")
     key_id = json.loads(run("keys", "generate").output)["key_id"]
     run("keys", "split", key_id, "--device", "alpha", "--order", "16", "-o", str(share_file))
     context = _document(state)["ledger"]["entries"][0]["h2_hex"]
     run("keys", "authorize", "--context", context, "--share", str(share_file))
-    assert set(json.loads((state / "zone.json").read_bytes())) == {
-        "tsa", "zone", "ledger", "journal"}
-    assert len((state / "journal.jsonl").read_bytes().splitlines()) == 4
+    assert set(_record0(state)["r"]) == {"seq", "tsa", "zone", "ledger"}
+    assert len((state / "zone.json").read_bytes().splitlines()) == 5
 
 
 def _hold_lock(state):
@@ -760,7 +804,7 @@ def test_lock_no_process_holds_never_blocks(runner, tmp_path, owner):
     assert lock.exists()
     r = invoke(runner, state, "keys", "generate")
     assert r.exit_code == 0, r.output
-    assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
+    assert os.listdir(state) == ["zone.json"]
 
 
 @pytest.mark.parametrize("release", ["unlinked", "replaced"])
@@ -802,9 +846,6 @@ def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path, monkeypatch)
     state = tmp_path / "state"
     r = invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny")
     assert r.exit_code == 0, r.output
-    # the 25th and 49th commit would compact and remove the journal; the
-    # forked workers inherit this, so every commit appends
-    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 1 << 30)
     with multiprocessing.get_context("fork").Pool(4) as pool:
         runs = [run for worker in pool.map(_generate_keys, [state] * 4) for run in worker]
     generated = []
@@ -817,7 +858,7 @@ def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path, monkeypatch)
     stored = list(_document(state)["zone"]["keys"])
     assert len(stored) == 3 + len(generated)
     assert set(generated) <= set(stored)
-    assert sorted(os.listdir(state)) == ["journal.jsonl", "zone.json"]
+    assert os.listdir(state) == ["zone.json"]
 
 
 @pytest.mark.parametrize("args", [
@@ -946,14 +987,21 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
 
 
 def _to_earlier_layout(state, layout):
-    """Rewrite the state dir in a layout an earlier version wrote: "three-file"
-    keeps the TSA and the ledger in tsa.json and ledger.json beside a bare
-    zone; "journal-less" is the document with no journal section;
-    "four-context-sections" is the document whose zone section lists the keys
-    and spreads each context over four sections."""
+    """Rewrite the state dir in a layout an earlier version wrote:
+    "snapshot-and-journal" is record 0 as the document ``{"tsa", "zone",
+    "ledger", "journal"}`` beside journal.jsonl, which holds the later
+    records; "three-file" keeps the TSA and the ledger in tsa.json and
+    ledger.json beside a bare zone; "journal-less" is the document with no
+    journal section; "four-context-sections" is the document whose zone
+    section lists the keys and spreads each context over four sections."""
     sections = _document(state)
-    (state / "journal.jsonl").unlink(missing_ok=True)
-    if layout == "three-file":
+    if layout == "snapshot-and-journal":
+        first, rest = (state / "zone.json").read_bytes().split(b"\n", 1)
+        first = json.loads(first)
+        tip = {"seq": first["r"].pop("seq"), "h": first["h"]}
+        (state / "zone.json").write_text(json.dumps({**first["r"], "journal": tip}))
+        (state / "journal.jsonl").write_bytes(rest)
+    elif layout == "three-file":
         (state / "zone.json").write_text(json.dumps(sections["zone"]))
         (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
         (state / "ledger.json").write_text(json.dumps(sections["ledger"]))
@@ -968,27 +1016,22 @@ def _to_earlier_layout(state, layout):
         zone["context_keys"] = {cid: c["key_id"] for cid, c in contexts.items()}
         zone["last_seen"] = {cid: c["last_seen"] for cid, c in contexts.items()
                              if c["last_seen"] is not None}
-        _write_document(state, sections)
+        (state / "zone.json").write_text(json.dumps(
+            {**sections, "journal": {"seq": 0, "h": "00" * 32}}))
 
 
-@pytest.mark.parametrize("layout", ["three-file", "journal-less", "four-context-sections"])
+@pytest.mark.parametrize("layout", ["snapshot-and-journal", "three-file", "journal-less",
+                                    "four-context-sections"])
 def test_a_state_dir_in_an_earlier_layout_is_refused(runner, tmp_path, layout):
     """None loads as a fresh zone, so no key is overwritten, and none is
-    rewritten.  The last one's ledger section is in the current layout, so
-    the ledger commands, which decode no zone, still read it."""
+    rewritten.  The ledger commands, which decode no zone, refuse them too."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
     _to_earlier_layout(state, layout)
     before = _state_files(state)
     for args in (["keys", "generate"], ["ledger", "verify"]):
-        r = invoke(runner, state, *args)
-        if args[0] == "ledger" and layout == "four-context-sections":
-            assert r.exit_code == 0, r.output
-        else:
-            assert r.exit_code == 1, r.output
-            err = json.loads(r.output.strip().splitlines()[-1])
-            assert err["error"]["code"] == "corrupted-state"
-        assert _state_files(state) == before
+        assert _refused(runner, state, *args) == "corrupted-state"
+    assert _state_files(state) == before
 
 
 def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeypatch):
@@ -1007,7 +1050,7 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeyp
     zone, tsa = app.load_zone()
     zone._contexts[bytes.fromhex(alias)] = zone._contexts[bytes.fromhex(context)]
     app.save_zone(zone, tsa)
-    assert alias in (state / "journal.jsonl").read_text()
+    assert alias in (state / "zone.json").read_text().splitlines()[-1]
 
     def authorize(ctx):
         """Authorize on ``ctx``: refused untouched for the alias, accepted for A."""
@@ -1025,32 +1068,48 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeyp
     authorize(alias)
     authorize(context)
     monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
-    authorize(context)  # compacts: the alias's unit moves into the snapshot
+    authorize(context)  # compacts: the alias's unit moves into record 0
     monkeypatch.undo()
-    assert sorted(os.listdir(state)) == ["zone.json"]
-    assert alias in json.loads((state / "zone.json").read_bytes())["zone"]["contexts"]
+    assert len((state / "zone.json").read_bytes().splitlines()) == 1
+    assert alias in _record0(state)["r"]["zone"]["contexts"]
     authorize(alias)
     authorize(context)
 
 
+def test_a_compaction_that_fails_to_write_leaves_the_state_file_as_it_was(
+        runner, tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    before = _state_files(state)
+    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+
+    def write(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write)
+    r = runner.invoke(main, ["--state-dir", str(state), "keys", "generate"])
+    monkeypatch.undo()
+    assert isinstance(r.exception, OSError)
+    assert _state_files(state) == before  # no zone.json.tmp, and zone.json unchanged
+
+
 def test_a_zone_not_loaded_from_the_dir_is_saved_only_into_a_new_one(runner, tmp_path):
-    """Such a zone becomes the first snapshot of a new dir; a dir that holds
-    state refuses it and is left as it is."""
+    """Such a zone becomes record 0 of a new dir, with seq 0 and 32 zero
+    bytes as its h; a dir that holds state refuses it and is left as it is."""
     tsa = TimestampAuthority(issuer="edgevault-tsa")
     zone = SecureZone(0, tsa)
     fresh = tmp_path / "fresh"
     AppState(fresh, "json").save_zone(zone, tsa)
-    assert json.loads((fresh / "zone.json").read_bytes())["journal"] == _GENESIS_TIP
+    assert (fresh / "zone.json").read_bytes().count(b"\n") == 1
+    record0 = _record0(fresh)
+    assert (record0["h"], record0["r"]["seq"]) == ("00" * 32, 0)
     assert _document(fresh)["zone"] == zone.state_dict()
 
     state = tmp_path / "state"
     _init_ledger(runner, state)
     app = AppState(state, "json")
     app.load_zone()
-    for files in ("snapshot-and-journal", "journal-alone"):
-        if files == "journal-alone":
-            (state / "zone.json").unlink()
-        before = _state_files(state)
-        with pytest.raises(StateError):
-            app.save_zone(zone, tsa)
-        assert _state_files(state) == before
+    before = _state_files(state)
+    with pytest.raises(StateError):
+        app.save_zone(zone, tsa)
+    assert _state_files(state) == before

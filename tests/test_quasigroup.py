@@ -231,8 +231,8 @@ def test_division_tables_match_argsort_oracle(kind, n):
 def test_isotope_closed_forms_match_table_lookups(n):
     q = generate_quasigroup(n, 5)
     assert isinstance(q, IsotopeQuasigroup)
-    # table-backed oracle: its table comes from the canonical bytes (built from
-    # a doubled sigma, pinned in test_golden), its divisions by scatter
+    # table-backed oracle: its table comes from the canonical bytes (pinned in
+    # test_golden), its divisions by scatter
     oracle = Quasigroup.from_bytes(q.to_bytes())
     assert oracle == Quasigroup(q.table)
     xs = np.repeat(np.arange(n, dtype=np.uint16), n)

@@ -8,6 +8,7 @@ from edgevault.curves import tiny_curve
 from edgevault.errors import (
     AlgebraFailureError,
     AlreadySplitError,
+    InvalidOrderError,
     KeyStateError,
     StateError,
     UnknownKeyError,
@@ -296,6 +297,25 @@ def test_the_zone_s_own_keys_cannot_be_retired_or_split(zone, tsa):
     assert {k.key_id: k.nonces.counter for k in zone._keys.values()} == counters
     _, result = _distributed(zone)
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+
+
+@pytest.mark.parametrize("context,order,error", [
+    (bytes(5), 16, UnknownKeyError),
+    (bytes(33), 16, UnknownKeyError),
+    (CTX, 1, InvalidOrderError),
+    (CTX, 70000, InvalidOrderError),
+], ids=["5-byte-context", "33-byte-context", "order-1", "order-70000"])
+def test_a_bad_split_is_refused_before_the_key_is_wrapped(zone, context, order, error):
+    """No KEK nonce is spent and no audit entry is written for a split
+    that does not happen; the key can still be split."""
+    key_id = zone.generate_key("data-encryption", rng_seed=7)
+    public, audit = zone.public_state(), len(zone.audit_log)
+    counters = {k.key_id: k.nonces.counter for k in zone._keys.values()}
+    with pytest.raises(error):
+        zone.split_and_distribute(key_id, context, q_order=order, rng_seed=8)
+    assert zone.public_state() == public and len(zone.audit_log) == audit
+    assert {k.key_id: k.nonces.counter for k in zone._keys.values()} == counters
+    zone.split_and_distribute(key_id, CTX, q_order=16, rng_seed=8)
 
 
 def test_budget_exhaustion(zone, tsa):

@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-from edgevault.bloom import BloomFilter
 from edgevault.crypto import TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
@@ -231,15 +230,6 @@ def test_unknown_action_rejected():
 def test_unknown_attack_kind_rejected():
     with pytest.raises(ScenarioConfigError):
         run_scenario(_scenario([SimStep("attack", kind="quantum")]))
-
-
-def test_bloom_filter_is_sized_by_the_register_steps_not_device_count():
-    # a declared device_count of 10**9 once asked for a 9.6 GB filter
-    script = [SimStep("register", device="a"), SimStep("register", device="b"),
-              SimStep("transact", device="b", expect="accepted")]
-    runner = _Runner(_scenario(script, devices=10 ** 9))
-    assert runner.bloom.m == BloomFilter.create(2, 0.01).m
-    assert runner.run().verdict.passed
 
 
 def test_zero_attacks_succeed_across_1000_seeded_runs():
