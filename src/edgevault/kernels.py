@@ -1,13 +1,12 @@
 """Hot numeric kernels: vectorized numpy for the share algebra.
 
-The digit-wise share algebra, Latin-square validation of arbitrary tables,
-parastroph identity sweeps over either quasigroup form, and power-of-two
-base packing dominate runtime at large orders and secret sizes.  ``BACKEND``
-names the implementation for benchmark reports.
+Latin-square validation of arbitrary tables, parastroph identity sweeps over
+either quasigroup form, and table lookups of digit pairs dominate runtime at
+large orders.  ``BACKEND`` names the implementation for benchmark reports.
 
 All kernels assume pre-validated inputs: tables are square uint16 arrays with
-entries in ``[0, n)``, digit arrays are uint16, byte buffers are uint8.
-Validation lives in the calling modules.
+entries in ``[0, n)`` and digit arrays are uint16.  Validation lives in the
+calling modules.
 """
 
 from __future__ import annotations
@@ -54,24 +53,3 @@ def pair_lookup(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise gather out[i] = table[a[i], b[i]]."""
     return table[a.astype(np.intp), b.astype(np.intp)]
 
-
-def pack_pow2(data: np.ndarray, width: int, count: int) -> np.ndarray:
-    """Split a uint8 byte buffer into ``count`` MSB-first digits of ``width`` bits.
-
-    Zero bits are padded at the most-significant end so the buffer's
-    big-endian integer value is preserved.
-    """
-    bits = np.unpackbits(data)
-    pad = count * width - bits.shape[0]
-    if pad:
-        bits = np.concatenate([np.zeros(pad, dtype=np.uint8), bits])
-    weights = (1 << np.arange(width - 1, -1, -1)).astype(np.uint32)
-    return (bits.reshape(count, width).astype(np.uint32) @ weights).astype(np.uint16)
-
-
-def unpack_pow2(digits: np.ndarray, width: int, n_bytes: int) -> np.ndarray:
-    """Inverse of pack_pow2: digits back to a uint8 buffer of ``n_bytes``."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint16)
-    bits = ((digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    pad = bits.shape[0] - n_bytes * 8
-    return np.packbits(bits[pad:])

@@ -157,6 +157,8 @@ class IdentityLedger:
         self._labels: set[str] = set()
         # the stored entries and used points (JSON); None for a ledger never stored
         self._stored: Optional[dict] = None
+        # the points register_device chose after the ledger was loaded
+        self._added_points: list[tuple[int, int]] = []
 
     @property
     def entries(self) -> list[LedgerEntry]:
@@ -212,6 +214,7 @@ class IdentityLedger:
         )
         entries.append(entry)
         self._used_points.add(point)
+        self._added_points.append(point)
         self._labels.add(device_label)
         return entry
 
@@ -311,13 +314,12 @@ class IdentityLedger:
         its whole state if it was never stored."""
         if self._stored is None:
             return self.state_dict()
-        if self._entries is None:
-            return {}
         stored = len(self._stored["entries"])
-        new_points = self._used_points - _parse_points(self._stored["used_points"])
+        if self._entries is None or len(self._entries) == stored:
+            return {}
         return {
             "entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)],
-            "used_points": [[hex(x), hex(y)] for x, y in sorted(new_points)],
+            "used_points": [[hex(x), hex(y)] for x, y in sorted(self._added_points)],
         }
 
     @parses(StateError, "corrupted ledger changes")

@@ -84,14 +84,12 @@ def _pdf(family: str, params: dict[str, float], x: np.ndarray) -> np.ndarray:
     if family == "uniform":
         a, b = params["low"], params["high"]
         return np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-    if family == "lognormal":
-        mu, sigma = params["log_mu"], params["log_sigma"]
-        safe = np.maximum(x, np.finfo(float).tiny)
-        pdf = np.exp(-0.5 * ((np.log(safe) - mu) / sigma) ** 2) / (
-            safe * sigma * math.sqrt(2 * math.pi)
-        )
-        return np.where(x > 0, pdf, 0.0)
-    raise ValueError(f"unknown family {family!r}")
+    mu, sigma = params["log_mu"], params["log_sigma"]  # lognormal
+    safe = np.maximum(x, np.finfo(float).tiny)
+    pdf = np.exp(-0.5 * ((np.log(safe) - mu) / sigma) ** 2) / (
+        safe * sigma * math.sqrt(2 * math.pi)
+    )
+    return np.where(x > 0, pdf, 0.0)
 
 
 def _moment_params(family: str, values: np.ndarray) -> dict[str, float] | None:
@@ -104,15 +102,13 @@ def _moment_params(family: str, values: np.ndarray) -> dict[str, float] | None:
         return {"rate": float(1.0 / values.mean())}
     if family == "uniform":
         return {"low": float(values.min()), "high": float(values.max())}
-    if family == "lognormal":
-        if values.min() <= 0:
-            return None
-        logs = np.log(values)
-        sigma = float(logs.std())
-        if sigma == 0.0:
-            return None
-        return {"log_mu": float(logs.mean()), "log_sigma": sigma}
-    raise ValueError(f"unknown family {family!r}")
+    if values.min() <= 0:  # lognormal
+        return None
+    logs = np.log(values)
+    sigma = float(logs.std())
+    if sigma == 0.0:
+        return None
+    return {"log_mu": float(logs.mean()), "log_sigma": sigma}
 
 
 def fit_distribution(sample: Sample) -> FitReport:

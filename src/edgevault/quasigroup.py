@@ -36,12 +36,12 @@ def _coerce_table(table) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise MalformedTableError(f"table must be square with n >= 2, got shape {arr.shape}")
     n = arr.shape[0]
+    if n > 0xFFFF:
+        raise InvalidOrderError("orders above 65535 are not supported")
     if not np.issubdtype(arr.dtype, np.integer):
         raise MalformedTableError("table entries must be integers")
     if arr.min() < 0 or arr.max() >= n:
         raise MalformedTableError(f"table entries must lie in [0, {n})")
-    if n > 0xFFFF:
-        raise InvalidOrderError("orders above 65535 are not supported")
     return np.ascontiguousarray(arr.astype(np.uint16))
 
 
@@ -231,10 +231,9 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     permutations.  Not uniform over all Latin squares, but O(n) to build and
     reproducible across platforms.
     """
-    if order < 2:
-        raise InvalidOrderError(f"order must be >= 2, got {order}")
-    if order > 0xFFFF:
-        raise InvalidOrderError("orders above 65535 are not supported")
+    # refused before the permutations are drawn: a huge order would allocate them
+    if not 2 <= order <= 0xFFFF:
+        raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     sigma = rng.permutation(order)
     pi = rng.permutation(order)

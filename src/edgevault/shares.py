@@ -1,6 +1,7 @@
 """Verifiable 2-of-2 splitting of byte secrets over a secret quasigroup.
 
-A secret is encoded as base-n digits, masked digit-wise with fresh
+A secret is encoded as the base-n digits of its big-endian integer value
+(one conversion for every order n), masked digit-wise with fresh
 randomness (share 1) and the left-division complement (share 2), so that
 ``multiply(r, share2) == secret digit`` reconstructs it.  Either share alone
 is uniformly distributed per digit.  Shares travel sealed (AES-256-GCM) with
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .crypto import AeadRecord, NonceSequence, aead_decrypt, aead_encrypt, sha256
 from .errors import (
     AuthenticationFailure,
@@ -66,28 +66,35 @@ def _digit_count(secret_len: int, order: int) -> int:
     return count
 
 
+def _word(order: int) -> tuple[int, np.ndarray]:
+    """A word of base-``order`` digits that fits a uint64: its base
+    ``order**per`` and the place values of its ``per`` digits, least
+    significant first."""
+    places = order ** np.arange(64 // order.bit_length(), dtype=np.uint64)
+    return order ** places.shape[0], places
+
+
 def encode_secret(secret: bytes, order: int) -> np.ndarray:
     """Emit the secret as base-``order`` digits, most significant first.
 
-    The digit count is fixed by the bit-packing rule
-    ``ceil(len*8 / floor(log2 n))``; powers of two pack fixed-width bit
-    groups directly, other orders go through big-integer base conversion.
+    The digits are the secret's big-endian integer value in base ``order``,
+    zero-padded at the most significant end to the count
+    ``ceil(len*8 / floor(log2 n))``.  The big-integer loop cuts the value
+    into words of digits, which numpy then splits.
     """
     if order < 2 or order > 0xFFFF:
         raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
     if not secret:
         raise EmptySecretError("cannot encode an empty secret")
     count = _digit_count(len(secret), order)
-    if order & (order - 1) == 0:
-        data = np.frombuffer(secret, dtype=np.uint8)
-        return kernels.pack_pow2(data, _digit_width(order), count)
-    value = int.from_bytes(secret, "big")
-    digits = np.zeros(count, dtype=np.uint16)
-    i = count - 1
+    base, places = _word(order)
+    value, words = int.from_bytes(secret, "big"), []  # least significant first
     while value:
-        value, rem = divmod(value, order)
-        digits[i] = rem
-        i -= 1
+        value, word = divmod(value, base)
+        words.append(word)
+    low = (np.array(words, dtype=np.uint64)[:, None] // places % order).ravel()[:count]
+    digits = np.zeros(count, dtype=np.uint16)
+    digits[count - low.shape[0]:] = low[::-1]
     return digits
 
 
@@ -97,11 +104,12 @@ def decode_secret(digits: np.ndarray, order: int) -> bytes:
         raise InvalidOrderError(f"order must be >= 2, got {order}")
     digits = np.asarray(digits, dtype=np.uint16)
     n_bytes = (digits.shape[0] * _digit_width(order)) // 8
-    if order & (order - 1) == 0:
-        return kernels.unpack_pow2(digits, _digit_width(order), n_bytes).tobytes()
+    base, places = _word(order)
+    per = places.shape[0]
+    padded = np.concatenate([np.zeros(-digits.shape[0] % per, dtype=np.uint64), digits])
     value = 0
-    for d in digits.tolist():
-        value = value * order + d
+    for word in (padded.reshape(-1, per) @ places[::-1]).tolist():
+        value = value * base + word
     if value >> (8 * n_bytes):
         raise ValueError("digit string encodes a value wider than its byte length")
     return value.to_bytes(n_bytes, "big")
@@ -323,8 +331,8 @@ def combine_and_verify(
     try:
         secret = decode_secret(secret_digits, q.order)
     except ValueError as exc:
-        # a wrong table at a non-power-of-two order can give digits worth
-        # more than the secret's bytes; that is a wrong secret too
+        # a wrong table can give digits worth more than the secret's bytes;
+        # that is a wrong secret too
         raise ChecksumMismatchError(f"reconstructed secret is malformed: {exc}") from exc
 
     if sha256(secret) != record.secret_checksum:

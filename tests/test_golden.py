@@ -3,7 +3,7 @@
 Shares, split records, sealed shares, generated quasigroup tables and
 simulator event logs are frozen byte layouts (see the ``crypto`` module docstring).  These digests were
 taken from the implementation and must not change: a refactor of the share
-algebra, the digit packing or the simulator that moves any of them breaks
+algebra, the digit encoding or the simulator that moves any of them breaks
 compatibility with state written by earlier versions.
 """
 
@@ -26,8 +26,8 @@ def _hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# order 256 goes through the power-of-two digit packing, 251 through the
-# big-integer base conversion
+# order 256, a power of two, and order 251 go through the same base
+# conversion
 SPLITS = {
     (256, 7, 11): {
         "share1": "f4597e9b0c999f2b89a7dbfa33bd9c5f910f3cd80704a7a1c42767f89ea989a8",

@@ -455,6 +455,35 @@ def test_read_only_ledger_commands_decode_no_zone(journaled, monkeypatch):
     assert "alpha" in _run(journaled, "ledger", "export").output
 
 
+def _last_record(state):
+    return json.loads((state / "zone.json").read_bytes().splitlines()[-1])
+
+
+def test_a_command_that_only_reads_the_ledger_journals_no_ledger_change(journaled):
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    assert len(_last_record(journaled)["r"]["ledger"]["entries"]) == 1
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    assert _last_record(journaled)["r"]["ledger"] == {}
+    # the split looks the device up, which decodes the ledger's entries
+    _run(journaled, "keys", "split", key_id, "--device", "alpha", "--order", 16,
+         "-o", journaled.parent / "alpha.json")
+    assert _last_record(journaled)["r"]["ledger"] == {}
+
+
+def test_reading_the_state_before_a_save_leaves_its_record_unchanged(journaled, monkeypatch):
+    """``_capture_saves`` calls ``state_dict()`` on the zone and the ledger
+    before each save; the record saved must not see it."""
+    monkeypatch.setattr(time, "time", lambda: 4_000_000_000.0)  # the TSA's clock
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    read = journaled.parent / "read"
+    shutil.copytree(journaled, read)
+    _run(journaled, "keys", "generate", "--seed", 4)
+    saved = _capture_saves(monkeypatch)
+    _run(read, "keys", "generate", "--seed", 4)
+    assert len(saved) == 1
+    assert _files(read) == _files(journaled)
+
+
 # --- the model: every reload equals the state the command left --------------------------
 
 

@@ -89,28 +89,3 @@ def test_pair_lookup_matches_oracle(rng):
     out = kernels.pair_lookup(q.table, a, b)
     expected = np.array([q.table[int(x), int(y)] for x, y in zip(a[:50], b[:50])])
     assert np.array_equal(out[:50], expected)
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 8])
-@pytest.mark.parametrize("length", [1, 2, 5, 64, 1031])
-def test_pack_unpack_roundtrip_both_backends(width, length, rng):
-    data = rng.integers(0, 256, size=length, dtype=np.uint8)
-    count = -(-length * 8 // width)
-    packed = kernels.pack_pow2(data, width, count)
-    assert packed.max(initial=0) < (1 << width)
-    assert np.array_equal(kernels.unpack_pow2(packed, width, length), data)
-
-
-def test_pack_matches_bigint_oracle(rng):
-    # digits must equal the base-2^width big-endian expansion of the buffer
-    data = rng.integers(0, 256, size=17, dtype=np.uint8)
-    for width in (1, 3, 4, 8):
-        count = -(-17 * 8 // width)
-        value = int.from_bytes(data.tobytes(), "big")
-        expected = []
-        for _ in range(count):
-            value, r = divmod(value, 1 << width)
-            expected.append(r)
-        expected.reverse()
-        got = kernels.pack_pow2(data, width, count)
-        assert got.tolist() == expected

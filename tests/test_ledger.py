@@ -13,7 +13,7 @@ from edgevault.errors import (
     RefuseSyncError,
     StateError,
 )
-from edgevault.ledger import IdentityLedger, LedgerEntry, parse_entry_lines
+from edgevault.ledger import ChainReport, IdentityLedger, LedgerEntry, parse_entry_lines
 from edgevault.securezone import SecureZone
 from edgevault.shares import SealedShare
 from edgevault.simnet import _Cloud
@@ -102,6 +102,12 @@ def test_verify_flags_tampered_ciphertext(f5_ledger, tsa):
     report = f5_ledger.verify_chain()
     assert not report.valid
     assert report.first_bad_index == 3
+
+
+def test_a_chain_report_is_true_exactly_when_the_chain_is_valid(f5_ledger, tsa):
+    _register_n(f5_ledger, tsa, 2)
+    assert f5_ledger.verify_chain()
+    assert not ChainReport(valid=False, first_bad_index=0)
 
 
 def test_truncation_keeps_prefix_valid(f5_ledger, tsa):

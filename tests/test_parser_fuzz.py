@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import AppState
+from edgevault.cli import AppState, _line
 from edgevault.crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority
 from edgevault.curves import WeierstrassCurve, standard_curve, tiny_curve
 from edgevault.errors import (
@@ -156,16 +156,30 @@ def _ledger_state():
 
 
 LEDGER_STATE = _ledger_state()
-DOCUMENT = {"tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE,
-            "journal": {"seq": 0, "h": "00" * 32}}
+DOCUMENT = {"seq": 0, "tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE}
 
 
 def _load_document(doc):
-    """``AppState.load_zone`` of a state dir whose ``zone.json`` is ``doc``."""
+    """``AppState.load_zone`` of a state dir whose ``zone.json`` holds ``doc``
+    as record 0, with every key, context and ledger entry decoded."""
     with tempfile.TemporaryDirectory() as root:
         state = AppState(Path(root), "json")
-        state.zone_path.write_text(json.dumps(doc))
-        return state.load_zone()
+        state.zone_path.write_bytes(_line(bytes(32), json.dumps(doc).encode()))
+        zone, tsa = state.load_zone()
+        zone._contexts.values()  # decodes each context's key too
+        zone._keys.values()
+        if zone.ledger is not None:
+            zone.ledger.entries
+        return zone, tsa
+
+
+def test_the_unmutated_state_document_loads():
+    zone, tsa = _load_document(DOCUMENT)
+    assert zone.state_dict() == ZONE
+    assert zone.ledger.state_dict() == LEDGER_STATE
+    assert tsa.state_dict() == TSA_STATE
+
+
 SCENARIO = SimScenario(
     name="fuzz", seed=5, device_count=2, order=16, curve=tiny_curve(),
     script=[

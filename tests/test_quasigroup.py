@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edgevault.errors import InvalidElementError, InvalidOrderError, MalformedTableError
 from edgevault.quasigroup import (
+    IdentityReport,
     IsotopeQuasigroup,
     Quasigroup,
     generate_quasigroup,
@@ -44,6 +45,19 @@ def test_invalid_order_rejected():
         generate_quasigroup(1, 0)
     with pytest.raises(InvalidOrderError):
         generate_quasigroup(0, 0)
+
+
+def test_an_order_above_65535_is_refused_by_each_constructor():
+    with pytest.raises(InvalidOrderError):
+        generate_quasigroup(65536, 0)
+    identity = np.arange(65536)
+    with pytest.raises(InvalidOrderError):
+        IsotopeQuasigroup(identity, identity, identity)
+    # a zero-copy view of 2^32 entries, refused before they are scanned
+    table = np.broadcast_to(np.uint16(0), (65536, 65536))
+    for construct in (is_latin_square, Quasigroup):
+        with pytest.raises(InvalidOrderError):
+            construct(table)
 
 
 @given(order=st.integers(2, 64), seed=st.integers(0, 2 ** 63))
@@ -166,6 +180,12 @@ def test_generated_tables_pass_exhaustive_identities(n):
     for seed in (0, 1, 99):
         report = verify_parastroph_identities(generate_quasigroup(n, seed))
         assert report.passed, report.failures[:5]
+
+
+def test_an_identity_report_is_true_exactly_when_it_passed():
+    report = verify_parastroph_identities(Quasigroup(ADD_MOD_3))
+    assert report and report.passed
+    assert not IdentityReport(passed=False, mode="exhaustive", checked_pairs=9)
 
 
 def test_verify_rejects_malformed_table():

@@ -106,6 +106,12 @@ def test_split_roles_edge_1_cloud_2(zone):
     assert zone.edge_share_for(CTX).index == 1
 
 
+def test_edge_share_for_an_unknown_context_is_unknown_key(zone):
+    _distributed(zone)
+    with pytest.raises(UnknownKeyError):
+        zone.edge_share_for(bytes([1]) * 32)
+
+
 def test_split_moves_state_to_distributed(zone):
     key_id, _ = _distributed(zone)
     assert zone._keys[key_id].state == "distributed"
@@ -213,6 +219,17 @@ def test_wrong_table_at_a_non_power_of_two_order_is_a_checksum_mismatch(zone, ts
     # 251 its digits can encode more than the secret's bytes, which must
     # reject like any other wrong secret
     key_id, result = _distributed(zone, order=251)
+    zone._contexts[CTX].record.qg_seed += 1
+    decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+    assert decision == Decision(accepted=False, reason="checksum-mismatch")
+    assert zone._keys[key_id].uses == 0
+
+
+def test_wrong_table_setting_padding_bits_is_a_checksum_mismatch(zone, tsa):
+    # 69 digits of 7 bits at order 128 carry 3 padding bits over the 60-byte
+    # wrap record; another table's digits can set them, and that rejects
+    # like any other wrong secret
+    key_id, result = _distributed(zone, order=128)
     zone._contexts[CTX].record.qg_seed += 1
     decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
     assert decision == Decision(accepted=False, reason="checksum-mismatch")

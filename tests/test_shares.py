@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from edgevault.errors import (
     EmptySecretError,
     InvalidOrderError,
     TagMismatchError,
+    UnsupportedOrderError,
 )
 from edgevault.quasigroup import Quasigroup, generate_quasigroup
 from edgevault.shares import (
@@ -54,12 +56,16 @@ def test_encode_rejects_bad_input():
         encode_secret(b"", 16)
     with pytest.raises(InvalidOrderError):
         encode_secret(b"x", 1)
+    with pytest.raises(UnsupportedOrderError):
+        encode_secret(b"abcd", 1024)  # 4 digits of 10 bits hold 5 bytes
 
 
-def test_encode_non_power_of_two_matches_bigint():
-    secret = b"\x01\x02\x03"
-    for order in (3, 5, 10, 100):
+def test_encode_matches_bigint_at_every_order():
+    # 39 bytes span several uint64 words of digits at every order
+    for secret, order in itertools.product([b"\x01\x02\x03", bytes(range(1, 40))],
+                                           [2, 3, 5, 10, 16, 100, 251, 256, 65535]):
         digits = encode_secret(secret, order).tolist()
+        assert max(digits) < order
         value = 0
         for d in digits:
             value = value * order + d
@@ -67,12 +73,20 @@ def test_encode_non_power_of_two_matches_bigint():
         assert decode_secret(np.array(digits, dtype=np.uint16), order) == secret
 
 
-@given(secret=st.binary(min_size=1, max_size=300), order=st.sampled_from([2, 4, 16, 64, 256]))
+@given(secret=st.binary(min_size=1, max_size=300), order=st.sampled_from([2, 4, 8, 16, 64, 128, 256]))
 @settings(max_examples=80, deadline=None)
 def test_encode_decode_roundtrip(secret, order):
     digits = encode_secret(secret, order)
     assert int(digits.max()) < order
     assert decode_secret(digits, order) == secret
+
+
+@pytest.mark.parametrize("order,digits", [(8, [7, 7, 7]), (16, [1, 0, 0]), (251, [1, 5])])
+def test_decode_refuses_digits_wider_than_the_byte_length(order, digits):
+    # the digits are worth 256 or more but imply one byte; at a power of two
+    # the excess sits in the padding bits
+    with pytest.raises(ValueError):
+        decode_secret(np.array(digits, dtype=np.uint16), order)
 
 
 def test_encode_digit_count_rule():

@@ -13,6 +13,7 @@ from edgevault.simnet import (
     _Runner,
     SimScenario,
     SimStep,
+    Verdict,
     builtin_scenarios,
     edge_data_split,
     events_to_jsonl,
@@ -169,6 +170,12 @@ def test_expectation_mismatch_fails_verdict():
     _, verdict = run_scenario(_scenario(script))
     assert not verdict.passed
     assert any("expected" in d for d in verdict.diffs)
+
+
+def test_a_verdict_is_true_exactly_when_it_passed():
+    _, verdict = run_scenario(_scenario([SimStep("register", device="a")]))
+    assert verdict and verdict.passed
+    assert not Verdict(passed=False, diffs=["x"])
 
 
 def _replica_chain_invalid(monkeypatch, runner):
