@@ -27,7 +27,6 @@ __all__ = [
     "aead_decrypt",
     "Timestamp",
     "TimestampAuthority",
-    "TsaView",
     "verify_freshness",
 ]
 
@@ -171,15 +170,6 @@ class Timestamp:
         return ts
 
 
-@dataclass(frozen=True)
-class TsaView:
-    """What a remote party (the cloud) knows about a TSA: its identity and
-    the highest sequence number issued so far."""
-
-    issuer: str
-    last_sequence: int
-
-
 class TimestampAuthority:
     """Monotonic timestamp issuer.
 
@@ -195,7 +185,7 @@ class TimestampAuthority:
     ):
         self.issuer = issuer
         self._clock = clock if clock is not None else (lambda: int(time.time()))
-        self._sequence = 0
+        self.sequence = 0  # the last sequence issued
         self._last_epoch = 0
 
     def issue(self) -> Timestamp:
@@ -203,37 +193,33 @@ class TimestampAuthority:
         if now < self._last_epoch:
             raise ClockError(f"clock regressed: {now} < {self._last_epoch}")
         self._last_epoch = now
-        self._sequence += 1
-        return Timestamp(epoch_seconds=now, issuer=self.issuer, sequence=self._sequence)
-
-    @property
-    def view(self) -> TsaView:
-        return TsaView(issuer=self.issuer, last_sequence=self._sequence)
+        self.sequence += 1
+        return Timestamp(epoch_seconds=now, issuer=self.issuer, sequence=self.sequence)
 
     def state_dict(self) -> dict:
-        return {"issuer": self.issuer, "sequence": self._sequence, "last_epoch": self._last_epoch}
+        return {"issuer": self.issuer, "sequence": self.sequence, "last_epoch": self._last_epoch}
 
     @classmethod
     @parses(StateError, "corrupted TSA state")
     def from_state_dict(cls, d: dict, clock: Optional[Callable[[], int]] = None):
         tsa = cls(issuer=d["issuer"], clock=clock)
-        tsa._sequence = int(d["sequence"])
+        tsa.sequence = int(d["sequence"])
         tsa._last_epoch = int(d["last_epoch"])
-        if not (0 <= tsa._sequence < U64_LIMIT and 0 <= tsa._last_epoch < U64_LIMIT):
+        if not (0 <= tsa.sequence < U64_LIMIT and 0 <= tsa._last_epoch < U64_LIMIT):
             raise ValueError("TSA sequence and last_epoch must lie in [0, 2^64)")
         return tsa
 
 
 def verify_freshness(
-    tsa_view: TsaView, ts: Timestamp, last_seen: Optional[Timestamp] = None
+    tsa: TimestampAuthority, ts: Timestamp, last_seen: Optional[Timestamp] = None
 ) -> bool:
-    """Replay check against the TSA view and the last timestamp accepted.
+    """Replay check against the TSA and the last timestamp accepted.
 
     Rejects timestamps that the TSA never issued (wrong issuer or a sequence
     beyond its counter) and any sequence at or below ``last_seen`` (replay).
     First-ever timestamps (``last_seen is None``) are fresh.
     """
-    if ts.issuer != tsa_view.issuer or ts.sequence > tsa_view.last_sequence:
+    if ts.issuer != tsa.issuer or ts.sequence > tsa.sequence:
         return False
     if last_seen is not None and ts.sequence <= last_seen.sequence:
         return False

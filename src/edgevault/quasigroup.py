@@ -57,14 +57,12 @@ class Quasigroup:
     """An order-n quasigroup given by its Cayley table (a Latin square).
 
     Immutable after construction; the left/right division tables are derived
-    once by inverting the row and column permutations.  ``generation_seed``
-    records the seed when the table came from :func:`generate_quasigroup`, so
-    the structure can be rebuilt from ``(order, seed)`` alone.
+    once by inverting the row and column permutations.
     """
 
-    __slots__ = ("order", "table", "left_div", "right_div", "generation_seed")
+    __slots__ = ("order", "table", "left_div", "right_div")
 
-    def __init__(self, table, generation_seed: int | None = None):
+    def __init__(self, table):
         arr = _coerce_table(table)
         if not kernels.latin_square_ok(arr):
             raise MalformedTableError("table is not a Latin square")
@@ -80,7 +78,6 @@ class Quasigroup:
         self.right_div = np.empty_like(arr)
         np.put_along_axis(self.right_div, arr, np.broadcast_to(index[:, None], arr.shape),
                           axis=0)
-        self.generation_seed = generation_seed
         for a in (self.table, self.left_div, self.right_div):
             a.flags.writeable = False
 
@@ -133,9 +130,6 @@ class Quasigroup:
     def __eq__(self, other) -> bool:
         return isinstance(other, Quasigroup) and np.array_equal(self.table, other.table)
 
-    def __repr__(self) -> str:
-        return f"Quasigroup(order={self.order}, seed={self.generation_seed})"
-
 
 def _permutation_inverse(perm, n: int, name: str) -> np.ndarray:
     """The inverse of ``perm``; MalformedTableError unless it permutes [0, n)."""
@@ -176,7 +170,7 @@ class IsotopeQuasigroup(Quasigroup):
 
     __slots__ = ("sigma", "pi", "rho")
 
-    def __init__(self, sigma, pi, rho, generation_seed: int | None = None):
+    def __init__(self, sigma, pi, rho):
         n = len(sigma)
         if n < 2:
             raise MalformedTableError(f"order must be >= 2, got {n}")
@@ -185,7 +179,6 @@ class IsotopeQuasigroup(Quasigroup):
         for name, perm in (("sigma", sigma), ("pi", pi), ("rho", rho)):
             _permutation_inverse(perm, n, name)
         self.order = n
-        self.generation_seed = generation_seed
         # operands are intp, results uint16 like the table-backed form's
         self.sigma = _frozen(sigma, np.uint16)
         self.pi = _frozen(pi, np.intp)
@@ -238,7 +231,7 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     sigma = rng.permutation(order)
     pi = rng.permutation(order)
     rho = rng.permutation(order)
-    return IsotopeQuasigroup(sigma, pi, rho, generation_seed=int(seed))
+    return IsotopeQuasigroup(sigma, pi, rho)
 
 
 @dataclass

@@ -19,6 +19,7 @@ zone decodes each key and context from its unit the first time it is used.
 
 from __future__ import annotations
 
+import hmac
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,6 +40,7 @@ from .crypto import (
 )
 from .errors import (
     AlreadySplitError,
+    AuthenticationFailure,
     InvalidOrderError,
     KeyStateError,
     ShareVerificationError,
@@ -48,7 +50,6 @@ from .errors import (
     parses,
 )
 from .ledger import IdentityLedger, LedgerEntry
-from .quasigroup import generate_quasigroup
 from .shares import CONTEXT_LEN, SealedShare, SplitRecord, combine_and_verify, seal_share, split
 
 __all__ = ["ManagedKey", "Decision", "DistributionResult", "SecureZone", "DEFAULT_BUDGET"]
@@ -56,7 +57,7 @@ __all__ = ["ManagedKey", "Decision", "DistributionResult", "SecureZone", "DEFAUL
 DEFAULT_BUDGET = 2 ** 16
 
 PURPOSES = ("data-encryption", "key-encryption", "point-sealing")
-STATES = ("generated", "split", "distributed", "retired")
+STATES = ("generated", "distributed", "retired")
 
 
 @dataclass
@@ -253,7 +254,6 @@ class SecureZone:
 
     def __init__(self, zone_seed: int, tsa: TimestampAuthority):
         self._tsa = tsa
-        self._zone_seed = int(zone_seed)
         self._keys = _Units(_decode_key, _encode_key)
         self._contexts = _Units(partial(_decode_context, self._keys), _encode_context)
         self._audit: list[dict] = []
@@ -347,11 +347,12 @@ class SecureZone:
 
     def verify_wrapped(self, kek_id: bytes, target_id: bytes, record: AeadRecord) -> bool:
         """Check (inside the zone) that a wrap record restores the target key."""
+        kek = self._require_key(kek_id)
         try:
-            restored = aead_decrypt(self._keys[kek_id].material, record, b"wrap" + target_id)
-        except Exception:
+            restored = aead_decrypt(kek.material, record, b"wrap" + target_id)
+        except AuthenticationFailure:
             return False
-        return sha256(restored) == sha256(self._require_key(target_id).material)
+        return hmac.compare_digest(restored, self._require_key(target_id).material)
 
     # --- splitting and distribution ----------------------------------------
 
@@ -375,11 +376,10 @@ class SecureZone:
             raise AlreadySplitError(f"context {context_id.hex()} already has a distribution")
 
         wrapped = self.wrap_key(self._kek_id, key_id).to_bytes()
-        q = generate_quasigroup(q_order, derive_seed(rng_seed, b"qg" + context_id))
         share1, share2, record = split(
-            wrapped, q, context_id, derive_seed(rng_seed, b"mask" + context_id)
+            wrapped, q_order, derive_seed(rng_seed, b"qg" + context_id), context_id,
+            derive_seed(rng_seed, b"mask" + context_id),
         )
-        key.state = "split"
 
         share_key = self._keys[self._share_key_id]
         sealed1 = seal_share(share1, share_key.material, context_id, share_key.nonces)
@@ -403,7 +403,7 @@ class SecureZone:
         """Verify a cloud-initiated transaction end to end.
 
         Checks, in order: that the key is not retired, timestamp freshness
-        against the TSA view and the last accepted timestamp for this
+        against the TSA and the last accepted timestamp for this
         context, the key's usage budget, the share combination (AEAD,
         binding tags, quasigroup rebuild, checksum), then the wrap record.
         Every call is audit-logged.
@@ -425,7 +425,7 @@ class SecureZone:
                       context_id=context_id, reason=reason)
             return Decision(accepted=False, reason=reason)
 
-        if not verify_freshness(self._tsa.view, ts, context.last_seen):
+        if not verify_freshness(self._tsa, ts, context.last_seen):
             return reject("replay")
         if key.uses >= key.usage_budget:
             return reject("budget-exhausted")
@@ -474,7 +474,6 @@ class SecureZone:
     def state_dict(self) -> dict:
         """Full internal state for zone-internal persistence (see module doc)."""
         return {
-            "zone_seed": self._zone_seed,
             "op_counter": self._op_counter,
             "kek_id": self._kek_id.hex(),
             "share_key_id": self._share_key_id.hex(),
@@ -499,7 +498,6 @@ class SecureZone:
         first time it is used, and the three infrastructure keys now."""
         zone = cls.__new__(cls)
         zone._tsa = tsa
-        zone._zone_seed = int(d["zone_seed"])
         zone._keys = _Units(_decode_key, _encode_key)
         zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context)
         zone._audit = []

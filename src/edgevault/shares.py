@@ -30,10 +30,11 @@ from .errors import (
     MalformedTableError,
     StateError,
     TagMismatchError,
+    UnknownKeyError,
     UnsupportedOrderError,
     parses,
 )
-from .quasigroup import Quasigroup, generate_quasigroup
+from .quasigroup import generate_quasigroup
 
 __all__ = [
     "PlainShare",
@@ -234,30 +235,28 @@ class SplitRecord:
 
 
 def split(
-    secret: bytes, q: Quasigroup, context_id: bytes, rng_seed: int
+    secret: bytes, order: int, qg_seed: int, context_id: bytes, rng_seed: int
 ) -> tuple[PlainShare, PlainShare, SplitRecord]:
-    """2-of-2 split of ``secret`` over the secret quasigroup ``q``.
+    """2-of-2 split of ``secret`` over the secret quasigroup of ``(order, qg_seed)``.
 
     Per digit s: draw r uniform in [0, n); share 1 keeps r, share 2 keeps
-    r \\ s, so r * (r \\ s) = s reconstructs.  ``q`` must carry its
-    generation seed so the record can rebuild it inside the secure zone.
+    r \\ s, so r * (r \\ s) = s reconstructs.  The quasigroup is built by the
+    same ``generate_quasigroup(order, qg_seed)`` call that
+    :func:`combine_and_verify` makes to rebuild it from the record.
     """
-    if not isinstance(q, Quasigroup):
-        raise MalformedTableError("split requires a Quasigroup")
-    if q.generation_seed is None:
-        raise ValueError("quasigroup lacks (order, seed) rebuild parameters")
     if len(context_id) != CONTEXT_LEN:
-        raise ValueError(f"context_id must be {CONTEXT_LEN} bytes")
-    digits = encode_secret(secret, q.order)
+        raise UnknownKeyError(f"a context id is {CONTEXT_LEN} bytes, not {len(context_id)}")
+    q = generate_quasigroup(order, qg_seed)
+    digits = encode_secret(secret, order)
     rng = np.random.default_rng(int(rng_seed) & 0xFFFFFFFFFFFFFFFF)
-    r = rng.integers(0, q.order, size=digits.shape[0], dtype=np.uint16)
+    r = rng.integers(0, order, size=digits.shape[0], dtype=np.uint16)
     complement = q.left_divide_many(r, digits)
-    share1 = PlainShare(index=1, order=q.order, digits=r)
-    share2 = PlainShare(index=2, order=q.order, digits=complement)
+    share1 = PlainShare(index=1, order=order, digits=r)
+    share2 = PlainShare(index=2, order=order, digits=complement)
     record = SplitRecord(
         context_id=bytes(context_id),
-        order=q.order,
-        qg_seed=q.generation_seed,
+        order=order,
+        qg_seed=int(qg_seed),
         secret_checksum=sha256(secret),
         expected_tags=(
             _binding_tag(share1.to_bytes(), 1, context_id),

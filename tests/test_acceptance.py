@@ -74,8 +74,8 @@ def test_criterion_2_round_trip():
     for i in range(1000):
         order = orders[i % 3]
         secret = rng.bytes(int(rng.integers(1, 4097)))
-        q = generate_quasigroup(order, int(rng.integers(0, 2 ** 63)))
-        s1, s2, record = split(secret, q, ctx, rng_seed=int(rng.integers(0, 2 ** 63)))
+        qg_seed = int(rng.integers(0, 2 ** 63))
+        s1, s2, record = split(secret, order, qg_seed, ctx, rng_seed=int(rng.integers(0, 2 ** 63)))
         nonces = NonceSequence(i)
         sealed1 = seal_share(s1, KEY, ctx, nonces)
         sealed2 = seal_share(s2, KEY, ctx, nonces)
@@ -90,8 +90,7 @@ def test_criterion_3_per_digit_hiding():
     """Share-1 digits are uniform for a fixed secret digit (chi-square)."""
     n = 16
     fixed_digit_secret = b"\xaa" * 50_000  # 100000 base-16 digits, all = 10
-    q = generate_quasigroup(n, 7)
-    s1, _, _ = split(fixed_digit_secret, q, bytes(32), rng_seed=2024)
+    s1, _, _ = split(fixed_digit_secret, n, 7, bytes(32), rng_seed=2024)
     assert s1.digits.shape[0] == 100_000
     counts = np.bincount(s1.digits, minlength=n)
     result = stats.chisquare(counts)

@@ -14,10 +14,10 @@ from click.testing import CliRunner
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, _line, keys, main
 from edgevault.crypto import TimestampAuthority
-from edgevault.curves import standard_curve
+from edgevault.curves import standard_curve, tiny_curve
 from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
-from edgevault.simnet import builtin_scenarios
+from edgevault.simnet import SimScenario, SimStep, builtin_scenarios
 
 
 @pytest.fixture
@@ -99,6 +99,15 @@ def test_qg_check_samples_above_order_512(runner, tmp_path):
     assert (payload["order"], payload["mode"], payload["checked_pairs"]) == \
         (600, "sampled", 65536)
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("extra", [[], ["{file}", "-n", "16"]], ids=["neither", "both"])
+def test_qg_check_needs_a_table_file_or_an_order(runner, tmp_path, extra):
+    table = tmp_path / "q.bin"
+    assert invoke(runner, tmp_path / "s", "qg", "generate", "-n", "4", "-o", str(table)).exit_code == 0
+    r = invoke(runner, tmp_path / "s", "qg", "check", *(a.format(file=table) for a in extra))
+    assert r.exit_code == 64, r.output
+    assert "provide a table file or -n/--seed" in r.output
 
 
 def test_qg_generate_deterministic(runner, tmp_path):
@@ -585,6 +594,28 @@ def test_profile_fit_and_outliers(runner, tmp_path):
     assert isinstance(json.loads(r.output)["outliers"], list)
 
 
+def test_profile_fit_skips_blank_cells(runner, tmp_path):
+    values = [str(1.0 + (i % 7) * 0.25) for i in range(40)]
+    plain, gappy = tmp_path / "plain.csv", tmp_path / "gappy.csv"
+    plain.write_text("value\n" + "\n".join(values))
+    # a blank line and a row whose first cell is empty are no values
+    gappy.write_text("value\n\n" + "\n".join(values[:20]) + "\n,9\n" + "\n".join(values[20:]))
+    fits = [invoke(runner, tmp_path / "s", "profile", "fit", str(f)) for f in (plain, gappy)]
+    assert fits[0].exit_code == 0, fits[0].output
+    assert fits[1].output == fits[0].output
+
+
+def test_profile_non_numeric_value_after_the_header_is_state_error(runner, tmp_path):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("value\n1.0\n2.0\nthree\n4.0\n")
+    for command in ("fit", "outliers"):
+        r = invoke(runner, tmp_path / "s", "profile", command, str(csv))
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert "line 4" in err["message"]
+
+
 def test_profile_fit_error_envelope(runner, tmp_path):
     csv = tmp_path / "tiny.csv"
     csv.write_text("1.0\n2.0\n")
@@ -617,6 +648,17 @@ def test_filter_build_query(runner, tmp_path, monkeypatch):
                   if not bloom.contains(bytes.fromhex(c)))
     r = invoke(runner, state, "filter", "query", str(filt), absent)
     assert json.loads(r.output)["present"] is False
+
+
+def test_filter_build_needs_exactly_one_source(runner, tmp_path):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("ab" * 32 + "\n")
+    out = tmp_path / "f.bin"
+    for extra in ([], ["--from-ledger", "--ids-file", str(ids)]):
+        r = invoke(runner, tmp_path / "s", "filter", "build", "-o", str(out), *extra)
+        assert r.exit_code == 64, r.output
+        assert "provide exactly one of --from-ledger or --ids-file" in r.output
+    assert not out.exists()
 
 
 # --- sim ------------------------------------------------------------------------------
@@ -685,6 +727,33 @@ def test_sim_rejects_malformed_scenario(runner, tmp_path):
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "config-error"
+
+
+def _tiny_scenario(device_count=1, script=()):
+    return SimScenario(name="t", seed=1, device_count=device_count, order=16,
+                       curve=tiny_curve(), script=list(script))
+
+
+@pytest.mark.parametrize("scenario,message", [
+    (_tiny_scenario(device_count=-1), "device_count must be >= 0"),
+    (_tiny_scenario(script=[SimStep(action="transact")]), "needs a registered device"),
+    (_tiny_scenario(script=[SimStep(action="transact", device="ghost")]),
+     "device 'ghost' is not registered"),
+    (_tiny_scenario(script=[SimStep(action="attack", kind="tamper-ledger-bit")]),
+     "needs a synced replica"),
+    (_tiny_scenario(script=[SimStep(action="register"),
+                            SimStep(action="attack", kind="tamper-ledger-bit", entry=1)]),
+     "entry 1 out of range"),
+], ids=["negative-device-count", "no-device-registered", "unregistered-device", "no-replica",
+        "entry-out-of-range"])
+def test_sim_run_of_an_unplayable_scenario_is_config_error(runner, tmp_path, scenario, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario.to_json())
+    r = invoke(runner, tmp_path / "s", "sim", "run", str(path))
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "config-error"
+    assert message in err["message"]
 
 
 # --- output discipline -------------------------------------------------------------------

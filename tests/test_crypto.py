@@ -6,7 +6,6 @@ from edgevault.crypto import (
     NonceSequence,
     Timestamp,
     TimestampAuthority,
-    TsaView,
     aead_decrypt,
     aead_encrypt,
     derive_seed,
@@ -97,6 +96,9 @@ def test_aead_exhaustive_single_bit_flips():
 def test_aead_key_length_enforced():
     with pytest.raises(EncryptionError):
         aead_encrypt(b"short", b"x", b"", NonceSequence(0))
+    record = aead_encrypt(KEY, b"x", b"", NonceSequence(0))
+    with pytest.raises(EncryptionError):
+        aead_decrypt(KEY[:16], record, b"")
 
 
 def test_record_binary_and_json_roundtrip():
@@ -152,19 +154,18 @@ def test_clock_regression_raises(clock):
 def test_verify_freshness_replay(tsa):
     first = tsa.issue()
     second = tsa.issue()
-    view = tsa.view
-    assert verify_freshness(view, first, last_seen=None)  # first ever seen
-    assert verify_freshness(view, second, last_seen=first)
-    assert not verify_freshness(view, first, last_seen=first)  # exact replay
-    assert not verify_freshness(view, first, last_seen=second)  # stale
+    assert verify_freshness(tsa, first, last_seen=None)  # first ever seen
+    assert verify_freshness(tsa, second, last_seen=first)
+    assert not verify_freshness(tsa, first, last_seen=first)  # exact replay
+    assert not verify_freshness(tsa, first, last_seen=second)  # stale
 
 
 def test_verify_freshness_rejects_unissued(tsa):
     ts = tsa.issue()
     forged = Timestamp(epoch_seconds=ts.epoch_seconds, issuer="test-tsa", sequence=10_000)
-    assert not verify_freshness(tsa.view, forged, last_seen=None)
+    assert not verify_freshness(tsa, forged, last_seen=None)
     alien = Timestamp(epoch_seconds=0, issuer="other", sequence=1)
-    assert not verify_freshness(tsa.view, alien, last_seen=None)
+    assert not verify_freshness(tsa, alien, last_seen=None)
 
 
 def test_tsa_state_roundtrip(clock):
@@ -174,4 +175,4 @@ def test_tsa_state_roundtrip(clock):
     restored = TimestampAuthority.from_state_dict(tsa.state_dict(), clock=clock)
     nxt = restored.issue()
     assert nxt.sequence == 3
-    assert restored.view == TsaView(issuer="t", last_sequence=3)
+    assert (restored.issuer, restored.sequence) == ("t", 3)

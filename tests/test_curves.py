@@ -196,12 +196,24 @@ def test_selected_points_across_random_256_bit_curves():
         checked += 1
 
 
+def test_is_probable_prime_matches_a_sieve_below_5000():
+    sieve = [False, False] + [True] * 4998
+    for p in range(2, 71):
+        for multiple in range(p * p, 5000, p):
+            sieve[multiple] = False
+    # 41 * 41 = 1681 is the first composite that every small-prime trial division misses
+    assert [n for n in range(5000) if _is_probable_prime(n)] == [
+        n for n in range(5000) if sieve[n]]
+
+
 def test_point_bytes_roundtrip():
     curve = standard_curve()
     pt = select_unique_point(curve, set(), rng_seed=3)
     blob = point_to_bytes(curve, pt)
     assert len(blob) == 2 * 32
     assert point_from_bytes(curve, blob) == pt
+    with pytest.raises(ValueError):
+        point_from_bytes(curve, blob[:-1])
     tiny_pt = select_unique_point(tiny_curve(), set(), rng_seed=3)
     assert len(point_to_bytes(tiny_curve(), tiny_pt)) == 2
 

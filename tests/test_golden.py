@@ -85,7 +85,7 @@ def _onboarding_scenario():
 
 @pytest.mark.parametrize("order,qg_seed,mask_seed", sorted(SPLITS))
 def test_split_layouts_are_frozen(order, qg_seed, mask_seed):
-    s1, s2, record = split(SECRET, generate_quasigroup(order, qg_seed), CTX, rng_seed=mask_seed)
+    s1, s2, record = split(SECRET, order, qg_seed, CTX, rng_seed=mask_seed)
     nonces = NonceSequence(99)
     sealed = seal_share(s1, KEY, CTX, nonces).to_json() + seal_share(s2, KEY, CTX, nonces).to_json()
     got = {

@@ -327,6 +327,24 @@ def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
     assert _files(state) == before
 
 
+def test_a_record_whose_ledger_entries_are_not_a_list_is_state_error(journaled):
+    """The last record, re-chained, adds its ledger entries as a mapping."""
+    journal = journaled / "zone.json"
+    *head, line = journal.read_bytes().splitlines()
+    body = json.dumps({**json.loads(line)["r"], "ledger": {"entries": {}}}).encode()
+    h = sha256(bytes.fromhex(json.loads(head[-1])["h"]) + body)
+    journal.write_bytes(b"\n".join(head) + b"\n" + cli._line(h, body))
+    before = _files(journaled)
+
+    for args in (("keys", "generate"), ("ledger", "verify")):
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert "entries must be a list" in err["message"]
+    assert _files(journaled) == before
+
+
 def _refused_as_malformed(state, index):
     """The next command refuses the dir, naming journal record ``index``, and
     leaves every file as it was."""

@@ -206,6 +206,13 @@ def test_state_dict_roundtrip_preserves_used_points(f5_ledger, tsa):
     assert len(restored.used_points) == 5
 
 
+def test_used_points_read_first_decode_a_loaded_ledger(f5_ledger, tsa):
+    _register_n(f5_ledger, tsa, 3)
+    loaded = IdentityLedger.lazy_from_state_dict(f5_ledger.state_dict())
+    assert loaded.used_points == f5_ledger.used_points
+    assert len(loaded) == 3
+
+
 def test_registration_on_256_bit_curve(tsa):
     ledger = IdentityLedger(group_id="big", curve=standard_curve())
     entry = ledger.register_device("dev", tsa, POINT_KEY, rng_seed=1)
@@ -375,14 +382,13 @@ def _zone_state_list_shares():
         (TimestampAuthority.from_state_dict,
          {"issuer": "t", "sequence": float("inf"), "last_epoch": 0}),
         (SealedShare.from_json_dict, {"index": float("inf")}),
-        (_load_zone, {"zone_seed": float("inf")}),
     ],
     ids=["missing-entry-count", "not-utf8", "array-header", "sealed-share-missing-fields",
          "timestamp-missing-fields", "tsa-array", "zone-missing-fields", "zone-list-for-mapping",
          "ledger-curve-missing-fields", "deep-header", "deep-entry-line", "deep-delta-line",
          "entry-index-out-of-place", "negative-epoch", "infinite-epoch", "infinite-entry-count",
          "ledger-state-infinite-epoch", "timestamp-infinite-epoch", "tsa-infinite-sequence",
-         "sealed-share-infinite-index", "zone-infinite-seed"],
+         "sealed-share-infinite-index"],
 )
 def test_parsers_raise_state_error(parse, payload):
     with pytest.raises(StateError):

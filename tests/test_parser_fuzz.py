@@ -23,6 +23,7 @@ from edgevault.curves import WeierstrassCurve, standard_curve, tiny_curve
 from edgevault.errors import (
     CurveError,
     EdgeVaultError,
+    EncryptionError,
     FilterParameterError,
     KeyStateError,
     MalformedTableError,
@@ -38,8 +39,7 @@ from edgevault.simnet import SimScenario, SimStep, run_scenario
 from mutation import json_mutants, mutants
 
 CTX = bytes(32)
-_Q = generate_quasigroup(16, 77)
-_EDGE, _CLOUD, _RECORD = split(b"attack at dawn..", _Q, CTX, rng_seed=5)
+_EDGE, _CLOUD, _RECORD = split(b"attack at dawn..", 16, 77, CTX, rng_seed=5)
 _SEALED = seal_share(_CLOUD, bytes(range(32)), CTX, NonceSequence(1))
 
 PLAIN_SHARE = _EDGE.to_bytes()
@@ -350,6 +350,15 @@ def _step(**fields):
         # set padding bits after bit m decoded to the same filter as clear ones
         (BloomFilter.from_bytes, BloomFilter(9, 1).to_bytes()[:-1] + b"\x01",
          FilterParameterError),
+        # refusals the fuzz above reaches by chance; a fixed input reaches each on every run
+        (AeadRecord.from_bytes, AEAD_RECORD[:27], EncryptionError),
+        (Quasigroup.from_bytes, TABLE[:3], MalformedTableError),
+        (PlainShare.from_bytes, PLAIN_SHARE[:6], MalformedTableError),
+        (PlainShare.from_bytes, b"\x03" + PLAIN_SHARE[1:], MalformedTableError),
+        (PlainShare.from_bytes, PLAIN_SHARE[:7] + b"\x00\x10" + PLAIN_SHARE[9:],
+         MalformedTableError),
+        (BloomFilter.from_bytes, FILTER + b"\x00", FilterParameterError),
+        (IdentityLedger.from_state_dict, dict(LEDGER_STATE, entries={}), StateError),
     ],
     ids=["zone-one-expected-tag", "split-record-short-context", "split-record-empty-checksum",
          "split-record-three-tags", "zone-no-context-key", "zone-no-edge-share",
@@ -362,7 +371,9 @@ def _step(**fields):
          "ledger-state-without-used-points", "scenario-string-entry",
          "scenario-bool-bit", "scenario-negative-bit", "scenario-int-device",
          "scenario-negative-seed", "scenario-seed-past-u64", "plain-share-zero-length-secret",
-         "plain-share-extra-digit", "filter-padding-bits"],
+         "plain-share-extra-digit", "filter-padding-bits", "aead-record-too-short",
+         "table-truncated", "plain-share-truncated", "plain-share-index-3",
+         "plain-share-digit-16-at-order-16", "filter-extra-byte", "ledger-state-entries-mapping"],
 )
 def test_named_malformed_input_raises_the_parsers_error(parse, payload, error):
     with pytest.raises(EdgeVaultError) as info:

@@ -81,6 +81,15 @@ def test_support_violations_scored_infinite(rng):
     assert report.per_family_rss["lognormal"] == np.inf
 
 
+def test_lognormal_scores_infinite_when_every_log_rounds_to_one_value():
+    # nine consecutive doubles near 1e20 differ, but their logs do not
+    values = np.array([1e20 + i * np.spacing(1e20) for i in range(9)])
+    assert np.ptp(values) > 0 and np.log(values).std() == 0.0
+    report = fit_distribution(Sample(values))
+    assert report.per_family_rss["lognormal"] == np.inf
+    assert report.best_family != "lognormal"
+
+
 def test_best_family_attains_minimum(rng):
     report = fit_distribution(Sample(rng.normal(5, 2, 2000)))
     assert report.rss == min(report.per_family_rss.values())
@@ -180,6 +189,12 @@ def test_transitive_linking():
         _report("c", "normal", mu=13.0, sigma=1.0),
     ])
     assert len(groups) == 1
+
+
+def test_all_zero_parameters_are_at_distance_zero():
+    groups = regroup_devices([_report("a", "normal", mu=0.0, sigma=0.0),
+                              _report("b", "normal", mu=0.0, sigma=0.0)])
+    assert groups == [["a", "b"]]
 
 
 def test_regroup_empty_rejected():

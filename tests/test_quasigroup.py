@@ -94,6 +94,8 @@ def test_is_latin_square_malformed_inputs():
         is_latin_square([[0, 5], [5, 0]])  # out of range
     with pytest.raises(MalformedTableError):
         is_latin_square([[0, -1], [-1, 0]])
+    with pytest.raises(MalformedTableError):
+        is_latin_square([[0.0, 1.0], [1.0, 0.0]])  # floats, even whole ones
 
 
 # --- the three operations ----------------------------------------------------
@@ -188,6 +190,29 @@ def test_an_identity_report_is_true_exactly_when_it_passed():
     assert not IdentityReport(passed=False, mode="exhaustive", checked_pairs=9)
 
 
+class _WrongProduct(Quasigroup):
+    """Addition mod 3 whose product of 1 and 1 reads 0 instead of 2."""
+
+    def multiply_many(self, a, b):
+        out = super().multiply_many(a, b).copy()
+        out[(np.asarray(a) == 1) & (np.asarray(b) == 1)] = 0
+        return out
+
+
+def test_a_wrong_operation_is_reported_with_its_failing_pairs():
+    report = verify_parastroph_identities(_WrongProduct(ADD_MOD_3))
+    assert not report.passed
+    # identity 1, x * (x \\ y) = y, fails where x \\ y is 1 for x = 1: y = 2
+    assert (1, 1, 2) in report.failures
+    assert all(1 <= ident <= 6 and 0 <= x < 3 and 0 <= y < 3
+               for ident, x, y in report.failures)
+
+
+def test_verify_refuses_an_unknown_mode():
+    with pytest.raises(ValueError):
+        verify_parastroph_identities(Quasigroup(ADD_MOD_3), mode="random")
+
+
 def test_verify_rejects_malformed_table():
     with pytest.raises(MalformedTableError):
         verify_parastroph_identities([[0, 1], [0, 1]])
@@ -276,6 +301,11 @@ def test_isotope_rejects_non_permutation(bad):
         with pytest.raises(MalformedTableError):
             IsotopeQuasigroup(**{**perms, bad: broken})
     assert IsotopeQuasigroup(**perms).order == 4
+
+
+def test_isotope_of_order_1_is_malformed():
+    with pytest.raises(MalformedTableError):
+        IsotopeQuasigroup([0], [0], [0])
 
 
 def test_tables_immutable():

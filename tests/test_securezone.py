@@ -97,6 +97,15 @@ def test_tampered_wrap_record_fails(zone):
     assert not zone.verify_wrapped(kek, target, bad)
 
 
+def test_verify_wrapped_with_an_unknown_kek_is_unknown_key(zone):
+    # a fault, not a wrap record that fails to restore the key
+    kek = zone.generate_key("key-encryption", rng_seed=1)
+    target = zone.generate_key("data-encryption", rng_seed=2)
+    record = zone.wrap_key(kek, target)
+    with pytest.raises(UnknownKeyError):
+        zone.verify_wrapped(bytes(16), target, record)
+
+
 # --- split and distribute ----------------------------------------------------------
 
 def test_split_roles_edge_1_cloud_2(zone):
@@ -200,7 +209,7 @@ def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
         good = generate_quasigroup(order, seed)
         sigma = good.sigma.copy()
         sigma[1] = sigma[0]
-        return IsotopeQuasigroup(sigma, good.pi, good.rho, generation_seed=seed)
+        return IsotopeQuasigroup(sigma, good.pi, good.rho)
 
     monkeypatch.setattr(edgevault.shares, "generate_quasigroup", broken_rebuild)
     record = zone._contexts[CTX].record
@@ -410,6 +419,20 @@ def test_zone_state_roundtrip(zone, tsa):
     # a fresh transaction succeeds
     assert restored.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
     assert restored._contexts[CTX].last_seen.sequence > old_ts_seq
+
+
+def test_a_stored_zone_seed_is_ignored(zone, tsa):
+    """Older states carry the zone seed; it is read by nothing, so it loads
+    and is not written back."""
+    state = zone.state_dict()
+    assert "zone_seed" not in state
+    restored = SecureZone.from_state_dict({**state, "zone_seed": "not even a number"}, tsa)
+    assert restored.state_dict() == state
+
+
+def test_an_audit_that_is_not_a_list_is_corrupted(zone, tsa):
+    with pytest.raises(StateError):
+        SecureZone.from_state_dict({**zone.state_dict(), "audit": {}}, tsa)
 
 
 @pytest.mark.parametrize("section,other_id", [("keys", "ab" * 16), ("contexts", "ab" * 32)],

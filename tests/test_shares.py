@@ -13,6 +13,7 @@ from edgevault.errors import (
     EmptySecretError,
     InvalidOrderError,
     TagMismatchError,
+    UnknownKeyError,
     UnsupportedOrderError,
 )
 from edgevault.quasigroup import Quasigroup, generate_quasigroup
@@ -33,8 +34,7 @@ CTX = bytes(32)
 
 
 def _sealed_pair(secret=b"attack at dawn..", order=16, qg_seed=77, mask_seed=5):
-    q = generate_quasigroup(order, qg_seed)
-    s1, s2, record = split(secret, q, CTX, rng_seed=mask_seed)
+    s1, s2, record = split(secret, order, qg_seed, CTX, rng_seed=mask_seed)
     nonces = NonceSequence(123)
     return (
         seal_share(s1, KEY, CTX, nonces),
@@ -89,6 +89,11 @@ def test_decode_refuses_digits_wider_than_the_byte_length(order, digits):
         decode_secret(np.array(digits, dtype=np.uint16), order)
 
 
+def test_decode_refuses_an_order_below_2():
+    with pytest.raises(InvalidOrderError):
+        decode_secret(np.zeros(8, dtype=np.uint16), 1)
+
+
 def test_encode_digit_count_rule():
     # count = ceil(len*8 / floor(log2 n))
     assert encode_secret(b"\xff", 8).shape[0] == 3  # ceil(8/3)
@@ -110,16 +115,16 @@ def test_split_digit_identity_addition_mod_3():
 def test_split_reconstruction_identity_holds_for_every_digit():
     q = generate_quasigroup(16, 3)
     secret = bytes(range(1, 33))
-    s1, s2, _ = split(secret, q, CTX, rng_seed=8)
+    s1, s2, _ = split(secret, 16, 3, CTX, rng_seed=8)
     digits = encode_secret(secret, 16)
     rebuilt = q.multiply_many(s1.digits, s2.digits)
     assert np.array_equal(rebuilt, digits)
 
 
-def test_split_requires_generation_seed():
-    q = Quasigroup([[(x + y) % 3 for y in range(3)] for x in range(3)])
-    with pytest.raises(ValueError):
-        split(b"secret", q, CTX, rng_seed=0)
+def test_split_refuses_a_context_id_that_is_not_32_bytes():
+    # the same refusal, and the same type, as SecureZone.split_and_distribute
+    with pytest.raises(UnknownKeyError):
+        split(b"secret", 16, 3, CTX[:5], rng_seed=0)
 
 
 def test_per_digit_hiding_bruteforce():
@@ -134,9 +139,8 @@ def test_per_digit_hiding_bruteforce():
 
 def test_share1_distribution_independent_of_secret():
     # same mask seed, two different secrets -> identical share-1 digits
-    q = generate_quasigroup(16, 9)
-    s1a, _, _ = split(b"\x00" * 20, q, CTX, rng_seed=4)
-    s1b, _, _ = split(b"\xff" * 20, q, CTX, rng_seed=4)
+    s1a, _, _ = split(b"\x00" * 20, 16, 9, CTX, rng_seed=4)
+    s1b, _, _ = split(b"\xff" * 20, 16, 9, CTX, rng_seed=4)
     assert np.array_equal(s1a.digits, s1b.digits)
 
 
@@ -150,8 +154,7 @@ def test_plain_share_canonical_layout():
 
 
 def test_plain_share_roundtrip():
-    q = generate_quasigroup(256, 11)
-    s1, s2, _ = split(b"some secret bytes here", q, CTX, rng_seed=2)
+    s1, s2, _ = split(b"some secret bytes here", 256, 11, CTX, rng_seed=2)
     for share in (s1, s2):
         back = PlainShare.from_bytes(share.to_bytes())
         assert back == share
@@ -174,8 +177,7 @@ def test_unseal_wrong_key_fails():
 
 
 def test_reseal_changes_ciphertext_not_binding_tag():
-    q = generate_quasigroup(16, 7)
-    s1, _, _ = split(b"stable", q, CTX, rng_seed=1)
+    s1, _, _ = split(b"stable", 16, 7, CTX, rng_seed=1)
     nonces = NonceSequence(55)
     a = seal_share(s1, KEY, CTX, nonces)
     b = seal_share(s1, KEY, CTX, nonces)
@@ -203,8 +205,9 @@ def test_combine_roundtrip_many_orders():
     for order in (2, 4, 16, 256):
         for trial in range(5):
             secret = rng.bytes(int(rng.integers(1, 200)))
-            q = generate_quasigroup(order, int(rng.integers(0, 2 ** 32)))
-            s1, s2, record = split(secret, q, CTX, rng_seed=int(rng.integers(0, 2 ** 32)))
+            qg_seed = int(rng.integers(0, 2 ** 32))
+            s1, s2, record = split(secret, order, qg_seed, CTX,
+                                   rng_seed=int(rng.integers(0, 2 ** 32)))
             nonces = NonceSequence(trial)
             sealed = (seal_share(s1, KEY, CTX, nonces), seal_share(s2, KEY, CTX, nonces))
             assert combine_and_verify(sealed[0], sealed[1], record, KEY) == secret
@@ -214,8 +217,7 @@ def test_combine_detects_stale_tag_after_digit_tamper():
     # alter one digit before sealing with the correct key: AEAD passes,
     # binding tag catches the impersonation
     secret = b"attack at dawn.."
-    q = generate_quasigroup(16, 77)
-    s1, s2, record = split(secret, q, CTX, rng_seed=5)
+    s1, s2, record = split(secret, 16, 77, CTX, rng_seed=5)
     s2.digits = s2.digits.copy()
     s2.digits[0] = (int(s2.digits[0]) + 1) % 16
     nonces = NonceSequence(9)
@@ -284,8 +286,7 @@ def test_binding_tag_bit_flip_rejected():
 
 def test_combine_under_50ms_for_32_byte_secret_order_256():
     secret = bytes(range(32))
-    q = generate_quasigroup(256, 1)
-    s1, s2, record = split(secret, q, CTX, rng_seed=1)
+    s1, s2, record = split(secret, 256, 1, CTX, rng_seed=1)
     nonces = NonceSequence(1)
     sealed = (seal_share(s1, KEY, CTX, nonces), seal_share(s2, KEY, CTX, nonces))
     combine_and_verify(*sealed, record, KEY)  # warm-up: first-call imports and allocations

@@ -153,6 +153,24 @@ def test_ledger_tamper_reports_exact_index():
     assert attack.summary["entry"] == 1
 
 
+def test_ledger_tamper_with_no_entry_picks_one_and_reports_it():
+    script = [SimStep("register", device="d0"),
+              SimStep("attack", kind="tamper-ledger-bit", expect="detected:0")]
+    events, verdict = run_scenario(_scenario(script))
+    assert verdict.passed, verdict.diffs
+    attack = next(e for e in events if e.actor == "adversary")
+    assert attack.summary["entry"] == 0
+
+
+def test_a_step_with_no_device_acts_for_the_first_registered_one():
+    script = [SimStep("register", device="d0"), SimStep("register", device="d1"),
+              SimStep("transact", expect="accepted")]
+    events, verdict = run_scenario(_scenario(script))
+    assert verdict.passed, verdict.diffs
+    transaction = next(e for e in events if e.kind == "transaction")
+    assert transaction.summary["context"] == events[0].summary["device_id"]
+
+
 def test_every_adversary_action_logs_detection():
     _, verdict = run_scenario(builtin_scenarios()["attack-suite"])
     assert verdict.passed
