@@ -314,6 +314,21 @@ def _hex_bytes(value: str, length: int | None = None, what: str = "value") -> by
     return raw
 
 
+class _OutputFile(click.Path):
+    """A file a command writes, after its commit if it has one: not a
+    directory, and in a directory that exists and is writable, so that the
+    write cannot fail on either once the state has moved on."""
+
+    def __init__(self):
+        super().__init__(dir_okay=False, path_type=Path)
+
+    def convert(self, value, param, ctx) -> Path:
+        path = super().convert(value, param, ctx)
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            self.fail(f"cannot create a file in {str(path.parent)!r}", param, ctx)
+        return path
+
+
 class _RootGroup(click.Group):
     """Maps any domain error a command raises to the envelope and exit 1."""
 
@@ -409,7 +424,7 @@ def ledger_verify(state: AppState):
 
 
 @ledger.command("export")
-@click.option("-o", "output", type=click.Path(path_type=Path), default=None)
+@click.option("-o", "output", type=_OutputFile(), default=None)
 @click.pass_obj
 def ledger_export(state: AppState, output):
     """Write the ledger entries as JSON Lines; exit 2 on a tampered chain."""
@@ -424,7 +439,7 @@ def ledger_export(state: AppState, output):
 
 
 @ledger.command("sync")
-@click.option("-o", "output", type=click.Path(path_type=Path), required=True)
+@click.option("-o", "output", type=_OutputFile(), required=True)
 @click.pass_obj
 def ledger_sync(state: AppState, output):
     """Write a cloud snapshot (entries only, no key material)."""
@@ -462,7 +477,7 @@ def keys_generate(state: AppState, purpose, budget, seed):
 @click.option("--device", default=None, help="Use a registered device's ledger id as context.")
 @click.option("--order", type=int, default=256)
 @click.option("--seed", type=SEED_RANGE, default=0)
-@click.option("-o", "output", type=click.Path(path_type=Path), default=None,
+@click.option("-o", "output", type=_OutputFile(), default=None,
               help="Where to write the cloud share JSON (default stdout).")
 @click.pass_obj
 def keys_split(state: AppState, key_id, context, device, order, seed, output):
@@ -497,7 +512,7 @@ def keys_split(state: AppState, key_id, context, device, order, seed, output):
               help="Cloud share JSON file presented for the transaction.")
 @click.option("--timestamp", "ts_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Timestamp JSON to present (default: issue a fresh one).")
-@click.option("--save-timestamp", type=click.Path(path_type=Path), default=None,
+@click.option("--save-timestamp", type=_OutputFile(), default=None,
               help="Write the presented timestamp (useful for replay testing).")
 @click.pass_obj
 def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp):
@@ -536,7 +551,7 @@ def qg():
 @qg.command("generate")
 @click.option("-n", "--order", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("-o", "output", type=click.Path(path_type=Path), default=None,
+@click.option("-o", "output", type=_OutputFile(), default=None,
               help="Write canonical bytes (default: hex on stdout).")
 @click.pass_obj
 def qg_generate(state: AppState, order, seed, output):
@@ -646,7 +661,7 @@ def filter_group():
 
 
 @filter_group.command("build")
-@click.option("-o", "output", type=click.Path(path_type=Path), required=True)
+@click.option("-o", "output", type=_OutputFile(), required=True)
 @click.option("--fpr", type=float, default=0.01)
 @click.option("--from-ledger", "from_ledger", is_flag=True,
               help="Insert every device id from the state ledger.")
@@ -693,7 +708,7 @@ def sim():
 
 @sim.command("builtin")
 @click.argument("name", type=click.Choice(sorted(builtin_scenarios())), required=False)
-@click.option("-o", "output", type=click.Path(path_type=Path), default=None)
+@click.option("-o", "output", type=_OutputFile(), default=None)
 @click.pass_obj
 def sim_builtin(state: AppState, name, output):
     """Emit a built-in scenario as JSON (or list them)."""
@@ -711,7 +726,7 @@ def sim_builtin(state: AppState, name, output):
 
 @sim.command("run")
 @click.argument("scenario_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--log", "log_file", type=click.Path(path_type=Path), default=None,
+@click.option("--log", "log_file", type=_OutputFile(), default=None,
               help="Write the event log as JSON Lines.")
 @click.option("--seed", type=SEED_RANGE, default=None, help="Override the scenario seed.")
 @click.pass_obj

@@ -171,15 +171,17 @@ def is_on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a mod odd prime p via Tonelli-Shanks, or None.
 
-    Uses the direct exponent when p % 4 == 3.
+    When p % 4 == 3, one exponentiation gives the root of a residue, and
+    squaring it back tells a non-residue apart.
     """
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks: write p-1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -215,7 +217,7 @@ def select_unique_point(
     """
     rng = random.Random(rng_seed)
     p = curve.p
-    inv2 = pow(2, -1, p)
+    inv2 = (p + 1) // 2
     for _ in range(MAX_SELECT_TRIES):
         x = rng.randrange(p)
         t = sqrt_mod(curve.rhs_completed_square(x), p)

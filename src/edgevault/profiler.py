@@ -124,7 +124,12 @@ def fit_distribution(sample: Sample) -> FitReport:
         raise TooFewDistinctValuesError("all values identical; no distribution to fit")
 
     k = math.ceil(math.sqrt(values.shape[0]))
-    density, edges = np.histogram(values, bins=k, density=True)
+    try:
+        density, edges = np.histogram(values, bins=k, density=True)
+    except ValueError:  # numpy's "Too many bins for data range"
+        raise TooFewDistinctValuesError(
+            f"the values' range cannot be cut into {k} finite-sized bins"
+        ) from None
     centers = 0.5 * (edges[:-1] + edges[1:])
 
     per_family_rss: dict[str, float] = {}

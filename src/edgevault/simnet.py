@@ -3,8 +3,10 @@
 One edge node (secure zone + identity ledger) talks to
 one cloud node (ledger replica + cloud-held key shares) over an in-process
 channel.  A scripted adversary can tamper with shares in flight, forge
-shares, replay transactions, or flip bits in the cloud's ledger replica;
-every adversary action is logged together with its detection outcome.
+shares, replay transactions, or flip bits in the cloud's ledger replica.
+Each attack builds its input and returns a summary and its detection
+outcome; one path logs every attack as an ``attack-<kind>`` event and checks
+the step's expectation.
 
 The cloud keeps its replica by delta sync.  It knows the group and curve
 from the start and holds only what it has verified (entry count, tip h2 and
@@ -24,25 +26,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .crypto import U64_LIMIT, TimestampAuthority, Timestamp, derive_seed, sha256
+from .crypto import U64_LIMIT, AeadRecord, TimestampAuthority, Timestamp, derive_seed, sha256
 from .curves import WeierstrassCurve, standard_curve
 from .errors import ClassificationError, ScenarioConfigError, StateError, parses
-from .ledger import (
-    ChainReport,
-    IdentityLedger,
-    LedgerEntry,
-    parse_entry_lines,
-    snapshot_header,
-    verify_entries,
-)
+from .ledger import ChainReport, IdentityLedger, parse_entry_lines, snapshot_header, verify_entries
 from .securezone import SecureZone
 from .shares import SealedShare
-from .crypto import AeadRecord
 
 __all__ = [
     "SimStep",
@@ -57,9 +51,6 @@ __all__ = [
     "DataSplit",
     "builtin_scenarios",
 ]
-
-ATTACK_KINDS = ("tamper-share", "forge-share", "replay", "tamper-ledger-bit")
-
 
 @dataclass
 class SimStep:
@@ -278,13 +269,17 @@ class _LogicalClock:
 
 
 class _Runner:
+    """Walks a scenario's script once, one tick per step, dispatching each
+    step through ``_ACTIONS``; ``do_attack`` is the one place that logs and
+    checks an attack, whatever its kind in ``_ATTACKS``."""
+
     def __init__(self, scenario: SimScenario):
         if scenario.device_count < 0:
             raise ScenarioConfigError("device_count must be >= 0")
         for step in scenario.script:
-            if step.action not in ("register", "transact", "attack"):
+            if step.action not in _ACTIONS:
                 raise ScenarioConfigError(f"unknown action {step.action!r}")
-            if step.action == "attack" and step.kind not in ATTACK_KINDS:
+            if step.action == "attack" and step.kind not in _ATTACKS:
                 raise ScenarioConfigError(f"unknown attack kind {step.kind!r}")
         self.scenario = scenario
         self.clock = _LogicalClock()
@@ -301,10 +296,8 @@ class _Runner:
         self.contexts: dict[str, bytes] = {}  # device label -> h2
         self.last_transaction: Optional[tuple[bytes, SealedShare, Timestamp]] = None
 
-    def _emit(self, actor: str, kind: str, summary: dict, outcome: str) -> SimEvent:
-        event = SimEvent(tick=self.clock.now, actor=actor, kind=kind, summary=summary, outcome=outcome)
-        self.events.append(event)
-        return event
+    def _emit(self, actor: str, kind: str, summary: dict, outcome: str):
+        self.events.append(SimEvent(self.clock.now, actor, kind, summary, outcome))
 
     def _expect(self, step: SimStep, actual: str):
         if step.expect is not None and step.expect != actual:
@@ -370,28 +363,20 @@ class _Runner:
         self._expect(step, outcome)
 
     def do_attack(self, step: SimStep):
-        handler = {
-            "replay": self._attack_replay,
-            "forge-share": self._attack_forge,
-            "tamper-share": self._attack_tamper_share,
-            "tamper-ledger-bit": self._attack_tamper_ledger,
-        }[step.kind]
-        outcome = handler(step)
+        summary, outcome = _ATTACKS[step.kind](self, step)
+        self._emit("adversary", f"attack-{step.kind}", summary, outcome)
         self._expect(step, outcome)
 
-    def _attack_replay(self, step: SimStep) -> str:
+    # --- attacks: each builds its input and returns (summary, outcome) -----
+
+    def _attack_replay(self, step: SimStep) -> tuple[dict, str]:
         if self.last_transaction is None:
             raise ScenarioConfigError("replay attack needs a prior accepted transaction")
         context, share, ts = self.last_transaction
         outcome = self._authorize(context, share, ts)
-        self._emit(
-            "adversary", "attack-replay",
-            {"context": context.hex(), "replayed_sequence": ts.sequence},
-            outcome,
-        )
-        return outcome
+        return {"context": context.hex(), "replayed_sequence": ts.sequence}, outcome
 
-    def _attack_forge(self, step: SimStep) -> str:
+    def _attack_forge(self, step: SimStep) -> tuple[dict, str]:
         context = self._context_for(step)
         rng = self.adversary_rng
         genuine = self.cloud.shares[context]
@@ -404,36 +389,18 @@ class _Runner:
             ),
             binding_tag=rng.bytes(32),
         )
-        ts = self.tsa.issue()
-        outcome = self._authorize(context, forged, ts)
-        self._emit(
-            "adversary", "attack-forge-share",
-            {"context": context.hex(), "forged_tag": forged.binding_tag.hex()[:16]},
-            outcome,
-        )
-        return outcome
+        outcome = self._authorize(context, forged, self.tsa.issue())
+        return {"context": context.hex(), "forged_tag": forged.binding_tag.hex()[:16]}, outcome
 
-    def _attack_tamper_share(self, step: SimStep) -> str:
+    def _attack_tamper_share(self, step: SimStep) -> tuple[dict, str]:
         context = self._context_for(step)
         genuine = self.cloud.shares[context]
-        ct = bytearray(genuine.record.ciphertext)
-        bit = int(self.adversary_rng.integers(0, len(ct) * 8))
-        ct[bit // 8] ^= 1 << (bit % 8)
-        tampered = SealedShare(
-            index=genuine.index,
-            record=AeadRecord(genuine.record.nonce, bytes(ct), genuine.record.tag),
-            binding_tag=genuine.binding_tag,
-        )
-        ts = self.tsa.issue()
-        outcome = self._authorize(context, tampered, ts)
-        self._emit(
-            "adversary", "attack-tamper-share",
-            {"context": context.hex(), "flipped_bit": bit},
-            outcome,
-        )
-        return outcome
+        bit = int(self.adversary_rng.integers(0, len(genuine.record.ciphertext) * 8))
+        tampered = replace(genuine, record=_flip(genuine.record, bit))
+        outcome = self._authorize(context, tampered, self.tsa.issue())
+        return {"context": context.hex(), "flipped_bit": bit}, outcome
 
-    def _attack_tamper_ledger(self, step: SimStep) -> str:
+    def _attack_tamper_ledger(self, step: SimStep) -> tuple[dict, str]:
         snapshot = self.cloud.replica
         if snapshot is None:
             raise ScenarioConfigError("tamper-ledger-bit needs a synced replica")
@@ -444,42 +411,20 @@ class _Runner:
         if not 0 <= idx < len(replica.entries):
             raise ScenarioConfigError(f"tamper-ledger-bit entry {idx} out of range")
         entry = replica.entries[idx]
-        ct = bytearray(entry.ciphertext_record.ciphertext)
         bit = step.bit if step.bit is not None else int(
-            self.adversary_rng.integers(0, len(ct) * 8)
+            self.adversary_rng.integers(0, len(entry.ciphertext_record.ciphertext) * 8)
         )
-        ct[(bit // 8) % len(ct)] ^= 1 << (bit % 8)
-        replica.entries[idx] = LedgerEntry(
-            device_label=entry.device_label,
-            ciphertext_record=AeadRecord(
-                entry.ciphertext_record.nonce, bytes(ct), entry.ciphertext_record.tag
-            ),
-            timestamp=entry.timestamp,
-            h1=entry.h1,
-            h2=entry.h2,
-        )
+        replica.entries[idx] = replace(entry, ciphertext_record=_flip(entry.ciphertext_record, bit))
         report = replica.verify_chain()
-        outcome = (
-            f"detected:{report.first_bad_index}" if not report.valid else "undetected"
-        )
-        self._emit(
-            "adversary", "attack-tamper-ledger-bit",
-            {"entry": idx, "bit": bit},
-            outcome,
-        )
-        return outcome
+        outcome = f"detected:{report.first_bad_index}" if not report.valid else "undetected"
+        return {"entry": idx, "bit": bit}, outcome
 
     # --- main loop ---------------------------------------------------------
 
     def run(self) -> RunResult:
         for step in self.scenario.script:
             self.clock.now += 1
-            if step.action == "register":
-                self.do_register(step)
-            elif step.action == "transact":
-                self.do_transact(step)
-            else:
-                self.do_attack(step)
+            _ACTIONS[step.action](self, step)
 
         # closing health checks at both nodes
         self.clock.now += 1
@@ -509,6 +454,22 @@ class _Runner:
                 self.diffs.append(f"attack succeeded: {event.kind} at tick {event.tick}")
 
         return RunResult(events=self.events, verdict=Verdict(passed=not self.diffs, diffs=self.diffs))
+
+
+# The one list of step actions and the one list of attack kinds; an attack
+# step logs as ``attack-<kind>``.
+_ACTIONS = {"register": _Runner.do_register, "transact": _Runner.do_transact,
+            "attack": _Runner.do_attack}
+_ATTACKS = {"replay": _Runner._attack_replay, "forge-share": _Runner._attack_forge,
+            "tamper-share": _Runner._attack_tamper_share,
+            "tamper-ledger-bit": _Runner._attack_tamper_ledger}
+
+
+def _flip(record: AeadRecord, bit: int) -> AeadRecord:
+    """``record`` with bit ``bit % 8`` of ciphertext byte ``(bit // 8) % len`` flipped."""
+    ct = bytearray(record.ciphertext)
+    ct[(bit // 8) % len(ct)] ^= 1 << (bit % 8)
+    return replace(record, ciphertext=bytes(ct))
 
 
 def run_scenario(scenario: SimScenario) -> RunResult:

@@ -1,5 +1,6 @@
 import fcntl
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -625,6 +626,18 @@ def test_profile_fit_error_envelope(runner, tmp_path):
     assert err["error"]["code"] == "too-few-samples"
 
 
+def test_profile_fit_of_values_too_close_to_bin_is_an_error_envelope(runner, tmp_path):
+    # once a raw ValueError from np.histogram
+    a = 1e300
+    csv = tmp_path / "adjacent.csv"
+    csv.write_text(f"{a!r}\n{math.nextafter(a, math.inf)!r}\n" * 10)
+    r = invoke(runner, tmp_path / "s", "profile", "fit", str(csv))
+    assert r.exit_code == 1
+    assert "Traceback" not in r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "too-few-distinct-values"
+
+
 # --- filter ----------------------------------------------------------------------------
 
 def test_filter_build_query(runner, tmp_path, monkeypatch):
@@ -940,10 +953,20 @@ def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path, monkeypatch)
     ("filter", "build", "-o", "{file}", "--ids-file", "{dir}"),
     ("filter", "query", "{dir}", "00"),
     ("sim", "run", "{dir}"),
+    ("ledger", "export", "-o", "{dir}"),
+    ("ledger", "sync", "-o", "{dir}"),
+    ("keys", "split", "00" * 16, "--context", "11" * 32, "-o", "{dir}"),
+    ("keys", "authorize", "--context", "00" * 32, "--share", "{file}", "--save-timestamp", "{dir}"),
+    ("qg", "generate", "-n", "4", "-o", "{dir}"),
+    ("filter", "build", "-o", "{dir}", "--ids-file", "{file}"),
+    ("sim", "builtin", "attack-suite", "-o", "{dir}"),
+    ("sim", "run", "{file}", "--log", "{dir}"),
 ], ids=["curve-json", "share", "timestamp", "qg-check", "profile-fit", "profile-outliers",
-        "ids-file", "filter-query", "sim-run"])
+        "ids-file", "filter-query", "sim-run", "export-out", "sync-out", "split-out",
+        "save-timestamp", "qg-generate-out", "filter-build-out", "sim-builtin-out", "sim-log"])
 def test_a_directory_where_a_file_belongs_is_a_usage_error(runner, tmp_path, args):
-    # each of these once ended in a raw IsADirectoryError traceback
+    # each of these once ended in a raw IsADirectoryError traceback, the outputs
+    # of keys split and keys authorize only after their commit
     a_file = tmp_path / "file.json"
     a_file.write_text("{}")
     args = [a.format(dir=tmp_path, file=a_file) for a in args]
@@ -951,6 +974,48 @@ def test_a_directory_where_a_file_belongs_is_a_usage_error(runner, tmp_path, arg
     assert r.exit_code == 64, r.output
     assert "Traceback" not in r.output
     assert not (tmp_path / "state").exists()
+
+
+@pytest.mark.parametrize("where", ["dir", "missing"])
+def test_an_output_split_cannot_create_is_refused_before_the_commit(runner, tmp_path, where):
+    # the share was once written after the commit, so a failed write lost it
+    # and every later split of the key was already-split
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
+    key = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    before = (state / "zone.json").read_bytes()
+    context = "11" * 32
+    bad = tmp_path if where == "dir" else tmp_path / "missing" / "x.json"
+    r = invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(bad))
+    assert r.exit_code == 64, r.output
+    assert "Traceback" not in r.output
+    assert (state / "zone.json").read_bytes() == before
+    share = tmp_path / "share.json"
+    r = invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(share))
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, state, "keys", "authorize", "--context", context, "--share", str(share))
+    assert r.exit_code == 0, r.output
+
+
+def test_a_timestamp_authorize_cannot_save_is_refused_before_the_commit(runner, tmp_path):
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
+    key = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
+    share = tmp_path / "share.json"
+    context = "11" * 32
+    invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(share))
+    before = (state / "zone.json").read_bytes()
+    args = ("keys", "authorize", "--context", context, "--share", str(share), "--save-timestamp")
+    r = invoke(runner, state, *args, str(tmp_path / "missing" / "ts.json"))
+    assert r.exit_code == 64, r.output
+    assert "Traceback" not in r.output
+    assert (state / "zone.json").read_bytes() == before
+    ts = tmp_path / "ts.json"
+    assert invoke(runner, state, *args, str(ts)).exit_code == 0
+    r = invoke(runner, state, "keys", "authorize", "--context", context, "--share", str(share),
+               "--timestamp", str(ts))
+    assert r.exit_code == EXIT_REJECTED
+    assert "replay" in r.output
 
 
 @pytest.mark.parametrize("source", ["option", "env"])

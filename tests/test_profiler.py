@@ -106,6 +106,14 @@ def test_fit_errors():
         fit_distribution(Sample([5.0] * 100))
 
 
+@pytest.mark.parametrize("a", [1e300, 1.0, 5e-324])
+def test_distinct_values_too_close_for_the_bins_are_too_few_distinct(a):
+    # np.histogram cannot cut a and the next double into finite-sized bins;
+    # this was once its raw ValueError
+    with pytest.raises(TooFewDistinctValuesError, match="finite-sized bins"):
+        fit_distribution(Sample([a, np.nextafter(a, np.inf)] * 10))
+
+
 def test_family_recovery_rate(rng):
     # 50 trials per family at N=1000 here; the acceptance suite runs 200
     generators = {

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from edgevault.crypto import TimestampAuthority
+from edgevault.crypto import AeadRecord, TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
 from edgevault.ledger import ChainReport, IdentityLedger
@@ -11,6 +11,7 @@ from edgevault.securezone import Decision
 from edgevault.simnet import (
     _Cloud,
     _Runner,
+    _flip,
     SimScenario,
     SimStep,
     Verdict,
@@ -151,6 +152,19 @@ def test_ledger_tamper_reports_exact_index():
     attack = next(e for e in events if e.actor == "adversary")
     assert attack.outcome == "detected:1"
     assert attack.summary["entry"] == 1
+
+
+def test_a_ledger_bit_past_the_ciphertext_wraps_into_it():
+    script = [SimStep("register", device=f"d{i}") for i in range(3)]
+    script += [SimStep("attack", kind="tamper-ledger-bit", entry=2, bit=10_000,
+                       expect="detected:2")]
+    events, verdict = run_scenario(_scenario(script))
+    assert verdict.passed, verdict.diffs
+    attack = next(e for e in events if e.actor == "adversary")
+    assert attack.summary == {"entry": 2, "bit": 10_000}
+    record = AeadRecord(bytes(12), bytes(7), bytes(16))
+    assert _flip(record, 10_003) == _flip(record, 10_003 % 56)
+    assert _flip(record, 10_003).ciphertext == bytes([0, 0, 0, 0, 8, 0, 0])
 
 
 def test_ledger_tamper_with_no_entry_picks_one_and_reports_it():
