@@ -9,9 +9,9 @@ storage (keys and contexts as maps from id to unit), and the identity ledger
 last record folded into it, or 32 zero bytes in a new dir.  Each later line
 is one completed command's record of what it changed (the TSA counters; the
 op counter; each changed key's or context's changed fields, or the whole of
-a new one; new audit entries; new ledger entries and used points, or a new
-ledger), with ``seq`` one more than the line before and
-``h = SHA-256(previous h || r's bytes)``.
+a new one; new audit entries; new ledger entries, or a new ledger), with
+``seq`` one more than the line before and ``h = SHA-256(previous h || r's
+bytes)``.  A device's point is stored only sealed in its ledger entry.
 
 Every mutating command runs in one ``AppState.session()``: it takes an
 ``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
@@ -39,6 +39,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import secrets
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -72,6 +73,11 @@ _EXHAUSTIVE_CHECK_LIMIT = 512
 
 #: the --seed of every state or scenario command; out of range is a usage error
 SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
+
+
+def _os_seed() -> int:
+    """The seed of a state command given no --seed, and of a new dir's zone."""
+    return secrets.randbits(64)
 
 
 #: a commit rewrites the state as one record once the records after record 0
@@ -147,13 +153,14 @@ class AppState:
         self._loaded = None  # (zone, tsa, tip) of the last load_zone
 
     @contextmanager
-    def session(self, seed: int = 0):
+    def session(self, seed: int | None = None):
         """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
 
         The lock is an ``flock`` on ``.lock``, which the kernel drops when the
         holder exits, however it exits.  An exception or ``sys.exit`` inside
         the block saves nothing, so a refused or failed command leaves the
-        state dir as it was, and removes it if the session created it.
+        state dir as it was, and removes it if the session created it.  A
+        new dir's zone takes ``seed``, or one from the OS.
         """
         created = not self.root.exists()
         self.root.mkdir(parents=True, exist_ok=True)
@@ -233,14 +240,14 @@ class AppState:
                 ledger.apply(changes)
         return ledger
 
-    def load_zone(self, seed: int = 0) -> tuple[SecureZone, TimestampAuthority]:
+    def load_zone(self, seed: int | None = None) -> tuple[SecureZone, TimestampAuthority]:
         """Record 0's state with the later records applied; each key and
         context is decoded the first time the command uses it."""
         read = self._read()
         if read is None:
             # a new dir: save_zone writes a zone it has no tip for whole
             tsa = TimestampAuthority(issuer="edgevault-tsa")
-            return SecureZone(seed, tsa), tsa
+            return SecureZone(_os_seed() if seed is None else seed, tsa), tsa
         records, tip = read
         tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"])
         zone = SecureZone.lazy_from_state_dict(records[0]["zone"], tsa)
@@ -292,12 +299,22 @@ class AppState:
             tmp.unlink(missing_ok=True)
             raise
 
-    def load_ledger(self) -> IdentityLedger:
-        """The ledger alone, from every record's ledger section, with no zone decoded."""
-        read = self._read()
-        ledger = self._ledger(read[0]) if read is not None else None
+    def load_ledger(self, zone: SecureZone | None = None) -> IdentityLedger:
+        """A session ``zone``'s ledger or, with no zone, the ledger alone from
+        every record's ledger section, with no zone decoded.  Exit 2 with the
+        index of the first bad entry if its chain does not verify."""
+        if zone is not None:
+            ledger = zone.ledger
+        else:
+            read = self._read()
+            ledger = self._ledger(read[0]) if read is not None else None
         if ledger is None:
             raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")
+        report = ledger.verify_chain()
+        if not report.valid:
+            self.emit({"valid": False, "first_bad_index": report.first_bad_index},
+                      f"chain INVALID at index {report.first_bad_index}")
+            sys.exit(EXIT_TAMPER)
         return ledger
 
     def emit(self, payload: dict, text: str):
@@ -376,7 +393,8 @@ def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve
 @click.option("--preset", type=click.Choice(["standard", "tiny"]), default="standard")
 @click.option("--curve-json", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file with explicit curve parameters p, a1..a6.")
-@click.option("--seed", type=SEED_RANGE, default=0, help="Zone seed if the zone is new.")
+@click.option("--seed", type=SEED_RANGE, default=None,
+              help="Zone seed if the zone is new (default: from the OS).")
 @click.pass_obj
 def ledger_init(state: AppState, group, preset, curve_json, seed):
     """Create an empty ledger (and the secure zone, if missing)."""
@@ -387,19 +405,10 @@ def ledger_init(state: AppState, group, preset, curve_json, seed):
     state.emit({"group_id": group, "entries": 0}, f"initialized ledger for group {group}")
 
 
-def _exit_if_tampered(state: AppState, ledger: IdentityLedger):
-    report = ledger.verify_chain()
-    if not report.valid:
-        state.emit(
-            {"valid": False, "first_bad_index": report.first_bad_index},
-            f"chain INVALID at index {report.first_bad_index}",
-        )
-        sys.exit(EXIT_TAMPER)
-
-
 @ledger.command("register")
 @click.argument("label")
-@click.option("--seed", type=SEED_RANGE, default=0, help="Point-selection seed.")
+@click.option("--seed", type=SEED_RANGE, default=_os_seed,
+              help="Point-selection seed (default: from the OS).")
 @click.pass_obj
 def ledger_register(state: AppState, label, seed):
     """Register a device: select + seal a point, extend the hash chain.
@@ -407,9 +416,7 @@ def ledger_register(state: AppState, label, seed):
     Refuses (exit 2) if the stored chain no longer verifies.
     """
     with state.session() as (zone, _):
-        if zone.ledger is None:
-            raise StateError("no ledger; run 'ledger init' first")
-        _exit_if_tampered(state, zone.ledger)
+        state.load_ledger(zone)
         entry = zone.register_device(label, rng_seed=seed)
     payload = {"device_label": label, "device_id": entry.h2.hex(), "h1": entry.h1.hex()}
     state.emit(payload, f"registered {label}: {entry.h2.hex()}")
@@ -419,7 +426,7 @@ def ledger_register(state: AppState, label, seed):
 @click.pass_obj
 def ledger_verify(state: AppState):
     """Recompute the whole chain; exit 2 with the index on any mismatch."""
-    _exit_if_tampered(state, state.load_ledger())
+    state.load_ledger()
     state.emit({"valid": True}, "chain valid")
 
 
@@ -429,7 +436,6 @@ def ledger_verify(state: AppState):
 def ledger_export(state: AppState, output):
     """Write the ledger entries as JSON Lines; exit 2 on a tampered chain."""
     ldg = state.load_ledger()
-    _exit_if_tampered(state, ldg)
     text = ldg.export_jsonl()
     if output:
         Path(output).write_text(text)
@@ -444,7 +450,6 @@ def ledger_export(state: AppState, output):
 def ledger_sync(state: AppState, output):
     """Write a cloud snapshot (entries only, no key material)."""
     ldg = state.load_ledger()
-    _exit_if_tampered(state, ldg)
     Path(output).write_bytes(ldg.sync_to_cloud())
     state.emit({"written": str(output), "entries": len(ldg)}, f"wrote snapshot {output}")
 
@@ -462,7 +467,7 @@ def keys():
 @click.option("--purpose", type=click.Choice(["data-encryption", "key-encryption", "point-sealing"]),
               default="data-encryption")
 @click.option("--budget", type=click.IntRange(1, U64_LIMIT - 1), default=DEFAULT_BUDGET)
-@click.option("--seed", type=SEED_RANGE, default=0)
+@click.option("--seed", type=SEED_RANGE, default=_os_seed, help="Default: from the OS.")
 @click.pass_obj
 def keys_generate(state: AppState, purpose, budget, seed):
     """Generate a key; only its identifier leaves the zone."""
@@ -476,19 +481,18 @@ def keys_generate(state: AppState, purpose, budget, seed):
 @click.option("--context", default=None, help="32-byte context id (hex).")
 @click.option("--device", default=None, help="Use a registered device's ledger id as context.")
 @click.option("--order", type=int, default=256)
-@click.option("--seed", type=SEED_RANGE, default=0)
+@click.option("--seed", type=SEED_RANGE, default=_os_seed, help="Default: from the OS.")
 @click.option("-o", "output", type=_OutputFile(), default=None,
               help="Where to write the cloud share JSON (default stdout).")
 @click.pass_obj
 def keys_split(state: AppState, key_id, context, device, order, seed, output):
-    """Split a key 2-of-2; the edge share stays in the zone."""
+    """Split a key 2-of-2; the edge share stays in the zone.  With --device,
+    exit 2 if the ledger's chain does not verify."""
     if (context is None) == (device is None):
         raise click.UsageError("provide exactly one of --context or --device")
     with state.session() as (zone, _):
         if device is not None:
-            if zone.ledger is None:
-                raise StateError("no ledger; register the device first")
-            entry = zone.ledger.find_device(device)
+            entry = state.load_ledger(zone).find_device(device)
             if entry is None:
                 raise StateError(f"device {device!r} not in the ledger")
             context_id = entry.h2
@@ -669,7 +673,8 @@ def filter_group():
               help="File with one hex device id per line.")
 @click.pass_obj
 def filter_build(state: AppState, output, fpr, from_ledger, ids_file):
-    """Build and serialize a filter sized for the inserted ids."""
+    """Build and serialize a filter sized for the inserted ids.  With
+    --from-ledger, exit 2 if the ledger's chain does not verify."""
     if from_ledger == (ids_file is not None):
         raise click.UsageError("provide exactly one of --from-ledger or --ids-file")
     if from_ledger:

@@ -158,6 +158,10 @@ class TooFewDistinctValuesError(EdgeVaultError):
     code = "too-few-distinct-values"
 
 
+class ValueRangeError(EdgeVaultError):
+    code = "value-range"
+
+
 # --- access filter ---
 
 class FilterParameterError(EdgeVaultError):

@@ -1,7 +1,7 @@
 """Hash-chained device identity ledger.
 
-Each registration selects a unique curve point, seals it (the sealed point is
-never decrypted again), and chains two digests:
+Each registration selects a unique curve point, seals it under the zone's
+point key, and chains two digests:
 
     h1 = SHA-256(sealed point bytes ‖ timestamp bytes)
     h2 = h1                       for the first entry
@@ -9,8 +9,11 @@ never decrypted again), and chains two digests:
 
 h2 is the device's unique ID.  The chain is append-only; verification
 recomputes every digest from the raw records and reports the earliest
-mismatch.  Snapshots carry entries only, never key material or plaintext
-points, so the cloud replica can verify but not mint identities.
+mismatch.  The sealed entry is a point's only stored copy: the first
+registration on a ledger unseals its entries, inside the secure zone, to
+rebuild the set of points already taken in the group.  Snapshots carry
+entries only, never key material or plaintext points, so a cloud replica
+without the point key can verify but not mint identities.
 
 A replica that holds ``count`` verified entries ending in ``tip_h2`` needs
 only the entries after its tip: ``sync_delta`` returns those lines,
@@ -28,8 +31,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_encrypt, sha256
-from .curves import WeierstrassCurve, point_to_bytes, select_unique_point
+from .crypto import (
+    AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_decrypt, aead_encrypt, sha256,
+)
+from .curves import WeierstrassCurve, point_from_bytes, point_to_bytes, select_unique_point
 from .errors import DuplicateDeviceError, RefuseSyncError, StateError, parses
 
 __all__ = [
@@ -137,15 +142,12 @@ def parse_entry_lines(data: bytes, start: int = 0) -> list[LedgerEntry]:
     return entries
 
 
-def _parse_points(points: list) -> set[tuple[int, int]]:
-    return {(int(x, 0), int(y, 0)) for x, y in points}
-
-
 class IdentityLedger:
     """Append-only hash chain of device identities for one group.
 
-    Single-writer; ``used_points`` enforces point uniqueness within the
-    group and stays inside the edge secure zone (it never enters snapshots).
+    Single-writer.  Points are unique within the group; the set of used
+    points is unsealed from the entries by the first registration and is
+    never stored or sent.
     """
 
     def __init__(self, group_id: str, curve: WeierstrassCurve):
@@ -153,24 +155,17 @@ class IdentityLedger:
         self.curve = curve
         # None until the stored entries are decoded, on first use
         self._entries: Optional[list[LedgerEntry]] = []
-        self._used_points: set[tuple[int, int]] = set()
         self._labels: set[str] = set()
-        # the stored entries and used points (JSON); None for a ledger never stored
-        self._stored: Optional[dict] = None
-        # the points register_device chose after the ledger was loaded
-        self._added_points: list[tuple[int, int]] = []
+        # None until the first register_device unseals the entries
+        self._used_points: Optional[set[tuple[int, int]]] = None
+        # the stored entries (JSON); None for a ledger never stored
+        self._stored: Optional[list] = None
 
     @property
     def entries(self) -> list[LedgerEntry]:
         if self._entries is None:
             self._decode()
         return self._entries
-
-    @property
-    def used_points(self) -> set[tuple[int, int]]:
-        if self._entries is None:
-            self._decode()
-        return self._used_points
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -184,39 +179,40 @@ class IdentityLedger:
     ) -> LedgerEntry:
         """Select a unique point, seal it, chain the digests, append.
 
-        The sealed point is write-only identity material; nothing ever
-        decrypts it again.  Nonces are derived from (group, label, seed);
-        labels are unique per group, which keeps nonces unique per key.
+        The first call unseals every entry under ``point_key`` to learn the
+        points already taken; an entry that does not unseal is a corrupted
+        state.  Nonces are derived from (group, label, seed); labels are
+        unique per group, which keeps nonces unique per key.
         """
         entries = self.entries
         if device_label in self._labels:
             raise DuplicateDeviceError(f"device {device_label!r} already registered")
-        point = select_unique_point(self.curve, self.used_points, rng_seed)
+        if self._used_points is None:
+            self._used_points = self._unseal_points(point_key)
+        point = select_unique_point(self.curve, self._used_points, rng_seed)
         nonce_seed = sha256(
             b"edgevault.point" + self.group_id.encode() + device_label.encode()
             + int(rng_seed).to_bytes(8, "big", signed=False)
         )
-        record = aead_encrypt(
-            point_key,
-            point_to_bytes(self.curve, point),
-            b"point" + device_label.encode(),
-            NonceSequence(nonce_seed),
-        )
+        record = aead_encrypt(point_key, point_to_bytes(self.curve, point),
+                              b"point" + device_label.encode(), NonceSequence(nonce_seed))
         ts = tsa.issue()
         prev_h2 = entries[-1].h2 if entries else None
         h1, h2 = _chain_digests(prev_h2, record, ts)
-        entry = LedgerEntry(
-            device_label=device_label,
-            ciphertext_record=record,
-            timestamp=ts,
-            h1=h1,
-            h2=h2,
-        )
+        entry = LedgerEntry(device_label, record, ts, h1, h2)
         entries.append(entry)
         self._used_points.add(point)
-        self._added_points.append(point)
         self._labels.add(device_label)
         return entry
+
+    @parses(StateError, "corrupted ledger state")
+    def _unseal_points(self, point_key: bytes) -> set[tuple[int, int]]:
+        """The points sealed in the entries, unsealed under ``point_key``."""
+        return {
+            point_from_bytes(self.curve, aead_decrypt(
+                point_key, entry.ciphertext_record, b"point" + entry.device_label.encode()))
+            for entry in self.entries
+        }
 
     def verify_chain(self, start: int = 0) -> ChainReport:
         """Recompute h1/h2 from entry ``start`` on, chained from the stored
@@ -252,7 +248,8 @@ class IdentityLedger:
     @classmethod
     @parses(StateError, "malformed snapshot")
     def import_snapshot(cls, data: bytes) -> "IdentityLedger":
-        """Rebuild a replica from a snapshot; it can verify but not register.
+        """Rebuild a replica from a snapshot.  It verifies; registering on it
+        needs the point key its entries are sealed under.
 
         Imported timestamps carry an empty issuer (the snapshot's frozen hash
         form covers epoch and sequence only).
@@ -274,12 +271,11 @@ class IdentityLedger:
     # --- edge-side persistence (stays in the secure zone's state dir) -----
 
     def state_dict(self) -> dict:
-        """Full edge-side state, including the used-point registry."""
+        """Full edge-side state: the group, the curve and the entries."""
         return {
             "group_id": self.group_id,
             "curve": self.curve.to_json_dict(),
             "entries": [e.to_json_dict(i) for i, e in enumerate(self.entries)],
-            "used_points": [[hex(x), hex(y)] for x, y in sorted(self.used_points)],
         }
 
     @classmethod
@@ -293,43 +289,38 @@ class IdentityLedger:
     @parses(StateError, "corrupted ledger state")
     def lazy_from_state_dict(cls, d: dict) -> "IdentityLedger":
         """A ledger whose group and curve are parsed now and whose entries
-        and used points are decoded the first time they are used."""
+        are decoded the first time they are used."""
         ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
-        entries, points = d["entries"], d["used_points"]
-        if not isinstance(entries, list) or not isinstance(points, list):
-            raise ValueError("entries and used_points must be lists")
-        ledger._stored = {"entries": list(entries), "used_points": list(points)}
+        entries = d["entries"]
+        if not isinstance(entries, list):
+            raise ValueError("entries must be a list")
+        ledger._stored = list(entries)
         ledger._entries = None
         return ledger
 
     @parses(StateError, "corrupted ledger state")
     def _decode(self):
-        self._used_points = _parse_points(self._stored["used_points"])
-        entries = [LedgerEntry.from_json_dict(ed) for ed in self._stored["entries"]]
+        entries = [LedgerEntry.from_json_dict(ed) for ed in self._stored]
         self._labels = {entry.device_label for entry in entries}
         self._entries = entries
 
     def changes(self) -> dict:
-        """The entries and used points added since the ledger was loaded, or
-        its whole state if it was never stored."""
+        """The entries added since the ledger was loaded, or its whole state
+        if it was never stored."""
         if self._stored is None:
             return self.state_dict()
-        stored = len(self._stored["entries"])
+        stored = len(self._stored)
         if self._entries is None or len(self._entries) == stored:
             return {}
-        return {
-            "entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)],
-            "used_points": [[hex(x), hex(y)] for x, y in sorted(self._added_points)],
-        }
+        return {"entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)]}
 
     @parses(StateError, "corrupted ledger changes")
     def apply(self, changes: dict):
         """Merge :meth:`changes` into a loaded ledger before it is used."""
-        for name in ("entries", "used_points"):
-            added = changes.get(name, [])
-            if not isinstance(added, list):
-                raise ValueError(f"{name} must be a list")
-            self._stored[name] += added
+        added = changes.get("entries", [])
+        if not isinstance(added, list):
+            raise ValueError("entries must be a list")
+        self._stored += added
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:
         for entry in self.entries:

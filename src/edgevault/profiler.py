@@ -18,6 +18,7 @@ from .errors import (
     NonFiniteValuesError,
     TooFewDistinctValuesError,
     TooFewSamplesError,
+    ValueRangeError,
     ZeroVarianceError,
 )
 
@@ -72,6 +73,18 @@ def _validate(values: np.ndarray, min_len: int):
         raise TooFewSamplesError(f"need at least {min_len} values, got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NonFiniteValuesError("sample contains NaN or infinite values")
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(values.mean()) and np.isfinite(np.ptp(values))):
+            raise ValueRangeError("the sample's mean or range overflows a double")
+
+
+def _std(values: np.ndarray) -> float:
+    """The population standard deviation, refused if the squared deviations overflow."""
+    with np.errstate(over="ignore"):
+        std = float(values.std())
+    if std == math.inf:
+        raise ValueRangeError("the sample's standard deviation overflows a double")
+    return std
 
 
 def _pdf(family: str, params: dict[str, float], x: np.ndarray) -> np.ndarray:
@@ -95,7 +108,7 @@ def _pdf(family: str, params: dict[str, float], x: np.ndarray) -> np.ndarray:
 def _moment_params(family: str, values: np.ndarray) -> dict[str, float] | None:
     """Method-of-moments estimates; None when the family's support is violated."""
     if family == "normal":
-        return {"mu": float(values.mean()), "sigma": float(values.std())}
+        return {"mu": float(values.mean()), "sigma": _std(values)}
     if family == "exponential":
         if values.min() <= 0:
             return None
@@ -158,7 +171,7 @@ def detect_outliers(sample: Sample, threshold_sigmas: float = 3.0) -> np.ndarray
     values = sample.values
     _validate(values, 2)
     mean = values.mean()
-    std = values.std()
+    std = _std(values)
     if std == 0.0:
         raise ZeroVarianceError("sample has zero variance")
     return np.nonzero(np.abs(values - mean) > threshold_sigmas * std)[0]

@@ -6,8 +6,8 @@ nonce counter) and one per distributed context (split record, edge share,
 key id, last accepted timestamp).  Every mutating call is audit-logged, and
 everything that leaves the zone is either an identifier, a sealed record, or
 a snapshot with the secrets stripped.  The zone also hosts the identity
-ledger so sealed points and the used-point registry stay inside the
-boundary.
+ledger, so the point key that seals each device's point, and the points the
+ledger unseals with it to keep them unique, stay inside the boundary.
 
 The state written from :meth:`SecureZone.state_dict` emulates the HSM's
 internal tamper-proof storage; it is not an exported artifact and must be

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, _line, keys, main
-from edgevault.crypto import TimestampAuthority
-from edgevault.curves import standard_curve, tiny_curve
+from edgevault.crypto import TimestampAuthority, aead_decrypt, sha256
+from edgevault.curves import point_from_bytes, standard_curve, tiny_curve
 from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
 from edgevault.simnet import SimScenario, SimStep, builtin_scenarios
@@ -155,6 +155,7 @@ def test_ledger_export_to_a_file_writes_what_stdout_gets(runner, tmp_path):
 def test_ledger_verify_detects_hex_edit(runner, tmp_path):
     state = tmp_path / "state"
     _init_ledger(runner, state)
+    key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
     doc = _document(state)
     ct = doc["ledger"]["entries"][1]["ciphertext_hex"]
     doc["ledger"]["entries"][1]["ciphertext_hex"] = ("0" if ct[0] != "0" else "1") + ct[1:]
@@ -173,11 +174,123 @@ def test_ledger_verify_detects_hex_edit(runner, tmp_path):
     r = invoke(runner, state, "ledger", "export")
     assert r.exit_code == EXIT_TAMPER
     before = _state_files(state)
-    r = invoke(runner, state, "ledger", "register", "late-device")
-    assert r.exit_code == EXIT_TAMPER
-    # the refused command saves nothing and releases the lock
+    share, filt = tmp_path / "share.json", tmp_path / "allow.bin"
+    for args, output in [
+        (["ledger", "register", "late-device"], None),
+        # once: the split was committed on a device id from a chain that does
+        # not verify, and the filter was written
+        (["keys", "split", key_id, "--device", "alpha", "-o", str(share)], share),
+        (["filter", "build", "--from-ledger", "-o", str(filt)], filt),
+    ]:
+        r = invoke(runner, state, *args)
+        assert r.exit_code == EXIT_TAMPER, (args, r.output)
+        assert json.loads(r.output) == payload
+        # the refused command saves nothing, writes nothing and releases the lock
+        assert _state_files(state) == before
+        assert output is None or not output.exists()
+        assert not (state / ".lock").exists()
+
+
+def _unsealed_points(state):
+    """Each registered device's point, unsealed with the state dir's own point key."""
+    zone, _ = AppState(state, "json").load_zone()
+    point_key = zone._keys[zone._point_key_id].material
+    return [point_from_bytes(zone.ledger.curve, aead_decrypt(
+                point_key, e.ciphertext_record, b"point" + e.device_label.encode()))
+            for e in zone.ledger.entries]
+
+
+@pytest.mark.parametrize("compact", [None, 0], ids=["journal", "compacted"])
+def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, monkeypatch, compact):
+    if compact is not None:
+        monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", compact)
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g").exit_code == 0
+    for label in ("p1", "p2", "p3"):
+        assert invoke(runner, state, "ledger", "register", label).exit_code == 0
+    points = _unsealed_points(state)
+    assert len(set(points)) == 3
+    for data in _state_files(state).values():
+        assert b"used_points" not in data
+        for coordinate in (c for point in points for c in point):
+            assert f"{coordinate:x}".encode() not in data
+            assert str(coordinate).encode() not in data
+
+
+@pytest.mark.parametrize("compact", [None, 0], ids=["journal", "compacted"])
+def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(
+        runner, tmp_path, monkeypatch, compact):
+    if compact is not None:
+        monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", compact)
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
+    for i in range(1, 9):
+        r = invoke(runner, state, "ledger", "register", f"p{i}")
+        assert r.exit_code == 0, r.output
+    assert len(set(_unsealed_points(state))) == 8
+    before = _state_files(state)
+    r = invoke(runner, state, "ledger", "register", "p9")
+    assert r.exit_code == 1
+    assert json.loads(r.output.strip().splitlines()[-1])["error"]["code"] == "group-full"
     assert _state_files(state) == before
-    assert not (state / ".lock").exists()
+
+
+def _with_used_points(state):
+    """Rewrite the state file in the layout that also stored each point in
+    the clear: ``used_points`` in record 0's ledger and in each record that
+    adds entries, every later line re-chained."""
+    points = iter([hex(x), hex(y)] for x, y in _unsealed_points(state))
+    lines = (state / "zone.json").read_bytes().splitlines()
+    h, out = None, []
+    for line in lines:
+        d = json.loads(line)
+        ledger = d["r"]["ledger"]
+        if ledger is not None and "entries" in ledger:
+            ledger["used_points"] = [next(points) for _ in ledger["entries"]]
+        body = json.dumps(d["r"], sort_keys=True, separators=(",", ":")).encode()
+        h = bytes.fromhex(d["h"]) if h is None else sha256(h + body)
+        out.append(_line(h, body))
+    (state / "zone.json").write_bytes(b"".join(out))
+
+
+def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
+    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    assert invoke(runner, state, "ledger", "register", "alpha").exit_code == 0
+    monkeypatch.undo()
+    assert invoke(runner, state, "ledger", "register", "beta").exit_code == 0
+    _with_used_points(state)
+    data = (state / "zone.json").read_bytes()
+    assert data.count(b"used_points") == 2 and data.count(b"\n") == 2
+
+    assert invoke(runner, state, "ledger", "verify").exit_code == 0
+    r = invoke(runner, state, "ledger", "register", "gamma")
+    assert r.exit_code == 0, r.output
+    assert len(set(_unsealed_points(state))) == 3
+    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    assert invoke(runner, state, "keys", "generate").exit_code == 0
+    data = (state / "zone.json").read_bytes()
+    assert data.count(b"\n") == 1 and b"used_points" not in data
+    assert len(set(_unsealed_points(state))) == 3
+
+
+def test_a_point_the_stored_curve_does_not_fit_is_corrupted_state(runner, tmp_path):
+    # a standard-curve ledger whose stored curve was edited to the tiny one;
+    # the chain does not cover the curve, so only the unsealing can refuse it
+    state = tmp_path / "state"
+    assert invoke(runner, state, "ledger", "init", "--group", "g").exit_code == 0
+    assert invoke(runner, state, "ledger", "register", "alpha").exit_code == 0
+    doc = _document(state)
+    doc["ledger"]["curve"] = tiny_curve().to_json_dict()
+    _write_document(state, doc)
+    before = _state_files(state)
+    r = invoke(runner, state, "ledger", "register", "beta")
+    assert r.exit_code == 1
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert "expected 2 point bytes, got 64" in err["message"]
+    assert _state_files(state) == before
 
 
 def test_ledger_register_needs_init(runner, tmp_path):
@@ -351,10 +464,6 @@ def _old_layout_without_tsa_json(doc):
     return doc["zone"]
 
 
-def _without_used_points(ledger):
-    del ledger["used_points"]
-
-
 def _journal_seq(seq):
     """Record 0 with the sequence number ``seq``."""
     return lambda doc: dict(doc, seq=seq)
@@ -376,8 +485,6 @@ def _spliced(document, section, raw):
         ("curve", b"{}", "invalid-curve"),
         ("curve", _WIDE_CURVE.encode(), "invalid-curve"),
         ("ledger", _wide_curve, "corrupted-state"),
-        # loaded with an empty point registry, so a new device could take a used point
-        ("ledger", _without_used_points, "corrupted-state"),
         ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
         ("share", _one_byte_tag, "corrupted-state"),
         ("zone", _one_expected_tag, "corrupted-state"),
@@ -395,7 +502,6 @@ def _spliced(document, section, raw):
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
          "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
-         "ledger-without-used-points",
          "timestamp-infinite-epoch", "share-one-byte-tag",
          "zone-one-expected-tag", "scenario-string-entry", "document-list",
          "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json",
@@ -511,6 +617,43 @@ def test_out_of_range_budget_is_a_usage_error(runner, tmp_path, budget):
     assert r.exit_code == 64, r.output
     assert "--budget" in r.output
     assert not (tmp_path / "state").exists()
+
+
+def _kek_material(state):
+    zone = _record0(state)["r"]["zone"]
+    return zone["keys"][zone["kek_id"]]["material"]
+
+
+def test_without_a_seed_every_key_is_drawn_from_the_os(runner, tmp_path):
+    # once --seed defaulted to 0, so every fresh dir held the same keys
+    keys = []
+    for name in ("a", "b"):
+        state = tmp_path / name
+        assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
+        r = invoke(runner, state, "keys", "generate")
+        keys.append((json.loads(r.output)["key_id"], _kek_material(state)))
+    (a_key, a_kek), (b_key, b_kek) = keys
+    assert a_key != b_key and a_kek != b_kek
+    # a dir any other command creates draws its zone seed too
+    for name in ("c", "d"):
+        assert invoke(runner, tmp_path / name, "keys", "generate", "--seed", "7").exit_code == 0
+    assert _kek_material(tmp_path / "c") != _kek_material(tmp_path / "d")
+
+
+def test_the_same_explicit_seeds_give_identical_dirs(runner, tmp_path, monkeypatch):
+    # the TSA reads wall time, which feeds the records; pin it
+    monkeypatch.setattr(time, "time", lambda: 1_792_000_000.0)
+    for name in ("a", "b"):
+        state = tmp_path / name
+        for args in [("ledger", "init", "--group", "g", "--preset", "tiny", "--seed", "5"),
+                     ("ledger", "register", "alpha", "--seed", "6")]:
+            assert invoke(runner, state, *args).exit_code == 0
+        r = invoke(runner, state, "keys", "generate", "--seed", "7")
+        r = invoke(runner, state, "keys", "split", json.loads(r.output)["key_id"], "--device",
+                   "alpha", "--order", "16", "--seed", "8", "-o", str(tmp_path / f"{name}.json"))
+        assert r.exit_code == 0, r.output
+    assert _state_files(tmp_path / "a") == _state_files(tmp_path / "b")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_keys_split_to_stdout_prints_a_share_that_authorizes(runner, tmp_path):
@@ -639,6 +782,18 @@ def test_profile_fit_of_values_too_close_to_bin_is_an_error_envelope(runner, tmp
 
 
 # --- filter ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["fit", "outliers"])
+def test_profile_of_values_whose_mean_overflows_is_an_error_envelope(runner, tmp_path, command):
+    # once: no outliers, and too-few-distinct-values for values far apart
+    csv = tmp_path / "far.csv"
+    csv.write_text("1e308\n" * 9 + "-1e308\n")
+    r = invoke(runner, tmp_path / "s", "profile", command, str(csv))
+    assert r.exit_code == 1
+    assert "Traceback" not in r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "value-range"
+
 
 def test_filter_build_query(runner, tmp_path, monkeypatch):
     # the TSA reads wall time, which feeds the device ids; pin it

@@ -4,8 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
-from edgevault.curves import standard_curve, tiny_curve
+from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority, aead_decrypt
+from edgevault.curves import is_on_curve, point_from_bytes, standard_curve, tiny_curve
 from edgevault.errors import (
     DuplicateDeviceError,
     EdgeVaultError,
@@ -39,6 +39,15 @@ def _register_n(ledger, tsa, n, seed0=0):
     return [
         ledger.register_device(f"device-{i}", tsa, POINT_KEY, rng_seed=seed0 + i)
         for i in range(n)
+    ]
+
+
+def _unsealed_points(ledger, point_key=POINT_KEY):
+    """Each entry's point, unsealed here with the AD ``register_device`` seals it under."""
+    return [
+        point_from_bytes(ledger.curve, aead_decrypt(
+            point_key, e.ciphertext_record, b"point" + e.device_label.encode()))
+        for e in ledger.entries
     ]
 
 
@@ -76,7 +85,9 @@ def test_group_full_on_tiny_curve(f5_ledger, tsa):
 
 def test_point_uniqueness_within_group(f5_ledger, tsa):
     _register_n(f5_ledger, tsa, 8)
-    assert len(f5_ledger.used_points) == 8
+    points = _unsealed_points(f5_ledger)
+    assert len(set(points)) == 8
+    assert all(is_on_curve(f5_ledger.curve, point) for point in points)
 
 
 def test_verify_chain_valid(f5_ledger, tsa):
@@ -197,20 +208,53 @@ def test_export_jsonl_fields(f5_ledger, tsa):
 
 def test_state_dict_roundtrip_preserves_used_points(f5_ledger, tsa):
     _register_n(f5_ledger, tsa, 4)
-    restored = IdentityLedger.from_state_dict(f5_ledger.state_dict())
+    state = f5_ledger.state_dict()
+    assert set(state) == {"group_id", "curve", "entries"}  # no plaintext point
+    restored = IdentityLedger.from_state_dict(state)
     assert restored.verify_chain().valid
-    assert restored.used_points == f5_ledger.used_points
     assert len(restored) == 4
-    # registrations continue without point reuse
-    restored.register_device("fresh", tsa, POINT_KEY, rng_seed=50)
-    assert len(restored.used_points) == 5
+    # the used points are unsealed from the entries: registrations continue
+    # without point reuse until the 8-point group is full
+    for i in range(4):
+        restored.register_device(f"late-{i}", tsa, POINT_KEY, rng_seed=50 + i)
+    assert len(set(_unsealed_points(restored))) == 8
+    with pytest.raises(GroupFullError):
+        restored.register_device("ninth", tsa, POINT_KEY, rng_seed=99)
 
 
 def test_used_points_read_first_decode_a_loaded_ledger(f5_ledger, tsa):
     _register_n(f5_ledger, tsa, 3)
     loaded = IdentityLedger.lazy_from_state_dict(f5_ledger.state_dict())
-    assert loaded.used_points == f5_ledger.used_points
-    assert len(loaded) == 3
+    # the first registration decodes the stored entries and unseals their points
+    new = loaded.register_device("fresh", tsa, POINT_KEY, rng_seed=0)
+    assert len(loaded) == 4
+    assert len(set(_unsealed_points(loaded))) == 4
+    assert loaded.changes() == {"entries": [new.to_json_dict(3)]}
+
+
+def test_an_imported_replica_refuses_a_ninth_device_on_the_tiny_curve(f5_ledger, tsa):
+    _register_n(f5_ledger, tsa, 8)
+    replica = IdentityLedger.import_snapshot(f5_ledger.sync_to_cloud())
+    with pytest.raises(GroupFullError):
+        replica.register_device("ninth", tsa, POINT_KEY, rng_seed=99)
+    # without the point key the replica cannot learn its used points at all
+    with pytest.raises(StateError, match="AEAD authentication failed"):
+        IdentityLedger.import_snapshot(f5_ledger.sync_to_cloud()).register_device(
+            "ninth", tsa, bytes(range(32)), rng_seed=99)
+
+
+def test_an_entry_that_does_not_unseal_is_corrupted_state(f5_ledger, tsa):
+    _register_n(f5_ledger, tsa, 3)
+    state = f5_ledger.state_dict()
+    ledger = IdentityLedger.from_state_dict(state)
+    with pytest.raises(StateError) as info:
+        ledger.register_device("d", tsa, bytes(range(32)), 1)
+    assert info.value.code == "corrupted-state"
+    assert len(ledger) == 3  # the refused registration appended nothing
+    # a point too short for the stored curve
+    state["curve"] = standard_curve().to_json_dict()
+    with pytest.raises(StateError, match="expected 64 point bytes, got 2"):
+        IdentityLedger.from_state_dict(state).register_device("d", tsa, POINT_KEY, 1)
 
 
 def test_registration_on_256_bit_curve(tsa):

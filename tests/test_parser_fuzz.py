@@ -333,9 +333,6 @@ def _step(**fields):
             _context(d)["edge_share"])), StateError),
         (IdentityLedger.from_state_dict,
          _edited(LEDGER_STATE, lambda d: d["entries"][0].update(tag_hex="00")), StateError),
-        # loaded with an empty point registry, so registering could reuse a point
-        (IdentityLedger.from_state_dict, _edited(LEDGER_STATE, lambda d: d.pop("used_points")),
-         StateError),
         # run_scenario raised TypeError / AttributeError, from_json OverflowError
         (SimScenario.from_json_dict, _step(entry="1"), ScenarioConfigError),
         (SimScenario.from_json_dict, _step(bit=True), ScenarioConfigError),
@@ -368,7 +365,7 @@ def _step(**fields):
          "zone-short-key-material", "zone-negative-op-counter",
          "tsa-negative-sequence", "tsa-epoch-past-u64", "share-one-byte-tag",
          "zone-edge-share-one-byte-nonce", "ledger-state-one-byte-tag",
-         "ledger-state-without-used-points", "scenario-string-entry",
+         "scenario-string-entry",
          "scenario-bool-bit", "scenario-negative-bit", "scenario-int-device",
          "scenario-negative-seed", "scenario-seed-past-u64", "plain-share-zero-length-secret",
          "plain-share-extra-digit", "filter-padding-bits", "aead-record-too-short",

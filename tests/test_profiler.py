@@ -6,6 +6,7 @@ from edgevault.errors import (
     NonFiniteValuesError,
     TooFewDistinctValuesError,
     TooFewSamplesError,
+    ValueRangeError,
     ZeroVarianceError,
 )
 from edgevault.profiler import (
@@ -112,6 +113,22 @@ def test_distinct_values_too_close_for_the_bins_are_too_few_distinct(a):
     # this was once its raw ValueError
     with pytest.raises(TooFewDistinctValuesError, match="finite-sized bins"):
         fit_distribution(Sample([a, np.nextafter(a, np.inf)] * 10))
+
+
+@pytest.mark.parametrize("values,what", [
+    ([1e308] * 9 + [-1e308], "mean or range"),
+    ([1e308] * 10, "mean or range"),
+    ([1e308, -1e308] * 5, "mean or range"),  # the mean is 0; max - min overflows
+    ([0.0] * 99 + [1e160], "standard deviation"),  # the squared deviation overflows
+], ids=["far-apart", "sum", "range", "squares"])
+def test_a_sample_whose_moments_overflow_is_a_value_range_error(values, what):
+    # once: no outliers, too-few-distinct-values for far-apart values, or an
+    # infinite sigma; numpy's overflow warnings are errors here
+    with np.errstate(all="raise"):
+        for analyse in (fit_distribution, detect_outliers):
+            with pytest.raises(ValueRangeError, match=what) as info:
+                analyse(Sample(values))
+            assert info.value.code == "value-range"
 
 
 def test_family_recovery_rate(rng):
