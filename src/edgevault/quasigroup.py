@@ -7,9 +7,10 @@ division tables from it at construction; ``from_bytes`` and ``qg check FILE``
 use it.  :class:`IsotopeQuasigroup`, which :func:`generate_quasigroup`
 returns, keeps three permutations ``sigma``, ``pi``, ``rho`` of the isotope
 ``x*y = sigma[(pi[x] + rho[y]) mod n]`` and nothing else, and evaluates
-multiplication and both divisions in closed form: it costs O(n) to build
-and check, a division inverts the two permutations it reads, and its n*n
-tables are built on every read and not cached.
+multiplication and both divisions in closed form: its one O(n) check, over
+the three permutations stacked as a (3, n) array, is the algebra gate, a
+division inverts the two checked permutations it reads by a plain scatter,
+and its n*n tables are built on every read and not cached.
 """
 
 from __future__ import annotations
@@ -131,18 +132,40 @@ class Quasigroup:
         return isinstance(other, Quasigroup) and np.array_equal(self.table, other.table)
 
 
-def _permutation_inverse(perm, n: int, name: str) -> np.ndarray:
-    """The inverse of ``perm``; MalformedTableError unless it permutes [0, n)."""
-    arr = np.asarray(perm)
-    if arr.shape != (n,) or not np.issubdtype(arr.dtype, np.integer):
-        raise MalformedTableError(f"{name} must be {n} integers, got shape {arr.shape}")
-    if arr.min() < 0 or arr.max() >= n:
-        raise MalformedTableError(f"{name} entries must lie in [0, {n})")
-    inverse = np.full(n, -1, dtype=np.intp)
-    inverse[arr] = np.arange(n)
-    # n in-range entries hit every slot iff no two of them are equal
-    if inverse.min() < 0:
-        raise MalformedTableError(f"{name} is not a permutation of [0, {n})")
+#: the isotope's permutations, in the order of its (3, n) stack
+_PERMUTATIONS = ("sigma", "pi", "rho")
+
+
+def _permutation_stack(n: int, perms) -> np.ndarray:
+    """``perms`` as one frozen (3, n) intp array; MalformedTableError naming
+    the first of sigma, pi and rho that is not a permutation of [0, n)."""
+    try:
+        stack = np.asarray(perms)
+    except ValueError:  # rows of different lengths
+        stack = None
+    if stack is None or stack.shape != (3, n) or stack.dtype.kind not in "iu":
+        rows = [np.asarray(perm) for perm in perms]
+        for name, row in zip(_PERMUTATIONS, rows):
+            if row.shape != (n,) or row.dtype.kind not in "iu":
+                raise MalformedTableError(f"{name} must be {n} integers, got {row.dtype} "
+                                          f"of shape {row.shape}")
+        # integer rows with no common integer dtype (uint64 beside int64 stack as float)
+        stack = np.array([row.astype(np.intp) for row in rows])
+    stack = stack.astype(np.intp, copy=False)
+    # a row permutes [0, n) iff it sorts to 0, 1, ..., n - 1; out-of-range
+    # entries (a wrapped uint64 included) and repeats both fail that
+    ordered = np.sort(stack, axis=1)
+    if ordered.tobytes() != np.arange(n, dtype=np.intp).tobytes() * 3:
+        first = int(np.argmin((ordered == np.arange(n)).all(axis=1)))
+        raise MalformedTableError(f"{_PERMUTATIONS[first]} is not a permutation of [0, {n})")
+    stack.flags.writeable = False
+    return stack
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation the construction check already passed."""
+    inverse = np.empty(perm.shape[0], dtype=np.intp)
+    inverse[perm] = np.arange(perm.shape[0])
     return inverse
 
 
@@ -157,14 +180,18 @@ class IsotopeQuasigroup(Quasigroup):
 
     Every row and column of that table is a permutation exactly when
     ``sigma``, ``pi`` and ``rho`` are, so checking the three permutations
-    checks the Latin property in O(n).  Every operation has a closed form:
+    checks the Latin property in O(n).  Construction checks them at once, as
+    one (3, n) integer array, and names the first that is not a permutation
+    of [0, n).  Every operation has a closed form:
 
       x * y  = sigma[(pi[x] + rho[y]) mod n]
       x \\ s = rho^-1[(sigma^-1[s] - pi[x]) mod n]
       s / y  = pi^-1[(sigma^-1[s] - rho[y]) mod n]
 
-    Only the three permutations are held.  A division inverts the two it
-    reads on each call, which is O(n) against the n*n tables; ``table``,
+    Only the three checked permutations are held: ``sigma`` as uint16, and
+    ``pi`` and ``rho`` as intp rows of the frozen stack the check read.  A
+    division inverts the two it reads on each call by a plain scatter, which
+    is O(n) against the n*n tables and needs no second check; ``table``,
     ``left_div`` and ``right_div`` are built on every read and not cached.
     """
 
@@ -176,25 +203,21 @@ class IsotopeQuasigroup(Quasigroup):
             raise MalformedTableError(f"order must be >= 2, got {n}")
         if n > 0xFFFF:
             raise InvalidOrderError("orders above 65535 are not supported")
-        for name, perm in (("sigma", sigma), ("pi", pi), ("rho", rho)):
-            _permutation_inverse(perm, n, name)
+        stack = _permutation_stack(n, (sigma, pi, rho))
         self.order = n
         # operands are intp, results uint16 like the table-backed form's
-        self.sigma = _frozen(sigma, np.uint16)
-        self.pi = _frozen(pi, np.intp)
-        self.rho = _frozen(rho, np.intp)
+        self.sigma = _frozen(stack[0], np.uint16)
+        self.pi, self.rho = stack[1], stack[2]
 
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.sigma[(self.pi[a] + self.rho[b]) % self.order]
 
     def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sigma_inv = _permutation_inverse(self.sigma, self.order, "sigma")
-        rho_inv = _permutation_inverse(self.rho, self.order, "rho")
+        sigma_inv, rho_inv = _inverse(self.sigma), _inverse(self.rho)
         return rho_inv[(sigma_inv[b] - self.pi[a]) % self.order].astype(np.uint16)
 
     def right_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sigma_inv = _permutation_inverse(self.sigma, self.order, "sigma")
-        pi_inv = _permutation_inverse(self.pi, self.order, "pi")
+        sigma_inv, pi_inv = _inverse(self.sigma), _inverse(self.pi)
         return pi_inv[(sigma_inv[a] - self.rho[b]) % self.order].astype(np.uint16)
 
     def _square(self, op) -> np.ndarray:

@@ -12,8 +12,8 @@ check, and a whole-secret checksum.
 
 from __future__ import annotations
 
+import hmac
 import json
-import math
 import struct
 from dataclasses import dataclass
 
@@ -52,7 +52,8 @@ CONTEXT_LEN = 32
 
 
 def _digit_width(order: int) -> int:
-    return int(math.floor(math.log2(order)))
+    """floor(log2(order)), in exact integer arithmetic."""
+    return order.bit_length() - 1
 
 
 def _digit_count(secret_len: int, order: int) -> int:
@@ -133,16 +134,16 @@ class PlainShare:
     def from_bytes(cls, data: bytes) -> "PlainShare":
         if len(data) < 7:
             raise MalformedTableError("truncated share bytes")
-        index, order, count = struct.unpack(">BHI", data[:7])
-        body = data[7:]
-        if index not in (1, 2) or order < 2 or len(body) != 2 * count:
+        index, order, count = struct.unpack_from(">BHI", data)
+        if index not in (1, 2) or order < 2 or len(data) != 7 + 2 * count:
             raise MalformedTableError("malformed canonical share bytes")
-        digits = np.frombuffer(body, dtype=">u2").astype(np.uint16)
-        if digits.size and int(digits.max()) >= order:
-            raise MalformedTableError("share digit outside [0, order)")
         secret_len = (count * _digit_width(order)) // 8
         if not secret_len or _digit_count(secret_len, order) != count:
             raise MalformedTableError(f"{count} digits of order {order} encode no whole secret")
+        # at least one digit: a whole secret has a byte
+        digits = np.frombuffer(data, dtype=">u2", offset=7).astype(np.uint16)
+        if int(digits.max()) >= order:
+            raise MalformedTableError("share digit outside [0, order)")
         return cls(index=index, order=order, digits=digits)
 
     def __eq__(self, other) -> bool:
@@ -295,10 +296,12 @@ def combine_and_verify(
     """Reconstruct the secret, verifying every layer on the way.
 
     In order: (1) authenticated decryption of both shares, (2) binding-tag
-    comparison against the record, (3) rebuild of the quasigroup, whose O(n)
-    permutation check proves all six parastroph identities over every pair
-    (an isotope of a group is a quasigroup), (4) digit-wise reconstruction,
-    (5) whole-secret checksum.  Each failure mode raises its own error type.
+    comparison against the record, (3) rebuild of the quasigroup, whose
+    algebra gate (one O(n) check that sigma, pi and rho, stacked as a (3, n)
+    array, each permute [0, n)) proves all six parastroph identities over
+    every pair, since an isotope of a group is a quasigroup, (4) digit-wise
+    reconstruction, (5) whole-secret checksum.  The tags and the checksum are
+    compared in constant time.  Each failure mode raises its own error type.
     """
     try:
         p1 = unseal_share(s1, key, record.context_id)
@@ -312,11 +315,14 @@ def combine_and_verify(
         _binding_tag(p1.to_bytes(), 1, record.context_id),
         _binding_tag(p2.to_bytes(), 2, record.context_id),
     )
-    if tags[0] != record.expected_tags[0] or tags[1] != record.expected_tags[1]:
+    # each tag digests a secret share: compare in constant time, both (``&``)
+    if not (hmac.compare_digest(tags[0], record.expected_tags[0])
+            & hmac.compare_digest(tags[1], record.expected_tags[1])):
         raise TagMismatchError("share binding tag mismatch (possible impersonation)")
     # the transported tags must match too, so every bit of a sealed share is
     # tamper-evident (index and record via AEAD, binding_tag here)
-    if s1.binding_tag != tags[0] or s2.binding_tag != tags[1]:
+    if not (hmac.compare_digest(s1.binding_tag, tags[0])
+            & hmac.compare_digest(s2.binding_tag, tags[1])):
         raise TagMismatchError("transported binding tag altered in flight")
 
     try:
@@ -334,6 +340,6 @@ def combine_and_verify(
         # that is a wrong secret too
         raise ChecksumMismatchError(f"reconstructed secret is malformed: {exc}") from exc
 
-    if sha256(secret) != record.secret_checksum:
+    if not hmac.compare_digest(sha256(secret), record.secret_checksum):
         raise ChecksumMismatchError("reconstructed secret fails its checksum")
     return secret

@@ -294,13 +294,36 @@ def test_isotope_closed_forms_match_table_lookups(n):
             assert q.right_divide(x, y) == right_div[x][y]
 
 
+PERMS_4 = {"sigma": [2, 0, 1, 3], "pi": [1, 2, 3, 0], "rho": [0, 3, 2, 1]}
+
+
 @pytest.mark.parametrize("bad", ["sigma", "pi", "rho"])
 def test_isotope_rejects_non_permutation(bad):
-    perms = {"sigma": [2, 0, 1, 3], "pi": [1, 2, 3, 0], "rho": [0, 3, 2, 1]}
-    for broken in ([0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2], [0, -1, 2, 3]):
-        with pytest.raises(MalformedTableError):
-            IsotopeQuasigroup(**{**perms, bad: broken})
-    assert IsotopeQuasigroup(**perms).order == 4
+    for broken in (
+        [0, 1, 1, 3],  # a duplicate entry
+        [0, 1, 2, 4],  # an entry out of range
+        [0, -1, 2, 3],
+        [0, 1, 2],  # a short array
+        [0.0, 1.0, 2.0, 3.0],  # floats, even whole ones
+    ):
+        # the order is sigma's length, so a short sigma leaves pi the wrong length
+        named = "pi" if bad == "sigma" and len(broken) < 4 else bad
+        with pytest.raises(MalformedTableError, match=rf"^{named} "):
+            IsotopeQuasigroup(**{**PERMS_4, bad: broken})
+    assert IsotopeQuasigroup(**PERMS_4).order == 4
+
+
+def test_isotope_gate_keeps_the_rows_it_checked():
+    sigma, pi, rho = (np.array(PERMS_4[name]) for name in ("sigma", "pi", "rho"))
+    # uint64 beside int64 has no common integer dtype; the rows still check
+    q = IsotopeQuasigroup(sigma.astype(np.uint64), pi, rho)
+    assert q == IsotopeQuasigroup(sigma, pi, rho)
+    assert (q.sigma.dtype, q.pi.dtype, q.rho.dtype) == (np.uint16, np.intp, np.intp)
+    assert not any(a.flags.writeable for a in (q.sigma, q.pi, q.rho))
+    with pytest.raises(MalformedTableError, match="^sigma "):
+        IsotopeQuasigroup(np.array([0, 2**63, 1, 2], dtype=np.uint64), pi, rho)
+    pi[0] = 99  # a copy was checked and kept, not the caller's array
+    assert q.pi.tolist() == PERMS_4["pi"]
 
 
 def test_isotope_of_order_1_is_malformed():

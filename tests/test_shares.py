@@ -1,4 +1,5 @@
 import itertools
+import struct
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from edgevault.errors import (
     DecryptFailureError,
     EmptySecretError,
     InvalidOrderError,
+    MalformedTableError,
     TagMismatchError,
     UnknownKeyError,
     UnsupportedOrderError,
@@ -158,6 +160,34 @@ def test_plain_share_roundtrip():
     for share in (s1, s2):
         back = PlainShare.from_bytes(share.to_bytes())
         assert back == share
+
+
+@st.composite
+def _share_like_bytes(draw):
+    """The canonical bytes of a drawn share, or those bytes with one field
+    redrawn, one digit set to the order, or a byte cut off or added."""
+    order = draw(st.sampled_from([2, 3, 16, 251, 256, 65535]) | st.integers(2, 0xFFFF))
+    digits = draw(st.lists(st.integers(0, order - 1), max_size=40))
+    header = [draw(st.sampled_from([1, 2])), order, len(digits)]
+    change = draw(st.sampled_from(["none", "index", "order", "count", "digit", "cut", "add"]))
+    if change in ("index", "order", "count"):
+        which = ("index", "order", "count").index(change)
+        header[which] = draw(st.integers(0, (0xFF, 0xFFFF, 42)[which]))
+    if change == "digit" and digits:
+        digits[draw(st.integers(0, len(digits) - 1))] = order
+    data = struct.pack(">BHI", *header) + b"".join(d.to_bytes(2, "big") for d in digits)
+    return {"cut": data[:-1], "add": data + b"\x00"}.get(change, data)
+
+
+@given(st.binary(max_size=24) | _share_like_bytes())
+@settings(max_examples=300, deadline=None)
+def test_every_share_from_bytes_accepts_is_canonical(data):
+    # the binding tags hash to_bytes(), so a share must have one byte form
+    try:
+        share = PlainShare.from_bytes(data)
+    except MalformedTableError:
+        return
+    assert share.to_bytes() == data
 
 
 # --- sealing -----------------------------------------------------------------
