@@ -6,7 +6,11 @@ default ``.edgevault``) as one file, ``zone.json``: a journal of lines
 "ledger"}``: the timestamp authority's counters, the secure zone's internal
 storage (keys and contexts as maps from id to unit), and the identity ledger
 (``null`` before ``ledger init``).  Its ``h``, taken as given, is that of the
-last record folded into it, or 32 zero bytes in a new dir.  Each later line
+last record folded into it, or 32 zero bytes in a new dir.  Its line also
+carries an index of its units (each key, each context, the audit and the
+ledger's entries) with each unit's place in the line and its SHA-256, and a
+digest over the rest of the record and the index (see ``statefile``).  Each
+later line
 is one completed command's record of what it changed (the TSA counters; the
 op counter; each changed key's or context's changed fields, or the whole of
 a new one; new audit entries; new ledger entries, or a new ledger), with
@@ -16,17 +20,22 @@ bytes)``.  A device's point is stored only sealed in its ledger entry.
 Every mutating command runs in one ``AppState.session()``: it takes an
 ``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
 exits, so no lock is ever stale), loads the state, and commits once, only if
-the command completes.  A load reads the file once and applies its records,
-but decodes a key, context or ledger entry only when the command uses it;
-``keys authorize`` decodes its own context and key and the three
-infrastructure keys.  A commit appends its record in one write, or, once the
-lines after record 0 would pass ``COMPACT_BYTES``, writes the whole state as
-record 0 of ``zone.json.tmp`` and renames that over ``zone.json``.  A crashed
+the command completes.  A load reads the file once, parses record 0's
+header and the later records, and decodes a unit of record 0 only when the
+command uses it, after checking it against its digest; ``keys authorize``
+decodes its own context and key and the three infrastructure keys, and the
+read-only ledger commands the ledger's entries alone.  A unit that does not
+match its digest is a corrupted state naming record 0.  A commit appends its
+record in one write, or, once the lines after record 0 would pass
+``COMPACT_BYTES``, writes the whole state as record 0 of ``zone.json.tmp`` and
+renames that over ``zone.json``; that record 0 encodes only the units changed
+since the last one and copies the others, digests and all.  A crashed
 process therefore leaves the old state or the new one: a torn last line is
 left out on load and cut off by the next commit.  A bad ``h`` on any other
 line is a corrupted state that names the record's index.  Nothing is fsynced:
 a power loss is not covered.  A dir in an earlier layout has a ``zone.json``
-that is no journal line, so it is a corrupted state, refused and left as it is.
+whose first line is no indexed record 0, so it is a corrupted state, refused
+and left as it is.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -47,6 +56,7 @@ from pathlib import Path
 
 import click
 
+from . import statefile
 from .bloom import BloomFilter
 from .crypto import U64_LIMIT, Timestamp, TimestampAuthority, sha256
 from .curves import WeierstrassCurve, standard_curve, tiny_curve
@@ -84,9 +94,6 @@ def _os_seed() -> int:
 #: would pass this many bytes
 COMPACT_BYTES = 16 * 1024
 
-_LINE_HEAD, _LINE_MID = b'{"h":"', b'","r":'
-
-
 @dataclass
 class _Tip:
     """Where the next commit goes: after record ``seq`` whose hash is ``h``,
@@ -111,32 +118,8 @@ def _write_file(path: Path, data: bytes, mode: int):
         os.close(fd)
 
 
-def _encode(seq: int, tsa: TimestampAuthority, zone: dict, ledger: dict | None) -> bytes:
-    """A record's bytes; ``zone`` and ``ledger`` are whole states in record 0."""
-    record = {"seq": seq, "tsa": tsa.state_dict(), "zone": zone, "ledger": ledger}
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _line(h: bytes, body: bytes) -> bytes:
-    """The line ``{"h", "r"}`` of the record whose bytes are ``body``."""
-    return _LINE_HEAD + h.hex().encode() + _LINE_MID + body + b"}\n"
-
-
-@parses(StateError, "malformed journal record {3}")
-def _journal_line(data: bytes, start: int, end: int, index: int) -> tuple[bytes, bytes, dict]:
-    """The h, the record bytes the h covers, and the record of the line
-    ``data[start:end]``."""
-    mid = start + len(_LINE_HEAD) + 64
-    body = mid + len(_LINE_MID)
-    if (not data.startswith(_LINE_HEAD, start, end) or not data.startswith(_LINE_MID, mid, end)
-            or data[end - 1] != ord("}")):
-        raise ValueError("not a journal line")
-    raw = data[body:end - 1]
-    record = json.loads(raw)
-    if type(record["seq"]) is not int or not 0 <= record["seq"] < U64_LIMIT:
-        raise ValueError("the sequence number is not an integer in [0, 2**64)")
-    record["tsa"], record["zone"], record["ledger"]  # a missing section is a KeyError here
-    return bytes.fromhex(data[start + len(_LINE_HEAD):mid].decode()), raw, record
+def _record(seq: int, tsa: TimestampAuthority, zone: dict, ledger: dict | None) -> dict:
+    return {"seq": seq, "tsa": tsa.state_dict(), "zone": zone, "ledger": ledger}
 
 
 class AppState:
@@ -150,7 +133,7 @@ class AppState:
         self.tsa_path = root / "tsa.json"
         self.ledger_path = root / "ledger.json"
         self.lock_path = root / ".lock"
-        self._loaded = None  # (zone, tsa, tip) of the last load_zone
+        self._loaded = None  # (zone, tsa, tip, record 0) of the last load_zone
 
     @contextmanager
     def session(self, seed: int | None = None):
@@ -203,7 +186,8 @@ class AppState:
     def _read(self) -> tuple[list[dict], _Tip] | None:
         """Every whole record, and the tip after the last; None in a new state dir.
 
-        Record 0's h is taken as given; each later record must chain from
+        Record 0's h is taken as given, and its units are checked against
+        their digests as they are decoded; each later record must chain from
         the one before it.  An unterminated last line is a torn append: it is
         left out, and the next commit cuts it off.
         """
@@ -211,14 +195,15 @@ class AppState:
             data = self.zone_path.read_bytes()
         except FileNotFoundError:
             return None
-        records, tip, start, end = [], None, 0, data.find(b"\n")
+        end = data.find(b"\n")
         if end < 0:
             raise StateError(f"{self.zone_path} holds no whole record")
+        h, record = statefile.decode_record0(data, end)
+        records, tip = [record], _Tip(record["seq"], h, end + 1, end + 1, len(data))
+        start, end = end + 1, data.find(b"\n", end + 1)
         while end >= 0:
-            h, body, record = _journal_line(data, start, end, len(records))
-            if tip is None:
-                tip = _Tip(record["seq"], h, end + 1, end + 1, len(data))
-            elif record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
+            h, body, record = statefile.decode_line(data, start, end, len(records))
+            if record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
                 raise StateError(f"journal record {len(records)} in {self.zone_path} does not "
                                  "chain from the record before it")
             tip.seq, tip.h, tip.valid = record["seq"], h, end + 1
@@ -233,6 +218,8 @@ class AppState:
         for record in records:
             changes = record["ledger"]
             if isinstance(changes, dict) and "group_id" in changes:
+                if ledger is not None:
+                    raise StateError("a journal record makes a ledger that exists")
                 ledger = IdentityLedger.lazy_from_state_dict(changes)
             elif changes is not None:
                 if ledger is None:
@@ -256,7 +243,7 @@ class AppState:
         ledger = self._ledger(records)
         if ledger is not None:
             zone.attach_ledger(ledger)
-        self._loaded = (zone, tsa, tip)
+        self._loaded = (zone, tsa, tip, records[0])
         return zone, tsa
 
     def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
@@ -275,22 +262,27 @@ class AppState:
                 raise StateError(f"{self.root} holds state, and this zone was not loaded from it")
             self._compact(zone, tsa, 0, bytes(32))  # record 0's h in a new dir
             return
-        tip = loaded[2]
+        tip, base = loaded[2], loaded[3]
         ledger = zone.ledger.changes() if zone.ledger is not None else None
-        body = _encode(tip.seq + 1, tsa, zone.changes(), ledger)
+        body = statefile.dumps(_record(tip.seq + 1, tsa, zone.changes(), ledger))
         h = sha256(tip.h + body)
-        line = _line(h, body)
+        line = statefile.encode_line(h, body)
         if tip.valid - tip.base + len(line) > COMPACT_BYTES:
-            self._compact(zone, tsa, tip.seq + 1, h)
+            self._compact(zone, tsa, tip.seq + 1, h, base)
             return
         if tip.size != tip.valid:
             os.truncate(self.zone_path, tip.valid)
         _write_file(self.zone_path, line, os.O_APPEND)
 
-    def _compact(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes):
-        """Replace the file at once with the whole state as record 0."""
-        ledger = zone.ledger.state_dict() if zone.ledger is not None else None
-        line = _line(h, _encode(seq, tsa, zone.state_dict(), ledger))
+    def _compact(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes,
+                 base: dict | None = None):
+        """Replace the file at once with the whole state as record 0: over
+        ``base``, the record 0 the zone was loaded from, only the units that
+        changed are encoded and the others are copied."""
+        whole = base is None
+        ledger = zone.ledger.state_dict(whole=whole) if zone.ledger is not None else None
+        record = _record(seq, tsa, zone.state_dict(whole=whole), ledger)
+        line = statefile.encode_record0(h, record, base)
         tmp = self.zone_path.with_name(self.zone_path.name + ".tmp")
         try:
             _write_file(tmp, line, os.O_TRUNC)

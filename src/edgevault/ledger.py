@@ -28,6 +28,7 @@ body) and re-chains them from its tip with ``verify_entries``.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -158,8 +159,10 @@ class IdentityLedger:
         self._labels: set[str] = set()
         # None until the first register_device unseals the entries
         self._used_points: Optional[set[tuple[int, int]]] = None
-        # the stored entries (JSON); None for a ledger never stored
-        self._stored: Optional[list] = None
+        # the entries (JSON) of the state the ledger was loaded from, a
+        # sequence that may decode them on first use; None for a ledger never stored
+        self._base: Optional[Sequence] = None
+        self._added: list = []  # the stored entries after those
 
     @property
     def entries(self) -> list[LedgerEntry]:
@@ -270,13 +273,16 @@ class IdentityLedger:
 
     # --- edge-side persistence (stays in the secure zone's state dir) -----
 
-    def state_dict(self) -> dict:
-        """Full edge-side state: the group, the curve and the entries."""
-        return {
-            "group_id": self.group_id,
-            "curve": self.curve.to_json_dict(),
-            "entries": [e.to_json_dict(i) for i, e in enumerate(self.entries)],
-        }
+    def state_dict(self, whole: bool = True) -> dict:
+        """Full edge-side state: the group, the curve and the entries.  With
+        ``whole=False``, only the entries after those of the state the
+        ledger was loaded from."""
+        if whole or self._entries is not None:
+            start = 0 if whole or self._base is None else len(self._base)
+            entries = [e.to_json_dict(i) for i, e in enumerate(self.entries[start:], start)]
+        else:
+            entries = self._added
+        return {"group_id": self.group_id, "curve": self.curve.to_json_dict(), "entries": entries}
 
     @classmethod
     def from_state_dict(cls, d: dict) -> "IdentityLedger":
@@ -289,27 +295,28 @@ class IdentityLedger:
     @parses(StateError, "corrupted ledger state")
     def lazy_from_state_dict(cls, d: dict) -> "IdentityLedger":
         """A ledger whose group and curve are parsed now and whose entries
-        are decoded the first time they are used."""
+        are decoded the first time they are used.  The entries are a list, or
+        a sequence that decodes them on first use."""
         ledger = cls(str(d["group_id"]), WeierstrassCurve.from_json_dict(d["curve"]))
         entries = d["entries"]
-        if not isinstance(entries, list):
+        if isinstance(entries, str) or not isinstance(entries, Sequence):
             raise ValueError("entries must be a list")
-        ledger._stored = list(entries)
+        ledger._base = entries
         ledger._entries = None
         return ledger
 
     @parses(StateError, "corrupted ledger state")
     def _decode(self):
-        entries = [LedgerEntry.from_json_dict(ed) for ed in self._stored]
+        entries = [LedgerEntry.from_json_dict(ed) for ed in (*self._base, *self._added)]
         self._labels = {entry.device_label for entry in entries}
         self._entries = entries
 
     def changes(self) -> dict:
         """The entries added since the ledger was loaded, or its whole state
         if it was never stored."""
-        if self._stored is None:
+        if self._base is None:
             return self.state_dict()
-        stored = len(self._stored)
+        stored = len(self._base) + len(self._added)
         if self._entries is None or len(self._entries) == stored:
             return {}
         return {"entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)]}
@@ -320,7 +327,7 @@ class IdentityLedger:
         added = changes.get("entries", [])
         if not isinstance(added, list):
             raise ValueError("entries must be a list")
-        self._stored += added
+        self._added += added
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:
         for entry in self.entries:

@@ -138,13 +138,17 @@ _PERMUTATIONS = ("sigma", "pi", "rho")
 
 def _permutation_stack(n: int, perms) -> np.ndarray:
     """``perms`` as one frozen (3, n) intp array; MalformedTableError naming
-    the first of sigma, pi and rho that is not a permutation of [0, n)."""
+    the first of sigma, pi and rho that is not a permutation of [0, n), or
+    the three lengths if they differ."""
     try:
         stack = np.asarray(perms)
     except ValueError:  # rows of different lengths
         stack = None
     if stack is None or stack.shape != (3, n) or stack.dtype.kind not in "iu":
         rows = [np.asarray(perm) for perm in perms]
+        if all(row.ndim == 1 for row in rows) and len({len(row) for row in rows}) > 1:
+            raise MalformedTableError("sigma, pi and rho differ in length: {}, {} and {}".format(
+                *map(len, rows)))
         for name, row in zip(_PERMUTATIONS, rows):
             if row.shape != (n,) or row.dtype.kind not in "iu":
                 raise MalformedTableError(f"{name} must be {n} integers, got {row.dtype} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hmac
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -114,24 +115,35 @@ class _Units:
     """One kind of zone record by id, each decoded from its unit (a JSON
     object) the first time it is used.
 
-    The unit is the only layout: :meth:`units` and :meth:`changes` give
-    ``{id hex: unit}`` maps, of every record or of what changed, and
-    :meth:`apply` merges either into the stored units.  A command therefore
-    decodes only the records it reads, and a decoder is given the id its unit
-    is stored under.
+    The unit is the only layout.  A zone loaded from a state holds that
+    state's units as its base, a mapping by id that may decode each unit
+    only when it is asked for it, and merges the units or changed fields of
+    later records over them; :meth:`units`, :meth:`rewritten` and
+    :meth:`changes` give ``{id hex: unit}`` maps of every record, of every
+    record that differs from the base, or of what changed.  A command
+    therefore decodes only the records it reads, and a decoder is given the
+    id its unit is stored under.
     """
 
-    __slots__ = ("stored", "_live", "_decode", "_encode")
+    __slots__ = ("_base", "stored", "_live", "_decode", "_encode")
 
-    def __init__(self, decode, encode):
-        self.stored: dict[bytes, dict] = {}
+    def __init__(self, decode, encode, base=None):
+        self._base = {} if base is None else base
+        self.stored: dict[bytes, dict] = {}  # later records' changes, merged over the base
         self._live: dict = {}
         self._decode, self._encode = decode, encode
+
+    @parses(StateError, "corrupted zone units")
+    def _unit(self, item_id: bytes) -> dict | None:
+        unit, changed = self._base.get(item_id), self.stored.get(item_id)
+        if changed is None:
+            return unit
+        return changed if unit is None else {**unit, **changed}
 
     def get(self, item_id: bytes, default=None):
         item = self._live.get(item_id)
         if item is None:
-            unit = self.stored.get(item_id)
+            unit = self._unit(item_id)
             if unit is None:
                 return default
             item = self._live[item_id] = self._decode(item_id, unit)
@@ -147,26 +159,37 @@ class _Units:
         self._live[item_id] = item
 
     def __contains__(self, item_id) -> bool:
-        return item_id in self._live or item_id in self.stored
+        return item_id in self._live or item_id in self.stored or item_id in self._base
 
+    @parses(StateError, "corrupted zone units")
     def __iter__(self):
-        yield from self.stored
-        yield from (i for i in self._live if i not in self.stored)
+        ids = dict.fromkeys(self._base)
+        ids.update(dict.fromkeys(self.stored))
+        ids.update(dict.fromkeys(self._live))
+        return iter(list(ids))
 
     def values(self) -> list:
         return [self[i] for i in self]
 
+    def _encoded(self, item_id: bytes) -> dict:
+        item = self._live.get(item_id)
+        return self._encode(item) if item is not None else self._unit(item_id)
+
     def units(self) -> dict[str, dict]:
         """Every record's unit: encoded again if it was decoded, else as stored."""
-        return {i.hex(): self._encode(self._live[i]) if i in self._live else self.stored[i]
-                for i in self}
+        return {i.hex(): self._encoded(i) for i in self}
+
+    def rewritten(self) -> dict[str, dict]:
+        """The unit of every record that a later record changed or this
+        command used: the records whose base unit may be out of date."""
+        return {i.hex(): self._encoded(i) for i in {**self.stored, **self._live}}
 
     def changes(self) -> dict[str, dict]:
         """The unit of each new record and the changed fields of each changed
         one, by id, in the order the records were first used."""
         changed = {}
         for item_id, item in self._live.items():
-            unit, old = self._encode(item), self.stored.get(item_id)
+            unit, old = self._encode(item), self._unit(item_id)
             if old is not None:
                 unit = {f: v for f, v in unit.items() if old.get(f) != v}
             if unit:
@@ -174,8 +197,8 @@ class _Units:
         return changed
 
     def apply(self, changed: dict):
-        """Merge :meth:`units` or :meth:`changes` into the stored units; a
-        changed record is decoded again when next used."""
+        """Merge :meth:`changes` into the stored units; a changed record is
+        decoded again when next used."""
         for item_id, unit in changed.items():
             item_id = bytes.fromhex(item_id)
             self.stored[item_id] = {**self.stored.get(item_id, {}), **unit}
@@ -236,6 +259,25 @@ def _encode_context(context: _Context) -> dict:
     }
 
 
+def _stored_units(units) -> Mapping:
+    """A stored map of units by id: a dict by id hex is re-keyed by id, and
+    each unit must be an object; any other mapping is taken as one by id
+    already, which checks each unit when it is read."""
+    if isinstance(units, dict):
+        if not all(isinstance(unit, dict) for unit in units.values()):
+            raise ValueError("a key or context unit must be an object")
+        return {bytes.fromhex(item_id): unit for item_id, unit in units.items()}
+    if not isinstance(units, Mapping):
+        raise ValueError("keys and contexts must be maps of units")
+    return units
+
+
+def _audit_list(audit) -> Sequence:
+    if isinstance(audit, str) or not isinstance(audit, Sequence):
+        raise ValueError("audit entries must be a list")
+    return audit
+
+
 def _op_counter(value) -> int:
     value = int(value)
     if not 0 <= value < U64_LIMIT:
@@ -256,7 +298,8 @@ class SecureZone:
         self._tsa = tsa
         self._keys = _Units(_decode_key, _encode_key)
         self._contexts = _Units(partial(_decode_context, self._keys), _encode_context)
-        self._audit: list[dict] = []
+        self._audit_base: Sequence = ()  # the audit of the state the zone was loaded from
+        self._audit: list[dict] = []  # the entries after it
         self._stored_audit = 0
         self._op_counter = 0
         self.ledger: Optional[IdentityLedger] = None
@@ -274,7 +317,7 @@ class SecureZone:
     def _log(self, op: str, outcome: str, key_id: Optional[bytes] = None,
              context_id: Optional[bytes] = None, reason: Optional[str] = None):
         entry = {
-            "sequence": len(self._audit),
+            "sequence": len(self._audit_base) + len(self._audit),
             "op": op,
             "key_id": key_id.hex() if key_id else None,
             "context_id_hex": context_id.hex() if context_id else None,
@@ -286,10 +329,10 @@ class SecureZone:
 
     @property
     def audit_log(self) -> tuple[dict, ...]:
-        return tuple(self._audit)
+        return (*self._audit_base, *self._audit)
 
     def export_audit_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self._audit)
+        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.audit_log)
 
     # --- key lifecycle ----------------------------------------------------
 
@@ -468,19 +511,25 @@ class SecureZone:
         return {
             "keys": [k.to_public_dict() for k in self._keys.values()],
             "contexts": sorted(c.hex() for c in self._contexts),
-            "audit_length": len(self._audit),
+            "audit_length": len(self._audit_base) + len(self._audit),
         }
 
-    def state_dict(self) -> dict:
-        """Full internal state for zone-internal persistence (see module doc)."""
+    def state_dict(self, whole: bool = True) -> dict:
+        """Full internal state for zone-internal persistence (see module doc).
+
+        With ``whole=False``, only what differs from the state the zone was
+        loaded from: the keys and contexts that a later change or this
+        process touched (whole units) and the audit entries after the
+        loaded ones.
+        """
         return {
             "op_counter": self._op_counter,
             "kek_id": self._kek_id.hex(),
             "share_key_id": self._share_key_id.hex(),
             "point_key_id": self._point_key_id.hex(),
-            "keys": self._keys.units(),
-            "contexts": self._contexts.units(),
-            "audit": self._audit,
+            "keys": self._keys.units() if whole else self._keys.rewritten(),
+            "contexts": self._contexts.units() if whole else self._contexts.rewritten(),
+            "audit": [*self._audit_base, *self._audit] if whole else self._audit,
         }
 
     @classmethod
@@ -495,13 +544,20 @@ class SecureZone:
     @parses(StateError, "corrupted zone state")
     def lazy_from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
         """A zone over its stored state that decodes each key and context the
-        first time it is used, and the three infrastructure keys now."""
+        first time it is used, and the three infrastructure keys now.
+
+        The keys and contexts are maps from id hex to unit, or mappings from
+        id to unit that decode a unit when it is asked for it; the audit is a
+        list, or a sequence that decodes its entries on first use.
+        """
         zone = cls.__new__(cls)
         zone._tsa = tsa
-        zone._keys = _Units(_decode_key, _encode_key)
-        zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context)
-        zone._audit = []
-        zone.apply(d)
+        zone._keys = _Units(_decode_key, _encode_key, _stored_units(d["keys"]))
+        zone._contexts = _Units(partial(_decode_context, zone._keys), _encode_context,
+                                _stored_units(d["contexts"]))
+        zone._op_counter = _op_counter(d["op_counter"])
+        zone._audit_base = _audit_list(d["audit"])
+        zone._audit, zone._stored_audit = [], 0
         zone._kek_id = _stored_key_id(zone._keys, d["kek_id"])
         zone._share_key_id = _stored_key_id(zone._keys, d["share_key_id"])
         zone._point_key_id = _stored_key_id(zone._keys, d["point_key_id"])
@@ -520,7 +576,7 @@ class SecureZone:
 
     @parses(StateError, "corrupted zone units")
     def apply(self, changes: dict):
-        """Merge :meth:`changes` or a :meth:`state_dict` into a zone before it is used."""
+        """Merge :meth:`changes` into a loaded zone before it is used."""
         self._op_counter = _op_counter(changes["op_counter"])
         self._keys.apply(changes["keys"])
         self._contexts.apply(changes["contexts"])

@@ -4,6 +4,8 @@ import copy
 
 from hypothesis import strategies as st
 
+from edgevault import statefile
+
 # 1-3 edits of a valid encoding: (op, position, byte), positions wrap
 _EDITS = st.lists(
     st.tuples(st.sampled_from(["replace", "insert", "delete"]),
@@ -76,3 +78,13 @@ def json_mutants(valid):
     """Copies of the JSON value ``valid`` with 1-3 nodes replaced by an
     arbitrary JSON value, dropped, or wrapped in a list."""
     return st.builds(_edit_json, st.just(valid), _JSON_EDITS)
+
+
+# --- record 0 of the CLI state file ---
+
+
+def resealed(line: bytes) -> bytes:
+    """Record 0's ``line``, edited in place, with the digest over its header
+    and index recomputed, as an editor who knows the layout would."""
+    *_, seal_at, seal = statefile._frame(line, len(line) - 1)
+    return line[:seal_at] + seal + line[seal_at + len(seal):]

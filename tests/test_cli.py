@@ -12,13 +12,16 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from edgevault import statefile
 from edgevault.bloom import BloomFilter
-from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, _line, keys, main
+from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, keys, main
 from edgevault.crypto import TimestampAuthority, aead_decrypt, sha256
 from edgevault.curves import point_from_bytes, standard_curve, tiny_curve
 from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
 from edgevault.simnet import SimScenario, SimStep, builtin_scenarios
+
+from mutation import resealed
 
 
 @pytest.fixture
@@ -53,13 +56,13 @@ def _record0(state):
 
 def _write_document(state, document):
     """Make ``document`` the whole state: record 0, with no record after it.
-    ``document`` is the record (a dict gets seq 0 if it has none), or its
-    raw bytes."""
+    ``document`` is the record (a dict gets seq 0 if it has none), or record
+    0's whole line."""
     if isinstance(document, dict):
         document = {"seq": 0, **document}
     if not isinstance(document, bytes):
-        document = json.dumps(document).encode()
-    (state / "zone.json").write_bytes(_line(bytes(32), document))
+        document = statefile.encode_record0(bytes(32), document)
+    (state / "zone.json").write_bytes(document)
 
 
 def _split_record(zone):
@@ -247,9 +250,13 @@ def _with_used_points(state):
         ledger = d["r"]["ledger"]
         if ledger is not None and "entries" in ledger:
             ledger["used_points"] = [next(points) for _ in ledger["entries"]]
-        body = json.dumps(d["r"], sort_keys=True, separators=(",", ":")).encode()
-        h = bytes.fromhex(d["h"]) if h is None else sha256(h + body)
-        out.append(_line(h, body))
+        if h is None:
+            h = bytes.fromhex(d["h"])
+            out.append(statefile.encode_record0(h, d["r"]))
+            continue
+        body = statefile.dumps(d["r"])
+        h = sha256(h + body)
+        out.append(statefile.encode_line(h, body))
     (state / "zone.json").write_bytes(b"".join(out))
 
 
@@ -470,9 +477,12 @@ def _journal_seq(seq):
 
 
 def _spliced(document, section, raw):
-    """Record 0's bytes with ``raw`` as one section's value, JSON or not."""
-    text = json.dumps({"seq": 0, **document, section: None}).encode()
-    return text.replace(f'"{section}": null'.encode(), f'"{section}": '.encode() + raw, 1)
+    """Record 0's line with ``raw`` as one section's value, JSON or not."""
+    filler = "#" * (len(raw) - 2)
+    placeholder = json.dumps(filler).encode()  # as long as raw
+    line = statefile.encode_record0(bytes(32), {"seq": 0, **document, section: filler})
+    assert line.count(placeholder) == 1
+    return resealed(line.replace(placeholder, raw))
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from edgevault import cli
+from edgevault import cli, statefile
 from edgevault.cli import AppState, main
-from edgevault.crypto import sha256
+from edgevault.crypto import TimestampAuthority, sha256
+from edgevault.curves import standard_curve, tiny_curve
+from edgevault.ledger import IdentityLedger
+from edgevault.securezone import SecureZone
 
 
 def _invoke(state, *args):
@@ -233,11 +236,27 @@ def test_crash_at_any_effect_leaves_the_state_before_or_after(
     assert kinds == {"journal": {"open", "write"},
                      "torn-tail": {"truncate", "open", "write"},
                      "compaction": {"open", "write", "replace"}}[mode]
+    if mode == "compaction":
+        # the new record 0 copies, with their digests, the units nothing changed
+        old, new = (_units(files["zone.json"]) for files in (before_files, _files(state)))
+        assert any(old[key] == new.get(key) for key in old if key[:1] in b"kc")
     crash = tmp_path / "crash"
     for files in _crash_states(before_files, recorder.effects):
         _materialize(crash, files)
         _check_crash_state(crash, before, after)
     assert files == _files(state)  # the last crash state is the dir the command left
+
+
+def _units(data):
+    """Record 0's units, read through its index: (bytes, digest) by kind and id."""
+    line = data.split(b"\n", 1)[0]
+    rows = json.loads(line)["u"].encode()
+    units = {}
+    for at in range(0, len(rows), statefile._ROW):
+        row = rows[at:at + statefile._ROW]
+        offset, length = int(row[65:75]), int(row[75:85])
+        units[row[:65].rstrip()] = (line[offset:offset + length], row[85:])
+    return units
 
 
 # --- torn tails and tampering --------------------------------------------------------
@@ -316,7 +335,7 @@ def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
     assert record["ledger"] is None
     body = json.dumps({**record, "ledger": {}}).encode()
     h = sha256(bytes.fromhex(json.loads(first)["h"]) + body)
-    journal.write_bytes(first + b"\n" + cli._line(h, body))
+    journal.write_bytes(first + b"\n" + statefile.encode_line(h, body))
     before = _files(state)
 
     r = _invoke(state, "keys", "generate")
@@ -327,13 +346,18 @@ def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
     assert _files(state) == before
 
 
+def _rechain_last(state, edit):
+    """Edit the last record and recompute its h."""
+    journal = state / "zone.json"
+    *head, line = journal.read_bytes().splitlines()
+    body = json.dumps(edit(json.loads(line)["r"])).encode()
+    h = sha256(bytes.fromhex(json.loads(head[-1])["h"]) + body)
+    journal.write_bytes(b"\n".join(head) + b"\n" + statefile.encode_line(h, body))
+
+
 def test_a_record_whose_ledger_entries_are_not_a_list_is_state_error(journaled):
     """The last record, re-chained, adds its ledger entries as a mapping."""
-    journal = journaled / "zone.json"
-    *head, line = journal.read_bytes().splitlines()
-    body = json.dumps({**json.loads(line)["r"], "ledger": {"entries": {}}}).encode()
-    h = sha256(bytes.fromhex(json.loads(head[-1])["h"]) + body)
-    journal.write_bytes(b"\n".join(head) + b"\n" + cli._line(h, body))
+    _rechain_last(journaled, lambda record: {**record, "ledger": {"entries": {}}})
     before = _files(journaled)
 
     for args in (("keys", "generate"), ("ledger", "verify")):
@@ -342,6 +366,29 @@ def test_a_record_whose_ledger_entries_are_not_a_list_is_state_error(journaled):
         err = json.loads(r.output.strip().splitlines()[-1])["error"]
         assert err["code"] == "corrupted-state"
         assert "entries must be a list" in err["message"]
+    assert _files(journaled) == before
+
+
+@pytest.mark.parametrize("edit,message,commands", [
+    (lambda record: {**record, "zone": {**record["zone"], "audit": {}}},
+     "audit entries must be a list", (("keys", "generate"),)),
+    (lambda record: {**record, "ledger": {"group_id": "h", "curve": tiny_curve().to_json_dict(),
+                                          "entries": []}},
+     "a journal record makes a ledger that exists", (("keys", "generate"), ("ledger", "verify"))),
+], ids=["audit-mapping", "second-ledger"])
+def test_a_record_whose_changes_do_not_fit_the_state_is_state_error(
+        journaled, edit, message, commands):
+    """The last record, re-chained, adds its audit entries as a mapping, or
+    makes a ledger where record 0 holds one: a rewrite of record 0 would
+    append the new ledger's entries to the old one's."""
+    _rechain_last(journaled, edit)
+    before = _files(journaled)
+    for args in commands:
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert message in err["message"]
     assert _files(journaled) == before
 
 
@@ -361,9 +408,9 @@ def test_a_whole_line_that_is_not_a_journal_record_is_state_error(journaled):
     """Record 0, the whole state, under another key than "r"."""
     journal = journaled / "zone.json"
     data = journal.read_bytes()
-    mid = len(cli._LINE_HEAD) + 64
-    assert data[mid:mid + len(cli._LINE_MID)] == cli._LINE_MID == b'","r":'
-    journal.write_bytes(data[:mid] + b'","x":' + data[mid + len(cli._LINE_MID):])
+    mid = len(statefile.LINE_HEAD) + 64
+    assert data[mid:mid + len(statefile.LINE_MID)] == statefile.LINE_MID == b'","r":'
+    journal.write_bytes(data[:mid] + b'","x":' + data[mid + len(statefile.LINE_MID):])
     _refused_as_malformed(journaled, 0)
 
 
@@ -377,7 +424,7 @@ def test_a_record_whose_seq_is_not_an_int_is_state_error(journaled, index, seq):
     record = json.loads(lines[index])["r"]
     assert record["seq"] == index
     body = json.dumps({**record, "seq": seq}).encode()
-    lines[index] = cli._line(sha256(prev_h + body), body)[:-1]
+    lines[index] = statefile.encode_line(sha256(prev_h + body), body)[:-1]
     journal.write_bytes(b"\n".join(lines) + b"\n")
     _refused_as_malformed(journaled, index)
 
@@ -388,7 +435,8 @@ def test_a_record_whose_seq_is_not_one_more_than_the_last_is_state_error(journal
     journal = journaled / "zone.json"
     lines = journal.read_bytes().splitlines()
     body = json.dumps({**json.loads(lines[2])["r"], "seq": 3}).encode()
-    lines[2] = cli._line(sha256(bytes.fromhex(json.loads(lines[1])["h"]) + body), body)[:-1]
+    prev_h = bytes.fromhex(json.loads(lines[1])["h"])
+    lines[2] = statefile.encode_line(sha256(prev_h + body), body)[:-1]
     journal.write_bytes(b"\n".join(lines) + b"\n")
     before = _files(journaled)
     r = _invoke(journaled, "keys", "generate")
@@ -415,14 +463,32 @@ def test_a_file_with_no_whole_record_is_state_error(journaled, cut):
 
 def test_a_record_0_that_is_not_a_whole_state_is_state_error(journaled):
     """The file with its record 0 cut off: record 1 holds only what its
-    command changed, so it cannot stand as the state."""
+    command changed, so it cannot stand as the state, and it carries no unit
+    index."""
     journal = journaled / "zone.json"
     journal.write_bytes(journal.read_bytes().split(b"\n", 1)[1])
     before = _files(journaled)
     r = _invoke(journaled, "keys", "generate")
     assert r.exit_code == 1, r.output
     err = json.loads(r.output.strip().splitlines()[-1])["error"]
-    assert err["code"] == "corrupted-state" and "corrupted zone state" in err["message"]
+    assert err["code"] == "corrupted-state"
+    assert "malformed journal record 0: not a journal line with a unit index" in err["message"]
+    assert _files(journaled) == before
+
+
+def test_a_later_record_given_an_index_is_still_not_a_whole_state(journaled):
+    """Record 1 written as an indexed record 0: its ledger section holds no
+    entries, so the codec finds no section to index."""
+    journal = journaled / "zone.json"
+    first, rest = journal.read_bytes().split(b"\n", 1)[1].split(b"\n", 1)
+    line = json.loads(first)
+    journal.write_bytes(statefile.encode_record0(bytes.fromhex(line["h"]), line["r"]) + rest)
+    before = _files(journaled)
+    r = _invoke(journaled, "keys", "generate")
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert "malformed journal record 0: 'entries'" in err["message"]
     assert _files(journaled) == before
 
 
@@ -459,18 +525,30 @@ def test_only_the_lines_after_record_0_count_toward_a_compaction(journaled, monk
 
 
 def test_read_only_ledger_commands_decode_no_zone(journaled, monkeypatch):
+    """Nor any unit of record 0 but the ledger's entries, whether a later
+    line or record 0 holds the registration."""
     _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    compacted = journaled.parent / "compacted"
+    shutil.copytree(journaled, compacted)
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    _run(compacted, "keys", "generate", "--seed", 4)
+    monkeypatch.undo()
 
     def no_zone(*args, **kwargs):
         raise AssertionError("a read-only ledger command decoded the zone")
 
+    checked, real = [], statefile._Rows.checked
+    monkeypatch.setattr(statefile._Rows, "checked",
+                        lambda rows, i: checked.append(rows[i][:1]) or real(rows, i))
     monkeypatch.setattr(cli.SecureZone, "lazy_from_state_dict", no_zone)
     monkeypatch.setattr(cli.TimestampAuthority, "from_state_dict", no_zone)
-    for args in (("ledger", "verify"), ("ledger", "export"),
-                 ("ledger", "sync", "-o", journaled.parent / "snap"),
-                 ("filter", "build", "--from-ledger", "-o", journaled.parent / "f.bin")):
-        _run(journaled, *args)
-    assert "alpha" in _run(journaled, "ledger", "export").output
+    for state in (journaled, compacted):
+        for args in (("ledger", "verify"), ("ledger", "export"),
+                     ("ledger", "sync", "-o", state.parent / "snap"),
+                     ("filter", "build", "--from-ledger", "-o", state.parent / "f.bin")):
+            _run(state, *args)
+        assert "alpha" in _run(state, "ledger", "export").output
+    assert set(checked) == {b"e"}
 
 
 def _last_record(state):
@@ -500,6 +578,243 @@ def test_reading_the_state_before_a_save_leaves_its_record_unchanged(journaled, 
     _run(read, "keys", "generate", "--seed", 4)
     assert len(saved) == 1
     assert _files(read) == _files(journaled)
+
+
+# --- record 0's unit index ---------------------------------------------------------
+
+
+def _edit_unit(state, path, edit):
+    """Edit in place, keeping its length, the unit at ``path`` of record 0's
+    ``r`` (a key or context by id); the index is left as it was."""
+    data = (state / "zone.json").read_bytes()
+    line, rest = data.split(b"\n", 1)
+    unit = json.loads(line)["r"]
+    for key in path:
+        unit = unit[key]
+    old, new = statefile.dumps(unit), statefile.dumps(edit(unit))
+    assert len(new) == len(old) and line.count(old) == 1
+    (state / "zone.json").write_bytes(line.replace(old, new) + b"\n" + rest)
+
+
+def _older_sequence(unit):
+    """The context's last accepted timestamp, one sequence number earlier."""
+    last = unit["last_seen"]
+    assert len(str(last["sequence"] - 1)) == len(str(last["sequence"]))
+    return {**unit, "last_seen": {**last, "sequence": last["sequence"] - 1}}
+
+
+def _older_nonce(unit):
+    assert unit["nonce_counter"] >= 1
+    return {**unit, "nonce_counter": unit["nonce_counter"] - 1}
+
+
+@pytest.fixture
+def replayed(tmp_path, monkeypatch):
+    """A split key whose context accepted a saved timestamp, a replay of it
+    rejected, and record 0 the whole state with no line after it; and the
+    arguments of that replay."""
+    state = tmp_path / "state"
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    _run(state, "ledger", "init", "--group", "g", "--preset", "tiny")
+    _run(state, "ledger", "register", "alpha", "--seed", 10)
+    key_id = json.loads(_run(state, "keys", "generate", "--seed", 1).output)["key_id"]
+    share, timestamp = tmp_path / "share.json", tmp_path / "ts.json"
+    _run(state, "keys", "split", key_id, "--device", "alpha", "--order", 16, "-o", share)
+    context = _load(state)["ledger"]["entries"][0]["h2_hex"]
+    authorize = ["keys", "authorize", "--context", context, "--share", share]
+    _run(state, *authorize, "--save-timestamp", timestamp)
+    r = _invoke(state, *authorize, "--timestamp", timestamp)
+    assert r.exit_code == cli.EXIT_REJECTED and json.loads(r.stdout)["reason"] == "replay"
+    monkeypatch.undo()
+    assert (state / "zone.json").read_bytes().count(b"\n") == 1
+    return state, context, authorize + ["--timestamp", timestamp]
+
+
+@pytest.mark.parametrize("later_line", [False, True], ids=["record-0-alone", "with-a-later-line"])
+@pytest.mark.parametrize("unit", ["context-last-seen", "kek-nonce-counter", "last-seen-null"])
+def test_an_edited_unit_of_record_0_is_state_error(replayed, later_line, unit):
+    """An edit rolls record 0's state back: the context's last accepted
+    timestamp (the replay would be accepted) or the KEK's nonce counter (a
+    nonce would be used again).  Each unit is checked against its digest
+    when it is decoded, so the replay is refused instead.  Setting
+    ``last_seen`` to null moves every byte after it, so the index no longer
+    fits the line."""
+    state, context, replay = replayed
+    if later_line:
+        _run(state, "keys", "generate", "--seed", 2)
+        assert (state / "zone.json").read_bytes().count(b"\n") == 2
+    kek = _load(state)["zone"]["kek_id"]
+    if unit == "context-last-seen":
+        _edit_unit(state, ["zone", "contexts", context], _older_sequence)
+    elif unit == "kek-nonce-counter":
+        _edit_unit(state, ["zone", "keys", kek], _older_nonce)
+    else:
+        data = (state / "zone.json").read_bytes()
+        line = json.loads(data.split(b"\n", 1)[0])
+        last_seen = statefile.dumps(line["r"]["zone"]["contexts"][context]["last_seen"])
+        assert data.count(last_seen) == 1
+        (state / "zone.json").write_bytes(data.replace(last_seen, b"null"))
+    before = _files(state)
+    r = _invoke(state, *replay)
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state" and "journal record 0" in err["message"]
+    assert _files(state) == before
+
+
+def _rolled_back_tsa(line):
+    """The TSA's sequence one lower: it would issue a timestamp again."""
+    tsa = json.loads(line)["r"]["tsa"]
+    old = b'"tsa":' + statefile.dumps(tsa)
+    new = b'"tsa":' + statefile.dumps({**tsa, "sequence": tsa["sequence"] - 1})
+    assert line.count(old) == 1 and len(new) == len(old)
+    return line.replace(old, new)
+
+
+def _edited_row_digest(line):
+    """The first row's digest with one hex digit changed."""
+    at = line.index(b',"u":"') + 6 + statefile._ROW - 1
+    return line[:at] + (b"0" if line[at:at + 1] != b"0" else b"1") + line[at + 1:]
+
+
+def _moved_cut(line):
+    """The start of the first section's range one byte later."""
+    at = line.index(b'","t":"') + 7 + statefile._NUMBER - 1
+    return line[:at] + bytes([line[at] ^ 1]) + line[at + 1:]
+
+
+@pytest.mark.parametrize("edit", [_rolled_back_tsa, _edited_row_digest, _moved_cut],
+                         ids=["header", "index", "trailer"])
+def test_an_edited_header_or_index_of_record_0_is_state_error(journaled, edit):
+    """Record 0's header (r without its units), its rows and its trailer's
+    numbers are covered by one digest, checked by every load."""
+    journal = journaled / "zone.json"
+    line, rest = journal.read_bytes().split(b"\n", 1)
+    journal.write_bytes(edit(line) + b"\n" + rest)
+    before = _files(journaled)
+    for args in (("keys", "generate"), ("ledger", "verify")):
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert "malformed journal record 0: its header or index does not match its digest" in (
+            err["message"])
+        assert _files(journaled) == before
+
+
+def test_a_dir_without_a_unit_index_is_refused_and_left_as_it_was(journaled):
+    """Record 0 in the layout before the index: the same ``{"h", "r"}`` line,
+    ``r`` byte for byte the same, with nothing after it."""
+    journal = journaled / "zone.json"
+    data = journal.read_bytes()
+    first, rest = data.split(b"\n", 1)
+    line = json.loads(first)
+    body = statefile.dumps(line["r"])
+    assert body in first
+    journal.write_bytes(statefile.encode_line(bytes.fromhex(line["h"]), body) + rest)
+    before = _files(journaled)
+    for args in (("keys", "generate"), ("ledger", "verify"), ("ledger", "init", "--group", "g")):
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert "malformed journal record 0: not a journal line with a unit index" in err["message"]
+        assert _files(journaled) == before
+
+
+def test_compaction_copies_each_unit_it_does_not_change(journaled, monkeypatch):
+    """The three infrastructure keys and the ledger's entry list (still
+    empty), which no command since record 0 has changed, keep their bytes
+    and digests; every other unit is new."""
+    old = _units((journaled / "zone.json").read_bytes())
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    _run(journaled, "keys", "generate", "--seed", 4)
+    new = _units((journaled / "zone.json").read_bytes())
+    infrastructure = {b"k" + bytes.fromhex(_load(journaled)["zone"][name]).hex().encode()
+                      for name in ("kek_id", "share_key_id", "point_key_id")}
+    entries = b"e" + b"0" * 64  # a list unit's row gives its item count
+    assert {key for key in old if old[key] == new.get(key)} == infrastructure | {entries}
+    assert len([key for key in new if key[:1] == b"k"]) == 7
+
+
+def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch):
+    """A compaction does not decode a unit it copies, so an edited unit no
+    command read stays refused once a command reads it; a list unit it
+    extends is checked first."""
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    _run(journaled, "keys", "generate", "--seed", 4)  # every key now in record 0
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 5).output)["key_id"]
+    _edit_unit(journaled, ["zone", "keys", key_id], lambda unit: {**unit, "uses": 9})
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)  # copies the edited key
+    assert _units((journaled / "zone.json").read_bytes())[b"k" + key_id.encode()][0].count(
+        b'"uses":9') == 1
+    before = _files(journaled)
+    r = _invoke(journaled, "keys", "split", key_id, "--context", "11" * 32, "--order", 16)
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state"
+    assert f"unit k{key_id} of journal record 0 does not match its digest" in err["message"]
+    assert _files(journaled) == before
+
+    # the audit is extended by every command, so an edited audit is refused at the next compaction
+    _edit_unit(journaled, ["zone", "keys", key_id], lambda unit: {**unit, "uses": 0})
+    data = (journaled / "zone.json").read_bytes()
+    entry = b'"op":"generate_key","outcome":"ok"'
+    assert data.count(entry) > 1
+    (journaled / "zone.json").write_bytes(data.replace(entry, entry.replace(b'"ok"', b'"no"'), 1))
+    before = _files(journaled)
+    r = _invoke(journaled, "keys", "generate")
+    assert r.exit_code == 1, r.output
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "corrupted-state" and "unit a" in err["message"]
+    assert _files(journaled) == before
+
+
+def _built_dir(root, devices):
+    """A dir of ``devices`` registered, split devices, written as record 0
+    alone; and one device's context and cloud share."""
+    tsa = TimestampAuthority(issuer="edgevault-tsa", clock=lambda: 1_700_000_000)
+    zone = SecureZone(3, tsa)
+    zone.attach_ledger(IdentityLedger(group_id="g", curve=standard_curve()))
+    for i in range(devices):
+        entry = zone.register_device(f"d{i}", rng_seed=i)
+        key_id = zone.generate_key("data-encryption", rng_seed=i)
+        share = zone.split_and_distribute(key_id, entry.h2, q_order=16, rng_seed=i).cloud_share
+        assert zone.authorize_transaction(entry.h2, share, tsa.issue()).accepted
+    AppState(root, "json").save_zone(zone, tsa)
+    (root.parent / f"{root.name}.json").write_text(share.to_json())
+    return entry.h2.hex(), root.parent / f"{root.name}.json"
+
+
+def _shape(value):
+    """``value`` with every number as 0: counters grow with the device count."""
+    if isinstance(value, dict):
+        return {k: _shape(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return 0 if type(value) in (int, float) else value
+
+
+def test_keys_authorize_decodes_the_same_bytes_at_10_and_100_devices(tmp_path, monkeypatch):
+    """Right after a compaction, one authorize passes json.loads record 0's
+    header, its own context and key and the infrastructure keys, and its
+    share file: the same bytes at any device count, numbers aside."""
+    decoded = {}
+    for devices in (10, 100):
+        context, share = _built_dir(tmp_path / f"d{devices}", devices)
+        real, seen = json.loads, []
+
+        def loads(data, *args, **kwargs):
+            value = real(data, *args, **kwargs)
+            seen.append(len(statefile.dumps(_shape(value))))
+            return value
+
+        monkeypatch.setattr(json, "loads", loads)
+        _run(tmp_path / f"d{devices}", "keys", "authorize", "--context", context, "--share", share)
+        monkeypatch.undo()
+        decoded[devices] = sorted(seen)
+    assert decoded[10] == decoded[100]
+    assert sum(decoded[100]) < 8000  # record 0 is about 320 KB here
 
 
 # --- the model: every reload equals the state the command left --------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgevault.bloom import BloomFilter
-from edgevault.cli import AppState, _line
+from edgevault.cli import AppState
 from edgevault.crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority
 from edgevault.curves import WeierstrassCurve, standard_curve, tiny_curve
 from edgevault.errors import (
@@ -35,6 +35,7 @@ from edgevault.quasigroup import Quasigroup, generate_quasigroup
 from edgevault.securezone import Decision, SecureZone
 from edgevault.shares import PlainShare, SealedShare, SplitRecord, seal_share, split
 from edgevault.simnet import SimScenario, SimStep, run_scenario
+from edgevault.statefile import encode_record0
 
 from mutation import json_mutants, mutants
 
@@ -164,7 +165,7 @@ def _load_document(doc):
     as record 0, with every key, context and ledger entry decoded."""
     with tempfile.TemporaryDirectory() as root:
         state = AppState(Path(root), "json")
-        state.zone_path.write_bytes(_line(bytes(32), json.dumps(doc).encode()))
+        state.zone_path.write_bytes(encode_record0(bytes(32), doc))
         zone, tsa = state.load_zone()
         zone._contexts.values()  # decodes each context's key too
         zone._keys.values()
@@ -356,6 +357,13 @@ def _step(**fields):
          MalformedTableError),
         (BloomFilter.from_bytes, FILTER + b"\x00", FilterParameterError),
         (IdentityLedger.from_state_dict, dict(LEDGER_STATE, entries={}), StateError),
+        (IdentityLedger.from_state_dict, dict(LEDGER_STATE, entries="e"), StateError),
+        (_load_zone, dict(ZONE, keys=[]), StateError),
+        # a null unit read as no unit, and values() raised KeyError
+        (_load_zone, dict(ZONE, contexts={"": None}), StateError),
+        (_load_zone, dict(ZONE, audit="entries"), StateError),
+        (_load_document, _edited(DOCUMENT, lambda d: d["zone"]["keys"].update(
+            {ZONE["kek_id"]: []})), StateError),
     ],
     ids=["zone-one-expected-tag", "split-record-short-context", "split-record-empty-checksum",
          "split-record-three-tags", "zone-no-context-key", "zone-no-edge-share",
@@ -370,7 +378,10 @@ def _step(**fields):
          "scenario-negative-seed", "scenario-seed-past-u64", "plain-share-zero-length-secret",
          "plain-share-extra-digit", "filter-padding-bits", "aead-record-too-short",
          "table-truncated", "plain-share-truncated", "plain-share-index-3",
-         "plain-share-digit-16-at-order-16", "filter-extra-byte", "ledger-state-entries-mapping"],
+         "plain-share-digit-16-at-order-16", "filter-extra-byte", "ledger-state-entries-mapping",
+         "ledger-state-entries-string", "zone-keys-list", "zone-null-context-unit",
+         "zone-audit-string",
+         "record-0-key-unit-list"],
 )
 def test_named_malformed_input_raises_the_parsers_error(parse, payload, error):
     with pytest.raises(EdgeVaultError) as info:

@@ -306,9 +306,11 @@ def test_isotope_rejects_non_permutation(bad):
         [0, 1, 2],  # a short array
         [0.0, 1.0, 2.0, 3.0],  # floats, even whole ones
     ):
-        # the order is sigma's length, so a short sigma leaves pi the wrong length
-        named = "pi" if bad == "sigma" and len(broken) < 4 else bad
-        with pytest.raises(MalformedTableError, match=rf"^{named} "):
+        # a short array is reported with the three lengths, not blamed on another row
+        lengths = [len(broken) if name == bad else 4 for name in ("sigma", "pi", "rho")]
+        expected = ("^sigma, pi and rho differ in length: {}, {} and {}$".format(*lengths)
+                    if len(broken) < 4 else rf"^{bad} ")
+        with pytest.raises(MalformedTableError, match=expected):
             IsotopeQuasigroup(**{**PERMS_4, bad: broken})
     assert IsotopeQuasigroup(**PERMS_4).order == 4
 
