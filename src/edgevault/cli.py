@@ -22,14 +22,17 @@ Every mutating command runs in one ``AppState.session()``: it takes an
 exits, so no lock is ever stale), loads the state, and commits once, only if
 the command completes.  A load reads the file once, parses record 0's
 header and the later records, and decodes a unit of record 0 only when the
-command uses it, after checking it against its digest; ``keys authorize``
-decodes its own context and key and the three infrastructure keys, and the
-read-only ledger commands the ledger's entries alone.  A unit that does not
-match its digest is a corrupted state naming record 0.  A commit appends its
-record in one write, or, once the lines after record 0 would pass
+command uses it, after checking it against its digest and its id text
+against its index row; ``keys authorize`` decodes its own context and key
+and the three infrastructure keys, and the read-only ledger commands the
+ledger's entries alone.  A unit that does not match its digest or its id is
+a corrupted state naming record 0.  A commit appends its record in one
+write, or, once the lines after record 0 would pass
 ``COMPACT_BYTES``, writes the whole state as record 0 of ``zone.json.tmp`` and
 renames that over ``zone.json``; that record 0 encodes only the units changed
-since the last one and copies the others, digests and all.  A crashed
+since the last one and copies each run of the others between them as one
+slice of the old line, digests and all, once the id texts in it are checked
+against the index.  A crashed
 process therefore leaves the old state or the new one: a torn last line is
 left out on load and cut off by the next commit.  A bad ``h`` on any other
 line is a corrupted state that names the record's index.  Nothing is fsynced:

@@ -12,6 +12,7 @@ check, and a whole-secret checksum.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
 import struct
@@ -68,11 +69,14 @@ def _digit_count(secret_len: int, order: int) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=64)  # bounded: decode_secret takes any order >= 2
 def _word(order: int) -> tuple[int, np.ndarray]:
     """A word of base-``order`` digits that fits a uint64: its base
     ``order**per`` and the place values of its ``per`` digits, least
-    significant first."""
+    significant first, read-only, since every call for the order shares
+    them."""
     places = order ** np.arange(64 // order.bit_length(), dtype=np.uint64)
+    places.flags.writeable = False
     return order ** places.shape[0], places
 
 

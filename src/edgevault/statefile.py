@@ -24,9 +24,19 @@ with those ranges cut out, so each section reads as empty), the rows and the
 trailer's numbers.  A load finds the trailer at the end of the line, checks
 that digest, parses the header, and puts in each section an object that
 finds a unit by binary search over the rows and checks its digest and decodes
-it on first use.  A unit whose bytes do not match its digest is a corrupted
-record 0.  A rewrite of record 0 over an earlier one copies each unit it does
-not change, with its digest, and extends a list unit's bytes in place.
+it on first use.  No digest covers the id text ``"<id>":`` before a unit of a
+map, or the commas between units, so a map checks the id text too.  A unit
+whose bytes do not match its digest, or whose id text is not its row's id, is
+a corrupted record 0.
+
+A rewrite of record 0 over an earlier one encodes only the units that
+changed.  It finds each changed id among the earlier rows by binary search
+and copies each run of unchanged units between them as one slice of the
+earlier line, with the commas and id texts between them, once every id text
+and comma is checked against the rows; the run's rows are the earlier rows,
+each offset moved as far as the run moved.  So no Python call is made per
+copied unit.  A list unit's bytes are checked and extended in place.  Without
+an earlier record 0 the rewrite is the same walk, every unit new.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ _ROWS_HEAD, _TRAILER_HEAD, _LINE_END = b',"u":"', b'","t":"', b'"}'
 
 _ID, _NUMBER, _DIGEST = 64, 10, 64
 _ROW = 1 + _ID + 2 * _NUMBER + _DIGEST
+_AT = 1 + _ID  # where a row's offset starts
 _CUTS = 8 * _NUMBER  # four (start, end) pairs
 _TRAILER = _CUTS + _NUMBER + _DIGEST
 
@@ -66,9 +77,17 @@ def _digest(raw: bytes) -> bytes:
     return hashlib.sha256(raw).hexdigest().encode()
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dumps(value) -> bytes:
     """A record's bytes: JSON with sorted keys and no spaces."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    return _ENCODE(value).encode()
+
+
+def _misplaced(key: bytes) -> StateError:
+    """The error for the unit whose row begins with ``key``, kind and id."""
+    return StateError(f"unit {key.decode()} of journal record 0 is not under its id")
 
 
 def _number(value: int) -> bytes:
@@ -106,31 +125,35 @@ def decode_line(data: bytes, start: int, end: int, index: int) -> tuple[bytes, b
 
 
 class _Writer:
-    """Lays out r piece by piece and indexes the units as it goes."""
+    """Lays out record 0's line piece by piece and indexes the units as it goes."""
 
-    def __init__(self, base: dict | None):
+    def __init__(self, h: bytes, base: dict | None):
         self.base = base
-        self.parts: list[bytes] = []
-        self.at = 0  # the line offset of the next piece
+        self.parts = [LINE_HEAD + h.hex().encode() + LINE_MID]
+        self.header: list[bytes] = []  # r with each section's contents cut out
+        self.at = _BODY  # the line offset of the next piece
         self.rows: list[bytes] = []
         self.cuts = {kind: (0, 0) for _, kind, _ in _SECTIONS}
 
     def put(self, data: bytes):
+        """A piece of r outside the sections' contents."""
+        self.header.append(data)
+        self.content(data)
+
+    def content(self, data: bytes):
         self.parts.append(data)
         self.at += len(data)
 
     def unit(self, kind: bytes, unit_id: bytes, raw: bytes, digest: bytes):
         self.rows.append(kind + unit_id.ljust(_ID) + _number(self.at) + _number(len(raw))
                          + digest)
-        self.put(raw)
+        self.content(raw)
 
     def value(self, value, path: tuple):
         section = _SECTION_AT.get(path)
         if section is not None and type(value) is section[1] and (
                 section[1] is list or all(map(_UNIT_ID.fullmatch, value))):
-            start = self.at + 1
             (self.map if section[1] is dict else self.list)(section[0], value, path)
-            self.cuts[section[0]] = (start, self.at - 1)
         elif path in _PARENTS and type(value) is dict:
             self.put(b"{")
             for i, key in enumerate(sorted(value)):
@@ -147,32 +170,58 @@ class _Writer:
         return section
 
     def map(self, kind: bytes, units: dict, path: tuple):
-        """The units of a map: those in ``units``, encoded, and every other
-        unit of the base's map, copied with its digest."""
+        """The units of a map: those in ``units``, encoded, and between them
+        each run of the base's other units, copied as one slice of the base's
+        line.  A changed unit's place among the base's rows is found by
+        binary search, so no Python call is made per copied unit."""
         base = self._base(path)
-        copied = base.stored() if base is not None else {}
+        index = base.index() if base is not None else ([], [], [0], b"")
+        rows = index[0]
         self.put(b"{")
-        for i, unit_id in enumerate(sorted({*copied, *units})):
-            self.put(b'%s"%s":' % (b"," if i else b"", unit_id.encode()))
-            if unit_id in units:
-                raw = dumps(units[unit_id])
-                self.unit(kind, unit_id.encode(), raw, _digest(raw))
-            else:
-                self.unit(kind, unit_id.encode(), *copied[unit_id])
+        start, i = self.at, 0  # where the contents start; the first base row not written
+        for unit_id in sorted(units):
+            key = kind + unit_id.encode().ljust(_ID)
+            j = bisect_left(rows, key, i)
+            if i < j:
+                self.copy(index, i, j, start)
+            raw = dumps(units[unit_id])
+            self.content(b'%s"%s":' % (b"," if self.at > start else b"", unit_id.encode()))
+            self.unit(kind, unit_id.encode(), raw, _digest(raw))
+            i = j + (j < len(rows) and rows[j].startswith(key))
+        if i < len(rows):
+            self.copy(index, i, len(rows), start)
+        self.cuts[kind] = (start, self.at)
         self.put(b"}")
+
+    def copy(self, index: tuple, a: int, b: int, start: int):
+        """The base's units ``a`` to ``b`` (``a < b``) of ``index`` (see
+        :meth:`_UnitMap.index`) with the commas and id texts between them:
+        one slice of the base's line, each row's offset moved by as much as
+        the slice moves."""
+        rows, offsets, bounds, data = index
+        if self.at > start:
+            self.content(b",")
+        shift = self.at - bounds[a] - 1
+        # every moved offset is below the rows' offset, which _number checks
+        self.rows += [row[:_AT] + b"%010d" % (offset + shift) + row[_AT + _NUMBER:]
+                      for row, offset in zip(rows[a:b], offsets[a:b])]
+        self.content(memoryview(data)[bounds[a] + 1:bounds[b]])
 
     def list(self, kind: bytes, items: list, path: tuple):
         """A list unit: the base's items, if any, then ``items``."""
         base = self._base(path)
         count = _number(len(items) + (len(base) if base is not None else 0)).rjust(_ID, b"0")
         if base is not None and not items:
-            self.unit(kind, count, *base.stored())
-            return
-        raw = dumps(items)
-        if base is not None and len(base):
-            # [a,b] then [c] is [a,b,c]: the checked bytes are extended, not decoded
-            raw = base.checked()[:-1] + b"," + raw[1:]
-        self.unit(kind, count, raw, _digest(raw))
+            raw, digest = base.stored()
+        else:
+            raw = dumps(items)
+            if base is not None and len(base):
+                # [a,b] then [c] is [a,b,c]: the checked bytes are extended, not decoded
+                raw = base.checked()[:-1] + b"," + raw[1:]
+            digest = _digest(raw)
+        self.header.append(b"[]")
+        self.cuts[kind] = (self.at + 1, self.at + len(raw) - 1)
+        self.unit(kind, count, raw, digest)
 
 
 def encode_record0(h: bytes, record: dict, base: dict | None = None) -> bytes:
@@ -180,20 +229,20 @@ def encode_record0(h: bytes, record: dict, base: dict | None = None) -> bytes:
 
     With ``base``, a record 0 that :func:`decode_record0` returned,
     ``record`` need only hold what differs from it: each map the units
-    written since (whole), each list the items after the base's.  Every
-    other unit is copied from the base with its digest; a list unit is the
-    base's bytes, checked, extended by the new items.
+    written since (whole), each list the items after the base's.  The runs
+    of the base's units between the changed ones are copied as slices of its
+    line, digests and all, once their id texts are checked; a list unit is
+    the base's bytes, checked, extended by the new items.
     """
-    writer = _Writer(base)
-    writer.put(LINE_HEAD + h.hex().encode() + LINE_MID)
+    writer = _Writer(h, base)
     writer.value(record, ())
     rows = b"".join(sorted(writer.rows))
     numbers = b"".join(_number(a) + _number(b) for _, kind, _ in _SECTIONS
                        for a, b in [writer.cuts[kind]])
     numbers += _number(writer.at + len(_ROWS_HEAD))
-    line = b"".join(writer.parts)
-    seal = _seal(_header(line, writer.cuts.values(), len(line)), rows, numbers)
-    return line + _ROWS_HEAD + rows + _TRAILER_HEAD + numbers + seal + _LINE_END + b"\n"
+    seal = _seal(b"".join(writer.header), rows, numbers)
+    return b"".join([*writer.parts, _ROWS_HEAD, rows, _TRAILER_HEAD, numbers, seal, _LINE_END,
+                     b"\n"])
 
 
 def _header(line: bytes, cuts, end: int) -> bytes:
@@ -245,21 +294,24 @@ class _Rows:
         i = bisect_left(self, key, lo, hi)
         return i if i < hi and self[i] == key else None
 
-    def stored(self, i: int) -> tuple[bytes, bytes]:
-        """Row ``i``'s unit bytes and digest, not checked."""
-        at = self.at + i * _ROW + 1 + _ID
+    def stored(self, i: int) -> tuple[int, bytes, bytes]:
+        """Row ``i``'s unit: its offset in the line, its bytes and its
+        digest, not checked."""
+        at = self.at + i * _ROW + _AT
         row = self.data[at:at + 2 * _NUMBER + _DIGEST]
         if not row[:2 * _NUMBER].isdigit():
             raise StateError(f"row {i} of journal record 0's index is malformed")
         offset = int(row[:_NUMBER])
-        return self.data[offset:offset + int(row[_NUMBER:2 * _NUMBER])], row[2 * _NUMBER:]
+        return (offset, self.data[offset:offset + int(row[_NUMBER:2 * _NUMBER])],
+                row[2 * _NUMBER:])
 
-    def checked(self, i: int) -> bytes:
-        raw, digest = self.stored(i)
+    def checked(self, i: int) -> tuple[int, bytes]:
+        """Row ``i``'s unit offset and bytes, checked against its digest."""
+        offset, raw, digest = self.stored(i)
         if _digest(raw) != digest:
             raise StateError(f"unit {self[i].decode().rstrip()} of journal record 0 does not "
                              "match its digest")
-        return raw
+        return offset, raw
 
 
 class _UnitMap(Mapping):
@@ -288,7 +340,11 @@ class _UnitMap(Mapping):
             i = self._find(item_id)
             if i is None:
                 raise KeyError(item_id)
-            unit = json.loads(self._rows.checked(i))
+            offset, raw = self._rows.checked(i)
+            text = b'"%s":' % item_id.hex().encode()
+            if not self._rows.data.startswith(text, offset - len(text)):
+                raise _misplaced(self._kind + item_id.hex().encode())
+            unit = json.loads(raw)
             if type(unit) is not dict:
                 raise StateError(f"unit {item_id.hex()} of journal record 0 is not an object")
             self._decoded[item_id] = unit
@@ -300,10 +356,26 @@ class _UnitMap(Mapping):
     def __iter__(self):
         return (bytes.fromhex(self._rows[i][1:].decode()) for i in range(self._lo, self._hi))
 
-    def stored(self) -> dict[str, tuple[bytes, bytes]]:
-        """Every unit's bytes and digest, not checked, by id hex."""
-        rows = self._rows
-        return {rows[i][1:].rstrip().decode(): rows.stored(i) for i in range(self._lo, self._hi)}
+    def index(self) -> tuple[list[bytes], list[int], list[int], bytes]:
+        """The map's rows, in order; their units' offsets; where the "{" or
+        "," before each unit's id text lies, and at the end where the "}"
+        after the last unit lies; and the line.  An id text that is not its
+        row's id, or a separator out of place, is a corrupted record 0."""
+        data, at = self._rows.data, self._rows.at
+        rows = [data[i:i + _ROW] for i in range(at + self._lo * _ROW, at + self._hi * _ROW, _ROW)]
+        texts = [b',"%s":' % row[1:_AT].rstrip() for row in rows]
+        texts[:1] = [b"{" + text[1:] for text in texts[:1]]  # the first follows the map's "{"
+        try:
+            offsets = [int(row[_AT:_AT + _NUMBER]) for row in rows]
+            end = offsets[-1] + int(rows[-1][_AT + _NUMBER:_AT + 2 * _NUMBER]) if rows else 0
+        except ValueError:
+            raise StateError("journal record 0's index is malformed") from None
+        bounds = [offset - len(text) for offset, text in zip(offsets, texts)]
+        found = [data[bound:offset] for bound, offset in zip(bounds, offsets)]
+        if found != texts:
+            raise _misplaced(next(row[:_AT].rstrip() for row, f, t in zip(rows, found, texts)
+                                  if f != t))
+        return rows, offsets, [*bounds, end], data
 
 
 class _UnitList(Sequence):
@@ -321,10 +393,10 @@ class _UnitList(Sequence):
         return self._count
 
     def stored(self) -> tuple[bytes, bytes]:
-        return self._rows.stored(self._i)
+        return self._rows.stored(self._i)[1:]
 
     def checked(self) -> bytes:
-        return self._rows.checked(self._i)
+        return self._rows.checked(self._i)[1]
 
     def _decoded(self) -> list:
         if self._items is None:

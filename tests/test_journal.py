@@ -770,6 +770,29 @@ def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch
     assert _files(journaled) == before
 
 
+def test_an_edited_id_text_in_record_0_is_refused_and_the_dir_left_as_it_was(journaled,
+                                                                           monkeypatch):
+    """One hex letter of the id text before a key: a command that decodes
+    the key refuses it, and so does a compaction, which would copy the key
+    under the edited text, though it decodes no key."""
+    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    data = (journaled / "zone.json").read_bytes()
+    text = f'"{key_id}":'.encode()
+    hexits = "0123456789abcdef"
+    edited = f'"{hexits[hexits.index(key_id[0]) ^ 1]}{key_id[1:]}":'.encode()
+    assert data.count(text) == 1
+    (journaled / "zone.json").write_bytes(data.replace(text, edited))
+    before = _files(journaled)
+    for args in (("keys", "generate"), ("keys", "split", key_id, "--context", "11" * 32)):
+        r = _invoke(journaled, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert f"unit k{key_id} of journal record 0 is not under its id" in err["message"]
+        assert _files(journaled) == before
+
+
 def _built_dir(root, devices):
     """A dir of ``devices`` registered, split devices, written as record 0
     alone; and one device's context and cloud share."""

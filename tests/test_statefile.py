@@ -7,8 +7,11 @@ an editor who knows the layout could write.
 """
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgevault import statefile
 from edgevault.errors import StateError
@@ -116,11 +119,15 @@ def _row(line, kind):
 
 
 def test_a_row_whose_offset_is_not_digits_is_refused_when_its_unit_is_read():
+    """And when a rewrite would copy the units around it."""
     line = _line()
     at = _row(line, b"k") + 1 + 64
     _, record = _decoded(resealed(line[:at] + b"x" + line[at + 1:]))
     with pytest.raises(StateError, match="index is malformed"):
         record["zone"]["keys"][bytes.fromhex(KEY)]
+    with pytest.raises(StateError, match="^journal record 0's index is malformed$"):
+        statefile.encode_record0(b"\x07" * 32, {**RECORD, "zone": {**RECORD["zone"], "keys": {}}},
+                                 record)
 
 
 def test_a_list_row_whose_count_is_wrong_is_refused_when_the_list_is_read():
@@ -151,3 +158,133 @@ def test_a_map_whose_ids_are_not_hex_is_left_in_the_header_and_refused():
     line = _line({**RECORD, "zone": {**RECORD["zone"], "keys": {"KEY": {}}}})
     assert b'"keys":{"KEY":{}}' in line
     _refused(line, r"its zone\.keys section is not indexed")
+
+
+def _replaced(line, old, new):
+    """``line`` with the bytes ``old`` in the keys section replaced by ``new``;
+    the index is left as it was."""
+    assert line.count(old) == 1 and len(new) == len(old)
+    return line.replace(old, new)
+
+
+@pytest.mark.parametrize("old, new, unit", [
+    (f'{{"{KEY}":', f'{{"{"ab" * 16}":', KEY),  # the first unit of the map
+    (f'"{OTHER}":', f'"{"ee" * 16}":', OTHER),
+    (f',"{OTHER}":', f' "{OTHER}":', None),  # the comma before OTHER: no id text changes
+], ids=["first-id-text", "id-text", "comma"])
+def test_an_id_text_or_comma_that_the_index_does_not_give_is_refused(old, new, unit):
+    """No digest covers the bytes between the units of a map, so the id text
+    before a unit is checked against its row when the unit is decoded, and
+    every id text and comma between the units when a rewrite copies them."""
+    line = _replaced(_line(), old.encode(), new.encode())
+    _, record = _decoded(line)  # the header and index still match their digest
+    keys = record["zone"]["keys"]
+    if unit is None:
+        assert keys[bytes.fromhex(OTHER)] == RECORD["zone"]["keys"][OTHER]
+    else:
+        with pytest.raises(StateError, match=f"^unit k{unit} of journal record 0 is not under "
+                                             "its id$"):
+            keys[bytes.fromhex(unit)]
+    changes = {**RECORD, "zone": {**RECORD["zone"], "keys": {}, "audit": []},
+               "ledger": {**RECORD["ledger"], "entries": []}}
+    with pytest.raises(StateError, match=f"^unit k{unit or OTHER} of journal record 0 is not "
+                                         "under its id$"):
+        statefile.encode_record0(b"\x07" * 32, changes, record)
+
+
+# --- a rewrite over a base is the whole rewrite --------------------------------------
+
+_IDS = st.binary(min_size=1, max_size=32).map(bytes.hex)  # every width a row can hold
+_UNITS = st.fixed_dictionaries({"n": st.integers(0, 2 ** 53), "s": st.text(max_size=4)})
+_ITEMS = st.lists(st.fixed_dictionaries({"i": st.integers(0, 99)}), max_size=3)
+
+
+@st.composite
+def _changed(draw, units: dict) -> dict:
+    """New units for the first, the last, two adjacent, every, none or any
+    of the map ``units``, and for new ids before, between or after them."""
+    ids = sorted(units)
+    pick = draw(st.sampled_from(["first", "last", "adjacent", "every", "none", "any"]))
+    if pick == "adjacent":
+        at = draw(st.integers(0, max(len(ids) - 2, 0)))
+        changed = ids[at:at + 2]
+    elif pick == "any":
+        changed = draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    else:
+        changed = {"first": ids[:1], "last": ids[-1:], "every": ids, "none": []}[pick]
+    new = draw(st.lists(_IDS | st.sampled_from(["00", "ff" * 32]), max_size=3))
+    return {unit_id: draw(_UNITS) for unit_id in [*changed, *new]}
+
+
+def _state(seq, keys, contexts, audit, ledger):
+    return {"seq": seq, "tsa": {"issuer": "t", "last_epoch": seq, "sequence": seq},
+            "zone": {"op_counter": seq, "kek_id": "aa", "keys": keys, "contexts": contexts,
+                     "audit": audit},
+            "ledger": ledger}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_rewrite_over_a_base_is_the_whole_rewrite(data):
+    keys, contexts = (data.draw(st.dictionaries(_IDS, _UNITS, max_size=40)) for _ in range(2))
+    audit, entries = data.draw(_ITEMS), data.draw(st.none() | _ITEMS)
+    ledger = None if entries is None else {"group_id": "g", "entries": entries}
+    _, base = _decoded(_line(_state(1, keys, contexts, audit, ledger)))
+    new_keys, new_contexts = data.draw(_changed(keys)), data.draw(_changed(contexts))
+    new_audit, new_entries = data.draw(_ITEMS), data.draw(_ITEMS)
+    changes = _state(2, new_keys, new_contexts, new_audit,
+                     None if ledger is None else {**ledger, "entries": new_entries})
+    whole = _state(2, {**keys, **new_keys}, {**contexts, **new_contexts}, audit + new_audit,
+                   None if ledger is None else {**ledger, "entries": entries + new_entries})
+    line = statefile.encode_record0(b"\x07" * 32, changes, base)
+    assert line == _line(whole)
+    _, record = _decoded(line)
+    for name in ("keys", "contexts"):
+        units = record["zone"][name]
+        assert {unit_id.hex(): units[unit_id] for unit_id in units} == whole["zone"][name]
+    assert list(record["zone"]["audit"]) == whole["zone"]["audit"]
+    if ledger is not None:
+        assert list(record["ledger"]["entries"]) == whole["ledger"]["entries"]
+
+
+# --- a rewrite's Python work does not grow with the units it copies ----------------
+
+
+def _devices(count: int) -> dict:
+    """The whole state of ``count`` devices: a key and a context each, three
+    more keys, an entry each, with the zone's id widths."""
+    keys = {f"{i:032x}": {"material": "00" * 32, "uses": i} for i in range(count + 3)}
+    contexts = {f"{i:064x}": {"key_id": f"{i:032x}", "last_seen": None} for i in range(count)}
+    audit = [{"op": "authorize", "sequence": i} for i in range(count)]
+    return _state(1, keys, contexts, audit, {"group_id": "g", "entries": [{"index": i}
+                                                                          for i in range(count)]})
+
+
+def _python_calls(run) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_rewrite_makes_as_many_python_calls_over_400_devices_as_over_25():
+    """The same changes over 25 and over 400 devices' untouched units: three
+    keys and two contexts changed, one context and two audit entries new.  A
+    generator resumed once per copied unit would count one call per unit."""
+    changes = _state(2, {f"{i:032x}": {"uses": 0} for i in (0, 7, 23)},
+                     {**{f"{i:064x}": {"key_id": "", "last_seen": None} for i in (3, 4)},
+                      "ff" * 32: {"key_id": "", "last_seen": None}},
+                     [{"op": "authorize", "sequence": -1}] * 2, {"group_id": "g", "entries": []})
+    calls = {}
+    for count in (25, 400):
+        _, base = _decoded(_line(_devices(count)))
+        calls[count] = _python_calls(lambda: statefile.encode_record0(b"\x07" * 32, changes, base))
+    assert calls[400] <= 1.2 * calls[25], calls
