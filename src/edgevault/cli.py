@@ -1,44 +1,9 @@
-"""Command-line surface.
+"""Command-line surface: the ``edgevault`` command and its groups ``ledger``,
+``keys``, ``qg``, ``profile``, ``filter`` and ``sim``.
 
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
-default ``.edgevault``) as one file, ``zone.json``: a journal of lines
-``{"h", "r"}``.  Record 0 is the whole state, ``{"seq", "tsa", "zone",
-"ledger"}``: the timestamp authority's counters, the secure zone's internal
-storage (keys and contexts as maps from id to unit), and the identity ledger
-(``null`` before ``ledger init``).  Its ``h``, taken as given, is that of the
-last record folded into it, or 32 zero bytes in a new dir.  Its line also
-carries an index of its units (each key, each context, the audit and the
-ledger's entries) with each unit's place in the line and its SHA-256, and a
-digest over the rest of the record and the index (see ``statefile``).  Each
-later line
-is one completed command's record of what it changed (the TSA counters; the
-op counter; each changed key's or context's changed fields, or the whole of
-a new one; new audit entries; new ledger entries, or a new ledger), with
-``seq`` one more than the line before and ``h = SHA-256(previous h || r's
-bytes)``.  A device's point is stored only sealed in its ledger entry.
-
-Every mutating command runs in one ``AppState.session()``: it takes an
-``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
-exits, so no lock is ever stale), loads the state, and commits once, only if
-the command completes.  A load reads the file once, parses record 0's
-header and the later records, and decodes a unit of record 0 only when the
-command uses it, after checking it against its digest and its id text
-against its index row; ``keys authorize`` decodes its own context and key
-and the three infrastructure keys, and the read-only ledger commands the
-ledger's entries alone.  A unit that does not match its digest or its id is
-a corrupted state naming record 0.  A commit appends its record in one
-write, or, once the lines after record 0 would pass
-``COMPACT_BYTES``, writes the whole state as record 0 of ``zone.json.tmp`` and
-renames that over ``zone.json``; that record 0 encodes only the units changed
-since the last one and copies each run of the others between them as one
-slice of the old line, digests and all, once the id texts in it are checked
-against the index.  A crashed
-process therefore leaves the old state or the new one: a torn last line is
-left out on load and cut off by the next commit.  A bad ``h`` on any other
-line is a corrupted state that names the record's index.  Nothing is fsynced:
-a power loss is not covered.  A dir in an earlier layout has a ``zone.json``
-whose first line is no indexed record 0, so it is a corrupted state, refused
-and left as it is.
+default ``.edgevault``); :mod:`edgevault.statefile` owns it: the layout of its
+one file, the lock, the load and the commit of each mutating command.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -48,20 +13,16 @@ Exit codes are frozen so shell tests need no output parsing:
 
 from __future__ import annotations
 
-import fcntl
 import json
 import os
-import secrets
 import sys
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
 from . import statefile
 from .bloom import BloomFilter
-from .crypto import U64_LIMIT, Timestamp, TimestampAuthority, sha256
+from .crypto import U64_LIMIT, Timestamp
 from .curves import WeierstrassCurve, standard_curve, tiny_curve
 from .errors import EdgeVaultError, StateError, parses
 from .ledger import IdentityLedger
@@ -88,221 +49,24 @@ _EXHAUSTIVE_CHECK_LIMIT = 512
 SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
 
 
-def _os_seed() -> int:
-    """The seed of a state command given no --seed, and of a new dir's zone."""
-    return secrets.randbits(64)
+@parses(StateError, "corrupted JSON file {0}")
+def _read_json(path: str | Path) -> dict:
+    """Parse a JSON file; the caller's parser validates its structure."""
+    return json.loads(Path(path).read_bytes())
 
 
-#: a commit rewrites the state as one record once the records after record 0
-#: would pass this many bytes
-COMPACT_BYTES = 16 * 1024
-
-@dataclass
-class _Tip:
-    """Where the next commit goes: after record ``seq`` whose hash is ``h``,
-    at byte ``valid`` of a file of ``size`` bytes whose record 0 ends at
-    byte ``base``."""
-
-    seq: int
-    h: bytes
-    base: int
-    valid: int
-    size: int
-
-
-def _write_file(path: Path, data: bytes, mode: int):
-    """Write ``data`` to ``path`` opened with ``mode`` (``os.O_TRUNC`` or ``os.O_APPEND``)."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | mode, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-    finally:
-        os.close(fd)
-
-
-def _record(seq: int, tsa: TimestampAuthority, zone: dict, ledger: dict | None) -> dict:
-    return {"seq": seq, "tsa": tsa.state_dict(), "zone": zone, "ledger": ledger}
-
-
-class AppState:
-    """Paths and loaders for the state directory."""
+class AppState(statefile.StateDir):
+    """The state dir, the output format, and exit 2 on a ledger that does not verify."""
 
     def __init__(self, root: Path, fmt: str):
-        self.root = root
+        super().__init__(root)
         self.fmt = fmt
-        self.zone_path = root / "zone.json"
-        # never read or written; perfbench/tracer.py sizes them
-        self.tsa_path = root / "tsa.json"
-        self.ledger_path = root / "ledger.json"
-        self.lock_path = root / ".lock"
-        self._loaded = None  # (zone, tsa, tip, record 0) of the last load_zone
-
-    @contextmanager
-    def session(self, seed: int | None = None):
-        """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
-
-        The lock is an ``flock`` on ``.lock``, which the kernel drops when the
-        holder exits, however it exits.  An exception or ``sys.exit`` inside
-        the block saves nothing, so a refused or failed command leaves the
-        state dir as it was, and removes it if the session created it.  A
-        new dir's zone takes ``seed``, or one from the OS.
-        """
-        created = not self.root.exists()
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = self._take_lock()
-        try:
-            zone, tsa = self.load_zone(seed)
-            yield zone, tsa
-            self.save_zone(zone, tsa)
-        finally:
-            self._loaded = None
-            # unlink before close: a session that flocks this .lock after the
-            # close finds its path gone and refuses
-            self.lock_path.unlink(missing_ok=True)
-            os.close(fd)
-            if created and not self.zone_path.exists():
-                # a concurrent session's .lock keeps the dir non-empty
-                with suppress(OSError):
-                    self.root.rmdir()
-
-    def _take_lock(self) -> int:
-        """Open ``.lock`` and ``flock`` it; refuse a lock another process holds."""
-        with suppress(FileNotFoundError):  # the dir's creator removed it after our mkdir
-            fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                # a lock on a .lock its last holder already unlinked locks nothing
-                if os.path.samestat(os.fstat(fd), os.stat(self.lock_path)):
-                    return fd
-            except OSError:
-                pass
-            os.close(fd)
-        raise StateError(f"state dir is locked ({self.lock_path}); another command is using it")
-
-    @staticmethod
-    @parses(StateError, "corrupted JSON file {0}")
-    def _read_json(path: str | Path) -> dict:
-        """Parse a JSON file; the caller's parser validates its structure."""
-        return json.loads(Path(path).read_bytes())
-
-    def _read(self) -> tuple[list[dict], _Tip] | None:
-        """Every whole record, and the tip after the last; None in a new state dir.
-
-        Record 0's h is taken as given, and its units are checked against
-        their digests as they are decoded; each later record must chain from
-        the one before it.  An unterminated last line is a torn append: it is
-        left out, and the next commit cuts it off.
-        """
-        try:
-            data = self.zone_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        end = data.find(b"\n")
-        if end < 0:
-            raise StateError(f"{self.zone_path} holds no whole record")
-        h, record = statefile.decode_record0(data, end)
-        records, tip = [record], _Tip(record["seq"], h, end + 1, end + 1, len(data))
-        start, end = end + 1, data.find(b"\n", end + 1)
-        while end >= 0:
-            h, body, record = statefile.decode_line(data, start, end, len(records))
-            if record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
-                raise StateError(f"journal record {len(records)} in {self.zone_path} does not "
-                                 "chain from the record before it")
-            tip.seq, tip.h, tip.valid = record["seq"], h, end + 1
-            records.append(record)
-            start, end = end + 1, data.find(b"\n", end + 1)
-        return records, tip
-
-    @staticmethod
-    def _ledger(records: list[dict]) -> IdentityLedger | None:
-        """The ledger each record makes or changes, in order."""
-        ledger = None
-        for record in records:
-            changes = record["ledger"]
-            if isinstance(changes, dict) and "group_id" in changes:
-                if ledger is not None:
-                    raise StateError("a journal record makes a ledger that exists")
-                ledger = IdentityLedger.lazy_from_state_dict(changes)
-            elif changes is not None:
-                if ledger is None:
-                    raise StateError("a journal record changes a ledger that does not exist")
-                ledger.apply(changes)
-        return ledger
-
-    def load_zone(self, seed: int | None = None) -> tuple[SecureZone, TimestampAuthority]:
-        """Record 0's state with the later records applied; each key and
-        context is decoded the first time the command uses it."""
-        read = self._read()
-        if read is None:
-            # a new dir: save_zone writes a zone it has no tip for whole
-            tsa = TimestampAuthority(issuer="edgevault-tsa")
-            return SecureZone(_os_seed() if seed is None else seed, tsa), tsa
-        records, tip = read
-        tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"])
-        zone = SecureZone.lazy_from_state_dict(records[0]["zone"], tsa)
-        for record in records[1:]:
-            zone.apply(record["zone"])
-        ledger = self._ledger(records)
-        if ledger is not None:
-            zone.attach_ledger(ledger)
-        self._loaded = (zone, tsa, tip, records[0])
-        return zone, tsa
-
-    def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
-        """Commit the state.
-
-        For the zone :meth:`load_zone` last returned, append one record of
-        what changed, or rewrite the state as one record once the records
-        after record 0 would pass ``COMPACT_BYTES``.  Any other zone is
-        written whole, as the first record of a new state dir; a dir that
-        holds state refuses it.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        loaded, self._loaded = self._loaded, None
-        if loaded is None or loaded[0] is not zone or loaded[1] is not tsa:
-            if self.zone_path.exists():
-                raise StateError(f"{self.root} holds state, and this zone was not loaded from it")
-            self._compact(zone, tsa, 0, bytes(32))  # record 0's h in a new dir
-            return
-        tip, base = loaded[2], loaded[3]
-        ledger = zone.ledger.changes() if zone.ledger is not None else None
-        body = statefile.dumps(_record(tip.seq + 1, tsa, zone.changes(), ledger))
-        h = sha256(tip.h + body)
-        line = statefile.encode_line(h, body)
-        if tip.valid - tip.base + len(line) > COMPACT_BYTES:
-            self._compact(zone, tsa, tip.seq + 1, h, base)
-            return
-        if tip.size != tip.valid:
-            os.truncate(self.zone_path, tip.valid)
-        _write_file(self.zone_path, line, os.O_APPEND)
-
-    def _compact(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes,
-                 base: dict | None = None):
-        """Replace the file at once with the whole state as record 0: over
-        ``base``, the record 0 the zone was loaded from, only the units that
-        changed are encoded and the others are copied."""
-        whole = base is None
-        ledger = zone.ledger.state_dict(whole=whole) if zone.ledger is not None else None
-        record = _record(seq, tsa, zone.state_dict(whole=whole), ledger)
-        line = statefile.encode_record0(h, record, base)
-        tmp = self.zone_path.with_name(self.zone_path.name + ".tmp")
-        try:
-            _write_file(tmp, line, os.O_TRUNC)
-            os.replace(tmp, self.zone_path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
 
     def load_ledger(self, zone: SecureZone | None = None) -> IdentityLedger:
         """A session ``zone``'s ledger or, with no zone, the ledger alone from
         every record's ledger section, with no zone decoded.  Exit 2 with the
         index of the first bad entry if its chain does not verify."""
-        if zone is not None:
-            ledger = zone.ledger
-        else:
-            read = self._read()
-            ledger = self._ledger(read[0]) if read is not None else None
+        ledger = zone.ledger if zone is not None else self.read_ledger()
         if ledger is None:
             raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")
         report = ledger.verify_chain()
@@ -379,7 +143,7 @@ def ledger():
 
 def _curve_from_options(preset: str, curve_json: str | None) -> WeierstrassCurve:
     if curve_json:
-        return WeierstrassCurve.from_json_dict(AppState._read_json(curve_json))
+        return WeierstrassCurve.from_json_dict(_read_json(curve_json))
     return tiny_curve() if preset == "tiny" else standard_curve()
 
 
@@ -402,7 +166,7 @@ def ledger_init(state: AppState, group, preset, curve_json, seed):
 
 @ledger.command("register")
 @click.argument("label")
-@click.option("--seed", type=SEED_RANGE, default=_os_seed,
+@click.option("--seed", type=SEED_RANGE, default=statefile.os_seed,
               help="Point-selection seed (default: from the OS).")
 @click.pass_obj
 def ledger_register(state: AppState, label, seed):
@@ -462,7 +226,7 @@ def keys():
 @click.option("--purpose", type=click.Choice(["data-encryption", "key-encryption", "point-sealing"]),
               default="data-encryption")
 @click.option("--budget", type=click.IntRange(1, U64_LIMIT - 1), default=DEFAULT_BUDGET)
-@click.option("--seed", type=SEED_RANGE, default=_os_seed, help="Default: from the OS.")
+@click.option("--seed", type=SEED_RANGE, default=statefile.os_seed, help="Default: from the OS.")
 @click.pass_obj
 def keys_generate(state: AppState, purpose, budget, seed):
     """Generate a key; only its identifier leaves the zone."""
@@ -476,7 +240,7 @@ def keys_generate(state: AppState, purpose, budget, seed):
 @click.option("--context", default=None, help="32-byte context id (hex).")
 @click.option("--device", default=None, help="Use a registered device's ledger id as context.")
 @click.option("--order", type=int, default=256)
-@click.option("--seed", type=SEED_RANGE, default=_os_seed, help="Default: from the OS.")
+@click.option("--seed", type=SEED_RANGE, default=statefile.os_seed, help="Default: from the OS.")
 @click.option("-o", "output", type=_OutputFile(), default=None,
               help="Where to write the cloud share JSON (default stdout).")
 @click.pass_obj
@@ -518,9 +282,9 @@ def keys_authorize(state: AppState, context, share_file, ts_file, save_timestamp
     """Verify a cloud share for a transaction; exit 0 accepted, 3 rejected."""
     context_id = _hex_bytes(context, 32, "--context")
     with state.session() as (zone, tsa):
-        share = SealedShare.from_json_dict(state._read_json(share_file))
+        share = SealedShare.from_json_dict(_read_json(share_file))
         if ts_file:
-            ts = Timestamp.from_json_dict(state._read_json(ts_file))
+            ts = Timestamp.from_json_dict(_read_json(ts_file))
         else:
             ts = tsa.issue()
         decision = zone.authorize_transaction(context_id, share, ts)

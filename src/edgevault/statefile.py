@@ -1,9 +1,15 @@
-"""The lines of the CLI state file ``zone.json``.
+"""The CLI state dir and its one file, ``zone.json``, a journal of lines.
 
 Every line is ``{"h", "r"}`` JSON: ``h`` a chain value in hex and ``r`` a
 record, written with sorted keys and no spaces.  Record 0 is the whole state,
-``{"seq", "tsa", "zone", "ledger"}``; each later record holds what one command
-changed.
+``{"seq", "tsa", "zone", "ledger"}``: the TSA's counters, the zone's storage
+(keys and contexts as maps from id to unit) and the ledger (``null`` before
+``ledger init``); its ``h``, taken as given, is that of the last record
+folded into it, or 32 zero bytes in a new dir.  Each later record holds what
+one completed command changed (the TSA counters, the op counter, each
+changed or new key and context, new audit entries, new ledger entries or a
+new ledger), with ``seq`` one more than the line before and ``h =
+SHA-256(previous h || r's bytes)``.  A device's point is stored only sealed.
 
 Record 0 also carries a unit index, so a load decodes only the units a
 command uses.  A unit is one key or context of the zone (the value under its
@@ -37,21 +43,40 @@ and comma is checked against the rows; the run's rows are the earlier rows,
 each offset moved as far as the run moved.  So no Python call is made per
 copied unit.  A list unit's bytes are checked and extended in place.  Without
 an earlier record 0 the rewrite is the same walk, every unit new.
+
+Every mutating command runs in one :meth:`StateDir.session`, under an
+``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
+exits, so no lock is ever stale), and commits once, only if it completes: it
+appends its record in one write or, once the lines after record 0 would pass
+``COMPACT_BYTES``, writes the whole state as record 0 of ``zone.json.tmp``
+and renames that over ``zone.json``.  A crashed process therefore leaves the
+old state or the new one; a torn last line is left out on load and cut off by
+the next commit.  Nothing is fsynced: a power loss is not covered.  A dir in
+an earlier layout has a ``zone.json`` whose first line is no indexed record
+0, so it is a corrupted state, refused and left as it is.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
 import re
+import secrets
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
+from pathlib import Path
 
-from .crypto import U64_LIMIT
+from .crypto import U64_LIMIT, TimestampAuthority, sha256
 from .errors import StateError, parses
+from .ledger import IdentityLedger
+from .securezone import SecureZone
 
-__all__ = ["LINE_HEAD", "LINE_MID", "dumps", "encode_line", "decode_line", "encode_record0",
-           "decode_record0"]
+__all__ = ["COMPACT_BYTES", "LINE_HEAD", "LINE_MID", "StateDir", "dumps", "encode_line",
+           "decode_line", "encode_record0", "decode_record0", "os_seed"]
 
 LINE_HEAD, LINE_MID = b'{"h":"', b'","r":'
 _BODY = len(LINE_HEAD) + 64 + len(LINE_MID)  # where r starts in a line
@@ -101,10 +126,19 @@ def encode_line(h: bytes, body: bytes) -> bytes:
     return LINE_HEAD + h.hex().encode() + LINE_MID + body + b"}\n"
 
 
+#: every record's fields, whole in record 0 and what changed in a later record
+_FIELDS = ("seq", "tsa", "zone", "ledger")
+
+
+def _record(seq: int, tsa: TimestampAuthority, zone: dict, ledger: dict | None) -> dict:
+    return dict(zip(_FIELDS, (seq, tsa.state_dict(), zone, ledger)))
+
+
 def _check_record(record: dict):
     if type(record["seq"]) is not int or not 0 <= record["seq"] < U64_LIMIT:
         raise ValueError("the sequence number is not an integer in [0, 2**64)")
-    record["tsa"], record["zone"], record["ledger"]  # a missing section is a KeyError here
+    for field in _FIELDS[1:]:
+        record[field]  # a missing section is a KeyError here
 
 
 @parses(StateError, "malformed journal record {3}")
@@ -144,10 +178,12 @@ class _Writer:
         self.parts.append(data)
         self.at += len(data)
 
-    def unit(self, kind: bytes, unit_id: bytes, raw: bytes, digest: bytes):
-        self.rows.append(kind + unit_id.ljust(_ID) + _number(self.at) + _number(len(raw))
-                         + digest)
-        self.content(raw)
+    def unit(self, kind: bytes, unit_id: bytes, digest: bytes, *pieces: bytes):
+        """A unit whose bytes are ``pieces``, one after another."""
+        size = sum(map(len, pieces))
+        self.rows.append(kind + unit_id.ljust(_ID) + _number(self.at) + _number(size) + digest)
+        for piece in pieces:
+            self.content(piece)
 
     def value(self, value, path: tuple):
         section = _SECTION_AT.get(path)
@@ -186,7 +222,7 @@ class _Writer:
                 self.copy(index, i, j, start)
             raw = dumps(units[unit_id])
             self.content(b'%s"%s":' % (b"," if self.at > start else b"", unit_id.encode()))
-            self.unit(kind, unit_id.encode(), raw, _digest(raw))
+            self.unit(kind, unit_id.encode(), _digest(raw), raw)
             i = j + (j < len(rows) and rows[j].startswith(key))
         if i < len(rows):
             self.copy(index, i, len(rows), start)
@@ -211,17 +247,14 @@ class _Writer:
         """A list unit: the base's items, if any, then ``items``."""
         base = self._base(path)
         count = _number(len(items) + (len(base) if base is not None else 0)).rjust(_ID, b"0")
-        if base is not None and not items:
-            raw, digest = base.stored()
+        if base is None or (items and not len(base)):
+            pieces = (dumps(items),)
+            digest = _digest(pieces[0])
         else:
-            raw = dumps(items)
-            if base is not None and len(base):
-                # [a,b] then [c] is [a,b,c]: the checked bytes are extended, not decoded
-                raw = base.checked()[:-1] + b"," + raw[1:]
-            digest = _digest(raw)
+            pieces, digest = base.extended(items)
         self.header.append(b"[]")
-        self.cuts[kind] = (self.at + 1, self.at + len(raw) - 1)
-        self.unit(kind, count, raw, digest)
+        self.cuts[kind] = (self.at + 1, self.at + sum(map(len, pieces)) - 1)
+        self.unit(kind, count, digest, *pieces)
 
 
 def encode_record0(h: bytes, record: dict, base: dict | None = None) -> bytes:
@@ -294,24 +327,28 @@ class _Rows:
         i = bisect_left(self, key, lo, hi)
         return i if i < hi and self[i] == key else None
 
-    def stored(self, i: int) -> tuple[int, bytes, bytes]:
-        """Row ``i``'s unit: its offset in the line, its bytes and its
-        digest, not checked."""
+    def stored(self, i: int) -> tuple[int, memoryview, bytes]:
+        """Row ``i``'s unit: its offset in the line, a view of its bytes and
+        its digest, not checked."""
         at = self.at + i * _ROW + _AT
         row = self.data[at:at + 2 * _NUMBER + _DIGEST]
         if not row[:2 * _NUMBER].isdigit():
             raise StateError(f"row {i} of journal record 0's index is malformed")
         offset = int(row[:_NUMBER])
-        return (offset, self.data[offset:offset + int(row[_NUMBER:2 * _NUMBER])],
+        return (offset, memoryview(self.data)[offset:offset + int(row[_NUMBER:2 * _NUMBER])],
                 row[2 * _NUMBER:])
+
+    def mismatch(self, i: int) -> StateError:
+        """The error for row ``i``'s unit, whose bytes do not match its digest."""
+        return StateError(f"unit {self[i].decode().rstrip()} of journal record 0 does not "
+                          "match its digest")
 
     def checked(self, i: int) -> tuple[int, bytes]:
         """Row ``i``'s unit offset and bytes, checked against its digest."""
         offset, raw, digest = self.stored(i)
         if _digest(raw) != digest:
-            raise StateError(f"unit {self[i].decode().rstrip()} of journal record 0 does not "
-                             "match its digest")
-        return offset, raw
+            raise self.mismatch(i)
+        return offset, bytes(raw)
 
 
 class _UnitMap(Mapping):
@@ -392,15 +429,25 @@ class _UnitList(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def stored(self) -> tuple[bytes, bytes]:
-        return self._rows.stored(self._i)[1:]
-
-    def checked(self) -> bytes:
-        return self._rows.checked(self._i)[1]
+    def extended(self, items: list) -> tuple[tuple, bytes]:
+        """The list's bytes (a view) followed by ``items``, and their digest:
+        [a,b] then [c] is [a,b,c].  With ``items``, one hash over the list's
+        bytes both checks them and digests the result."""
+        _, raw, stored = self._rows.stored(self._i)
+        if not items:
+            return (raw,), stored
+        pieces = (raw[:-1], b"," + dumps(items)[1:])
+        digest = hashlib.sha256(pieces[0])
+        check = digest.copy()
+        check.update(b"]")
+        if check.hexdigest().encode() != stored:
+            raise self._rows.mismatch(self._i)
+        digest.update(pieces[1])
+        return pieces, digest.hexdigest().encode()
 
     def _decoded(self) -> list:
         if self._items is None:
-            items = json.loads(self.checked())
+            items = json.loads(self._rows.checked(self._i)[1])
             if type(items) is not list or len(items) != self._count:
                 raise StateError(f"journal record 0 does not hold the {self._count} items its "
                                  "index gives a list")
@@ -459,3 +506,192 @@ def decode_record0(data: bytes, end: int) -> tuple[bytes, dict]:
             raise ValueError(f"its {'.'.join(path)} section is not indexed")
         holder[path[-1]] = (_UnitMap if container is dict else _UnitList)(rows, kind)
     return bytes.fromhex(data[len(LINE_HEAD):len(LINE_HEAD) + 64].decode()), record
+
+
+# --- the state dir ---------------------------------------------------------------
+
+#: a commit rewrites the state as one record once the records after record 0
+#: would pass this many bytes
+COMPACT_BYTES = 16 * 1024
+
+
+@dataclass
+class _Tip:
+    """Where the next commit goes: after record ``seq``, hash ``h``, at byte
+    ``valid`` of a file of ``size`` bytes whose record 0 ends at byte ``base``."""
+
+    seq: int
+    h: bytes
+    base: int
+    valid: int
+    size: int
+
+
+def _write_file(path: Path, data: bytes, mode: int):
+    """Write ``data`` to ``path`` opened with ``mode`` (``os.O_TRUNC`` or ``os.O_APPEND``)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | mode, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def os_seed() -> int:
+    """64 bits from the OS: a new dir's zone seed, and a command's given no --seed."""
+    return secrets.randbits(64)
+
+
+def _ledger(records: list[dict]) -> IdentityLedger | None:
+    """The ledger each record makes or changes, in order."""
+    ledger = None
+    for record in records:
+        changes = record["ledger"]
+        if isinstance(changes, dict) and "group_id" in changes:
+            if ledger is not None:
+                raise StateError("a journal record makes a ledger that exists")
+            ledger = IdentityLedger.lazy_from_state_dict(changes)
+        elif changes is not None:
+            if ledger is None:
+                raise StateError("a journal record changes a ledger that does not exist")
+            ledger.apply(changes)
+    return ledger
+
+
+class StateDir:
+    """The state dir ``root``: its lock, and the state its ``zone.json`` holds."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.zone_path = root / "zone.json"
+        # never read or written; perfbench/tracer.py sizes them
+        self.tsa_path = root / "tsa.json"
+        self.ledger_path = root / "ledger.json"
+        self.lock_path = root / ".lock"
+        self._loaded = None  # (zone, tsa, tip, record 0) of the last load_zone
+
+    @contextmanager
+    def session(self, seed: int | None = None):
+        """Yield ``(zone, tsa)`` under the state dir's lock; save on completion.
+
+        An exception or ``sys.exit`` inside the block saves nothing, so a
+        refused or failed command leaves the state dir as it was, and removes
+        it if the session created it.  A new dir's zone takes ``seed``, or
+        one from the OS.
+        """
+        created = not self.root.exists()
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = self._take_lock()
+        try:
+            zone, tsa = self.load_zone(seed)
+            yield zone, tsa
+            self.save_zone(zone, tsa)
+        finally:
+            self._loaded = None
+            # unlink before close: a session that flocks this .lock after the
+            # close finds its path gone and refuses
+            self.lock_path.unlink(missing_ok=True)
+            os.close(fd)
+            if created and not self.zone_path.exists():
+                # a concurrent session's .lock keeps the dir non-empty
+                with suppress(OSError):
+                    self.root.rmdir()
+
+    def _take_lock(self) -> int:
+        """Open ``.lock`` and ``flock`` it; refuse a lock another process holds."""
+        with suppress(FileNotFoundError):  # the dir's creator removed it after our mkdir
+            fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o666)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # a lock on a .lock its last holder already unlinked locks nothing
+                if os.path.samestat(os.fstat(fd), os.stat(self.lock_path)):
+                    return fd
+            except OSError:
+                pass
+            os.close(fd)
+        raise StateError(f"state dir is locked ({self.lock_path}); another command is using it")
+
+    def _read(self) -> tuple[list[dict], _Tip | None]:
+        """Every whole record, and the tip after the last; none in a new state
+        dir.  Each record after record 0 must chain from the one before it.
+        An unterminated last line is a torn append, left out here and cut off
+        by the next commit."""
+        try:
+            data = self.zone_path.read_bytes()
+        except FileNotFoundError:
+            return [], None
+        end = data.find(b"\n")
+        if end < 0:
+            raise StateError(f"{self.zone_path} holds no whole record")
+        h, record = decode_record0(data, end)
+        records, tip = [record], _Tip(record["seq"], h, end + 1, end + 1, len(data))
+        start, end = end + 1, data.find(b"\n", end + 1)
+        while end >= 0:
+            h, body, record = decode_line(data, start, end, len(records))
+            if record["seq"] != tip.seq + 1 or sha256(tip.h + body) != h:
+                raise StateError(f"journal record {len(records)} in {self.zone_path} does not "
+                                 "chain from the record before it")
+            tip.seq, tip.h, tip.valid = record["seq"], h, end + 1
+            records.append(record)
+            start, end = end + 1, data.find(b"\n", end + 1)
+        return records, tip
+
+    def load_zone(self, seed: int | None = None) -> tuple[SecureZone, TimestampAuthority]:
+        """Record 0's state with the later records applied; each key and
+        context is decoded the first time the command uses it."""
+        records, tip = self._read()
+        if not records:
+            # a new dir: save_zone writes a zone it has no tip for whole
+            tsa = TimestampAuthority(issuer="edgevault-tsa")
+            return SecureZone(os_seed() if seed is None else seed, tsa), tsa
+        tsa = TimestampAuthority.from_state_dict(records[-1]["tsa"])
+        zone = SecureZone.lazy_from_state_dict(records[0]["zone"], tsa)
+        for record in records[1:]:
+            zone.apply(record["zone"])
+        ledger = _ledger(records)
+        if ledger is not None:
+            zone.attach_ledger(ledger)
+        self._loaded = (zone, tsa, tip, records[0])
+        return zone, tsa
+
+    def read_ledger(self) -> IdentityLedger | None:
+        """The ledger alone, with no zone decoded; None if there is none."""
+        return _ledger(self._read()[0])
+
+    def save_zone(self, zone: SecureZone, tsa: TimestampAuthority):
+        """Commit the state: for the zone :meth:`load_zone` last returned,
+        append what changed, or compact.  Any other zone is written whole, as
+        the first record of a new state dir; a dir that holds state refuses it."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        loaded, self._loaded = self._loaded, None
+        if loaded is None or loaded[0] is not zone or loaded[1] is not tsa:
+            if self.zone_path.exists():
+                raise StateError(f"{self.root} holds state, and this zone was not loaded from it")
+            return self._compact(zone, tsa, 0, bytes(32))  # record 0's h in a new dir
+        tip, base = loaded[2], loaded[3]
+        ledger = zone.ledger.changes() if zone.ledger is not None else None
+        body = dumps(_record(tip.seq + 1, tsa, zone.changes(), ledger))
+        h = sha256(tip.h + body)
+        line = encode_line(h, body)
+        if tip.valid - tip.base + len(line) > COMPACT_BYTES:
+            return self._compact(zone, tsa, tip.seq + 1, h, base)
+        if tip.size != tip.valid:
+            os.truncate(self.zone_path, tip.valid)
+        _write_file(self.zone_path, line, os.O_APPEND)
+
+    def _compact(self, zone: SecureZone, tsa: TimestampAuthority, seq: int, h: bytes,
+                 base: dict | None = None):
+        """Replace the file at once with the whole state as record 0: over
+        ``base``, the record 0 the zone was loaded from, only the units that
+        changed are encoded and the others are copied."""
+        whole = base is None
+        ledger = zone.ledger.state_dict(whole=whole) if zone.ledger is not None else None
+        line = encode_record0(h, _record(seq, tsa, zone.state_dict(whole=whole), ledger), base)
+        tmp = self.zone_path.with_name(self.zone_path.name + ".tmp")
+        try:
+            _write_file(tmp, line, os.O_TRUNC)
+            os.replace(tmp, self.zone_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

@@ -206,7 +206,7 @@ def _unsealed_points(state):
 @pytest.mark.parametrize("compact", [None, 0], ids=["journal", "compacted"])
 def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, monkeypatch, compact):
     if compact is not None:
-        monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", compact)
+        monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", compact)
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g").exit_code == 0
     for label in ("p1", "p2", "p3"):
@@ -224,7 +224,7 @@ def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, monkeypatch,
 def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(
         runner, tmp_path, monkeypatch, compact):
     if compact is not None:
-        monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", compact)
+        monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", compact)
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
     for i in range(1, 9):
@@ -263,7 +263,7 @@ def _with_used_points(state):
 def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path, monkeypatch):
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
-    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
     assert invoke(runner, state, "ledger", "register", "alpha").exit_code == 0
     monkeypatch.undo()
     assert invoke(runner, state, "ledger", "register", "beta").exit_code == 0
@@ -275,7 +275,7 @@ def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path, mon
     r = invoke(runner, state, "ledger", "register", "gamma")
     assert r.exit_code == 0, r.output
     assert len(set(_unsealed_points(state))) == 3
-    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
     assert invoke(runner, state, "keys", "generate").exit_code == 0
     data = (state / "zone.json").read_bytes()
     assert data.count(b"\n") == 1 and b"used_points" not in data
@@ -1366,7 +1366,7 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeyp
 
     authorize(alias)
     authorize(context)
-    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
     authorize(context)  # compacts: the alias's unit moves into record 0
     monkeypatch.undo()
     assert len((state / "zone.json").read_bytes().splitlines()) == 1
@@ -1380,7 +1380,7 @@ def test_a_compaction_that_fails_to_write_leaves_the_state_file_as_it_was(
     state = tmp_path / "state"
     _init_ledger(runner, state)
     before = _state_files(state)
-    monkeypatch.setattr("edgevault.cli.COMPACT_BYTES", 0)
+    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
 
     def write(fd, data):
         raise OSError(28, "No space left on device")

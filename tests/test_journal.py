@@ -222,7 +222,7 @@ def test_crash_at_any_effect_leaves_the_state_before_or_after(
         with open(state / "zone.json", "ab") as journal:
             journal.write(b'{"h":"00')
     elif mode == "compaction":
-        monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+        monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     before_files, before = _files(state), _load(state)
 
     saved = _capture_saves(monkeypatch)
@@ -500,7 +500,7 @@ def test_compaction_folds_the_journal_into_the_snapshot(journaled, monkeypatch):
     shutil.copytree(journaled, appended)
     _run(appended, "keys", "generate", "--seed", 9)
     before = _load(journaled)
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(journaled, "keys", "generate", "--seed", 9)
     assert os.listdir(journaled) == ["zone.json"]
     (line,) = (journaled / "zone.json").read_bytes().splitlines()
@@ -517,7 +517,7 @@ def test_only_the_lines_after_record_0_count_toward_a_compaction(journaled, monk
     data = journal.read_bytes()
     record0 = data.index(b"\n") + 1
     line = max(map(len, data[record0:].splitlines(keepends=True)))
-    monkeypatch.setattr(cli, "COMPACT_BYTES", len(data) - record0 + line + line // 2)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", len(data) - record0 + line + line // 2)
     _run(journaled, "keys", "generate", "--seed", 4)
     assert journal.read_bytes().startswith(data) and journal.read_bytes().count(b"\n") == 5
     _run(journaled, "keys", "generate", "--seed", 5)
@@ -530,7 +530,7 @@ def test_read_only_ledger_commands_decode_no_zone(journaled, monkeypatch):
     _run(journaled, "ledger", "register", "alpha", "--seed", 10)
     compacted = journaled.parent / "compacted"
     shutil.copytree(journaled, compacted)
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(compacted, "keys", "generate", "--seed", 4)
     monkeypatch.undo()
 
@@ -540,8 +540,8 @@ def test_read_only_ledger_commands_decode_no_zone(journaled, monkeypatch):
     checked, real = [], statefile._Rows.checked
     monkeypatch.setattr(statefile._Rows, "checked",
                         lambda rows, i: checked.append(rows[i][:1]) or real(rows, i))
-    monkeypatch.setattr(cli.SecureZone, "lazy_from_state_dict", no_zone)
-    monkeypatch.setattr(cli.TimestampAuthority, "from_state_dict", no_zone)
+    monkeypatch.setattr(SecureZone, "lazy_from_state_dict", no_zone)
+    monkeypatch.setattr(TimestampAuthority, "from_state_dict", no_zone)
     for state in (journaled, compacted):
         for args in (("ledger", "verify"), ("ledger", "export"),
                      ("ledger", "sync", "-o", state.parent / "snap"),
@@ -614,7 +614,7 @@ def replayed(tmp_path, monkeypatch):
     rejected, and record 0 the whole state with no line after it; and the
     arguments of that replay."""
     state = tmp_path / "state"
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(state, "ledger", "init", "--group", "g", "--preset", "tiny")
     _run(state, "ledger", "register", "alpha", "--seed", 10)
     key_id = json.loads(_run(state, "keys", "generate", "--seed", 1).output)["key_id"]
@@ -727,7 +727,7 @@ def test_compaction_copies_each_unit_it_does_not_change(journaled, monkeypatch):
     empty), which no command since record 0 has changed, keep their bytes
     and digests; every other unit is new."""
     old = _units((journaled / "zone.json").read_bytes())
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(journaled, "keys", "generate", "--seed", 4)
     new = _units((journaled / "zone.json").read_bytes())
     infrastructure = {b"k" + bytes.fromhex(_load(journaled)["zone"][name]).hex().encode()
@@ -741,7 +741,7 @@ def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch
     """A compaction does not decode a unit it copies, so an edited unit no
     command read stays refused once a command reads it; a list unit it
     extends is checked first."""
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(journaled, "keys", "generate", "--seed", 4)  # every key now in record 0
     key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 5).output)["key_id"]
     _edit_unit(journaled, ["zone", "keys", key_id], lambda unit: {**unit, "uses": 9})
@@ -775,7 +775,7 @@ def test_an_edited_id_text_in_record_0_is_refused_and_the_dir_left_as_it_was(jou
     """One hex letter of the id text before a key: a command that decodes
     the key refuses it, and so does a compaction, which would copy the key
     under the edited text, though it decodes no key."""
-    monkeypatch.setattr(cli, "COMPACT_BYTES", 0)
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
     data = (journaled / "zone.json").read_bytes()
     text = f'"{key_id}":'.encode()
@@ -871,7 +871,7 @@ class JournalMachine(RuleBasedStateMachine):
     @initialize(compact=st.sampled_from([0, 2048, 1 << 30]),
                 register_seed=st.integers(0, 1000), key_seed=st.integers(0, 1000))
     def init_state(self, compact, register_seed, key_seed):
-        self.patch.setattr(cli, "COMPACT_BYTES", compact)
+        self.patch.setattr(statefile, "COMPACT_BYTES", compact)
         self._command("ledger", "init", "--group", "g", "--preset", "tiny")
         self.ledger_register(register_seed)
         self.keys_generate(key_seed)

@@ -7,13 +7,16 @@ an editor who knows the layout could write.
 """
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgevault import statefile
+from edgevault import cli, statefile
 from edgevault.errors import StateError
 
 from mutation import resealed
@@ -288,3 +291,22 @@ def test_a_rewrite_makes_as_many_python_calls_over_400_devices_as_over_25():
         _, base = _decoded(_line(_devices(count)))
         calls[count] = _python_calls(lambda: statefile.encode_record0(b"\x07" * 32, changes, base))
     assert calls[400] <= 1.2 * calls[25], calls
+
+
+# --- one module owns the state file ------------------------------------------------
+
+
+def test_the_state_file_layer_is_statefile_alone():
+    """``statefile`` loads without click, in a fresh interpreter, and
+    ``cli`` defines no part of the layer, so a second copy cannot grow
+    back there."""
+    src = str(Path(statefile.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, edgevault.statefile; print('click' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    own = set(vars(cli)).union(*(vars(value) for value in vars(cli).values()
+                                 if isinstance(value, type) and value.__module__ == cli.__name__))
+    assert not own & {"_read", "_compact", "COMPACT_BYTES"}
+    assert issubclass(cli.AppState, statefile.StateDir)
