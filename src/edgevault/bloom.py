@@ -60,10 +60,6 @@ class BloomFilter:
     def __contains__(self, device_id: bytes) -> bool:
         return self.contains(device_id)
 
-    def estimated_fpr(self) -> float:
-        """(1 - e^(-k n / m))^k at the current load."""
-        return (1.0 - math.exp(-self.k * self.n_inserted / self.m)) ** self.k
-
     def to_bytes(self) -> bytes:
         """Header (m, k, n_inserted as u64 BE) + packed bit array."""
         return _HEADER.pack(self.m, self.k, self.n_inserted) + np.packbits(self.bits).tobytes()

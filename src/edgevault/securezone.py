@@ -433,11 +433,6 @@ class SecureZone:
         self._log("split_and_distribute", "ok", key_id=key_id, context_id=context_id)
         return DistributionResult(edge_share=sealed1, cloud_share=sealed2)
 
-    def edge_share_for(self, context_id: bytes) -> SealedShare:
-        if context_id not in self._contexts:
-            raise UnknownKeyError(f"no distribution for context {context_id.hex()}")
-        return self._contexts[context_id].edge_share
-
     # --- transaction authorization ------------------------------------------
 
     def authorize_transaction(

@@ -1,48 +1,44 @@
 """The CLI state dir and its one file, ``zone.json``, a journal of lines.
 
-Every line is ``{"h", "r"}`` JSON: ``h`` a chain value in hex and ``r`` a
-record, written with sorted keys and no spaces.  Record 0 is the whole state,
-``{"seq", "tsa", "zone", "ledger"}``: the TSA's counters, the zone's storage
-(keys and contexts as maps from id to unit) and the ledger (``null`` before
-``ledger init``); its ``h``, taken as given, is that of the last record
-folded into it, or 32 zero bytes in a new dir.  Each later record holds what
-one completed command changed (the TSA counters, the op counter, each
-changed or new key and context, new audit entries, new ledger entries or a
-new ledger), with ``seq`` one more than the line before and ``h =
+Every line after the first is ``{"h", "r"}`` JSON: ``h`` a chain value in hex
+and ``r`` a record, written with sorted keys and no spaces.  Such a record
+holds what one completed command changed (the TSA counters, the op counter,
+each changed or new key and context, new audit entries, new ledger entries or
+a new ledger), with ``seq`` one more than the line before and ``h =
 SHA-256(previous h || r's bytes)``.  A device's point is stored only sealed.
 
-Record 0 also carries a unit index, so a load decodes only the units a
-command uses.  A unit is one key or context of the zone (the value under its
-id in ``zone.keys`` or ``zone.contexts``), the zone's audit list or the
-ledger's entry list, and its bytes in the line are exactly its bytes in
-``r``.  The line is::
+Record 0, the first line, is the whole state, ``{"seq", "tsa", "zone",
+"ledger"}``: the TSA's counters, the zone's storage and the ledger (``null``
+before ``ledger init``); its ``h`` is that of the last record folded into it,
+or 32 zero bytes in a new dir.  Its units are kept apart from ``r``, so a
+load decodes only the units a command uses.  A unit is one key or context of
+the zone, the zone's audit list or the ledger's entry list.  The line is::
 
-    {"h":"<h>","r":<r>,"u":"<rows>","t":"<trailer>"}
+    {"h":"<h>","r":<header>,"d":[<unit>,<unit>,...],"u":"<rows>","t":"<trailer>"}
 
-Each row is ``kind | id | offset | length | SHA-256``, fixed width, sorted
-by kind and id: kind ``k`` for a key, ``c`` a context, ``a`` the audit and
-``e`` the entries; the id is the unit's id in hex, space-padded (a list
-unit's row gives its item count instead); offset and length locate the unit
-in the line.  The fixed-width trailer holds the byte ranges of the four
-sections' contents (the ledger's entries, the audit, the contexts, the keys,
-in that order), the offset of the rows, and the SHA-256 of the header (``r``
-with those ranges cut out, so each section reads as empty), the rows and the
-trailer's numbers.  A load finds the trailer at the end of the line, checks
-that digest, parses the header, and puts in each section an object that
-finds a unit by binary search over the rows and checks its digest and decodes
-it on first use.  No digest covers the id text ``"<id>":`` before a unit of a
-map, or the commas between units, so a map checks the id text too.  A unit
-whose bytes do not match its digest, or whose id text is not its row's id, is
-a corrupted record 0.
+The header is the record with its four unit sections empty (``zone.keys``
+and ``zone.contexts`` ``{}``, ``zone.audit`` and ``ledger.entries`` ``[]``),
+and ``d`` holds the units in the order of their rows.  Each row is ``kind |
+id | offset | length | SHA-256``, fixed width, sorted by kind and id: kind
+``a`` for the audit, ``c`` a context, ``e`` the entries and ``k`` a key; the
+id is the unit's id in hex, space-padded (a list unit's row gives its item
+count instead); offset and length locate the unit in the line.  A unit's id
+is in its row alone.  The fixed-width trailer holds where the units of ``d``
+start and where the rows start, and the SHA-256 of the line up to the units
+(``h`` and the header), the rows and those two numbers.  A load finds the
+trailer at the end of the line, checks that digest, parses the header, and
+puts in each section an object that finds a unit by binary search over the
+rows and checks its digest and decodes it on first use.  A unit whose bytes
+do not match its digest is a corrupted record 0.
 
 A rewrite of record 0 over an earlier one encodes only the units that
-changed.  It finds each changed id among the earlier rows by binary search
-and copies each run of unchanged units between them as one slice of the
-earlier line, with the commas and id texts between them, once every id text
-and comma is checked against the rows; the run's rows are the earlier rows,
-each offset moved as far as the run moved.  So no Python call is made per
-copied unit.  A list unit's bytes are checked and extended in place.  Without
-an earlier record 0 the rewrite is the same walk, every unit new.
+changed.  Kind by kind, it finds each changed id among the earlier rows by
+binary search and copies each run of unchanged units between them as one
+slice of the earlier line, once the units of the run are checked to be one
+comma apart; the run's rows are the earlier rows, each offset moved as far as
+the run moved.  So no Python call is made per copied unit.  A list unit's
+bytes are checked and extended in place.  Without an earlier record 0 the
+rewrite is the same walk, every unit new.
 
 Every mutating command runs in one :meth:`StateDir.session`, under an
 ``flock`` on ``.lock`` (the kernel drops it when the holder exits, however it
@@ -52,8 +48,8 @@ appends its record in one write or, once the lines after record 0 would pass
 and renames that over ``zone.json``.  A crashed process therefore leaves the
 old state or the new one; a torn last line is left out on load and cut off by
 the next commit.  Nothing is fsynced: a power loss is not covered.  A dir in
-an earlier layout has a ``zone.json`` whose first line is no indexed record
-0, so it is a corrupted state, refused and left as it is.
+an earlier layout has a ``zone.json`` whose first line is no record 0 of this
+layout, so it is a corrupted state, refused and left as it is.
 """
 
 from __future__ import annotations
@@ -80,26 +76,27 @@ __all__ = ["COMPACT_BYTES", "LINE_HEAD", "LINE_MID", "StateDir", "dumps", "encod
 
 LINE_HEAD, LINE_MID = b'{"h":"', b'","r":'
 _BODY = len(LINE_HEAD) + 64 + len(LINE_MID)  # where r starts in a line
-_ROWS_HEAD, _TRAILER_HEAD, _LINE_END = b',"u":"', b'","t":"', b'"}'
+_UNITS_HEAD, _ROWS_HEAD, _TRAILER_HEAD, _LINE_END = b',"d":[', b'],"u":"', b'","t":"', b'"}'
 
 _ID, _NUMBER, _DIGEST = 64, 10, 64
 _ROW = 1 + _ID + 2 * _NUMBER + _DIGEST
 _AT = 1 + _ID  # where a row's offset starts
-_CUTS = 8 * _NUMBER  # four (start, end) pairs
-_TRAILER = _CUTS + _NUMBER + _DIGEST
+_TRAILER = 2 * _NUMBER + _DIGEST
 
-#: the sections that hold units, in the order their contents lie in r:
-#: (path from the record, row kind, the container the section is)
-_SECTIONS = ((("ledger", "entries"), b"e", list), (("zone", "audit"), b"a", list),
-             (("zone", "contexts"), b"c", dict), (("zone", "keys"), b"k", dict))
-_SECTION_AT = {path: (kind, container) for path, kind, container in _SECTIONS}
-_PARENTS = {path[:i] for path, _, _ in _SECTIONS for i in range(len(path))}
+#: the sections that hold units, in the order of their rows:
+#: (the section's parent in the record, its name, its row kind, the container it is)
+_SECTIONS = (("zone", "audit", b"a", list), ("zone", "contexts", b"c", dict),
+             ("ledger", "entries", b"e", list), ("zone", "keys", b"k", dict))
 
 _UNIT_ID = re.compile(r"(?:[0-9a-f]{2}){1,32}")
 
 
-def _digest(raw: bytes) -> bytes:
-    return hashlib.sha256(raw).hexdigest().encode()
+def _digest(*pieces) -> bytes:
+    """The SHA-256, in hex, of ``pieces`` one after another."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    return digest.hexdigest().encode()
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -108,11 +105,6 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def dumps(value) -> bytes:
     """A record's bytes: JSON with sorted keys and no spaces."""
     return _ENCODE(value).encode()
-
-
-def _misplaced(key: bytes) -> StateError:
-    """The error for the unit whose row begins with ``key``, kind and id."""
-    return StateError(f"unit {key.decode()} of journal record 0 is not under its id")
 
 
 def _number(value: int) -> bytes:
@@ -141,6 +133,7 @@ def _check_record(record: dict):
         record[field]  # a missing section is a KeyError here
 
 
+
 @parses(StateError, "malformed journal record {3}")
 def decode_line(data: bytes, start: int, end: int, index: int) -> tuple[bytes, bytes, dict]:
     """The h, the record bytes the h covers, and the record of the later
@@ -158,103 +151,94 @@ def decode_line(data: bytes, start: int, end: int, index: int) -> tuple[bytes, b
 # --- writing record 0 -------------------------------------------------------------
 
 
+def _split(record) -> tuple:
+    """The header, ``record`` with each section that holds units emptied, and
+    those sections by row kind.  A section that is not its container, or a
+    map whose ids are not all hex, stays in the header."""
+    header, sections = record, {}
+    if type(record) is dict:
+        header = dict(record)
+        for parent, name, kind, container in _SECTIONS:
+            holder = header.get(parent)
+            section = holder.get(name) if type(holder) is dict else None
+            if type(section) is container and (
+                    container is list or all(map(_UNIT_ID.fullmatch, section))):
+                if holder is record[parent]:
+                    header[parent] = holder = dict(holder)
+                holder[name], sections[kind] = container(), section
+    return header, sections
+
+
 class _Writer:
-    """Lays out record 0's line piece by piece and indexes the units as it goes."""
+    """Lays out record 0's units from line offset ``at`` on, one comma apart,
+    and indexes them as it goes."""
 
-    def __init__(self, h: bytes, base: dict | None):
-        self.base = base
-        self.parts = [LINE_HEAD + h.hex().encode() + LINE_MID]
-        self.header: list[bytes] = []  # r with each section's contents cut out
-        self.at = _BODY  # the line offset of the next piece
+    def __init__(self, at: int):
+        self.start = self.at = at
+        self.parts: list = []
         self.rows: list[bytes] = []
-        self.cuts = {kind: (0, 0) for _, kind, _ in _SECTIONS}
 
-    def put(self, data: bytes):
-        """A piece of r outside the sections' contents."""
-        self.header.append(data)
-        self.content(data)
+    def _comma(self):
+        if self.at > self.start:
+            self.parts.append(b",")
+            self.at += 1
 
-    def content(self, data: bytes):
-        self.parts.append(data)
-        self.at += len(data)
-
-    def unit(self, kind: bytes, unit_id: bytes, digest: bytes, *pieces: bytes):
-        """A unit whose bytes are ``pieces``, one after another."""
+    def unit(self, key: bytes, digest: bytes, *pieces):
+        """A unit whose row begins with ``key`` (kind and id) and whose bytes
+        are ``pieces``, one after another."""
+        self._comma()
         size = sum(map(len, pieces))
-        self.rows.append(kind + unit_id.ljust(_ID) + _number(self.at) + _number(size) + digest)
-        for piece in pieces:
-            self.content(piece)
+        self.rows.append(key + _number(self.at) + _number(size) + digest)
+        self.parts += pieces
+        self.at += size
 
-    def value(self, value, path: tuple):
-        section = _SECTION_AT.get(path)
-        if section is not None and type(value) is section[1] and (
-                section[1] is list or all(map(_UNIT_ID.fullmatch, value))):
-            (self.map if section[1] is dict else self.list)(section[0], value, path)
-        elif path in _PARENTS and type(value) is dict:
-            self.put(b"{")
-            for i, key in enumerate(sorted(value)):
-                self.put((b"," if i else b"") + dumps(key) + b":")
-                self.value(value[key], (*path, key))
-            self.put(b"}")
-        else:
-            self.put(dumps(value))
-
-    def _base(self, path: tuple):
-        section = self.base
-        for key in path:
-            section = section[key] if section is not None else None
-        return section
-
-    def map(self, kind: bytes, units: dict, path: tuple):
+    def map(self, kind: bytes, units: dict, base: _UnitMap | None):
         """The units of a map: those in ``units``, encoded, and between them
         each run of the base's other units, copied as one slice of the base's
         line.  A changed unit's place among the base's rows is found by
         binary search, so no Python call is made per copied unit."""
-        base = self._base(path)
-        index = base.index() if base is not None else ([], [], [0], b"")
-        rows = index[0]
-        self.put(b"{")
-        start, i = self.at, 0  # where the contents start; the first base row not written
+        index = base.index() if base is not None else ([], [], [], b"")
+        rows, i = index[0], 0  # i: the first base row not written
         for unit_id in sorted(units):
             key = kind + unit_id.encode().ljust(_ID)
             j = bisect_left(rows, key, i)
             if i < j:
-                self.copy(index, i, j, start)
+                self.copy(index, i, j)
             raw = dumps(units[unit_id])
-            self.content(b'%s"%s":' % (b"," if self.at > start else b"", unit_id.encode()))
-            self.unit(kind, unit_id.encode(), _digest(raw), raw)
+            self.unit(key, _digest(raw), raw)
             i = j + (j < len(rows) and rows[j].startswith(key))
         if i < len(rows):
-            self.copy(index, i, len(rows), start)
-        self.cuts[kind] = (start, self.at)
-        self.put(b"}")
+            self.copy(index, i, len(rows))
 
-    def copy(self, index: tuple, a: int, b: int, start: int):
+    def copy(self, index: tuple, a: int, b: int):
         """The base's units ``a`` to ``b`` (``a < b``) of ``index`` (see
-        :meth:`_UnitMap.index`) with the commas and id texts between them:
-        one slice of the base's line, each row's offset moved by as much as
-        the slice moves."""
-        rows, offsets, bounds, data = index
-        if self.at > start:
-            self.content(b",")
-        shift = self.at - bounds[a] - 1
+        :meth:`_UnitMap.index`): one slice of the base's line, once the units
+        are checked to be one comma apart, each row's offset moved by as much
+        as the slice moves."""
+        rows, offsets, ends, data = index
+        gaps = [data[end:offset] == b"," for end, offset in zip(ends[a:b - 1], offsets[a + 1:b])]
+        if not all(gaps):
+            unit = rows[a + 1 + gaps.index(False)][:_AT].rstrip().decode()
+            raise StateError(f"unit {unit} of journal record 0 is not one comma after the unit "
+                             "before it")
+        self._comma()
+        shift = self.at - offsets[a]
         # every moved offset is below the rows' offset, which _number checks
         self.rows += [row[:_AT] + b"%010d" % (offset + shift) + row[_AT + _NUMBER:]
                       for row, offset in zip(rows[a:b], offsets[a:b])]
-        self.content(memoryview(data)[bounds[a] + 1:bounds[b]])
+        run = memoryview(data)[offsets[a]:ends[b - 1]]
+        self.parts.append(run)
+        self.at += len(run)
 
-    def list(self, kind: bytes, items: list, path: tuple):
+    def list(self, kind: bytes, items: list, base: _UnitList | None):
         """A list unit: the base's items, if any, then ``items``."""
-        base = self._base(path)
         count = _number(len(items) + (len(base) if base is not None else 0)).rjust(_ID, b"0")
         if base is None or (items and not len(base)):
             pieces = (dumps(items),)
             digest = _digest(pieces[0])
         else:
             pieces, digest = base.extended(items)
-        self.header.append(b"[]")
-        self.cuts[kind] = (self.at + 1, self.at + sum(map(len, pieces)) - 1)
-        self.unit(kind, count, digest, *pieces)
+        self.unit(kind + count, digest, *pieces)
 
 
 def encode_record0(h: bytes, record: dict, base: dict | None = None) -> bytes:
@@ -264,40 +248,20 @@ def encode_record0(h: bytes, record: dict, base: dict | None = None) -> bytes:
     ``record`` need only hold what differs from it: each map the units
     written since (whole), each list the items after the base's.  The runs
     of the base's units between the changed ones are copied as slices of its
-    line, digests and all, once their id texts are checked; a list unit is
-    the base's bytes, checked, extended by the new items.
+    line, digests and all, once each run is checked to be one comma apart; a
+    list unit is the base's bytes, checked, extended by the new items.
     """
-    writer = _Writer(h, base)
-    writer.value(record, ())
-    rows = b"".join(sorted(writer.rows))
-    numbers = b"".join(_number(a) + _number(b) for _, kind, _ in _SECTIONS
-                       for a, b in [writer.cuts[kind]])
-    numbers += _number(writer.at + len(_ROWS_HEAD))
-    seal = _seal(b"".join(writer.header), rows, numbers)
-    return b"".join([*writer.parts, _ROWS_HEAD, rows, _TRAILER_HEAD, numbers, seal, _LINE_END,
-                     b"\n"])
-
-
-def _header(line: bytes, cuts, end: int) -> bytes:
-    """r, ``line[_BODY:end]``, with each section's contents cut out."""
-    pieces, at = [], _BODY
-    for a, b in sorted(cuts):
-        if a == b:
-            continue
-        if not at <= a <= b <= end:
-            raise ValueError("the section ranges overlap or leave r")
-        pieces.append(line[at:a])
-        at = b
-    pieces.append(line[at:end])
-    return b"".join(pieces)
-
-
-def _seal(header: bytes, rows, numbers: bytes) -> bytes:
-    """The digest over record 0's header, index rows and trailer numbers."""
-    digest = hashlib.sha256(header)
-    digest.update(rows)
-    digest.update(numbers)
-    return digest.hexdigest().encode()
+    header, sections = _split(record)
+    head = b"".join([LINE_HEAD, h.hex().encode(), LINE_MID, dumps(header), _UNITS_HEAD])
+    writer = _Writer(len(head))
+    for parent, name, kind, container in _SECTIONS:
+        if kind in sections:
+            section = (base[parent] or {}).get(name) if base is not None else None
+            (writer.map if container is dict else writer.list)(kind, sections[kind], section)
+    rows = b"".join(writer.rows)
+    numbers = _number(len(head)) + _number(writer.at + len(_ROWS_HEAD))
+    return b"".join([head, *writer.parts, _ROWS_HEAD, rows, _TRAILER_HEAD, numbers,
+                     _digest(head, rows, numbers), _LINE_END, b"\n"])
 
 
 # --- reading record 0 ------------------------------------------------------------
@@ -323,32 +287,27 @@ class _Rows:
         """The rows of ``kind``."""
         return bisect_left(self, kind), bisect_left(self, bytes([kind[0] + 1]))
 
-    def find(self, key: bytes, lo: int, hi: int) -> int | None:
-        i = bisect_left(self, key, lo, hi)
-        return i if i < hi and self[i] == key else None
-
-    def stored(self, i: int) -> tuple[int, memoryview, bytes]:
-        """Row ``i``'s unit: its offset in the line, a view of its bytes and
-        its digest, not checked."""
+    def stored(self, i: int) -> tuple[memoryview, bytes]:
+        """Row ``i``'s unit: a view of its bytes and its digest, not checked."""
         at = self.at + i * _ROW + _AT
         row = self.data[at:at + 2 * _NUMBER + _DIGEST]
         if not row[:2 * _NUMBER].isdigit():
             raise StateError(f"row {i} of journal record 0's index is malformed")
         offset = int(row[:_NUMBER])
-        return (offset, memoryview(self.data)[offset:offset + int(row[_NUMBER:2 * _NUMBER])],
-                row[2 * _NUMBER:])
+        end = offset + int(row[_NUMBER:2 * _NUMBER])
+        return memoryview(self.data)[offset:end], row[2 * _NUMBER:]
 
     def mismatch(self, i: int) -> StateError:
         """The error for row ``i``'s unit, whose bytes do not match its digest."""
         return StateError(f"unit {self[i].decode().rstrip()} of journal record 0 does not "
                           "match its digest")
 
-    def checked(self, i: int) -> tuple[int, bytes]:
-        """Row ``i``'s unit offset and bytes, checked against its digest."""
-        offset, raw, digest = self.stored(i)
+    def checked(self, i: int) -> bytes:
+        """Row ``i``'s unit bytes, checked against its digest."""
+        raw, digest = self.stored(i)
         if _digest(raw) != digest:
             raise self.mismatch(i)
-        return offset, bytes(raw)
+        return bytes(raw)
 
 
 class _UnitMap(Mapping):
@@ -364,7 +323,8 @@ class _UnitMap(Mapping):
 
     def _find(self, item_id: bytes) -> int | None:
         key = self._kind + item_id.hex().encode().ljust(_ID)
-        return self._rows.find(key, self._lo, self._hi)
+        i = bisect_left(self._rows, key, self._lo, self._hi)
+        return i if i < self._hi and self._rows[i] == key else None
 
     def __contains__(self, item_id: bytes) -> bool:
         return self._find(item_id) is not None
@@ -377,11 +337,7 @@ class _UnitMap(Mapping):
             i = self._find(item_id)
             if i is None:
                 raise KeyError(item_id)
-            offset, raw = self._rows.checked(i)
-            text = b'"%s":' % item_id.hex().encode()
-            if not self._rows.data.startswith(text, offset - len(text)):
-                raise _misplaced(self._kind + item_id.hex().encode())
-            unit = json.loads(raw)
+            unit = json.loads(self._rows.checked(i))
             if type(unit) is not dict:
                 raise StateError(f"unit {item_id.hex()} of journal record 0 is not an object")
             self._decoded[item_id] = unit
@@ -394,25 +350,17 @@ class _UnitMap(Mapping):
         return (bytes.fromhex(self._rows[i][1:].decode()) for i in range(self._lo, self._hi))
 
     def index(self) -> tuple[list[bytes], list[int], list[int], bytes]:
-        """The map's rows, in order; their units' offsets; where the "{" or
-        "," before each unit's id text lies, and at the end where the "}"
-        after the last unit lies; and the line.  An id text that is not its
-        row's id, or a separator out of place, is a corrupted record 0."""
+        """The map's rows, in order; where each unit starts and ends; and the
+        line."""
         data, at = self._rows.data, self._rows.at
         rows = [data[i:i + _ROW] for i in range(at + self._lo * _ROW, at + self._hi * _ROW, _ROW)]
-        texts = [b',"%s":' % row[1:_AT].rstrip() for row in rows]
-        texts[:1] = [b"{" + text[1:] for text in texts[:1]]  # the first follows the map's "{"
         try:
             offsets = [int(row[_AT:_AT + _NUMBER]) for row in rows]
-            end = offsets[-1] + int(rows[-1][_AT + _NUMBER:_AT + 2 * _NUMBER]) if rows else 0
+            ends = [offset + int(row[_AT + _NUMBER:_AT + 2 * _NUMBER])
+                    for offset, row in zip(offsets, rows)]
         except ValueError:
             raise StateError("journal record 0's index is malformed") from None
-        bounds = [offset - len(text) for offset, text in zip(offsets, texts)]
-        found = [data[bound:offset] for bound, offset in zip(bounds, offsets)]
-        if found != texts:
-            raise _misplaced(next(row[:_AT].rstrip() for row, f, t in zip(rows, found, texts)
-                                  if f != t))
-        return rows, offsets, [*bounds, end], data
+        return rows, offsets, ends, data
 
 
 class _UnitList(Sequence):
@@ -433,7 +381,7 @@ class _UnitList(Sequence):
         """The list's bytes (a view) followed by ``items``, and their digest:
         [a,b] then [c] is [a,b,c].  With ``items``, one hash over the list's
         bytes both checks them and digests the result."""
-        _, raw, stored = self._rows.stored(self._i)
+        raw, stored = self._rows.stored(self._i)
         if not items:
             return (raw,), stored
         pieces = (raw[:-1], b"," + dumps(items)[1:])
@@ -447,7 +395,7 @@ class _UnitList(Sequence):
 
     def _decoded(self) -> list:
         if self._items is None:
-            items = json.loads(self._rows.checked(self._i)[1])
+            items = json.loads(self._rows.checked(self._i))
             if type(items) is not list or len(items) != self._count:
                 raise StateError(f"journal record 0 does not hold the {self._count} items its "
                                  "index gives a list")
@@ -461,26 +409,27 @@ class _UnitList(Sequence):
         return iter(self._decoded())
 
 
-def _frame(data: bytes, end: int) -> tuple[bytes, int, int, int, bytes]:
-    """Record 0's header, where its rows start and end, where its stored
-    digest lies, and the digest its header, rows and trailer numbers hash to."""
+def _frame(data: bytes, end: int) -> tuple[int, int, int, int, bytes]:
+    """Where record 0's units start, where its rows start and end, where its
+    stored digest lies, and the digest its line up to the units, its rows and
+    its trailer's numbers hash to."""
     trailer = end - len(_LINE_END) - _TRAILER
     if (not data.startswith(LINE_HEAD) or not data.startswith(LINE_MID, _BODY - len(LINE_MID))
             or not data.startswith(_LINE_END, end - len(_LINE_END), end)
             or not data.startswith(_TRAILER_HEAD, trailer - len(_TRAILER_HEAD), trailer)):
         raise ValueError("not a journal line with a unit index")
-    numbers = data[trailer:trailer + _CUTS + _NUMBER]
+    numbers = data[trailer:trailer + 2 * _NUMBER]
     if not numbers.isdigit():
         raise ValueError("the index trailer is malformed")
-    rows_at, rows_end = int(numbers[_CUTS:]), trailer - len(_TRAILER_HEAD)
-    if (not _BODY < rows_at <= rows_end or (rows_end - rows_at) % _ROW
+    units_at, rows_at = int(numbers[:_NUMBER]), int(numbers[_NUMBER:])
+    rows_end = trailer - len(_TRAILER_HEAD)
+    if (not _BODY + len(_UNITS_HEAD) <= units_at <= rows_at - len(_ROWS_HEAD) <= rows_end
+            or (rows_end - rows_at) % _ROW
+            or not data.startswith(_UNITS_HEAD, units_at - len(_UNITS_HEAD), units_at)
             or not data.startswith(_ROWS_HEAD, rows_at - len(_ROWS_HEAD), rows_at)):
         raise ValueError("the unit index is misplaced")
-    cuts = [(int(numbers[i:i + _NUMBER]), int(numbers[i + _NUMBER:i + 2 * _NUMBER]))
-            for i in range(0, _CUTS, 2 * _NUMBER)]
-    header = _header(data, cuts, rows_at - len(_ROWS_HEAD))
-    seal = _seal(header, memoryview(data)[rows_at:rows_end], numbers)
-    return header, rows_at, rows_end, trailer + _CUTS + _NUMBER, seal
+    seal = _digest(memoryview(data)[:units_at], memoryview(data)[rows_at:rows_end], numbers)
+    return units_at, rows_at, rows_end, trailer + 2 * _NUMBER, seal
 
 
 @parses(StateError, "malformed journal record 0")
@@ -490,21 +439,19 @@ def decode_record0(data: bytes, end: int) -> tuple[bytes, dict]:
     Only the header is parsed here; each unit is checked and decoded when a
     section object is asked for it.
     """
-    header, rows_at, rows_end, seal_at, seal = _frame(data, end)
+    units_at, rows_at, rows_end, seal_at, seal = _frame(data, end)
     if data[seal_at:seal_at + _DIGEST] != seal:
         raise ValueError("its header or index does not match its digest")
-    record = json.loads(header)
+    record = json.loads(data[_BODY:units_at - len(_UNITS_HEAD)])
     _check_record(record)
     rows = _Rows(data, rows_at, (rows_end - rows_at) // _ROW)
-    for path, kind, container in _SECTIONS:
-        holder = record
-        for key in path[:-1]:
-            holder = holder[key]
+    for parent, name, kind, container in _SECTIONS:
+        holder = record[parent]
         if holder is None:
             continue  # no ledger
-        if type(holder[path[-1]]) is not container or holder[path[-1]]:
-            raise ValueError(f"its {'.'.join(path)} section is not indexed")
-        holder[path[-1]] = (_UnitMap if container is dict else _UnitList)(rows, kind)
+        if type(holder[name]) is not container or holder[name]:
+            raise ValueError(f"its {parent}.{name} section is not indexed")
+        holder[name] = (_UnitMap if container is dict else _UnitList)(rows, kind)
     return bytes.fromhex(data[len(LINE_HEAD):len(LINE_HEAD) + 64].decode()), record
 
 

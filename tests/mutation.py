@@ -88,3 +88,16 @@ def resealed(line: bytes) -> bytes:
     and index recomputed, as an editor who knows the layout would."""
     *_, seal_at, seal = statefile._frame(line, len(line) - 1)
     return line[:seal_at] + seal + line[seal_at + len(seal):]
+
+
+def whole_record0(data: bytes) -> dict:
+    """Record 0 of the state file ``data`` as ``{"h", "r"}``, read through
+    the codec: ``r`` is the whole state, each map by id hex and each list a
+    list, as a later record holds them."""
+    h, record = statefile.decode_record0(data, data.index(b"\n"))
+    for parent, name, _, container in statefile._SECTIONS:
+        if record[parent] is not None:
+            section = record[parent][name]
+            record[parent][name] = ({i.hex(): section[i] for i in section} if container is dict
+                                    else list(section))
+    return {"h": h.hex(), "r": record}

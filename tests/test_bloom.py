@@ -72,13 +72,6 @@ def test_observed_fpr_near_design(rng):
     assert 0.004 <= fpr <= 0.02, fpr
 
 
-def test_estimated_fpr_formula():
-    filt = BloomFilter.create(1000, 0.01)
-    filt.n_inserted = 1000
-    expected = (1 - math.exp(-filt.k * 1000 / filt.m)) ** filt.k
-    assert abs(filt.estimated_fpr() - expected) < 1e-12
-
-
 def test_serialization_roundtrip_byte_exact(rng):
     filt = BloomFilter.create(500, 0.02)
     for _ in range(300):

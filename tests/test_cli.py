@@ -21,7 +21,7 @@ from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
 from edgevault.simnet import SimScenario, SimStep, builtin_scenarios
 
-from mutation import resealed
+from mutation import resealed, whole_record0
 
 
 @pytest.fixture
@@ -50,8 +50,7 @@ def _document(state):
 
 def _record0(state):
     """The first line of the state file: ``{"h", "r"}``, ``r`` the whole state."""
-    with open(state / "zone.json", "rb") as f:
-        return json.loads(f.readline())
+    return whole_record0((state / "zone.json").read_bytes())
 
 
 def _write_document(state, document):
@@ -243,10 +242,10 @@ def _with_used_points(state):
     the clear: ``used_points`` in record 0's ledger and in each record that
     adds entries, every later line re-chained."""
     points = iter([hex(x), hex(y)] for x, y in _unsealed_points(state))
-    lines = (state / "zone.json").read_bytes().splitlines()
+    data = (state / "zone.json").read_bytes()
     h, out = None, []
-    for line in lines:
-        d = json.loads(line)
+    for i, line in enumerate(data.splitlines()):
+        d = whole_record0(data) if i == 0 else json.loads(line)
         ledger = d["r"]["ledger"]
         if ledger is not None and "entries" in ledger:
             ledger["used_points"] = [next(points) for _ in ledger["entries"]]
@@ -1295,8 +1294,8 @@ def _to_earlier_layout(state, layout):
     section lists the keys and spreads each context over four sections."""
     sections = _document(state)
     if layout == "snapshot-and-journal":
-        first, rest = (state / "zone.json").read_bytes().split(b"\n", 1)
-        first = json.loads(first)
+        data = (state / "zone.json").read_bytes()
+        first, rest = whole_record0(data), data.split(b"\n", 1)[1]
         tip = {"seq": first["r"].pop("seq"), "h": first["h"]}
         (state / "zone.json").write_text(json.dumps({**first["r"], "journal": tip}))
         (state / "journal.jsonl").write_bytes(rest)

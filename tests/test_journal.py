@@ -29,6 +29,8 @@ from edgevault.curves import standard_curve, tiny_curve
 from edgevault.ledger import IdentityLedger
 from edgevault.securezone import SecureZone
 
+from mutation import whole_record0
+
 
 def _invoke(state, *args):
     return CliRunner().invoke(main, ["--state-dir", str(state), *map(str, args)],
@@ -247,16 +249,19 @@ def test_crash_at_any_effect_leaves_the_state_before_or_after(
     assert files == _files(state)  # the last crash state is the dir the command left
 
 
+def _rows(line):
+    """Record 0's index rows, not checked: (kind and id, offset, length, digest)."""
+    rows = json.loads(line)["u"].encode()
+    for at in range(0, len(rows), statefile._ROW):
+        row = rows[at:at + statefile._ROW]
+        yield row[:65].rstrip(), int(row[65:75]), int(row[75:85]), row[85:]
+
+
 def _units(data):
     """Record 0's units, read through its index: (bytes, digest) by kind and id."""
     line = data.split(b"\n", 1)[0]
-    rows = json.loads(line)["u"].encode()
-    units = {}
-    for at in range(0, len(rows), statefile._ROW):
-        row = rows[at:at + statefile._ROW]
-        offset, length = int(row[65:75]), int(row[75:85])
-        units[row[:65].rstrip()] = (line[offset:offset + length], row[85:])
-    return units
+    return {key: (line[offset:offset + length], digest)
+            for key, offset, length, digest in _rows(line)}
 
 
 # --- torn tails and tampering --------------------------------------------------------
@@ -583,17 +588,18 @@ def test_reading_the_state_before_a_save_leaves_its_record_unchanged(journaled, 
 # --- record 0's unit index ---------------------------------------------------------
 
 
-def _edit_unit(state, path, edit):
-    """Edit in place, keeping its length, the unit at ``path`` of record 0's
-    ``r`` (a key or context by id); the index is left as it was."""
+def _edit_unit(state, kind, unit_id, edit):
+    """Edit in place, keeping its length, record 0's unit of ``kind`` (``k``
+    a key, ``c`` a context) and id, found through its row and not checked;
+    the index is left as it was."""
     data = (state / "zone.json").read_bytes()
     line, rest = data.split(b"\n", 1)
-    unit = json.loads(line)["r"]
-    for key in path:
-        unit = unit[key]
-    old, new = statefile.dumps(unit), statefile.dumps(edit(unit))
-    assert len(new) == len(old) and line.count(old) == 1
-    (state / "zone.json").write_bytes(line.replace(old, new) + b"\n" + rest)
+    key = (kind + unit_id).encode()
+    offset, length = next((offset, length) for k, offset, length, _ in _rows(line) if k == key)
+    old = line[offset:offset + length]
+    new = statefile.dumps(edit(json.loads(old)))
+    assert len(new) == len(old)
+    (state / "zone.json").write_bytes(line[:offset] + new + line[offset + length:] + b"\n" + rest)
 
 
 def _older_sequence(unit):
@@ -645,13 +651,13 @@ def test_an_edited_unit_of_record_0_is_state_error(replayed, later_line, unit):
         assert (state / "zone.json").read_bytes().count(b"\n") == 2
     kek = _load(state)["zone"]["kek_id"]
     if unit == "context-last-seen":
-        _edit_unit(state, ["zone", "contexts", context], _older_sequence)
+        _edit_unit(state, "c", context, _older_sequence)
     elif unit == "kek-nonce-counter":
-        _edit_unit(state, ["zone", "keys", kek], _older_nonce)
+        _edit_unit(state, "k", kek, _older_nonce)
     else:
         data = (state / "zone.json").read_bytes()
-        line = json.loads(data.split(b"\n", 1)[0])
-        last_seen = statefile.dumps(line["r"]["zone"]["contexts"][context]["last_seen"])
+        contexts = whole_record0(data)["r"]["zone"]["contexts"]
+        last_seen = statefile.dumps(contexts[context]["last_seen"])
         assert data.count(last_seen) == 1
         (state / "zone.json").write_bytes(data.replace(last_seen, b"null"))
     before = _files(state)
@@ -671,23 +677,32 @@ def _rolled_back_tsa(line):
     return line.replace(old, new)
 
 
-def _edited_row_digest(line):
-    """The first row's digest with one hex digit changed."""
-    at = line.index(b',"u":"') + 6 + statefile._ROW - 1
+def _flipped(line, at):
+    """``line`` with the hex digit at ``at`` changed."""
     return line[:at] + (b"0" if line[at:at + 1] != b"0" else b"1") + line[at + 1:]
 
 
-def _moved_cut(line):
-    """The start of the first section's range one byte later."""
-    at = line.index(b'","t":"') + 7 + statefile._NUMBER - 1
-    return line[:at] + bytes([line[at] ^ 1]) + line[at + 1:]
+def _edited_h(line):
+    """Record 0's h with its first hex digit changed."""
+    return _flipped(line, len(statefile.LINE_HEAD))
 
 
-@pytest.mark.parametrize("edit", [_rolled_back_tsa, _edited_row_digest, _moved_cut],
-                         ids=["header", "index", "trailer"])
+def _edited_row_digest(line):
+    """The first row's digest with one hex digit changed."""
+    return _flipped(line, line.index(b',"u":"') + 6 + statefile._ROW - 1)
+
+
+def _edited_seal(line):
+    """The trailer's digest with one hex digit changed."""
+    return _flipped(line, len(line) - len(b'"}') - 1)
+
+
+@pytest.mark.parametrize("edit", [_edited_h, _rolled_back_tsa, _edited_row_digest, _edited_seal],
+                         ids=["h", "header", "index", "trailer"])
 def test_an_edited_header_or_index_of_record_0_is_state_error(journaled, edit):
-    """Record 0's header (r without its units), its rows and its trailer's
-    numbers are covered by one digest, checked by every load."""
+    """Record 0's line up to its units (h and the header, r without its
+    units), its rows and its trailer's numbers are covered by one digest,
+    checked by every load."""
     journal = journaled / "zone.json"
     line, rest = journal.read_bytes().split(b"\n", 1)
     journal.write_bytes(edit(line) + b"\n" + rest)
@@ -703,15 +718,14 @@ def test_an_edited_header_or_index_of_record_0_is_state_error(journaled, edit):
 
 
 def test_a_dir_without_a_unit_index_is_refused_and_left_as_it_was(journaled):
-    """Record 0 in the layout before the index: the same ``{"h", "r"}`` line,
-    ``r`` byte for byte the same, with nothing after it."""
+    """Record 0 in the layout before the index: an ``{"h", "r"}`` line, ``r``
+    the whole state, with nothing after it."""
     journal = journaled / "zone.json"
     data = journal.read_bytes()
-    first, rest = data.split(b"\n", 1)
-    line = json.loads(first)
+    line = whole_record0(data)
     body = statefile.dumps(line["r"])
-    assert body in first
-    journal.write_bytes(statefile.encode_line(bytes.fromhex(line["h"]), body) + rest)
+    journal.write_bytes(statefile.encode_line(bytes.fromhex(line["h"]), body)
+                        + data.split(b"\n", 1)[1])
     before = _files(journaled)
     for args in (("keys", "generate"), ("ledger", "verify"), ("ledger", "init", "--group", "g")):
         r = _invoke(journaled, *args)
@@ -744,7 +758,7 @@ def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch
     monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     _run(journaled, "keys", "generate", "--seed", 4)  # every key now in record 0
     key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 5).output)["key_id"]
-    _edit_unit(journaled, ["zone", "keys", key_id], lambda unit: {**unit, "uses": 9})
+    _edit_unit(journaled, "k", key_id, lambda unit: {**unit, "uses": 9})
     _run(journaled, "ledger", "register", "alpha", "--seed", 10)  # copies the edited key
     assert _units((journaled / "zone.json").read_bytes())[b"k" + key_id.encode()][0].count(
         b'"uses":9') == 1
@@ -757,7 +771,7 @@ def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch
     assert _files(journaled) == before
 
     # the audit is extended by every command, so an edited audit is refused at the next compaction
-    _edit_unit(journaled, ["zone", "keys", key_id], lambda unit: {**unit, "uses": 0})
+    _edit_unit(journaled, "k", key_id, lambda unit: {**unit, "uses": 0})
     data = (journaled / "zone.json").read_bytes()
     entry = b'"op":"generate_key","outcome":"ok"'
     assert data.count(entry) > 1
@@ -770,27 +784,66 @@ def test_compaction_copies_an_edited_unit_with_its_digest(journaled, monkeypatch
     assert _files(journaled) == before
 
 
-def test_an_edited_id_text_in_record_0_is_refused_and_the_dir_left_as_it_was(journaled,
-                                                                           monkeypatch):
-    """One hex letter of the id text before a key: a command that decodes
-    the key refuses it, and so does a compaction, which would copy the key
-    under the edited text, though it decodes no key."""
+def test_record_0_parses_as_json_and_names_each_unit_only_in_its_row(journaled, monkeypatch):
+    """A compacted dir's keys and contexts lie in ``d`` with no ``"<id>":``
+    text before them; only the sealed rows give their ids."""
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    _run(journaled, "keys", "split", key_id, "--device", "alpha", "--order", 16,
+         "-o", journaled.parent / "alpha.json")
+    monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
+    _run(journaled, "keys", "generate", "--seed", 5)
+    line = (journaled / "zone.json").read_bytes()
+    assert line.count(b"\n") == 1
+    whole = whole_record0(line)["r"]["zone"]
+    ids = [*whole["keys"], *whole["contexts"]]
+    assert len(whole["contexts"]) == 1 and len(whole["keys"]) == 8
+    assert len(json.loads(line)["d"]) == len(ids) + 2  # and the audit and the entries
+    assert not any(b'"%s":' % unit_id.encode() in line for unit_id in ids)
+
+
+def test_an_edited_id_in_a_row_of_record_0_is_refused_until_it_is_flipped_back(journaled,
+                                                                               monkeypatch):
+    """A unit's id lives only in its row, and the rows are sealed: one digit
+    of a key's id in its row is refused by every command, and the dir loads
+    again once the digit is flipped back."""
     monkeypatch.setattr(statefile, "COMPACT_BYTES", 0)
     key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
-    data = (journaled / "zone.json").read_bytes()
-    text = f'"{key_id}":'.encode()
-    hexits = "0123456789abcdef"
-    edited = f'"{hexits[hexits.index(key_id[0]) ^ 1]}{key_id[1:]}":'.encode()
-    assert data.count(text) == 1
-    (journaled / "zone.json").write_bytes(data.replace(text, edited))
+    monkeypatch.undo()
+    journal = journaled / "zone.json"
+    data = journal.read_bytes()
+    at = data.index(b"k%s " % key_id.encode()) + 1 + next(
+        i for i, c in enumerate(key_id) if c.isdigit())
+    journal.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
     before = _files(journaled)
-    for args in (("keys", "generate"), ("keys", "split", key_id, "--context", "11" * 32)):
+    split = ("keys", "split", key_id, "--context", "11" * 32, "--order", 16)
+    for args in (("keys", "generate"), split):
         r = _invoke(journaled, *args)
         assert r.exit_code == 1, r.output
         err = json.loads(r.output.strip().splitlines()[-1])["error"]
         assert err["code"] == "corrupted-state"
-        assert f"unit k{key_id} of journal record 0 is not under its id" in err["message"]
+        assert "malformed journal record 0: its header or index does not match its digest" in (
+            err["message"])
         assert _files(journaled) == before
+    journal.write_bytes(data)
+    _run(journaled, *split)
+
+
+def test_a_dir_in_the_previous_layout_is_refused_and_left_as_it_was(tmp_path):
+    """A dir written before record 0's units moved out of ``r`` (``ledger
+    init --group g --preset tiny --seed 1``, then ``ledger register a --seed
+    2``): its units lie in ``r``, and its trailer gives four section ranges."""
+    state = tmp_path / "state"
+    shutil.copytree(pathlib.Path(__file__).parent / "old-layouts" / "units-in-r", state)
+    before = _files(state)
+    assert list(before) == ["zone.json"] and len(before["zone.json"]) == 3485
+    for args in (("keys", "generate"), ("ledger", "verify")):
+        r = _invoke(state, *args)
+        assert r.exit_code == 1, r.output
+        err = json.loads(r.output.strip().splitlines()[-1])["error"]
+        assert err["code"] == "corrupted-state"
+        assert "malformed journal record 0: not a journal line with a unit index" in err["message"]
+        assert _files(state) == before
 
 
 def _built_dir(root, devices):

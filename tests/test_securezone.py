@@ -112,13 +112,6 @@ def test_split_roles_edge_1_cloud_2(zone):
     _, result = _distributed(zone)
     assert result.edge_share.index == 1
     assert result.cloud_share.index == 2
-    assert zone.edge_share_for(CTX).index == 1
-
-
-def test_edge_share_for_an_unknown_context_is_unknown_key(zone):
-    _distributed(zone)
-    with pytest.raises(UnknownKeyError):
-        zone.edge_share_for(bytes([1]) * 32)
 
 
 def test_split_moves_state_to_distributed(zone):
@@ -373,8 +366,8 @@ def test_fuzzed_forgeries_never_accepted(zone, tsa, rng):
 def test_audit_log_counts_mutations(zone, tsa):
     base = len(zone.audit_log)  # zone init creates 3 infrastructure keys
     key_id = zone.generate_key("data-encryption", rng_seed=1)
-    zone.split_and_distribute(key_id, CTX, rng_seed=2)  # logs wrap + split
-    zone.authorize_transaction(CTX, zone.edge_share_for(CTX), tsa.issue())
+    result = zone.split_and_distribute(key_id, CTX, rng_seed=2)  # logs wrap + split
+    zone.authorize_transaction(CTX, result.edge_share, tsa.issue())
     log = zone.audit_log
     assert len(log) == base + 4
     assert [e["sequence"] for e in log] == list(range(len(log)))

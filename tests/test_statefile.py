@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from edgevault import cli, statefile
 from edgevault.errors import StateError
 
-from mutation import resealed
+from mutation import resealed, whole_record0
 
 KEY, OTHER, CONTEXT = "aa" * 16, "bb" * 16, "cc" * 32
 
@@ -45,9 +45,18 @@ def _decoded(line):
 
 
 def test_record_0_is_its_record_with_an_index_and_decodes_to_it():
+    """``r`` is the record with its unit sections empty, ``d`` the units in
+    row order; no id of a key or context is written before its unit."""
     line = _line()
-    assert json.loads(line)["r"] == RECORD
-    assert statefile.dumps(RECORD) in line
+    document = json.loads(line)
+    assert list(document) == ["h", "r", "d", "u", "t"]
+    empty = {**RECORD, "zone": {**RECORD["zone"], "keys": {}, "contexts": {}, "audit": []},
+             "ledger": {**RECORD["ledger"], "entries": []}}
+    assert document["r"] == empty
+    assert document["d"] == [RECORD["zone"]["audit"], RECORD["zone"]["contexts"][CONTEXT],
+                             RECORD["ledger"]["entries"], *RECORD["zone"]["keys"].values()]
+    assert all(b'"%s":' % unit_id.encode() not in line for unit_id in (KEY, OTHER, CONTEXT))
+    assert whole_record0(line)["r"] == RECORD
     h, record = _decoded(line)
     assert h == b"\x07" * 32 and record["seq"] == 4 and record["tsa"] == RECORD["tsa"]
     zone = record["zone"]
@@ -103,10 +112,12 @@ def test_a_trailer_that_is_not_digits_is_refused():
     _refused(line[:at] + b"x" + line[at + 1:], "the index trailer is malformed")
 
 
-def test_a_section_range_outside_r_is_refused():
+def test_a_trailer_number_that_does_not_point_at_its_field_is_refused():
+    """Where the units start and where the rows start, each moved."""
     line = _line()
-    at = _trailer_at(line)
-    _refused(line[:at] + b"9" * 10 + line[at + 10:], "the section ranges overlap or leave r")
+    for at in (_trailer_at(line), _trailer_at(line) + statefile._NUMBER):
+        for moved in (b"0" * 10, b"9" * 10, b"%010d" % (int(line[at:at + 10]) - 1)):
+            _refused(line[:at] + moved + line[at + 10:], "the unit index is misplaced")
 
 
 def _rows_at(line):
@@ -163,36 +174,42 @@ def test_a_map_whose_ids_are_not_hex_is_left_in_the_header_and_refused():
     _refused(line, r"its zone\.keys section is not indexed")
 
 
-def _replaced(line, old, new):
-    """``line`` with the bytes ``old`` in the keys section replaced by ``new``;
-    the index is left as it was."""
-    assert line.count(old) == 1 and len(new) == len(old)
-    return line.replace(old, new)
+@pytest.mark.parametrize("document", [[RECORD], None, {**RECORD, "zone": 7, "ledger": None}],
+                         ids=["a-list", "null", "a-zone-that-is-no-object"])
+def test_a_document_with_nothing_to_index_is_kept_in_the_header_and_refused(document):
+    """The codec writes any JSON document; what it cannot index stays in the
+    header, and a load refuses it with the state's error."""
+    line = _line(document)
+    assert json.loads(line)["r"] == document and json.loads(line)["d"] == []
+    with pytest.raises(StateError, match="^malformed journal record 0: "):
+        _decoded(line)
 
 
-@pytest.mark.parametrize("old, new, unit", [
-    (f'{{"{KEY}":', f'{{"{"ab" * 16}":', KEY),  # the first unit of the map
-    (f'"{OTHER}":', f'"{"ee" * 16}":', OTHER),
-    (f',"{OTHER}":', f' "{OTHER}":', None),  # the comma before OTHER: no id text changes
-], ids=["first-id-text", "id-text", "comma"])
-def test_an_id_text_or_comma_that_the_index_does_not_give_is_refused(old, new, unit):
-    """No digest covers the bytes between the units of a map, so the id text
-    before a unit is checked against its row when the unit is decoded, and
-    every id text and comma between the units when a rewrite copies them."""
-    line = _replaced(_line(), old.encode(), new.encode())
-    _, record = _decoded(line)  # the header and index still match their digest
+def test_a_section_that_is_not_its_container_is_left_in_the_header_and_refused():
+    line = _line({**RECORD, "zone": {**RECORD["zone"], "keys": [{}]}})
+    assert b'"keys":[{}]' in line
+    _refused(line, r"its zone\.keys section is not indexed")
+
+
+def test_an_edited_comma_between_two_units_is_refused_only_by_a_copy_of_them():
+    """No digest covers the commas between the units of ``d``: each unit is
+    found by its row, so both still decode, but a rewrite that would copy
+    them as one run refuses."""
+    sep = b',{"uses":0}'
+    line = _line()
+    assert line.count(sep) == 1
+    _, record = _decoded(line.replace(sep, b" " + sep[1:]))
     keys = record["zone"]["keys"]
-    if unit is None:
-        assert keys[bytes.fromhex(OTHER)] == RECORD["zone"]["keys"][OTHER]
-    else:
-        with pytest.raises(StateError, match=f"^unit k{unit} of journal record 0 is not under "
-                                             "its id$"):
-            keys[bytes.fromhex(unit)]
-    changes = {**RECORD, "zone": {**RECORD["zone"], "keys": {}, "audit": []},
+    assert [keys[unit_id] for unit_id in keys] == list(RECORD["zone"]["keys"].values())
+    changes = {**RECORD, "zone": {**RECORD["zone"], "keys": {}, "contexts": {}, "audit": []},
                "ledger": {**RECORD["ledger"], "entries": []}}
-    with pytest.raises(StateError, match=f"^unit k{unit or OTHER} of journal record 0 is not "
-                                         "under its id$"):
+    with pytest.raises(StateError, match=f"^unit k{OTHER} of journal record 0 is not one comma "
+                                         "after the unit before it$"):
         statefile.encode_record0(b"\x07" * 32, changes, record)
+    # a rewrite that encodes either unit again copies no run across the comma
+    rewritten = {**changes, "zone": {**changes["zone"], "keys": {OTHER: {"uses": 1}}}}
+    _, record = _decoded(statefile.encode_record0(b"\x07" * 32, rewritten, record))
+    assert record["zone"]["keys"][bytes.fromhex(OTHER)] == {"uses": 1}
 
 
 # --- a rewrite over a base is the whole rewrite --------------------------------------
