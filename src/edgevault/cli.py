@@ -2,8 +2,8 @@
 ``keys``, ``qg``, ``profile``, ``filter`` and ``sim``.
 
 State lives in one directory (``--state-dir`` or ``EDGEVAULT_STATE_DIR``,
-default ``.edgevault``); :mod:`edgevault.statefile` owns it: the layout of its
-one file, the lock, the load and the commit of each mutating command.
+default ``.edgevault``); :mod:`edgevault.statefile` owns it: its one SQLite
+file, and the load and the one-transaction commit of each mutating command.
 
 Exit codes are frozen so shell tests need no output parsing:
 0 success / chain valid / transaction accepted; 2 ledger tamper detected;
@@ -63,9 +63,9 @@ class AppState(statefile.StateDir):
         self.fmt = fmt
 
     def load_ledger(self, zone: SecureZone | None = None) -> IdentityLedger:
-        """A session ``zone``'s ledger or, with no zone, the ledger alone from
-        every record's ledger section, with no zone decoded.  Exit 2 with the
-        index of the first bad entry if its chain does not verify."""
+        """A session ``zone``'s ledger or, with no zone, the ledger alone, with
+        no zone decoded.  Exit 2 with the index of the first bad entry if its
+        chain does not verify."""
         ledger = zone.ledger if zone is not None else self.read_ledger()
         if ledger is None:
             raise StateError(f"no ledger in {self.zone_path}; run 'ledger init' first")

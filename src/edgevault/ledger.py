@@ -162,7 +162,6 @@ class IdentityLedger:
         # the entries (JSON) of the state the ledger was loaded from, a
         # sequence that may decode them on first use; None for a ledger never stored
         self._base: Optional[Sequence] = None
-        self._added: list = []  # the stored entries after those
 
     @property
     def entries(self) -> list[LedgerEntry]:
@@ -184,8 +183,11 @@ class IdentityLedger:
 
         The first call unseals every entry under ``point_key`` to learn the
         points already taken; an entry that does not unseal is a corrupted
-        state.  Nonces are derived from (group, label, seed); labels are
-        unique per group, which keeps nonces unique per key.
+        state.  Each nonce is a 4-byte tag derived from (group, label,
+        seed) followed by a counter of 0, so only 32 bits vary between the
+        nonces sealed under the one point key: by the birthday bound two
+        devices share a nonce with probability about 1% at 9,300 devices
+        and about 50% at 77,000.
         """
         entries = self.entries
         if device_label in self._labels:
@@ -277,11 +279,10 @@ class IdentityLedger:
         """Full edge-side state: the group, the curve and the entries.  With
         ``whole=False``, only the entries after those of the state the
         ledger was loaded from."""
+        entries = []
         if whole or self._entries is not None:
             start = 0 if whole or self._base is None else len(self._base)
             entries = [e.to_json_dict(i) for i, e in enumerate(self.entries[start:], start)]
-        else:
-            entries = self._added
         return {"group_id": self.group_id, "curve": self.curve.to_json_dict(), "entries": entries}
 
     @classmethod
@@ -307,7 +308,7 @@ class IdentityLedger:
 
     @parses(StateError, "corrupted ledger state")
     def _decode(self):
-        entries = [LedgerEntry.from_json_dict(ed) for ed in (*self._base, *self._added)]
+        entries = [LedgerEntry.from_json_dict(ed) for ed in self._base]
         self._labels = {entry.device_label for entry in entries}
         self._entries = entries
 
@@ -316,18 +317,10 @@ class IdentityLedger:
         if it was never stored."""
         if self._base is None:
             return self.state_dict()
-        stored = len(self._base) + len(self._added)
+        stored = len(self._base)
         if self._entries is None or len(self._entries) == stored:
             return {}
         return {"entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)]}
-
-    @parses(StateError, "corrupted ledger changes")
-    def apply(self, changes: dict):
-        """Merge :meth:`changes` into a loaded ledger before it is used."""
-        added = changes.get("entries", [])
-        if not isinstance(added, list):
-            raise ValueError("entries must be a list")
-        self._added += added
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:
         for entry in self.entries:

@@ -12,9 +12,9 @@ ledger unseals with it to keep them unique, stay inside the boundary.
 The state written from :meth:`SecureZone.state_dict` emulates the HSM's
 internal tamper-proof storage; it is not an exported artifact and must be
 treated as inside the boundary.  It holds the keys and the contexts as maps
-from id to unit; :meth:`SecureZone.changes` gives the same maps of what
-changed, and :meth:`SecureZone.apply` is the one parser of both.  A loaded
-zone decodes each key and context from its unit the first time it is used.
+from id to unit, and ``state_dict(whole=False)`` gives the same maps of what
+changed.  A loaded zone decodes each key and context from its unit the first
+time it is used.
 """
 
 from __future__ import annotations
@@ -117,28 +117,22 @@ class _Units:
 
     The unit is the only layout.  A zone loaded from a state holds that
     state's units as its base, a mapping by id that may decode each unit
-    only when it is asked for it, and merges the units or changed fields of
-    later records over them; :meth:`units`, :meth:`rewritten` and
-    :meth:`changes` give ``{id hex: unit}`` maps of every record, of every
-    record that differs from the base, or of what changed.  A command
-    therefore decodes only the records it reads, and a decoder is given the
-    id its unit is stored under.
+    only when it is asked for it; :meth:`units` and :meth:`rewritten` give
+    ``{id hex: unit}`` maps of every record or of every record whose unit
+    changed.  A command therefore decodes only the records it reads, and a
+    decoder is given the id its unit is stored under.
     """
 
-    __slots__ = ("_base", "stored", "_live", "_decode", "_encode")
+    __slots__ = ("_base", "_live", "_decode", "_encode")
 
     def __init__(self, decode, encode, base=None):
         self._base = {} if base is None else base
-        self.stored: dict[bytes, dict] = {}  # later records' changes, merged over the base
         self._live: dict = {}
         self._decode, self._encode = decode, encode
 
     @parses(StateError, "corrupted zone units")
     def _unit(self, item_id: bytes) -> dict | None:
-        unit, changed = self._base.get(item_id), self.stored.get(item_id)
-        if changed is None:
-            return unit
-        return changed if unit is None else {**unit, **changed}
+        return self._base.get(item_id)
 
     def get(self, item_id: bytes, default=None):
         item = self._live.get(item_id)
@@ -159,12 +153,11 @@ class _Units:
         self._live[item_id] = item
 
     def __contains__(self, item_id) -> bool:
-        return item_id in self._live or item_id in self.stored or item_id in self._base
+        return item_id in self._live or item_id in self._base
 
     @parses(StateError, "corrupted zone units")
     def __iter__(self):
         ids = dict.fromkeys(self._base)
-        ids.update(dict.fromkeys(self.stored))
         ids.update(dict.fromkeys(self._live))
         return iter(list(ids))
 
@@ -180,29 +173,14 @@ class _Units:
         return {i.hex(): self._encoded(i) for i in self}
 
     def rewritten(self) -> dict[str, dict]:
-        """The unit of every record that a later record changed or this
-        command used: the records whose base unit may be out of date."""
-        return {i.hex(): self._encoded(i) for i in {**self.stored, **self._live}}
-
-    def changes(self) -> dict[str, dict]:
-        """The unit of each new record and the changed fields of each changed
-        one, by id, in the order the records were first used."""
-        changed = {}
+        """The unit of every record this command used that is new or whose
+        unit differs from the stored one."""
+        rewritten = {}
         for item_id, item in self._live.items():
-            unit, old = self._encode(item), self._unit(item_id)
-            if old is not None:
-                unit = {f: v for f, v in unit.items() if old.get(f) != v}
-            if unit:
-                changed[item_id.hex()] = unit
-        return changed
-
-    def apply(self, changed: dict):
-        """Merge :meth:`changes` into the stored units; a changed record is
-        decoded again when next used."""
-        for item_id, unit in changed.items():
-            item_id = bytes.fromhex(item_id)
-            self.stored[item_id] = {**self.stored.get(item_id, {}), **unit}
-            self._live.pop(item_id, None)
+            unit = self._encode(item)
+            if unit != self._unit(item_id):
+                rewritten[item_id.hex()] = unit
+        return rewritten
 
 
 @parses(StateError, "corrupted key")
@@ -232,7 +210,11 @@ def _encode_key(key: ManagedKey) -> dict:
 
 
 def _stored_key_id(keys: _Units, key_id_hex: str) -> bytes:
-    return keys[bytes.fromhex(key_id_hex)].key_id
+    """The id of a stored key, which is decoded when it is first used."""
+    key_id = bytes.fromhex(key_id_hex)
+    if key_id not in keys:
+        raise KeyError(f"no key {key_id_hex}")
+    return key_id
 
 
 @parses(StateError, "corrupted context")
@@ -300,7 +282,6 @@ class SecureZone:
         self._contexts = _Units(partial(_decode_context, self._keys), _encode_context)
         self._audit_base: Sequence = ()  # the audit of the state the zone was loaded from
         self._audit: list[dict] = []  # the entries after it
-        self._stored_audit = 0
         self._op_counter = 0
         self.ledger: Optional[IdentityLedger] = None
         # infrastructure keys: one KEK and one share-sealing key per zone
@@ -513,9 +494,8 @@ class SecureZone:
         """Full internal state for zone-internal persistence (see module doc).
 
         With ``whole=False``, only what differs from the state the zone was
-        loaded from: the keys and contexts that a later change or this
-        process touched (whole units) and the audit entries after the
-        loaded ones.
+        loaded from: the keys and contexts that are new or changed (whole
+        units) and the audit entries after the loaded ones.
         """
         return {
             "op_counter": self._op_counter,
@@ -539,7 +519,7 @@ class SecureZone:
     @parses(StateError, "corrupted zone state")
     def lazy_from_state_dict(cls, d: dict, tsa: TimestampAuthority) -> "SecureZone":
         """A zone over its stored state that decodes each key and context the
-        first time it is used, and the three infrastructure keys now.
+        first time it is used; the three infrastructure keys must exist.
 
         The keys and contexts are maps from id hex to unit, or mappings from
         id to unit that decode a unit when it is asked for it; the audit is a
@@ -552,30 +532,9 @@ class SecureZone:
                                 _stored_units(d["contexts"]))
         zone._op_counter = _op_counter(d["op_counter"])
         zone._audit_base = _audit_list(d["audit"])
-        zone._audit, zone._stored_audit = [], 0
+        zone._audit = []
         zone._kek_id = _stored_key_id(zone._keys, d["kek_id"])
         zone._share_key_id = _stored_key_id(zone._keys, d["share_key_id"])
         zone._point_key_id = _stored_key_id(zone._keys, d["point_key_id"])
         zone.ledger = None
         return zone
-
-    def changes(self) -> dict:
-        """What changed since the zone was loaded: the op counter, the keys and
-        contexts that changed (only their changed fields) and the new audit entries."""
-        return {
-            "op_counter": self._op_counter,
-            "keys": self._keys.changes(),
-            "contexts": self._contexts.changes(),
-            "audit": self._audit[self._stored_audit:],
-        }
-
-    @parses(StateError, "corrupted zone units")
-    def apply(self, changes: dict):
-        """Merge :meth:`changes` into a loaded zone before it is used."""
-        self._op_counter = _op_counter(changes["op_counter"])
-        self._keys.apply(changes["keys"])
-        self._contexts.apply(changes["contexts"])
-        if not isinstance(changes["audit"], list):
-            raise ValueError("audit entries must be a list")
-        self._audit.extend(changes["audit"])
-        self._stored_audit = len(self._audit)

@@ -1,10 +1,20 @@
-"""Byte- and value-edit strategies shared by the parser fuzz tests."""
+"""Helpers shared by the tests: byte- and value-edit strategies for the
+parser fuzz tests, and writers and editors of a state dir's ``zone.db``."""
 
+import contextlib
 import copy
+import json
+import pathlib
+import re
+import sqlite3
 
 from hypothesis import strategies as st
 
 from edgevault import statefile
+from edgevault.crypto import TimestampAuthority
+from edgevault.curves import standard_curve
+from edgevault.ledger import IdentityLedger
+from edgevault.securezone import SecureZone
 
 # 1-3 edits of a valid encoding: (op, position, byte), positions wrap
 _EDITS = st.lists(
@@ -80,24 +90,82 @@ def json_mutants(valid):
     return st.builds(_edit_json, st.just(valid), _JSON_EDITS)
 
 
-# --- record 0 of the CLI state file ---
+# --- the CLI state file, zone.db ---
 
 
-def resealed(line: bytes) -> bytes:
-    """Record 0's ``line``, edited in place, with the digest over its header
-    and index recomputed, as an editor who knows the layout would."""
-    *_, seal_at, seal = statefile._frame(line, len(line) - 1)
-    return line[:seal_at] + seal + line[seal_at + len(seal):]
+def write_state(root, document, h: str = "00" * 32):
+    """Write ``document``, the state ``{"seq", "tsa", "zone", "ledger"}`` or
+    any JSON value, as ``root/zone.db``, laid out as a new dir's: each key,
+    context, audit entry and ledger entry a row and the rest the header (with
+    ``h`` if it has none), every row with its digest.  A section that is not
+    a map of hex ids or a list stays in the header, as an editor might leave it."""
+    header, rows = copy.deepcopy(document), []
+    if isinstance(header, dict):
+        header.setdefault("h", h)
+        zone, ledger = header.get("zone"), header.get("ledger")
+        for holder, name, kind in ((zone, "keys", "k"), (zone, "contexts", "c"),
+                                   (zone, "audit", "a"), (ledger, "entries", "e")):
+            section = holder.get(name) if isinstance(holder, dict) else None
+            if isinstance(section, list):
+                rows += [(kind, i.to_bytes(8, "big"), statefile.dumps(item))
+                         for i, item in enumerate(section)]
+                holder[name] = len(section)
+            elif isinstance(section, dict) and all(
+                    re.fullmatch("(?:[0-9a-f]{2})+", unit_id) for unit_id in section):
+                rows += [(kind, bytes.fromhex(unit_id), statefile.dumps(unit))
+                         for unit_id, unit in section.items()]
+                del holder[name]
+    rows.append(("h", b"", statefile.dumps(header)))
+    root = pathlib.Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    for name in ("zone.db", "zone.db-journal"):
+        (root / name).unlink(missing_ok=True)
+    with contextlib.closing(sqlite3.connect(root / "zone.db")) as db, db:
+        for statement in statefile.SCHEMA:
+            db.execute(statement)
+        db.executemany("INSERT INTO unit VALUES (?, ?, ?, ?)",
+                       [(*row, statefile.unit_digest(*row)) for row in rows])
 
 
-def whole_record0(data: bytes) -> dict:
-    """Record 0 of the state file ``data`` as ``{"h", "r"}``, read through
-    the codec: ``r`` is the whole state, each map by id hex and each list a
-    list, as a later record holds them."""
-    h, record = statefile.decode_record0(data, data.index(b"\n"))
-    for parent, name, _, container in statefile._SECTIONS:
-        if record[parent] is not None:
-            section = record[parent][name]
-            record[parent][name] = ({i.hex(): section[i] for i in section} if container is dict
-                                    else list(section))
-    return {"h": h.hex(), "r": record}
+def stored_rows(root) -> dict:
+    """Every unit row of ``root/zone.db``, not checked: (body, digest) by (kind, id)."""
+    with contextlib.closing(sqlite3.connect(pathlib.Path(root) / "zone.db")) as db:
+        return {(kind, unit_id): (body, digest)
+                for kind, unit_id, body, digest in db.execute("SELECT * FROM unit")}
+
+
+def stored_header(root) -> dict:
+    """The header row of ``root/zone.db``, decoded and not checked."""
+    return json.loads(stored_rows(root)["h", b""][0])
+
+
+def edit_row(root, kind: str, unit_id: bytes, edit, reseal: bool = False):
+    """Replace the body of ``root/zone.db``'s row (``kind``, ``unit_id``) with
+    ``edit(body)``; with ``reseal``, recompute its digest as an editor who
+    knows the layout would."""
+    with contextlib.closing(sqlite3.connect(pathlib.Path(root) / "zone.db")) as db, db:
+        (body,), = db.execute("SELECT body FROM unit WHERE kind = ? AND id = ?", (kind, unit_id))
+        body = edit(body)
+        db.execute("UPDATE unit SET body = ? WHERE kind = ? AND id = ?", (body, kind, unit_id))
+        if reseal:
+            db.execute("UPDATE unit SET digest = ? WHERE kind = ? AND id = ?",
+                       (statefile.unit_digest(kind, unit_id, body), kind, unit_id))
+
+
+def built_dir(root, devices: int):
+    """A dir of ``devices`` registered, split devices, each authorized once,
+    written whole as a new dir; and the last device's context (hex) and the
+    path of its cloud share."""
+    root = pathlib.Path(root)
+    tsa = TimestampAuthority(issuer="edgevault-tsa", clock=lambda: 1_700_000_000)
+    zone = SecureZone(3, tsa)
+    zone.attach_ledger(IdentityLedger(group_id="g", curve=standard_curve()))
+    for i in range(devices):
+        entry = zone.register_device(f"d{i}", rng_seed=i)
+        key_id = zone.generate_key("data-encryption", rng_seed=i)
+        share = zone.split_and_distribute(key_id, entry.h2, q_order=16, rng_seed=i).cloud_share
+        assert zone.authorize_transaction(entry.h2, share, tsa.issue()).accepted
+    statefile.StateDir(root).save_zone(zone, tsa)
+    path = root.parent / f"{root.name}.json"
+    path.write_text(share.to_json())
+    return entry.h2.hex(), path

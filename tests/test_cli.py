@@ -1,8 +1,10 @@
-import fcntl
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import pathlib
+import sqlite3
 import subprocess
 import sys
 import time
@@ -15,13 +17,13 @@ from click.testing import CliRunner
 from edgevault import statefile
 from edgevault.bloom import BloomFilter
 from edgevault.cli import EXIT_REJECTED, EXIT_TAMPER, STATE_ENV, AppState, keys, main
-from edgevault.crypto import TimestampAuthority, aead_decrypt, sha256
+from edgevault.crypto import TimestampAuthority, aead_decrypt
 from edgevault.curves import point_from_bytes, standard_curve, tiny_curve
 from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
 from edgevault.simnet import SimScenario, SimStep, builtin_scenarios
 
-from mutation import resealed, whole_record0
+from mutation import edit_row, stored_header, stored_rows, write_state
 
 
 @pytest.fixture
@@ -44,24 +46,16 @@ def _init_ledger(runner, state):
 
 
 def _document(state):
-    """The whole state, every record applied, as record 0's three sections."""
+    """The whole state as its three sections."""
     return _state_of(*AppState(state, "json").load_zone())
 
 
-def _record0(state):
-    """The first line of the state file: ``{"h", "r"}``, ``r`` the whole state."""
-    return whole_record0((state / "zone.json").read_bytes())
-
-
 def _write_document(state, document):
-    """Make ``document`` the whole state: record 0, with no record after it.
-    ``document`` is the record (a dict gets seq 0 if it has none), or record
-    0's whole line."""
+    """Make ``document`` the whole state, ``zone.db`` as a new dir's; a dict
+    gets seq 0 if it has none."""
     if isinstance(document, dict):
         document = {"seq": 0, **document}
-    if not isinstance(document, bytes):
-        document = statefile.encode_record0(bytes(32), document)
-    (state / "zone.json").write_bytes(document)
+    write_state(state, document)
 
 
 def _split_record(zone):
@@ -187,10 +181,9 @@ def test_ledger_verify_detects_hex_edit(runner, tmp_path):
         r = invoke(runner, state, *args)
         assert r.exit_code == EXIT_TAMPER, (args, r.output)
         assert json.loads(r.output) == payload
-        # the refused command saves nothing, writes nothing and releases the lock
+        # the refused command saves nothing and writes nothing
         assert _state_files(state) == before
         assert output is None or not output.exists()
-        assert not (state / ".lock").exists()
 
 
 def _unsealed_points(state):
@@ -202,10 +195,7 @@ def _unsealed_points(state):
             for e in zone.ledger.entries]
 
 
-@pytest.mark.parametrize("compact", [None, 0], ids=["journal", "compacted"])
-def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, monkeypatch, compact):
-    if compact is not None:
-        monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", compact)
+def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path):
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g").exit_code == 0
     for label in ("p1", "p2", "p3"):
@@ -219,11 +209,7 @@ def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, monkeypatch,
             assert str(coordinate).encode() not in data
 
 
-@pytest.mark.parametrize("compact", [None, 0], ids=["journal", "compacted"])
-def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(
-        runner, tmp_path, monkeypatch, compact):
-    if compact is not None:
-        monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", compact)
+def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(runner, tmp_path):
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
     for i in range(1, 9):
@@ -237,48 +223,24 @@ def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(
     assert _state_files(state) == before
 
 
-def _with_used_points(state):
-    """Rewrite the state file in the layout that also stored each point in
-    the clear: ``used_points`` in record 0's ledger and in each record that
-    adds entries, every later line re-chained."""
-    points = iter([hex(x), hex(y)] for x, y in _unsealed_points(state))
-    data = (state / "zone.json").read_bytes()
-    h, out = None, []
-    for i, line in enumerate(data.splitlines()):
-        d = whole_record0(data) if i == 0 else json.loads(line)
-        ledger = d["r"]["ledger"]
-        if ledger is not None and "entries" in ledger:
-            ledger["used_points"] = [next(points) for _ in ledger["entries"]]
-        if h is None:
-            h = bytes.fromhex(d["h"])
-            out.append(statefile.encode_record0(h, d["r"]))
-            continue
-        body = statefile.dumps(d["r"])
-        h = sha256(h + body)
-        out.append(statefile.encode_line(h, body))
-    (state / "zone.json").write_bytes(b"".join(out))
-
-
-def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path, monkeypatch):
+def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path):
+    """A ledger header that also carries each point in the clear, as an
+    earlier layout stored them: it loads, registers without reusing a point,
+    and the next commit drops the points."""
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
-    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
-    assert invoke(runner, state, "ledger", "register", "alpha").exit_code == 0
-    monkeypatch.undo()
-    assert invoke(runner, state, "ledger", "register", "beta").exit_code == 0
-    _with_used_points(state)
-    data = (state / "zone.json").read_bytes()
-    assert data.count(b"used_points") == 2 and data.count(b"\n") == 2
+    for label in ("alpha", "beta"):
+        assert invoke(runner, state, "ledger", "register", label).exit_code == 0
+    doc = _document(state)
+    doc["ledger"]["used_points"] = [[hex(x), hex(y)] for x, y in _unsealed_points(state)]
+    _write_document(state, doc)
+    assert b"used_points" in stored_rows(state)["h", b""][0]
 
     assert invoke(runner, state, "ledger", "verify").exit_code == 0
     r = invoke(runner, state, "ledger", "register", "gamma")
     assert r.exit_code == 0, r.output
     assert len(set(_unsealed_points(state))) == 3
-    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
-    assert invoke(runner, state, "keys", "generate").exit_code == 0
-    data = (state / "zone.json").read_bytes()
-    assert data.count(b"\n") == 1 and b"used_points" not in data
-    assert len(set(_unsealed_points(state))) == 3
+    assert all(b"used_points" not in body for body, _ in stored_rows(state).values())
 
 
 def test_a_point_the_stored_curve_does_not_fit_is_corrupted_state(runner, tmp_path):
@@ -319,28 +281,28 @@ def test_ledger_init_refuses_a_ledger_written_while_it_waited(runner, tmp_path, 
     """Another init that held the lock wrote its ledger after this one started."""
     r = invoke(runner, tmp_path / "other", "ledger", "init", "--group", "first", "--preset", "tiny")
     assert r.exit_code == 0, r.output
-    planted = (tmp_path / "other" / "zone.json").read_bytes()
+    planted = (tmp_path / "other" / "zone.db").read_bytes()
     state = tmp_path / "state"
-    real_open = os.open
+    real_link = os.link
 
-    def open_after_the_other_init(path, *args, **kwargs):
-        if str(path).endswith(".lock"):
-            (state / "zone.json").write_bytes(planted)
-        return real_open(path, *args, **kwargs)
+    def link_after_the_other_init(src, dst):
+        pathlib.Path(dst).write_bytes(planted)
+        return real_link(src, dst)
 
-    monkeypatch.setattr(os, "open", open_after_the_other_init)
+    monkeypatch.setattr(os, "link", link_after_the_other_init)
     r = invoke(runner, state, "ledger", "init", "--group", "second", "--preset", "tiny")
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "corrupted-state"
-    assert (state / "zone.json").read_bytes() == planted
+    assert os.listdir(state) == ["zone.db"]
+    assert (state / "zone.db").read_bytes() == planted
 
 
 def test_bad_hex_context_is_usage_error(runner, tmp_path):
     state = tmp_path / "state"
     _init_ledger(runner, state)
     r = invoke(runner, state, "keys", "authorize", "--context", "zz-not-hex",
-               "--share", str(state / "zone.json"))
+               "--share", str(state / "zone.db"))
     assert r.exit_code == 64
 
 
@@ -471,17 +433,21 @@ def _old_layout_without_tsa_json(doc):
 
 
 def _journal_seq(seq):
-    """Record 0 with the sequence number ``seq``."""
+    """The state with the tip sequence number ``seq``."""
     return lambda doc: dict(doc, seq=seq)
 
 
-def _spliced(document, section, raw):
-    """Record 0's line with ``raw`` as one section's value, JSON or not."""
-    filler = "#" * (len(raw) - 2)
-    placeholder = json.dumps(filler).encode()  # as long as raw
-    line = statefile.encode_record0(bytes(32), {"seq": 0, **document, section: filler})
-    assert line.count(placeholder) == 1
-    return resealed(line.replace(placeholder, raw))
+def _spliced(state, document, section, raw):
+    """Make ``document`` the whole state with ``raw`` as one section's value
+    in the header, JSON or not, and the header's digest recomputed."""
+    placeholder = json.dumps("#" * 64).encode()
+    _write_document(state, {**document, section: "#" * 64})
+
+    def splice(body):
+        assert body.count(placeholder) == 1
+        return body.replace(placeholder, raw)
+
+    edit_row(state, "h", b"", splice, reseal=True)
 
 
 @pytest.mark.parametrize(
@@ -502,7 +468,7 @@ def _spliced(document, section, raw):
         ("document", _without_zone_section, "corrupted-state"),
         ("document", _string_ledger_section, "corrupted-state"),
         ("document", _old_layout_without_tsa_json, "corrupted-state"),
-        # record 0's seq must be an int in [0, 2**64)
+        # the header's seq must be an int in [0, 2**64)
         ("document", _journal_seq(True), "corrupted-state"),
         ("document", _journal_seq("1"), "corrupted-state"),
         ("document", _journal_seq(1.9), "corrupted-state"),
@@ -551,7 +517,7 @@ def test_malformed_json_input_gets_error_envelope(runner, tmp_path, target, cont
         elif target == "document":
             _write_document(state, content(document))
         elif isinstance(content, bytes):
-            _write_document(state, _spliced(document, target, content))
+            _spliced(state, document, target, content)
         else:
             content(document[target])
             _write_document(state, document)
@@ -629,7 +595,7 @@ def test_out_of_range_budget_is_a_usage_error(runner, tmp_path, budget):
 
 
 def _kek_material(state):
-    zone = _record0(state)["r"]["zone"]
+    zone = _document(state)["zone"]
     return zone["keys"][zone["kek_id"]]["material"]
 
 
@@ -706,7 +672,7 @@ def _refused(runner, state, *args):
 def test_keys_split_of_the_zone_s_kek_is_a_key_state_error(runner, tmp_path):
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    kek_id = _record0(state)["r"]["zone"]["kek_id"]
+    kek_id = stored_header(state)["zone"]["kek_id"]
     assert _refused(runner, state, "keys", "split", kek_id, "--context", "11" * 32,
                     "--order", "16", "-o", str(tmp_path / "s.json")) == "key-state"
     assert not (tmp_path / "s.json").exists()
@@ -945,15 +911,15 @@ def test_json_mode_outputs_are_strict_json(runner, tmp_path):
 
 def test_lock_released_after_commands(runner, tmp_path):
     """After each mutating command the state dir holds only the state file:
-    no .lock and no tmp file.  The first command writes record 0, the whole
-    state, and each later one appends a record."""
+    no rollback journal and no tmp file.  The first command writes the whole
+    state at seq 0, and each later one adds a log row."""
     state = tmp_path / "state"
     share_file = tmp_path / "cloud.json"
 
     def run(*args):
         r = invoke(runner, state, *args)
         assert r.exit_code == 0, r.output
-        assert os.listdir(state) == ["zone.json"]
+        assert os.listdir(state) == ["zone.db"]
         return r
 
     run("ledger", "init", "--group", "g", "--preset", "tiny")
@@ -962,15 +928,18 @@ def test_lock_released_after_commands(runner, tmp_path):
     run("keys", "split", key_id, "--device", "alpha", "--order", "16", "-o", str(share_file))
     context = _document(state)["ledger"]["entries"][0]["h2_hex"]
     run("keys", "authorize", "--context", context, "--share", str(share_file))
-    assert set(_record0(state)["r"]) == {"seq", "tsa", "zone", "ledger"}
-    assert len((state / "zone.json").read_bytes().splitlines()) == 5
+    assert set(stored_header(state)) == {"seq", "h", "tsa", "zone", "ledger"}
+    assert stored_header(state)["seq"] == 4
+    with contextlib.closing(sqlite3.connect(state / "zone.db")) as db:
+        assert [seq for seq, in db.execute("SELECT seq FROM log")] == [1, 2, 3, 4]
 
 
 def _hold_lock(state):
-    """An fd that holds the state dir's lock, as another session's would."""
-    fd = os.open(state / ".lock", os.O_RDWR | os.O_CREAT)
-    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    return fd
+    """A connection that holds the state dir's write lock, as another
+    session's would."""
+    db = sqlite3.connect(state / "zone.db", isolation_level=None)
+    db.execute("BEGIN IMMEDIATE")
+    return db
 
 
 def _assert_locked(r):
@@ -985,28 +954,31 @@ def _assert_locked(r):
     ("ledger", "register", "gamma"),
     ("keys", "generate"),
     ("keys", "split", "00" * 16, "--context", "11" * 32),
-    ("keys", "authorize", "--context", "11" * 32, "--share", "{state}/zone.json"),
+    ("keys", "authorize", "--context", "11" * 32, "--share", "{state}/zone.db"),
 ], ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "keys-authorize"])
 def test_lock_blocks_concurrent_mutation(runner, tmp_path, args):
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    fd = _hold_lock(state)  # flocks on two open files conflict within one process too
+    # SQLite keeps the locks of two connections in one process apart too
+    holder = _hold_lock(state)
     try:
         before = _state_files(state)
         _assert_locked(invoke(runner, state, *(a.format(state=state) for a in args)))
         assert _state_files(state) == before
     finally:
-        os.close(fd)
+        holder.close()
 
 
-# holds the lock on argv[1] until its stdin closes
-_HOLDER = ("import fcntl, os, sys; fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT); "
-           "fcntl.flock(fd, fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()")
+# holds the write lock on the database argv[1], having changed a row, until
+# its stdin closes
+_HOLDER = ("import sqlite3, sys; db = sqlite3.connect(sys.argv[1], isolation_level=None); "
+           "db.execute('BEGIN IMMEDIATE'); db.execute(\"UPDATE unit SET body = x'00'\"); "
+           "print('held', flush=True); sys.stdin.read()")
 
 
 def _lock_holder(state):
-    """A child process that holds the state dir's lock."""
-    child = subprocess.Popen([sys.executable, "-c", _HOLDER, str(state / ".lock")],
+    """A child process that holds the state dir's write lock."""
+    child = subprocess.Popen([sys.executable, "-c", _HOLDER, str(state / "zone.db")],
                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     assert child.stdout.readline() == "held\n"
     return child
@@ -1034,48 +1006,29 @@ def _dead_pid():
 
 @pytest.mark.parametrize("owner", ["empty", "torn", "dead-pid", "live-pid", "killed-holder"])
 def test_lock_no_process_holds_never_blocks(runner, tmp_path, owner):
-    """Whatever a .lock holds, and however its holder ended, only a live
-    flock blocks."""
+    """Only a live transaction blocks: not a ``.lock`` an earlier version
+    left, whatever it holds, nor a writer killed mid-transaction, whose
+    journal the next command rolls back."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
-    lock = state / ".lock"
+    before = _document(state)
     if owner == "killed-holder":
         child = _lock_holder(state)
-        child.kill()  # SIGKILL: no unlink, no close but the kernel's
+        child.kill()  # SIGKILL: no rollback but the next connection's
         child.wait()
+        assert (state / "zone.db-journal").exists()
+        r = invoke(runner, state, "ledger", "verify")  # a reader rolls it back too
+        assert r.exit_code == 0, r.output
     else:
-        # "live-pid" names this live process, which holds no flock
-        lock.write_text({"empty": "", "torn": "1234", "dead-pid": f"{_dead_pid()} 12345",
-                         "live-pid": f"{os.getpid()} 1"}[owner])
-    assert lock.exists()
+        # "live-pid" names this live process
+        (state / ".lock").write_text({"empty": "", "torn": "1234",
+                                      "dead-pid": f"{_dead_pid()} 12345",
+                                      "live-pid": f"{os.getpid()} 1"}[owner])
+    assert _document(state) == before
     r = invoke(runner, state, "keys", "generate")
     assert r.exit_code == 0, r.output
-    assert os.listdir(state) == ["zone.json"]
-
-
-@pytest.mark.parametrize("release", ["unlinked", "replaced"])
-def test_lock_on_a_lock_file_its_holder_unlinked_reads_as_locked(
-        runner, tmp_path, monkeypatch, release):
-    """This session opened .lock just before its holder unlinked it and
-    released it; the flock then succeeds on a file no other session will
-    open.  "replaced": a third session has since created a new .lock."""
-    state = tmp_path / "state"
-    _init_ledger(runner, state)
-    real_open = os.open
-
-    def open_before_the_release(path, *args, **kwargs):
-        fd = real_open(path, *args, **kwargs)
-        if str(path).endswith(".lock"):
-            os.unlink(path)
-            if release == "replaced":
-                os.close(real_open(path, os.O_RDWR | os.O_CREAT))
-        return fd
-
-    before = _state_files(state)
-    monkeypatch.setattr(os, "open", open_before_the_release)
-    _assert_locked(invoke(runner, state, "keys", "generate"))
-    monkeypatch.undo()
-    assert {n: v for n, v in _state_files(state).items() if n != ".lock"} == before
+    assert sorted(os.listdir(state)) == sorted({"zone.db", ".lock"} if owner != "killed-holder"
+                                               else {"zone.db"})
 
 
 def _generate_keys(state):
@@ -1104,7 +1057,7 @@ def test_concurrent_sessions_commit_one_at_a_time(runner, tmp_path, monkeypatch)
     stored = list(_document(state)["zone"]["keys"])
     assert len(stored) == 3 + len(generated)
     assert set(generated) <= set(stored)
-    assert os.listdir(state) == ["zone.json"]
+    assert os.listdir(state) == ["zone.db"]
 
 
 @pytest.mark.parametrize("args", [
@@ -1147,13 +1100,13 @@ def test_an_output_split_cannot_create_is_refused_before_the_commit(runner, tmp_
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
     key = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
-    before = (state / "zone.json").read_bytes()
+    before = (state / "zone.db").read_bytes()
     context = "11" * 32
     bad = tmp_path if where == "dir" else tmp_path / "missing" / "x.json"
     r = invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(bad))
     assert r.exit_code == 64, r.output
     assert "Traceback" not in r.output
-    assert (state / "zone.json").read_bytes() == before
+    assert (state / "zone.db").read_bytes() == before
     share = tmp_path / "share.json"
     r = invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(share))
     assert r.exit_code == 0, r.output
@@ -1168,12 +1121,12 @@ def test_a_timestamp_authorize_cannot_save_is_refused_before_the_commit(runner, 
     share = tmp_path / "share.json"
     context = "11" * 32
     invoke(runner, state, "keys", "split", key, "--context", context, "-o", str(share))
-    before = (state / "zone.json").read_bytes()
+    before = (state / "zone.db").read_bytes()
     args = ("keys", "authorize", "--context", context, "--share", str(share), "--save-timestamp")
     r = invoke(runner, state, *args, str(tmp_path / "missing" / "ts.json"))
     assert r.exit_code == 64, r.output
     assert "Traceback" not in r.output
-    assert (state / "zone.json").read_bytes() == before
+    assert (state / "zone.db").read_bytes() == before
     ts = tmp_path / "ts.json"
     assert invoke(runner, state, *args, str(ts)).exit_code == 0
     r = invoke(runner, state, "keys", "authorize", "--context", context, "--share", str(share),
@@ -1243,28 +1196,6 @@ def test_refused_command_removes_only_a_state_dir_it_created(runner, tmp_path, e
     assert not existed or not any(fresh.iterdir())
 
 
-def test_state_dir_removed_before_the_lock_is_taken_reads_as_locked(
-        runner, tmp_path, monkeypatch):
-    """A first session that created the dir and saved nothing removed it
-    between this session's mkdir and its .lock open."""
-    state = tmp_path / "state"
-    state.mkdir()
-    real_open = os.open
-
-    def open_after_the_removal(path, *args, **kwargs):
-        if str(path).endswith(".lock"):
-            state.rmdir()
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", open_after_the_removal)
-    r = invoke(runner, state, "keys", "generate")
-    assert r.exit_code == 1
-    assert isinstance(r.exception, SystemExit)
-    err = json.loads(r.output.strip().splitlines()[-1])
-    assert err["error"]["code"] == "corrupted-state"
-    assert not state.exists()
-
-
 def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
     state = tmp_path / "state"
     doc = _init_ledger(runner, state)
@@ -1285,20 +1216,20 @@ def test_edited_split_record_order_is_a_tag_mismatch(runner, tmp_path):
 
 
 def _to_earlier_layout(state, layout):
-    """Rewrite the state dir in a layout an earlier version wrote:
-    "snapshot-and-journal" is record 0 as the document ``{"tsa", "zone",
-    "ledger", "journal"}`` beside journal.jsonl, which holds the later
-    records; "three-file" keeps the TSA and the ledger in tsa.json and
+    """Rewrite the state dir in a layout an earlier version wrote, each with
+    a ``zone.json`` and no ``zone.db``: "snapshot-and-journal" is the
+    document ``{"tsa", "zone", "ledger", "journal"}`` beside journal.jsonl,
+    which holds the records after it; "three-file" keeps the TSA and the ledger in tsa.json and
     ledger.json beside a bare zone; "journal-less" is the document with no
     journal section; "four-context-sections" is the document whose zone
     section lists the keys and spreads each context over four sections."""
     sections = _document(state)
+    header = stored_header(state)
+    (state / "zone.db").unlink()
     if layout == "snapshot-and-journal":
-        data = (state / "zone.json").read_bytes()
-        first, rest = whole_record0(data), data.split(b"\n", 1)[1]
-        tip = {"seq": first["r"].pop("seq"), "h": first["h"]}
-        (state / "zone.json").write_text(json.dumps({**first["r"], "journal": tip}))
-        (state / "journal.jsonl").write_bytes(rest)
+        tip = {"seq": header["seq"], "h": header["h"]}
+        (state / "zone.json").write_text(json.dumps({**sections, "journal": tip}))
+        (state / "journal.jsonl").write_bytes(b"")
     elif layout == "three-file":
         (state / "zone.json").write_text(json.dumps(sections["zone"]))
         (state / "tsa.json").write_text(json.dumps(sections["tsa"]))
@@ -1332,10 +1263,9 @@ def test_a_state_dir_in_an_earlier_layout_is_refused(runner, tmp_path, layout):
     assert _state_files(state) == before
 
 
-def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeypatch):
-    """A journal record that stores context A's unit under a new id X does
-    not give X its own replay state over A's key: X is refused, before and
-    after a compaction folds the record into the snapshot, and A still works."""
+def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path):
+    """A commit that stores context A's unit under a new id X does not give X
+    its own replay state over A's key: X is refused, and A still works."""
     state = tmp_path / "state"
     context = _init_ledger(runner, state)["entries"][0]["h2_hex"]
     key_id = json.loads(invoke(runner, state, "keys", "generate").output)["key_id"]
@@ -1344,11 +1274,9 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeyp
                "--order", "16", "-o", str(share_file))
     assert r.exit_code == 0, r.output
     alias = "ab" * 32
-    app = AppState(state, "json")
-    zone, tsa = app.load_zone()
-    zone._contexts[bytes.fromhex(alias)] = zone._contexts[bytes.fromhex(context)]
-    app.save_zone(zone, tsa)
-    assert alias in (state / "zone.json").read_text().splitlines()[-1]
+    with AppState(state, "json").session() as (zone, _):
+        zone._contexts[bytes.fromhex(alias)] = zone._contexts[bytes.fromhex(context)]
+    assert ("c", bytes.fromhex(alias)) in stored_rows(state)
 
     def authorize(ctx):
         """Authorize on ``ctx``: refused untouched for the alias, accepted for A."""
@@ -1365,42 +1293,40 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path, monkeyp
 
     authorize(alias)
     authorize(context)
-    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
-    authorize(context)  # compacts: the alias's unit moves into record 0
-    monkeypatch.undo()
-    assert len((state / "zone.json").read_bytes().splitlines()) == 1
-    assert alias in _record0(state)["r"]["zone"]["contexts"]
     authorize(alias)
-    authorize(context)
 
 
-def test_a_compaction_that_fails_to_write_leaves_the_state_file_as_it_was(
+def test_a_commit_that_fails_to_write_leaves_the_state_file_as_it_was(
         runner, tmp_path, monkeypatch):
+    """The commit fails after it has written some of its rows: the
+    transaction rolls back."""
     state = tmp_path / "state"
     _init_ledger(runner, state)
     before = _state_files(state)
-    monkeypatch.setattr("edgevault.statefile.COMPACT_BYTES", 0)
+    real = statefile.dumps
 
-    def write(fd, data):
-        raise OSError(28, "No space left on device")
+    def dumps(value):
+        if isinstance(value, dict) and "h" in value:  # the header, the last row written
+            raise OSError(28, "No space left on device")
+        return real(value)
 
-    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(statefile, "dumps", dumps)
     r = runner.invoke(main, ["--state-dir", str(state), "keys", "generate"])
     monkeypatch.undo()
     assert isinstance(r.exception, OSError)
-    assert _state_files(state) == before  # no zone.json.tmp, and zone.json unchanged
+    assert _state_files(state) == before  # no journal, and zone.db unchanged
 
 
 def test_a_zone_not_loaded_from_the_dir_is_saved_only_into_a_new_one(runner, tmp_path):
-    """Such a zone becomes record 0 of a new dir, with seq 0 and 32 zero
-    bytes as its h; a dir that holds state refuses it and is left as it is."""
+    """Such a zone becomes the whole state of a new dir, with seq 0 and 32
+    zero bytes as its h; a dir that holds state refuses it and is left as it is."""
     tsa = TimestampAuthority(issuer="edgevault-tsa")
     zone = SecureZone(0, tsa)
     fresh = tmp_path / "fresh"
     AppState(fresh, "json").save_zone(zone, tsa)
-    assert (fresh / "zone.json").read_bytes().count(b"\n") == 1
-    record0 = _record0(fresh)
-    assert (record0["h"], record0["r"]["seq"]) == ("00" * 32, 0)
+    assert os.listdir(fresh) == ["zone.db"]
+    header = stored_header(fresh)
+    assert (header["h"], header["seq"]) == ("00" * 32, 0)
     assert _document(fresh)["zone"] == zone.state_dict()
 
     state = tmp_path / "state"

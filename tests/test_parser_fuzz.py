@@ -35,9 +35,8 @@ from edgevault.quasigroup import Quasigroup, generate_quasigroup
 from edgevault.securezone import Decision, SecureZone
 from edgevault.shares import PlainShare, SealedShare, SplitRecord, seal_share, split
 from edgevault.simnet import SimScenario, SimStep, run_scenario
-from edgevault.statefile import encode_record0
 
-from mutation import json_mutants, mutants
+from mutation import json_mutants, mutants, write_state
 
 CTX = bytes(32)
 _EDGE, _CLOUD, _RECORD = split(b"attack at dawn..", 16, 77, CTX, rng_seed=5)
@@ -161,11 +160,11 @@ DOCUMENT = {"seq": 0, "tsa": TSA_STATE, "zone": ZONE, "ledger": LEDGER_STATE}
 
 
 def _load_document(doc):
-    """``AppState.load_zone`` of a state dir whose ``zone.json`` holds ``doc``
-    as record 0, with every key, context and ledger entry decoded."""
+    """``AppState.load_zone`` of a state dir whose ``zone.db`` holds ``doc``
+    as its whole state, with every key, context and ledger entry decoded."""
     with tempfile.TemporaryDirectory() as root:
         state = AppState(Path(root), "json")
-        state.zone_path.write_bytes(encode_record0(bytes(32), doc))
+        write_state(root, doc)
         zone, tsa = state.load_zone()
         zone._contexts.values()  # decodes each context's key too
         zone._keys.values()

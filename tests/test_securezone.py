@@ -431,13 +431,12 @@ def test_an_audit_that_is_not_a_list_is_corrupted(zone, tsa):
 @pytest.mark.parametrize("section,other_id", [("keys", "ab" * 16), ("contexts", "ab" * 32)],
                          ids=["key", "context"])
 def test_changes_that_store_a_unit_under_another_id_are_corrupted(zone, tsa, section, other_id):
-    """Changes are parsed and checked as a snapshot is: a unit stored under an
-    id it does not name is refused when used, not kept as an alias."""
+    """A unit a commit stored under an id it does not name is refused when
+    used, not kept as an alias."""
     _distributed(zone)
     state = zone.state_dict()
+    state[section][other_id] = next(reversed(state[section].values()))
     loaded = SecureZone.lazy_from_state_dict(state, tsa)
-    loaded.apply({"op_counter": state["op_counter"], "keys": {}, "contexts": {},
-                  section: {other_id: next(reversed(state[section].values()))}, "audit": []})
     units = loaded._keys if section == "keys" else loaded._contexts
     with pytest.raises(StateError):
         units[bytes.fromhex(other_id)]
