@@ -181,6 +181,8 @@ def _header(db) -> dict:
         raise ValueError("the sequence number is not an integer in [0, 2**64)")
     if len(bytes.fromhex(header["h"])) != 32:
         raise ValueError("the chain value is not 32 bytes")
+    if not {"keys", "contexts"}.isdisjoint(header["zone"]):
+        raise ValueError("its zone holds keys or contexts, which are rows of their own")
     return header
 
 

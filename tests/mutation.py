@@ -98,7 +98,8 @@ def write_state(root, document, h: str = "00" * 32):
     any JSON value, as ``root/zone.db``, laid out as a new dir's: each key,
     context, audit entry and ledger entry a row and the rest the header (with
     ``h`` if it has none), every row with its digest.  A section that is not
-    a map of hex ids or a list stays in the header, as an editor might leave it."""
+    its container, a map of hex ids for the keys and contexts and a list for
+    the audit and entries, stays in the header, as an editor might leave it."""
     header, rows = copy.deepcopy(document), []
     if isinstance(header, dict):
         header.setdefault("h", h)
@@ -106,11 +107,11 @@ def write_state(root, document, h: str = "00" * 32):
         for holder, name, kind in ((zone, "keys", "k"), (zone, "contexts", "c"),
                                    (zone, "audit", "a"), (ledger, "entries", "e")):
             section = holder.get(name) if isinstance(holder, dict) else None
-            if isinstance(section, list):
+            if isinstance(section, list) and kind in "ae":
                 rows += [(kind, i.to_bytes(8, "big"), statefile.dumps(item))
                          for i, item in enumerate(section)]
                 holder[name] = len(section)
-            elif isinstance(section, dict) and all(
+            elif isinstance(section, dict) and kind in "kc" and all(
                     re.fullmatch("(?:[0-9a-f]{2})+", unit_id) for unit_id in section):
                 rows += [(kind, bytes.fromhex(unit_id), statefile.dumps(unit))
                          for unit_id, unit in section.items()]

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pathlib
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -195,11 +196,24 @@ def _unsealed_points(state):
             for e in zone.ledger.entries]
 
 
-def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path):
+def _compacted(state):
+    """A new dir holding ``state``'s state written whole, with no log row,
+    as ``save_zone`` outside a session writes a template."""
+    whole = state.parent / f"{state.name}-whole"
+    AppState(whole, "json").save_zone(*AppState(state, "json").load_zone())
+    return whole
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["journal", "compacted"])
+def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path, compact):
+    """"journal": the dir its commands left, a log row each; "compacted":
+    its state written whole into a new dir."""
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g").exit_code == 0
     for label in ("p1", "p2", "p3"):
         assert invoke(runner, state, "ledger", "register", label).exit_code == 0
+    if compact:
+        state = _compacted(state)
     points = _unsealed_points(state)
     assert len(set(points)) == 3
     for data in _state_files(state).values():
@@ -209,12 +223,17 @@ def test_no_state_file_holds_a_point_in_the_clear(runner, tmp_path):
             assert str(coordinate).encode() not in data
 
 
-def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(runner, tmp_path):
+@pytest.mark.parametrize("compact", [False, True], ids=["journal", "compacted"])
+def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(runner, tmp_path, compact):
+    """"compacted": the ninth registration runs in a new dir that holds the
+    eight devices' state written whole."""
     state = tmp_path / "state"
     assert invoke(runner, state, "ledger", "init", "--group", "g", "--preset", "tiny").exit_code == 0
     for i in range(1, 9):
         r = invoke(runner, state, "ledger", "register", f"p{i}")
         assert r.exit_code == 0, r.output
+    if compact:
+        state = _compacted(state)
     assert len(set(_unsealed_points(state))) == 8
     before = _state_files(state)
     r = invoke(runner, state, "ledger", "register", "p9")
@@ -1031,6 +1050,29 @@ def test_lock_no_process_holds_never_blocks(runner, tmp_path, owner):
                                                else {"zone.db"})
 
 
+def test_state_dir_removed_before_the_lock_is_taken_reads_as_locked(
+        runner, tmp_path, monkeypatch):
+    """The dir was removed, by whatever removed it, between this session's
+    check that it holds state and its connection: the session is refused
+    and makes no dir."""
+    state = tmp_path / "state"
+    _init_ledger(runner, state)
+    real_connect = statefile.StateDir._connect
+
+    def connect_after_the_removal(path, mode, **kwargs):
+        if mode == "rw":
+            shutil.rmtree(state)
+        return real_connect(path, mode, **kwargs)
+
+    monkeypatch.setattr(statefile.StateDir, "_connect", staticmethod(connect_after_the_removal))
+    r = invoke(runner, state, "keys", "generate")
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "corrupted-state"
+    assert not state.exists()
+
+
 def _generate_keys(state):
     """The exit code and output of 15 ``keys generate`` in a row."""
     runner = CliRunner()
@@ -1294,6 +1336,30 @@ def test_a_context_stored_under_another_id_is_no_alias(runner, tmp_path):
     authorize(alias)
     authorize(context)
     authorize(alias)
+
+
+def test_a_compaction_that_fails_to_write_leaves_the_state_file_as_it_was(
+        runner, tmp_path, monkeypatch):
+    """The state written whole, as a new dir's first command writes it,
+    fails part way: the temporary database is removed and no ``zone.db`` is
+    linked in, so the dir holds no state, as before the command."""
+    state = tmp_path / "state"
+    state.mkdir()
+    real = statefile.dumps
+
+    def dumps(value):
+        if isinstance(value, dict) and "h" in value:  # the header, the last row written
+            raise OSError(28, "No space left on device")
+        return real(value)
+
+    monkeypatch.setattr(statefile, "dumps", dumps)
+    r = runner.invoke(main, ["--state-dir", str(state), "keys", "generate"])
+    monkeypatch.undo()
+    assert isinstance(r.exception, OSError)
+    assert _state_files(state) == {}  # no temporary database, and no zone.db
+    r = invoke(runner, state, "keys", "generate")
+    assert r.exit_code == 0, r.output
+    assert os.listdir(state) == ["zone.db"]
 
 
 def test_a_commit_that_fails_to_write_leaves_the_state_file_as_it_was(

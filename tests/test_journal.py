@@ -1,18 +1,38 @@
 """The CLI state dir's store, ``zone.db``, through the commands: what a
-commit writes and logs, what a command reads, and the refusal of each edit
-an editor can make to the file, which leaves the dir as it was.
+commit writes and logs, what a command reads, what a crash inside a commit
+leaves, and the refusal of each edit an editor can make to the file, which
+leaves the dir as it was.
 
+``test_crash_at_any_effect_leaves_the_state_before_or_after`` is the
+crash-point enumeration of Pillai et al. (OSDI 2014) carried into SQLite,
+where no Python call sees a file effect: it runs one mutating command in a
+forked child again and again, killing it as each of its writing SQL
+statements starts, and, with ``RLIMIT_FSIZE``, at its first write at or past
+each 4 KiB offset of any file: the rollback journal cut at each such length,
+and the commit's pages cut at each such offset past the journal's end.  A
+last point has every page written and only the journal's deletion, which is
+the commit, not done.  After each, it loads the dir.  A killed process's
+writes all reach the file, so this covers no power loss.
 ``test_reload_equals_the_state_the_command_left`` drives all five mutating
 commands from a hypothesis state machine and compares every reload with the
-state the command had in memory when it saved.  A crash inside a commit is
-``tests/test_crash_processes.py``'s: its effects lie inside SQLite, where no
-in-process enumeration reaches.
+state the command had in memory when it saved.
+
+Several tests keep the names they had when the state was a JSON Lines
+journal: "record 0", the line that held the whole state, is now the
+header row and the unit rows; "a later line" or "record" a later commit
+and its log row; a "compacted" dir one written whole, with no log row; and
+a "torn tail" what a killed writer leaves beside ``zone.db``, its rollback
+journal.
 """
 
 import contextlib
+import ctypes
 import json
+import os
 import pathlib
+import resource
 import shutil
+import signal
 import sqlite3
 import tempfile
 import time
@@ -26,6 +46,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from edgevault import cli, statefile
 from edgevault.cli import AppState, main
 from edgevault.crypto import TimestampAuthority, sha256
+from edgevault.curves import tiny_curve
 from edgevault.errors import StateError
 from edgevault.securezone import SecureZone
 
@@ -100,6 +121,258 @@ def journaled(tmp_path):
     return state
 
 
+# --- crash points -----------------------------------------------------------------
+
+#: the offsets at which a child dies at its first write at or past one
+_OFFSET_STEP = 4096
+
+
+def _forked(state, args, *, statement=None, limit=None, keep=None):
+    """Run one command on ``state`` in a forked child, killed with SIGKILL
+    as its ``statement``-th writing SQL statement starts, or with SIGXFSZ at
+    its first write at or past offset ``limit`` of any file.  With ``keep``,
+    the journal and the database as its COMMIT starts are copied there and
+    to ``keep.db``.  Return the state its ``save_zone`` was asked to
+    commit (None if it got no further), its count of writing statements
+    (None if it was killed), and whether it was killed."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns to the test
+        try:
+            os.close(read)
+            out = os.fdopen(write, "w")
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1), os.dup2(null, 2)
+            ctypes.CDLL(None).prctl(4, 0, 0, 0, 0)  # PR_SET_DUMPABLE 0: no core file
+            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)  # Python ignores it
+            real_save, real_connect, writes = AppState.save_zone, statefile.StateDir._connect, []
+
+            def save_zone(self, zone, tsa):
+                out.write(json.dumps(_state_of(zone, tsa)) + "\n")
+                out.flush()
+                real_save(self, zone, tsa)
+
+            def trace(sql):
+                if sql.split(None, 1)[0] in ("SELECT", "PRAGMA", "BEGIN"):
+                    return
+                if len(writes) == statement:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                writes.append(sql)
+                if sql == "COMMIT" and keep is not None:
+                    shutil.copyfile(state / "zone.db-journal", keep)
+                    shutil.copyfile(state / "zone.db", f"{keep}.db")
+
+            def connect(path, mode, **kwargs):
+                db = real_connect(path, mode, **kwargs)
+                db.set_trace_callback(trace)
+                return db
+
+            AppState.save_zone, statefile.StateDir._connect = save_zone, staticmethod(connect)
+            if limit is not None:
+                resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.RLIM_INFINITY))
+            r = _invoke(state, *args)
+            out.write(json.dumps({"exit": r.exit_code, "writes": len(writes)}) + "\n")
+            out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        lines = [json.loads(line) for line in pipe]
+    _, status = os.waitpid(pid, 0)
+    saved = lines[0] if lines and "exit" not in lines[0] else None
+    done = lines[-1] if lines and "exit" in lines[-1] else None
+    if done is not None:
+        assert done["exit"] == 0, done
+    return saved, done and done["writes"], os.WIFSIGNALED(status)
+
+
+def _unfinished(state, args, kept):
+    """Run the command to its end, then put back its journal: every page
+    written, and the journal, whose deletion is the commit, not yet deleted.
+    The journal as the COMMIT started holds every page the commit writes but
+    page 1 if SQLite had not journaled it yet; that record is added."""
+    _, _, killed = _forked(state, args, keep=kept)
+    assert not killed
+    data = kept.read_bytes()
+    # a header (magic, record count, checksum nonce, page count, sector and
+    # page size), padded to 512 bytes; then (page number, page, checksum) records
+    assert data[8:12] == b"\xff" * 4  # no count: the records run to the file's end
+    size = int.from_bytes(data[24:28], "big")
+    if 1 not in {int.from_bytes(data[at:at + 4], "big") for at in range(512, len(data), size + 8)}:
+        page = pathlib.Path(f"{kept}.db").read_bytes()[:size]
+        checksum = int.from_bytes(data[12:16], "big") + sum(page[size - 200:0:-200])
+        data += (1).to_bytes(4, "big") + page + (checksum % (1 << 32)).to_bytes(4, "big")
+    (state / "zone.db-journal").write_bytes(data)
+
+
+def _crash_points(state, files, args):
+    """Each crash the enumeration makes: rebuild ``state`` from ``files``,
+    run the command in a child killed at the next point, and yield what the
+    child asked to commit, whether it was killed, and the files it left,
+    with the dir left for the caller to load.  The last point is the
+    command run to its end."""
+    def run(**kill):
+        _materialize(state, files)
+        saved, writes, killed = _forked(state, args, **kill)
+        return saved, writes, killed, _files(state)
+
+    *_, writes, killed, _ = run()
+    assert not killed and writes
+    for statement in range(writes):
+        yield run(statement=statement)
+    limit = 0
+    while (point := run(limit=limit))[2]:  # till the command runs to its end
+        yield point
+        limit += _OFFSET_STEP
+    _materialize(state, files)
+    _unfinished(state, args, state.parent / "kept-journal")
+    yield None, None, True, _files(state)  # not committed: the load rolls it back
+    yield run()
+
+
+def _materialize(root: pathlib.Path, files: dict):
+    if root.exists():
+        shutil.rmtree(root)
+    root.mkdir()
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+
+
+def _check_crash_state(state, before, after):
+    """What a crash may leave: load it, and it is the state before or after
+    the command, with no counter behind a used value, every key handed out,
+    and a ledger that matches the audit; and the log ends at the header's
+    tip, so the next commit's row follows it."""
+    loaded = _load(state)  # any exception fails the test
+    assert loaded in (before, after)
+    header, log = stored_header(state), _log(state)
+    assert (header["seq"], header["h"]) == ((log[-1][0], log[-1][1].hex()) if log
+                                            else (0, "00" * 32))
+    counters = {kid: k["nonce_counter"] for kid, k in loaded["zone"]["keys"].items()}
+    assert before["zone"]["keys"].keys() <= counters.keys()
+    for kid, key in before["zone"]["keys"].items():
+        assert counters[kid] >= key["nonce_counter"]
+    entries = loaded["ledger"]["entries"] if loaded["ledger"] is not None else []
+    held = [k["created_at"]["sequence"] for k in loaded["zone"]["keys"].values()]
+    held += [c["last_seen"]["sequence"] for c in loaded["zone"]["contexts"].values()
+             if c["last_seen"] is not None]
+    held += [e["sequence"] for e in entries]
+    assert loaded["tsa"]["sequence"] >= max(before["tsa"]["sequence"], *held)
+    registered = [e["context_id_hex"] for e in loaded["zone"]["audit"]
+                  if e["op"] == "register_device"]
+    assert registered == [e["h2_hex"] for e in entries]
+
+
+def _written_whole(state, root):
+    """A new dir ``root`` holding ``state``'s state written whole, with no
+    log row, as ``save_zone`` outside a session writes a template."""
+    AppState(root, "json").save_zone(*AppState(state, "json").load_zone())
+    return root
+
+
+def _torn(state, root):
+    """A copy ``root`` of ``state`` with the torn tail a writer killed part
+    way through its commit leaves: its rollback journal, and a database
+    some of whose pages the commit had written."""
+    files = _files(state)
+    for limit in range(0, len(files["zone.db"]), _OFFSET_STEP):
+        _materialize(root, files)
+        _, _, killed = _forked(root, ["keys", "generate", "--seed", 7], limit=limit)
+        assert killed
+        if (root / "zone.db-journal").exists() and (root / "zone.db").read_bytes() != (
+                files["zone.db"]):
+            return root
+    raise AssertionError("no limit tore the database")
+
+
+@pytest.fixture(scope="module")
+def bases(tmp_path_factory):
+    """Two state dirs: ``bare`` with keys and no ledger, and ``full`` with
+    two registered devices, one split key used once and one key not split.
+    Each holds 30 keys more, so its database is larger than a commit's
+    journal, and a write past the journal's end can cut the commit's run
+    of pages."""
+    root = tmp_path_factory.mktemp("bases")
+    bare, full = root / "bare", root / "full"
+    for seed in range(100, 130):
+        _run(bare, "keys", "generate", "--seed", seed)
+        _run(full, "keys", "generate", "--seed", seed)
+    _run(full, "ledger", "init", "--group", "g", "--preset", "tiny")
+    _run(full, "ledger", "register", "alpha", "--seed", 10)
+    _run(full, "ledger", "register", "beta", "--seed", 11)
+    used = json.loads(_run(full, "keys", "generate", "--seed", 1).output)["key_id"]
+    share = root / "alpha.json"
+    _run(full, "keys", "split", used, "--device", "alpha", "--order", 16, "-o", share)
+    alpha = _load(full)["ledger"]["entries"][0]["h2_hex"]
+    _run(full, "keys", "authorize", "--context", alpha, "--share", share)
+    fresh = json.loads(_run(full, "keys", "generate", "--seed", 2).output)["key_id"]
+    return {
+        "ledger-init": (bare, ["ledger", "init", "--group", "g", "--preset", "tiny"]),
+        "ledger-register": (full, ["ledger", "register", "gamma", "--seed", 12]),
+        "keys-generate": (full, ["keys", "generate", "--seed", 3]),
+        "keys-split": (full, ["keys", "split", fresh, "--device", "beta", "--order", 16,
+                              "-o", root / "beta.json"]),
+        "keys-authorize": (full, ["keys", "authorize", "--context", alpha, "--share", share]),
+    }
+
+
+@pytest.mark.parametrize("mode", ["journal", "torn-tail", "compaction"])
+@pytest.mark.parametrize("command", ["ledger-init", "ledger-register", "keys-generate",
+                                     "keys-split", "keys-authorize"])
+def test_crash_at_any_effect_leaves_the_state_before_or_after(bases, tmp_path, command, mode):
+    """"journal": the dir its commands left, a log row each; "torn-tail":
+    that dir with a killed writer's journal and torn pages, which the
+    command first rolls back; "compaction": its state written whole into a
+    new dir.  A crash point's dir is loaded as the next command would find
+    it, and no crash loses a commit or leaves a third state."""
+    base, args = bases[command]
+    state = tmp_path / "state"
+    if mode == "journal":
+        shutil.copytree(base, state)
+    elif mode == "compaction":
+        _written_whole(base, state)
+    else:
+        _torn(base, state)
+    before_files, before = _files(state), _load(base)
+    assert _load(state) == before  # a load rolls the torn tail back
+    crash, torn = tmp_path / "crash", 0
+    for saved, _, killed, left in _crash_points(crash, before_files, args):
+        journal = left.get("zone.db-journal")
+        torn += journal is not None and left["zone.db"] != before_files["zone.db"] and (
+            journal != before_files.get("zone.db-journal"))
+        _check_crash_state(crash, before, saved)
+    # the last crash point is the dir the command left, committed
+    assert not killed and list(left) == ["zone.db"] and _load(crash) == saved != before
+    assert torn  # some crash left pages of the commit that the load rolled back
+
+
+@pytest.mark.parametrize("tail", ["cut", "garbage", "unfinished"],
+                         ids=["prefix", "not-utf8", "whole-line-without-newline"])
+def test_torn_final_line_is_dropped_and_cut_off_by_the_next_commit(journaled, tail):
+    """What a writer killed in its commit leaves beside ``zone.db``: "prefix",
+    its journal cut part way through a page; "not-utf8", a journal of bytes
+    no journal starts with; "whole-line-without-newline", every page of the
+    commit written, and only the journal's deletion, which is the commit,
+    not done.  A load drops the torn commit, and the next commit goes on
+    from the state before it."""
+    before, log = _load(journaled), _log(journaled)
+    torn = ["keys", "generate", "--seed", 5]
+    if tail == "cut":
+        assert _forked(journaled, torn, limit=_OFFSET_STEP)[2]
+    elif tail == "garbage":
+        (journaled / "zone.db-journal").write_bytes(b"\xff\xfe")
+    else:
+        _unfinished(journaled, torn, journaled.parent / "kept-journal")
+    assert (journaled / "zone.db-journal").exists()
+    assert _load(journaled) == before
+
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    assert os.listdir(journaled) == ["zone.db"]
+    assert _log(journaled)[:3] == log and len(_log(journaled)) == 4
+    after = _load(journaled)
+    assert set(after["zone"]["keys"]) == {*before["zone"]["keys"], key_id}
+
+
 # --- what a commit writes ---------------------------------------------------------
 
 
@@ -116,19 +389,36 @@ def test_each_commit_logs_its_record_chained_from_the_tip(journaled):
     assert (header["seq"], header["h"]) == (3, h.hex())
 
 
-def test_a_commit_writes_only_the_rows_it_changes(tmp_path):
-    """One accepted authorize over 30 devices rewrites the header, the
-    context and the key it used, and adds one audit entry and one log row."""
-    context, share = built_dir(tmp_path / "state", 30)
-    before = stored_rows(tmp_path / "state")
-    _run(tmp_path / "state", "keys", "authorize", "--context", context, "--share", share)
-    after = stored_rows(tmp_path / "state")
-    changed = {key for key in after if before.get(key) != after[key]}
-    key_id = json.loads(before["c", bytes.fromhex(context)][0])["key_id"]
-    audit = stored_header(tmp_path / "state")["zone"]["audit"] - 1
-    assert changed == {("h", b""), ("c", bytes.fromhex(context)), ("k", bytes.fromhex(key_id)),
-                       ("a", audit.to_bytes(8, "big"))}
-    assert len(_log(tmp_path / "state")) == 1
+def test_record_0_parses_as_json_and_names_each_unit_only_in_its_row(journaled):
+    """A dir's keys and contexts, as commands left them and written whole
+    into a new dir, are rows whose bodies are JSON objects with no
+    ``"<id>":`` text: only a row's id column gives its unit's id."""
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    _run(journaled, "keys", "split", key_id, "--device", "alpha", "--order", 16,
+         "-o", journaled.parent / "alpha.json")
+    for state in (journaled, _written_whole(journaled, journaled.parent / "whole")):
+        rows = stored_rows(state)
+        ids = [unit_id.hex() for kind, unit_id in rows if kind in "kc"]
+        assert len([kind for kind, _ in rows if kind == "c"]) == 1 and len(ids) == 8
+        assert all(type(json.loads(body)) is dict for body, _ in rows.values())
+        assert not any(b'"%s":' % unit_id.encode() in body
+                       for unit_id in ids for body, _ in rows.values())
+
+
+def test_compaction_copies_an_edited_unit_with_its_digest(journaled):
+    """A commit neither reads nor rewrites a unit it does not use, so an
+    edited key that no command read keeps its row, edit and digest, through
+    later commits, and is refused once a command reads it."""
+    key_id = json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)["key_id"]
+    edit_row(journaled, "k", bytes.fromhex(key_id),
+             _unit_edit(lambda unit: {**unit, "uses": 9}))
+    edited = stored_rows(journaled)["k", bytes.fromhex(key_id)]
+    _run(journaled, "ledger", "register", "alpha", "--seed", 10)
+    _run(journaled, "keys", "generate", "--seed", 5)
+    assert stored_rows(journaled)["k", bytes.fromhex(key_id)] == edited
+    _refused(journaled, f"unit k {key_id} does not match its digest",
+             [("keys", "split", key_id, "--context", "11" * 32, "--order", 16)])
 
 
 def test_a_ledger_made_in_a_dir_that_holds_state_is_logged_whole(tmp_path):
@@ -245,19 +535,22 @@ def _older_nonce(unit):
 
 @pytest.fixture
 def replayed(tmp_path):
-    """A split key whose context accepted a saved timestamp and rejected a
-    replay of it; and the arguments of that replay."""
-    state = tmp_path / "state"
-    _run(state, "ledger", "init", "--group", "g", "--preset", "tiny")
-    _run(state, "ledger", "register", "alpha", "--seed", 10)
-    key_id = json.loads(_run(state, "keys", "generate", "--seed", 1).output)["key_id"]
+    """A split key whose context accepted a saved timestamp, a replay of it
+    rejected, and the state then written whole, with no log row; and the
+    arguments of that replay."""
+    built = tmp_path / "built"
+    _run(built, "ledger", "init", "--group", "g", "--preset", "tiny")
+    _run(built, "ledger", "register", "alpha", "--seed", 10)
+    key_id = json.loads(_run(built, "keys", "generate", "--seed", 1).output)["key_id"]
     share, timestamp = tmp_path / "share.json", tmp_path / "ts.json"
-    _run(state, "keys", "split", key_id, "--device", "alpha", "--order", 16, "-o", share)
-    context = _load(state)["ledger"]["entries"][0]["h2_hex"]
+    _run(built, "keys", "split", key_id, "--device", "alpha", "--order", 16, "-o", share)
+    context = _load(built)["ledger"]["entries"][0]["h2_hex"]
     authorize = ["keys", "authorize", "--context", context, "--share", share]
-    _run(state, *authorize, "--save-timestamp", timestamp)
-    r = _invoke(state, *authorize, "--timestamp", timestamp)
+    _run(built, *authorize, "--save-timestamp", timestamp)
+    r = _invoke(built, *authorize, "--timestamp", timestamp)
     assert r.exit_code == cli.EXIT_REJECTED and json.loads(r.stdout)["reason"] == "replay"
+    state = _written_whole(built, tmp_path / "state")
+    assert _log(state) == []
     return state, context, authorize + ["--timestamp", timestamp]
 
 
@@ -265,26 +558,26 @@ def _unit_edit(edit):
     return lambda body: statefile.dumps(edit(json.loads(body)))
 
 
-@pytest.mark.parametrize("unit", ["context-last-seen", "kek-nonce-counter", "last-seen-null",
-                                  "context-digest"])
-def test_an_edited_unit_is_state_error(replayed, unit):
-    """An edit rolls the state back: the context's last accepted timestamp
-    (the replay would be accepted) or the KEK's nonce counter (a nonce would
-    be used again).  Each unit is checked against its digest when it is
-    read, so the replay is refused instead; so is a unit whose digest alone
-    is edited."""
+@pytest.mark.parametrize("later_line", [False, True], ids=["record-0-alone", "with-a-later-line"])
+@pytest.mark.parametrize("unit", ["context-last-seen", "kek-nonce-counter", "last-seen-null"])
+def test_an_edited_unit_of_record_0_is_state_error(replayed, later_line, unit):
+    """An edit rolls a unit of the state back: the context's last accepted
+    timestamp (the replay would be accepted) or the KEK's nonce counter (a
+    nonce would be used again).  Each unit is checked against its digest
+    when it is read, so the replay is refused instead, whether the unit's
+    row is as the dir was written whole or a later commit was logged."""
     state, context, replay = replayed
+    if later_line:
+        _run(state, "keys", "generate", "--seed", 2)
+        assert len(_log(state)) == 1
     kek = bytes.fromhex(stored_header(state)["zone"]["kek_id"])
     if unit == "context-last-seen":
         edit_row(state, "c", bytes.fromhex(context), _unit_edit(_older_sequence))
     elif unit == "kek-nonce-counter":
         edit_row(state, "k", kek, _unit_edit(_older_nonce))
-    elif unit == "last-seen-null":
+    else:
         edit_row(state, "c", bytes.fromhex(context),
                  _unit_edit(lambda unit: {**unit, "last_seen": None}))
-    else:
-        with contextlib.closing(sqlite3.connect(state / "zone.db")) as db, db:
-            db.execute("UPDATE unit SET digest = ? WHERE kind = 'c'", (bytes(32),))
     _refused(state, "does not match its digest", [replay])
 
 
@@ -292,24 +585,50 @@ def _flipped_hex(text):
     return ("0" if text[0] != "0" else "1") + text[1:]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda header: {**header, "h": _flipped_hex(header["h"])},
-    lambda header: {**header, "tsa": {**header["tsa"], "sequence": header["tsa"]["sequence"] - 1}},
-    lambda header: {**header, "zone": {**header["zone"], "audit": header["zone"]["audit"] - 1}},
-    lambda header: {**header, "zone": {**header["zone"], "kek_id": header["zone"]["point_key_id"]}},
-], ids=["h", "tsa", "audit-count", "kek-id"])
-def test_an_edited_header_is_state_error(journaled, edit):
-    """The header row is sealed by its digest like every unit: a rolled
-    back TSA would issue a timestamp again."""
-    edit_row(journaled, "h", b"", _unit_edit(edit))
-    _refused(journaled, "malformed zone.db header: corrupted zone.db: unit h  does not match "
-                        "its digest")
+def _edited_header(edit):
+    return lambda state: edit_row(state, "h", b"", _unit_edit(edit))
 
 
-def test_a_row_moved_under_another_id_is_refused_until_it_is_moved_back(journaled):
+def _edited_digest(kind, which):
+    """The digest of a row, one bit flipped: which(state) gives its id."""
+    def edit(state):
+        where = (kind, which(state))
+        with contextlib.closing(sqlite3.connect(state / "zone.db")) as db, db:
+            (digest,), = db.execute("SELECT digest FROM unit WHERE kind = ? AND id = ?", where)
+            db.execute("UPDATE unit SET digest = ? WHERE kind = ? AND id = ?",
+                       (bytes([digest[0] ^ 1]) + digest[1:], *where))
+    return edit
+
+
+_BOTH = (("keys", "generate"), ("ledger", "verify"))
+
+
+@pytest.mark.parametrize("edit,commands", [
+    (_edited_header(lambda header: {**header, "h": _flipped_hex(header["h"])}), _BOTH),
+    (_edited_header(lambda header: {**header, "tsa": {
+        **header["tsa"], "sequence": header["tsa"]["sequence"] - 1}}), _BOTH),
+    (_edited_digest("k", lambda state: bytes.fromhex(stored_header(state)["zone"]["kek_id"])),
+     (("keys", "generate"), ("ledger", "register", "alpha"))),
+    (_edited_digest("h", lambda state: b""), _BOTH),
+    (_edited_header(lambda header: {**header, "zone": {
+        **header["zone"], "audit": header["zone"]["audit"] - 1}}), _BOTH),
+    (_edited_header(lambda header: {**header, "zone": {
+        **header["zone"], "kek_id": header["zone"]["point_key_id"]}}), _BOTH),
+], ids=["h", "header", "index", "trailer", "audit-count", "kek-id"])
+def test_an_edited_header_or_index_of_record_0_is_state_error(journaled, edit, commands):
+    """The header row, the state without its units, is sealed by its digest
+    like every unit row, and checked by every load: its tip h, a rolled
+    back TSA (it would issue a timestamp again), its audit count or an
+    infrastructure key id; and the digests themselves, the KEK row's and
+    the header's own."""
+    edit(journaled)
+    _refused(journaled, "does not match its digest", commands)
+
+
+def test_an_edited_id_in_a_row_of_record_0_is_refused_until_it_is_flipped_back(journaled):
     """A key's id is in its digest: moved to another id, with its own unit
     unchanged, it is refused by every command that reads it, and the dir
-    works again once the row is moved back."""
+    works again once the id is flipped back."""
     key_id = bytes.fromhex(json.loads(_run(journaled, "keys", "generate", "--seed", 4).output)
                            ["key_id"])
     other = bytes([key_id[0] ^ 1]) + key_id[1:]
@@ -340,11 +659,94 @@ def test_a_record_whose_seq_is_not_an_int_is_state_error(journaled, seq):
     _refused(journaled, "malformed zone.db header: the sequence number is not an integer")
 
 
+def test_a_record_whose_seq_is_not_one_more_than_the_last_is_state_error(journaled):
+    """The header resealed one seq back, as a restore of an older header
+    would leave it: the next record's seq is the last one's again, and its
+    log row meets the one already there, as nothing in the log is ever
+    replaced, so the commit is refused and rolled back."""
+    edit_row(journaled, "h", b"", _unit_edit(lambda header: {**header, "seq": header["seq"] - 1}),
+             reseal=True)
+    _refused(journaled, "UNIQUE constraint failed: log.seq", [("keys", "generate")])
+
+
+def test_a_header_behind_its_audit_is_refused_at_its_commit(journaled):
+    """The header resealed one audit entry back: the command's audit entry
+    meets the one already at its index, as no list item is ever replaced."""
+    edit_row(journaled, "h", b"", _unit_edit(lambda header: {**header, "zone": {
+        **header["zone"], "audit": header["zone"]["audit"] - 1}}), reseal=True)
+    _refused(journaled, "UNIQUE constraint failed: unit.kind, unit.id", [("keys", "generate")])
+
+
 @pytest.mark.parametrize("section", ["tsa", "zone", "ledger"])
 def test_a_header_without_a_section_is_state_error(journaled, section):
     edit_row(journaled, "h", b"", _unit_edit(lambda header: {
         name: value for name, value in header.items() if name != section}), reseal=True)
     _refused(journaled, f"'{section}'", [("keys", "generate")])
+
+
+def test_a_record_0_that_is_not_a_whole_state_is_state_error(journaled):
+    """The header row deleted: the unit rows and the log, whose records hold
+    only what their commands changed, cannot stand as the state."""
+    with contextlib.closing(sqlite3.connect(journaled / "zone.db")) as db, db:
+        db.execute("DELETE FROM unit WHERE kind = 'h'")
+    _refused(journaled, "malformed zone.db header", [("keys", "generate")])
+
+
+def test_a_later_record_given_an_index_is_still_not_a_whole_state(journaled):
+    """The header replaced by the first log row's record, with the tip h and
+    its digest recomputed: its zone holds what one command changed, the new
+    key among it, which only a row of its own may hold, so it is refused."""
+    (_, h, record), *_ = _log(journaled)
+    edit_row(journaled, "h", b"", lambda body: statefile.dumps(
+        {**json.loads(record), "h": h.hex()}), reseal=True)
+    _refused(journaled, "malformed zone.db header: its zone holds keys or contexts",
+             [("keys", "generate")])
+
+
+def test_a_whole_line_that_is_not_a_journal_record_is_state_error(journaled):
+    """The header, the whole state but its units, stored under another kind
+    than ``h``."""
+    with contextlib.closing(sqlite3.connect(journaled / "zone.db")) as db, db:
+        db.execute("UPDATE unit SET kind = 'x' WHERE kind = 'h'")
+    _refused(journaled, "malformed zone.db header")
+
+
+def test_a_record_that_changes_a_missing_ledger_is_state_error(tmp_path):
+    """A dir with no ``ledger init`` has no ledger: its header resealed with
+    an empty ledger section, as a record that changes the ledger would carry
+    it, is refused."""
+    state = tmp_path / "state"
+    for seed in (1, 2):
+        _run(state, "keys", "generate", "--seed", seed)
+    assert stored_header(state)["ledger"] is None
+    edit_row(state, "h", b"", _unit_edit(lambda header: {**header, "ledger": {}}), reseal=True)
+    _refused(state, "corrupted state in zone.db: 'entries'", [("keys", "generate")])
+
+
+def test_a_record_whose_ledger_entries_are_not_a_list_is_state_error(journaled):
+    """The header, resealed, gives the ledger's entries as a mapping."""
+    edit_row(journaled, "h", b"", _unit_edit(lambda header: {
+        **header, "ledger": {**header["ledger"], "entries": {}}}), reseal=True)
+    _refused(journaled, "the count of kind e is not a natural number")
+
+
+@pytest.mark.parametrize("edit,message,commands", [
+    (lambda header: {**header, "zone": {**header["zone"], "audit": {}}},
+     "the count of kind a is not a natural number", (("keys", "generate"),)),
+    (lambda header: {**header, "ledger": {"group_id": "h", "curve": tiny_curve().to_json_dict(),
+                                          "entries": 0}},
+     "zone.db does not hold the 0 units of kind e its header counts",
+     (("ledger", "register", "gamma"), ("ledger", "verify"))),
+], ids=["audit-mapping", "second-ledger"])
+def test_a_record_whose_changes_do_not_fit_the_state_is_state_error(
+        journaled, edit, message, commands):
+    """The header, resealed, gives its audit as a mapping, or a new ledger
+    where the dir holds one with entries: a register would write its entry
+    over the old ledger's first."""
+    for label in ("alpha", "beta"):
+        _run(journaled, "ledger", "register", label)
+    edit_row(journaled, "h", b"", _unit_edit(edit), reseal=True)
+    _refused(journaled, message, commands)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -366,20 +768,6 @@ def test_a_resealed_unit_that_is_no_object_is_state_error(replayed, kind):
     state, _, replay = replayed
     edit_row(state, kind, _first_id(state, kind), lambda body: b"null", reseal=True)
     _refused(state, "is not an object", [replay])
-
-
-@pytest.mark.parametrize("edit,message", [
-    (lambda header: {**header, "seq": header["seq"] - 1}, "UNIQUE constraint failed: log.seq"),
-    (lambda header: {**header, "zone": {**header["zone"], "audit": header["zone"]["audit"] - 1}},
-     "UNIQUE constraint failed: unit.kind, unit.id"),
-], ids=["seq", "audit-count"])
-def test_a_header_behind_its_rows_is_refused_at_its_commit(journaled, edit, message):
-    """A header resealed one seq or one audit entry back, as a restore of an
-    older header would leave it: the command runs, and its log row or audit
-    entry meets the one already there, as nothing in the log or a list is
-    ever replaced, so the commit is refused and rolled back."""
-    edit_row(journaled, "h", b"", _unit_edit(edit), reseal=True)
-    _refused(journaled, message, [("keys", "generate")])
 
 
 def test_a_deleted_entry_row_is_state_error(journaled):
