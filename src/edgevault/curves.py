@@ -4,12 +4,18 @@ Points here are identity material only: selected, sealed and hashed, never
 added or multiplied, so a point is an affine pair with no neutral element O.
 The curve lives over F_p (p an odd prime, small test primes through 256-bit)
 rather than the reals so that point encoding is exact and uniqueness is decidable.
+
+Point selection draws x until the curve equation has a root in y.  Half the
+draws are non-residues, so residuosity is decided by the Jacobi symbol, plain
+integer arithmetic, and the one modular exponentiation per point goes to the
+root of a known residue.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import CurveError, GroupFullError, parses
@@ -33,7 +39,7 @@ MAX_SELECT_TRIES = 4096
 #: 256-bit prime (p = 2^256 - 2^32 - 977, p % 4 == 3 for the fast sqrt path)
 P256 = 2 ** 256 - 2 ** 32 - 977
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def standard_curve() -> "WeierstrassCurve":
@@ -47,7 +53,13 @@ def tiny_curve() -> "WeierstrassCurve":
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n < 3.3e24 via fixed witnesses."""
+    """Miller-Rabin with the first 13 primes as witnesses.
+
+    Deterministic below 3.3e24 (Sorenson and Webster, Math. Comp. 2017): the
+    least strong pseudoprime to the bases 2..37 is psi_12 ~ 3.2e23, and base
+    41 is what rejects it.  Above 3.3e24 a composite can pass (psi_13 does);
+    ``sqrt_mod`` refuses such a modulus when point selection exposes it.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -168,27 +180,57 @@ def is_on_curve(curve: WeierstrassCurve, point: CurvePoint) -> bool:
     return lhs == rhs
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a mod odd prime p via Tonelli-Shanks, or None.
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity.
 
-    When p % 4 == 3, one exponentiation gives the root of a residue, and
-    squaring it back tells a non-residue apart.
+    Cohen, Alg. 1.4.10: strip the factors of 2 from a (each flips the sign
+    when n is 3 or 5 mod 8), then swap a and n (a flip when both are 3
+    mod 4) and reduce.  For prime n it is Legendre's symbol: 1 for a
+    residue, -1 for a non-residue, 0 for a multiple of n.
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 2:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod odd prime p, or None for a non-residue.
+
+    The Jacobi symbol decides residuosity with no exponentiation, so a
+    non-residue costs none; a residue costs one, ``a^((p+1)/4)``, when
+    p % 4 == 3, and Tonelli-Shanks's few otherwise.  A modulus that passed
+    Miller-Rabin but is composite shows itself here, when the root of a
+    "residue" does not square back, Tonelli-Shanks runs out of powers of
+    two or the modulus is a square, and raises CurveError.
     """
     a %= p
     if a == 0:
         return 0
+    if _jacobi(a, p) != 1:
+        return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return r if r * r % p == a else None
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
+        if r * r % p != a:
+            raise CurveError(f"modulus {p} is not prime")
+        return r
+    # (z/p) is never -1 for a square p, so the non-residue search would not end
+    if isqrt(p) ** 2 == p:
+        raise CurveError(f"modulus {p} is not prime")
     # Tonelli-Shanks: write p-1 = q * 2^s with q odd.
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while _jacobi(z, p) != -1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -197,6 +239,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
         while t2 != 1:
             t2 = (t2 * t2) % p
             i += 1
+            if i == m:
+                raise CurveError(f"modulus {p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, (b * b) % p
         t, r = (t * c) % p, (r * b) % p

@@ -10,12 +10,13 @@ the step's expectation.
 
 The cloud keeps its replica by delta sync.  It knows the group and curve
 from the start and holds only what it has verified (entry count, tip h2 and
-the received entry-line chunks).  At each registration it asks the edge for
-the lines after its tip (every line, the first time, from the empty replica),
-then parses them and re-chains them from that tip.  Each entry is thus
-verified once on each side, and onboarding N devices costs O(N) ledger work.
-The replica bytes are joined only when read, and run end still verifies the
-full chain at both nodes and compares the replica with a fresh full snapshot.
+one buffer of the received entry lines).  At each registration it asks the
+edge for the lines after its tip (every line, the first time, from the empty
+replica), then parses them and re-chains them from that tip.  Each entry is
+thus verified once on each side, and onboarding N devices costs O(N) ledger
+work.  The replica bytes (header, then that buffer) are built only when
+read, and run end still verifies the full chain at both nodes and compares
+the replica with a fresh full snapshot.
 
 Time is a logical tick counter and all randomness derives from the scenario
 seed, so replaying a scenario yields a byte-identical event log.  The log
@@ -206,7 +207,7 @@ class _Cloud:
     """The cloud node: its ledger replica plus its half of every key.
 
     The replica is held as the verified state only: group and curve, entry
-    count, tip h2 and the entry-line chunks received so far.
+    count, tip h2 and one buffer of the entry lines received so far.
     """
 
     def __init__(self, group_id: str, curve: WeierstrassCurve):
@@ -214,7 +215,7 @@ class _Cloud:
         self.curve = curve
         self.count = 0
         self.tip: Optional[bytes] = None
-        self.chunks: list[bytes] = []
+        self.lines = bytearray()
         self.shares: dict[bytes, SealedShare] = {}
 
     def _header(self) -> bytes:
@@ -222,15 +223,14 @@ class _Cloud:
 
     @property
     def replica(self) -> Optional[bytes]:
-        """The replica's snapshot bytes, joined on read; None while it holds no entry."""
+        """The replica's snapshot bytes, header then lines; None while it holds no entry."""
         if self.tip is None:
             return None
-        return b"".join([self._header(), *self.chunks])
+        return self._header() + self.lines
 
     def replica_sha256(self) -> bytes:
         digest = hashlib.sha256(self._header())
-        for chunk in self.chunks:
-            digest.update(chunk)
+        digest.update(self.lines)
         return digest.digest()
 
     def sync(self, edge: IdentityLedger) -> ChainReport:
@@ -250,7 +250,7 @@ class _Cloud:
         entries = parse_entry_lines(delta, start=self.count)
         report = verify_entries(entries, self.tip, self.count)
         if report.valid and entries:
-            self.chunks.append(delta)
+            self.lines += delta
             self.count += len(entries)
             self.tip = entries[-1].h2
         return report

@@ -242,6 +242,21 @@ def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(runner, tmp_path
     assert _state_files(state) == before
 
 
+def test_a_composite_modulus_past_miller_rabin_is_refused_at_registration(runner, tmp_path):
+    """psi_13 passes every Miller-Rabin base, so init takes it; the first
+    registration whose root Tonelli-Shanks cannot finish refuses it."""
+    state, curve = tmp_path / "state", tmp_path / "curve.json"
+    curve.write_text(_PSI_13_CURVE)
+    r = invoke(runner, state, "ledger", "init", "--group", "g", "--curve-json", str(curve))
+    assert r.exit_code == 0, r.output
+    before = _state_files(state)
+    r = invoke(runner, state, "ledger", "register", "p1", "--seed", "1")
+    assert r.exit_code == 1
+    err = json.loads(r.output.strip().splitlines()[-1])["error"]
+    assert err["code"] == "invalid-curve" and "is not prime" in err["message"]
+    assert _state_files(state) == before
+
+
 def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path):
     """A ledger header that also carries each point in the clear, as an
     earlier layout stored them: it loads, registers without reusing a point,
@@ -421,6 +436,9 @@ def _one_expected_tag(zone):
 
 # M8191: composite with no factor below 41, so only its width rejects it quickly
 _WIDE_CURVE = json.dumps(dict(standard_curve().to_json_dict(), p=hex((1 << 8191) - 1)))
+# the least strong pseudoprimes to the prime bases up to 37 and up to 41
+_PSI_12_CURVE = json.dumps(dict(standard_curve().to_json_dict(), p=hex(318665857834031151167461)))
+_PSI_13_CURVE = json.dumps(dict(standard_curve().to_json_dict(), p=hex(3317044064679887385961981)))
 
 
 def _wide_curve(ledger):
@@ -478,6 +496,7 @@ def _spliced(state, document, section, raw):
         ("tsa", b"[]", "corrupted-state"),
         ("curve", b"{}", "invalid-curve"),
         ("curve", _WIDE_CURVE.encode(), "invalid-curve"),
+        ("curve", _PSI_12_CURVE.encode(), "invalid-curve"),
         ("ledger", _wide_curve, "corrupted-state"),
         ("timestamp", b'{"epoch_seconds": 1e999, "sequence": 1}', "corrupted-state"),
         ("share", _one_byte_tag, "corrupted-state"),
@@ -495,7 +514,8 @@ def _spliced(state, document, section, raw):
         ("document", _journal_seq(1 << 64), "corrupted-state"),
     ],
     ids=["timestamp-empty-object", "timestamp-not-json", "tsa-not-utf8", "tsa-array",
-         "curve-missing-fields", "curve-8191-bit-modulus", "ledger-8191-bit-modulus",
+         "curve-missing-fields", "curve-8191-bit-modulus", "curve-psi12-modulus",
+         "ledger-8191-bit-modulus",
          "timestamp-infinite-epoch", "share-one-byte-tag",
          "zone-one-expected-tag", "scenario-string-entry", "document-list",
          "document-without-zone", "document-string-ledger", "old-layout-without-tsa-json",

@@ -2,12 +2,16 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgevault import curves
 from edgevault.curves import (
     CurvePoint,
     P256,
     WeierstrassCurve,
     _is_probable_prime,
+    _jacobi,
     discriminant,
     is_on_curve,
     point_from_bytes,
@@ -18,6 +22,11 @@ from edgevault.curves import (
     tiny_curve,
 )
 from edgevault.errors import CurveError, GroupFullError
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+# (Sorenson and Webster, Math. Comp. 2017)
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
 
 # exhaustive enumeration oracle over F5 for y^2 = x^3 + x + 1
 F5_POINTS = sorted(
@@ -72,17 +81,17 @@ def test_preset_modulus_is_prime():
 
 
 def test_curve_rejects_composite_256_bit_modulus():
-    # (2^127 - 1) is a Mersenne prime; the cofactor has no factor below 41,
+    # (2^127 - 1) is a Mersenne prime; the cofactor has no factor up to 41,
     # so only Miller-Rabin can reject this modulus
     composite = (2 ** 127 - 1) * (2 ** 129 - 9)
     assert composite.bit_length() == 256
-    assert all(composite % q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert all(composite % q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
     with pytest.raises(CurveError):
         WeierstrassCurve.short(composite, 0, 7)
 
 
 def test_curve_rejects_a_wide_modulus_before_testing_primality():
-    # M8191 is composite with no factor below 41, so Miller-Rabin would run;
+    # M8191 is composite with no factor up to 41, so Miller-Rabin would run;
     # at that width it took about 1.7 s of CPU to reject
     wide = dict(standard_curve().to_json_dict(), p=hex((1 << 8191) - 1))
     start = time.process_time()
@@ -143,6 +152,151 @@ def test_sqrt_mod_full_tonelli_branch():
         assert root is not None and (root * root) % p == a
 
 
+def _euler_sqrt_mod(a, p):
+    """The square root as computed before the Jacobi symbol: Euler's
+    criterion for residuosity, so a non-residue costs an exponentiation."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return r if r * r % p == a else None
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c = s, pow(z, q, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = (t2 * t2) % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, (b * b) % p
+        t, r = (t * c) % p, (r * b) % p
+    return r
+
+
+def _legendre(a, p):
+    """Euler's criterion: a^((p-1)/2) mod p as 0, 1 or -1."""
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def _next_prime(n):
+    n |= 1
+    while not _is_probable_prime(n):
+        n += 2
+    return n
+
+
+# odd primes, several in each class mod 8, small through 256-bit
+PRIMES_BY_CLASS = {
+    1: [17, 41, 97, 1000033, 10 ** 18 + 9, 2 ** 200 + 697],
+    3: [3, 11, 19, 1000003, 10 ** 18 + 3, 2 ** 200 + 235],
+    5: [5, 13, 29, 101, 10 ** 18 + 381, 2 ** 255 - 19],
+    7: [7, 23, 31, 2 ** 61 - 1, 2 ** 127 - 1, P256],
+}
+
+_primes = st.integers(3, 2 ** 64).map(_next_prime)
+
+
+@pytest.mark.parametrize("cls", sorted(PRIMES_BY_CLASS))
+def test_jacobi_is_euler_s_criterion_on_fixed_primes(cls):
+    rng = random.Random(cls)
+    for p in PRIMES_BY_CLASS[cls]:
+        assert p % 8 == cls and _is_probable_prime(p)
+        values = [0, 1, 2, p - 1, p, p + 2, -1, -2, 3 * p + 5] + [rng.randrange(-p, 2 * p) for _ in range(50)]
+        for a in values:
+            assert _jacobi(a, p) == _legendre(a, p), (a, p)
+
+
+@given(p=_primes, a=st.integers())
+@settings(max_examples=300, deadline=None)
+def test_jacobi_is_euler_s_criterion(p, a):
+    assert _jacobi(a, p) == _legendre(a, p)
+
+
+def test_jacobi_on_composites_is_the_product_of_legendre_symbols():
+    primes = [p for ps in PRIMES_BY_CLASS.values() for p in ps if p < 2 ** 64]
+    rng = random.Random(8)
+    for p in primes:
+        for q in primes:
+            for a in [0, 1, 2, p, q, -3] + [rng.randrange(p * q) for _ in range(8)]:
+                assert _jacobi(a, p * q) == _legendre(a, p) * _legendre(a, q), (a, p, q)
+    # 2 is not a square mod 15, yet (2/3)(2/5) = 1: the symbol only says "maybe"
+    assert _jacobi(2, 15) == 1
+
+
+@given(p=_primes, q=_primes, a=st.integers())
+@settings(max_examples=300, deadline=None)
+def test_jacobi_on_a_composite_is_the_product_of_legendre_symbols(p, q, a):
+    assert _jacobi(a, p * q) == _legendre(a, p) * _legendre(a, q)
+
+
+@pytest.mark.parametrize("cls", sorted(PRIMES_BY_CLASS))
+def test_sqrt_mod_matches_the_euler_criterion_code(cls):
+    rng = random.Random(100 + cls)
+    for p in PRIMES_BY_CLASS[cls]:
+        values = [0, p, -p, 1, -1, p - 1, p + 1, 2 * p + 3, -5] + [rng.randrange(-p, 3 * p) for _ in range(60)]
+        for a in values:
+            assert sqrt_mod(a, p) == _euler_sqrt_mod(a, p), (a, p)
+
+
+@given(p=_primes, a=st.integers())
+@settings(max_examples=300, deadline=None)
+def test_sqrt_mod_matches_the_euler_criterion_code_on_drawn_primes(p, a):
+    assert sqrt_mod(a, p) == _euler_sqrt_mod(a, p)
+
+
+def test_point_selection_makes_one_exponentiation_per_point(monkeypatch):
+    calls = []
+
+    def counting_pow(*args):
+        if len(args) == 3:
+            calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(curves, "pow", counting_pow, raising=False)
+    curve = standard_curve()
+    for seed in range(100):
+        select_unique_point(curve, set(), rng_seed=seed)
+    # about as many non-residues were drawn, and none cost a pow
+    assert len(calls) == 100
+
+
+def test_a_composite_modulus_that_fails_base_41_is_refused_at_construction():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not _is_probable_prime(PSI_12)
+    with pytest.raises(CurveError, match="odd prime"):
+        WeierstrassCurve.short(PSI_12, 0, 7)
+
+
+def test_a_composite_modulus_that_passes_every_base_is_refused_by_point_selection():
+    # psi_13 is past the deterministic bound: it passes all 13 bases and makes
+    # a curve, and a root that Tonelli-Shanks cannot finish gives it away
+    assert PSI_13 % 4 == 1 and _is_probable_prime(PSI_13)
+    curve = WeierstrassCurve.short(PSI_13, 0, 7)
+    with pytest.raises(CurveError, match="not prime"):
+        select_unique_point(curve, set(), rng_seed=1)
+
+
+@pytest.mark.parametrize("a,n", [(2, 15), (5, 21), (2, 9)], ids=["3-mod-4", "1-mod-4", "square"])
+def test_sqrt_mod_refuses_a_composite_whose_jacobi_symbol_says_residue(a, n):
+    # (2/15) = (5/21) = (2/9) = 1, yet none is a square: a root that does not
+    # square back, a Tonelli-Shanks loop that runs out of powers of two, or a
+    # modulus with no Jacobi symbol -1 for Tonelli-Shanks's non-residue
+    assert _jacobi(a, n) == 1 and all(y * y % n != a for y in range(n))
+    with pytest.raises(CurveError, match=f"modulus {n} is not prime"):
+        sqrt_mod(a, n)
+
+
 # --- point selection --------------------------------------------------------------
 
 def test_select_returns_enumerated_point():
@@ -201,7 +355,7 @@ def test_is_probable_prime_matches_a_sieve_below_5000():
     for p in range(2, 71):
         for multiple in range(p * p, 5000, p):
             sieve[multiple] = False
-    # 41 * 41 = 1681 is the first composite that every small-prime trial division misses
+    # 43 * 43 = 1849 is the first composite that every small-prime trial division misses
     assert [n for n in range(5000) if _is_probable_prime(n)] == [
         n for n in range(5000) if sieve[n]]
 
