@@ -53,12 +53,14 @@ def tiny_curve() -> "WeierstrassCurve":
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 primes as witnesses.
+    """Baillie-PSW: Miller-Rabin with the first 13 primes as witnesses, then
+    a strong Lucas test (Baillie and Wagstaff, Math. Comp. 1980).
 
-    Deterministic below 3.3e24 (Sorenson and Webster, Math. Comp. 2017): the
-    least strong pseudoprime to the bases 2..37 is psi_12 ~ 3.2e23, and base
-    41 is what rejects it.  Above 3.3e24 a composite can pass (psi_13 does);
-    ``sqrt_mod`` refuses such a modulus when point selection exposes it.
+    Miller-Rabin alone is deterministic below 3.3e24 (Sorenson and Webster,
+    Math. Comp. 2017): the least strong pseudoprime to the bases 2..37 is
+    psi_12 ~ 3.2e23, and base 41 is what rejects it.  psi_13 ~ 3.3e24 passes
+    all 13 bases, and the Lucas test rejects it.  No composite is known to
+    pass both, and none exists below 2^64.
     """
     if n < 2:
         return False
@@ -80,7 +82,49 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_probable_prime(n)
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test for odd n > 41 with no prime factor up to 41.
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  Writing n + 1 = d * 2^s,
+    a prime n has U_d = 0 or V_(d*2^r) = 0 (mod n) for some r < s; the
+    binary ladder below doubles k with U_2k = U_k*V_k and
+    V_2k = V_k^2 - 2*Q^k, and steps it with U_k+1 = (P*U_k + V_k)/2 and
+    V_k+1 = (D*U_k + P*V_k)/2.
+    """
+    # (D/n) is never -1 for a square n, so the search for D would not end
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    U, V, Qk = 0, 2, 1
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class CurvePoint(NamedTuple):
@@ -206,10 +250,11 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
     The Jacobi symbol decides residuosity with no exponentiation, so a
     non-residue costs none; a residue costs one, ``a^((p+1)/4)``, when
-    p % 4 == 3, and Tonelli-Shanks's few otherwise.  A modulus that passed
-    Miller-Rabin but is composite shows itself here, when the root of a
-    "residue" does not square back, Tonelli-Shanks runs out of powers of
-    two or the modulus is a square, and raises CurveError.
+    p % 4 == 3, and Tonelli-Shanks's few otherwise.  A curve's modulus has
+    passed Baillie-PSW; a composite modulus given here directly may show
+    itself, when the root of a "residue" does not square back,
+    Tonelli-Shanks runs out of powers of two or the modulus is a square, and
+    then raises CurveError.
     """
     a %= p
     if a == 0:

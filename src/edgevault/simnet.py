@@ -18,6 +18,15 @@ work.  The replica bytes (header, then that buffer) are built only when
 read, and run end still verifies the full chain at both nodes and compares
 the replica with a fresh full snapshot.
 
+Each registration's ``ledger-sync`` event commits to the replica with
+``replica_lines_sha256``: a running SHA-256 of the entry lines, fed each
+delta once as it is accepted, so a registration hashes only its delta and
+onboarding N devices hashes O(N) bytes.  The snapshot header is left out:
+group and curve are fixed for the run, and the event logs the entry count.
+A log whose header line carries ``"log_version": 2`` is in this form; a
+log with no version is version 1, whose ``replica_sha256`` covers header
+and lines.
+
 Time is a logical tick counter and all randomness derives from the scenario
 seed, so replaying a scenario yields a byte-identical event log.  The log
 header echoes a hash of the scenario config as a code-integrity stand-in.
@@ -207,7 +216,8 @@ class _Cloud:
     """The cloud node: its ledger replica plus its half of every key.
 
     The replica is held as the verified state only: group and curve, entry
-    count, tip h2 and one buffer of the entry lines received so far.
+    count, tip h2, one buffer of the entry lines received so far and a
+    running SHA-256 of that buffer.
     """
 
     def __init__(self, group_id: str, curve: WeierstrassCurve):
@@ -216,22 +226,15 @@ class _Cloud:
         self.count = 0
         self.tip: Optional[bytes] = None
         self.lines = bytearray()
+        self.lines_digest = hashlib.sha256()
         self.shares: dict[bytes, SealedShare] = {}
-
-    def _header(self) -> bytes:
-        return snapshot_header(self.group_id, self.curve, self.count)
 
     @property
     def replica(self) -> Optional[bytes]:
         """The replica's snapshot bytes, header then lines; None while it holds no entry."""
         if self.tip is None:
             return None
-        return self._header() + self.lines
-
-    def replica_sha256(self) -> bytes:
-        digest = hashlib.sha256(self._header())
-        digest.update(self.lines)
-        return digest.digest()
+        return snapshot_header(self.group_id, self.curve, self.count) + self.lines
 
     def sync(self, edge: IdentityLedger) -> ChainReport:
         """Bring the replica up to the edge ledger: the lines after the
@@ -251,6 +254,7 @@ class _Cloud:
         report = verify_entries(entries, self.tip, self.count)
         if report.valid and entries:
             self.lines += delta
+            self.lines_digest.update(delta)
             self.count += len(entries)
             self.tip = entries[-1].h2
         return report
@@ -329,7 +333,8 @@ class _Runner:
         )
         self._emit(
             "cloud", "ledger-sync",
-            {"entries": len(self.zone.ledger), "replica_sha256": self.cloud.replica_sha256().hex()},
+            {"entries": len(self.zone.ledger),
+             "replica_lines_sha256": self.cloud.lines_digest.hexdigest()},
             "replica-verified" if replica_ok.valid else f"replica-invalid:{replica_ok.first_bad_index}",
         )
         self._expect(step, "registered")
@@ -480,6 +485,7 @@ def run_scenario(scenario: SimScenario) -> RunResult:
 def events_to_jsonl(scenario: SimScenario, events: list[SimEvent]) -> bytes:
     """Serialize a run deterministically: header line + one line per event."""
     header = {
+        "log_version": 2,  # the module docstring says what version 2 changed
         "scenario": scenario.name,
         "seed": scenario.seed,
         "config_sha256": scenario.config_digest(),

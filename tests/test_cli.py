@@ -242,19 +242,16 @@ def test_the_tiny_group_holds_eight_devices_and_refuses_a_ninth(runner, tmp_path
     assert _state_files(state) == before
 
 
-def test_a_composite_modulus_past_miller_rabin_is_refused_at_registration(runner, tmp_path):
-    """psi_13 passes every Miller-Rabin base, so init takes it; the first
-    registration whose root Tonelli-Shanks cannot finish refuses it."""
+def test_a_composite_modulus_past_miller_rabin_is_refused_at_init(runner, tmp_path):
+    """psi_13 passes every Miller-Rabin base and fails the strong Lucas test,
+    so init refuses it and makes no dir, as it does psi_12."""
     state, curve = tmp_path / "state", tmp_path / "curve.json"
     curve.write_text(_PSI_13_CURVE)
     r = invoke(runner, state, "ledger", "init", "--group", "g", "--curve-json", str(curve))
-    assert r.exit_code == 0, r.output
-    before = _state_files(state)
-    r = invoke(runner, state, "ledger", "register", "p1", "--seed", "1")
     assert r.exit_code == 1
     err = json.loads(r.output.strip().splitlines()[-1])["error"]
-    assert err["code"] == "invalid-curve" and "is not prime" in err["message"]
-    assert _state_files(state) == before
+    assert err["code"] == "invalid-curve" and "odd prime" in err["message"]
+    assert not state.exists()
 
 
 def test_a_dir_that_stored_used_points_loads_and_registers(runner, tmp_path):

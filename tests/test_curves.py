@@ -1,5 +1,6 @@
 import random
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from edgevault.curves import (
     P256,
     WeierstrassCurve,
     _is_probable_prime,
+    _is_strong_lucas_probable_prime,
     _jacobi,
     discriminant,
     is_on_curve,
@@ -278,13 +280,71 @@ def test_a_composite_modulus_that_fails_base_41_is_refused_at_construction():
         WeierstrassCurve.short(PSI_12, 0, 7)
 
 
-def test_a_composite_modulus_that_passes_every_base_is_refused_by_point_selection():
-    # psi_13 is past the deterministic bound: it passes all 13 bases and makes
-    # a curve, and a root that Tonelli-Shanks cannot finish gives it away
-    assert PSI_13 % 4 == 1 and _is_probable_prime(PSI_13)
-    curve = WeierstrassCurve.short(PSI_13, 0, 7)
-    with pytest.raises(CurveError, match="not prime"):
-        select_unique_point(curve, set(), rng_seed=1)
+def _strong_probable_prime(n, a):
+    """One Miller-Rabin round: is odd n a strong probable prime to base a?"""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << i, n) == n - 1 for i in range(1, r))
+
+
+def test_a_composite_modulus_that_passes_every_base_is_refused_by_the_lucas_test():
+    # psi_13 is past Miller-Rabin's deterministic bound: it passes all 13
+    # bases, and the strong Lucas test refuses it at construction
+    assert all(_strong_probable_prime(PSI_13, a) for a in curves._SMALL_PRIMES)
+    assert not _is_strong_lucas_probable_prime(PSI_13)
+    assert not _is_probable_prime(PSI_13)
+    with pytest.raises(CurveError, match="odd prime"):
+        WeierstrassCurve.short(PSI_13, 0, 7)
+
+
+# the strong Lucas pseudoprimes below 10^5 under Selfridge's parameters (OEIS
+# A217255); none has a prime factor up to 41
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                             58519, 75077, 97439)
+
+
+def _primes_below(limit):
+    """The sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return [n for n in range(limit) if sieve[n]]
+
+
+def test_the_strong_lucas_test_passes_exactly_the_primes_and_its_pseudoprimes():
+    limit = 10 ** 5
+    passed = [n for n in range(43, limit, 2)
+              if all(n % p for p in curves._SMALL_PRIMES) and _is_strong_lucas_probable_prime(n)]
+    assert passed == sorted([n for n in _primes_below(limit) if n >= 43]
+                            + list(STRONG_LUCAS_PSEUDOPRIMES))
+
+
+def test_a_modulus_that_shares_a_factor_with_a_tried_d_is_refused():
+    # (D/n) = 1 for each D from 5 to 41, and -43 divides n: no Lucas sequence
+    # is run, a shared factor is proof enough
+    n = 2524831
+    assert n == 43 * 58717
+    assert all(_jacobi((-1) ** k * (5 + 2 * k), n) == 1 for k in range(19))
+    assert _jacobi(-43, n) == 0
+    assert not _is_strong_lucas_probable_prime(n)
+
+
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES[:3])
+def test_a_strong_lucas_pseudoprime_is_refused_by_miller_rabin(n):
+    assert _is_strong_lucas_probable_prime(n)
+    assert not _is_probable_prime(n)
+    with pytest.raises(CurveError, match="odd prime"):
+        WeierstrassCurve.short(n, 0, 7)
+
+
+@pytest.mark.parametrize("p", [P256, 2 ** 255 - 19, 2 ** 127 - 1], ids=["P256", "2^255-19", "2^127-1"])
+def test_baillie_psw_accepts_large_primes(p):
+    assert _is_strong_lucas_probable_prime(p)
+    assert _is_probable_prime(p)
 
 
 @pytest.mark.parametrize("a,n", [(2, 15), (5, 21), (2, 9)], ids=["3-mod-4", "1-mod-4", "square"])
@@ -351,13 +411,8 @@ def test_selected_points_across_random_256_bit_curves():
 
 
 def test_is_probable_prime_matches_a_sieve_below_5000():
-    sieve = [False, False] + [True] * 4998
-    for p in range(2, 71):
-        for multiple in range(p * p, 5000, p):
-            sieve[multiple] = False
     # 43 * 43 = 1849 is the first composite that every small-prime trial division misses
-    assert [n for n in range(5000) if _is_probable_prime(n)] == [
-        n for n in range(5000) if sieve[n]]
+    assert [n for n in range(5000) if _is_probable_prime(n)] == _primes_below(5000)
 
 
 def test_point_bytes_roundtrip():

@@ -4,7 +4,8 @@ Shares, split records, sealed shares, generated quasigroup tables and
 simulator event logs are frozen byte layouts (see the ``crypto`` module docstring).  These digests were
 taken from the implementation and must not change: a refactor of the share
 algebra, the digit encoding or the simulator that moves any of them breaks
-compatibility with state written by earlier versions.
+compatibility with state written by earlier versions.  The event-log
+digests were re-taken once, for log version 2, a versioned format change.
 """
 
 import hashlib
@@ -52,18 +53,21 @@ TABLES = {
     (256, 7): "67e0455b85d5f264390431db111a19f6809016ace20d7c005eb41de25d2d968f",
 }
 
+# event logs in version 2: the header line names the version and each
+# ledger-sync event carries replica_lines_sha256
 EVENT_LOGS = {
-    "happy-path": "5da281c14ed0d930cf3738f7bf3aca71d3eaac4de77ff4a0e1f98cddcdfe574f",
-    "attack-suite": "336954b2945e28e00526a7cc4e3a1b9f3763ac0d9bdbee570a9da723392e0122",
-    "replay-storm": "85c2adc49b64e46674cace07f7af929a9e26b5618e764d904cdf78fb41cbaad1",
+    "happy-path": "4ddda6a9b8d8faa985206f66a43df3fb127acefcaa0b2dd3efe7a63658271a2a",
+    "attack-suite": "adfb242fe0b110f22fd73379cf0b97ec4a46f0d1b8fbc2403bdb9a22a62f8052",
+    "replay-storm": "a3201b52e3b426eddfc6f268d8990da90e53ba8fb3b500b175c37ca458d9e501",
 }
 
 
 # 60 devices, each registered then transacting; every 10th device also sees a
 # replay and a tampered share, and one ledger bit is flipped halfway.  Each
 # registration syncs the cloud replica, so this pins the ledger-sync events
-# (entry count and replica SHA-256) across a long run.
-ONBOARDING_LOG = "84888cafdeca268bd15d1afb2604f4789fc3991272792a01657d6a04e8020174"
+# (entry count and replica_lines_sha256, the running SHA-256 of the replica's
+# entry lines) across a long run.
+ONBOARDING_LOG = "74ea6e940268f891ab87240b8ed02bf79e9e19966af83cc5f38560a19be67c63"
 
 
 def _onboarding_scenario():

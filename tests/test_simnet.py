@@ -1,8 +1,10 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from edgevault import simnet
 from edgevault.crypto import AeadRecord, TimestampAuthority
 from edgevault.curves import tiny_curve
 from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
@@ -70,7 +72,50 @@ def test_cloud_replica_equals_full_snapshot_after_each_registration():
         assert cloud.sync(edge).valid
         assert cloud.count == i + 1
         assert cloud.replica == edge.sync_to_cloud()
-        assert cloud.replica_sha256() == hashlib.sha256(cloud.replica).digest()
+        assert cloud.lines_digest.digest() == hashlib.sha256(cloud.lines).digest()
+
+
+class _CountingSha256:
+    """``hashlib.sha256`` that counts the bytes it is fed."""
+
+    def __init__(self, data=b""):
+        self._digest = hashlib.sha256()
+        self.fed = 0
+        self.update(data)
+
+    def update(self, data):
+        self.fed += len(data)
+        self._digest.update(data)
+
+    def digest(self):
+        return self._digest.digest()
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
+
+
+def test_a_run_hashes_each_replica_line_once(monkeypatch):
+    """Over 60 registrations the cloud feeds its digests each delta once, so
+    the bytes hashed equal the replica's lines, not the sum of its sizes."""
+    digests = []
+
+    def sha256(data=b""):
+        digests.append(_CountingSha256(data))
+        return digests[-1]
+
+    monkeypatch.setattr(simnet, "hashlib", SimpleNamespace(sha256=sha256))
+    script = [SimStep("register", device=f"d{i}", expect="registered") for i in range(60)]
+    runner = _Runner(SimScenario(name="t", seed=7, device_count=60, script=script, order=16))
+    events, verdict = runner.run()
+    assert verdict.passed, verdict.diffs
+    cloud = runner.cloud
+    assert cloud.count == 60
+    assert sum(d.fed for d in digests) == len(cloud.lines)
+    assert cloud.lines_digest.digest() == hashlib.sha256(cloud.lines).digest()
+    syncs = [e for e in events if e.kind == "ledger-sync"]
+    assert [e.summary["entries"] for e in syncs] == list(range(1, 61))
+    assert syncs[-1].summary["replica_lines_sha256"] == hashlib.sha256(cloud.lines).hexdigest()
+    assert all("replica_sha256" not in e.summary for e in syncs)
 
 
 def _cloud_behind_edge(synced, total):
@@ -86,7 +131,7 @@ def _cloud_behind_edge(synced, total):
 def test_cloud_reports_a_tampered_delta_at_its_absolute_index():
     edge, cloud = _cloud_behind_edge(2, 6)
     lines = edge.sync_delta(2, cloud.tip).splitlines(keepends=True)
-    before = cloud.replica
+    before, digest_before = cloud.replica, cloud.lines_digest.digest()
     for k in range(2, 6):
         row = json.loads(lines[k - 2])
         ct = bytearray.fromhex(row["ciphertext_hex"])
@@ -98,6 +143,7 @@ def test_cloud_reports_a_tampered_delta_at_its_absolute_index():
         assert not report.valid
         assert report.first_bad_index == k
         assert cloud.replica == before  # nothing unverified is appended
+        assert cloud.lines_digest.digest() == digest_before  # nor hashed
 
 
 def test_cloud_rejects_an_index_gap():
@@ -319,6 +365,7 @@ def test_log_header_carries_config_hash():
     scenario = builtin_scenarios()["happy-path"]
     blob = events_to_jsonl(scenario, run_scenario(scenario).events)
     header = json.loads(blob.decode().splitlines()[0])
+    assert header["log_version"] == 2
     assert header["config_sha256"] == scenario.config_digest()
     assert header["seed"] == scenario.seed
 
