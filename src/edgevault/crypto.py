@@ -23,6 +23,7 @@ __all__ = [
     "derive_seed",
     "AeadRecord",
     "NonceSequence",
+    "aead_cipher",
     "aead_encrypt",
     "aead_decrypt",
     "Timestamp",
@@ -113,27 +114,44 @@ class AeadRecord:
         )
 
 
-def aead_encrypt(
-    key: bytes, plaintext: bytes, associated_data: bytes, nonces: NonceSequence
-) -> AeadRecord:
-    """AES-256-GCM encryption under the next nonce of ``nonces``.
+def aead_cipher(key: bytes) -> AESGCM:
+    """The AES-256-GCM cipher of a 32-byte key.
 
-    The sequence is advanced by one, so repeated calls with the same
-    sequence never reuse a nonce under ``key``.
+    A caller that seals or unseals under one key many times builds its
+    cipher once and passes it to :func:`aead_encrypt` and
+    :func:`aead_decrypt` in place of the key bytes.
     """
     if len(key) != KEY_LEN:
         raise EncryptionError(f"key must be {KEY_LEN} bytes, got {len(key)}")
+    return AESGCM(key)
+
+
+def _cipher(key) -> AESGCM:
+    """Key bytes built into their cipher; a cipher as it is."""
+    return aead_cipher(key) if isinstance(key, (bytes, bytearray, memoryview)) else key
+
+
+def aead_encrypt(
+    key, plaintext: bytes, associated_data: bytes, nonces: NonceSequence
+) -> AeadRecord:
+    """AES-256-GCM encryption under the next nonce of ``nonces``.
+
+    ``key`` is 32 key bytes or their :func:`aead_cipher`.  The sequence is
+    advanced by one, so repeated calls with the same sequence never reuse a
+    nonce under ``key``.
+    """
+    cipher = _cipher(key)
     nonce = nonces.next_nonce()
-    blob = AESGCM(key).encrypt(nonce, plaintext, associated_data)
+    blob = cipher.encrypt(nonce, plaintext, associated_data)
     return AeadRecord(nonce=nonce, ciphertext=blob[:-TAG_LEN], tag=blob[-TAG_LEN:])
 
 
-def aead_decrypt(key: bytes, record: AeadRecord, associated_data: bytes) -> bytes:
-    """Authenticated decryption; any bit flip in the record or AD fails."""
-    if len(key) != KEY_LEN:
-        raise EncryptionError(f"key must be {KEY_LEN} bytes, got {len(key)}")
+def aead_decrypt(key, record: AeadRecord, associated_data: bytes) -> bytes:
+    """Authenticated decryption under 32 key bytes or their
+    :func:`aead_cipher`; any bit flip in the record or AD fails."""
+    cipher = _cipher(key)
     try:
-        return AESGCM(key).decrypt(record.nonce, record.ciphertext + record.tag, associated_data)
+        return cipher.decrypt(record.nonce, record.ciphertext + record.tag, associated_data)
     except InvalidTag as exc:
         raise AuthenticationFailure("AEAD authentication failed") from exc
 

@@ -176,18 +176,19 @@ class IdentityLedger:
         self,
         device_label: str,
         tsa: TimestampAuthority,
-        point_key: bytes,
+        point_key,
         rng_seed: int,
     ) -> LedgerEntry:
         """Select a unique point, seal it, chain the digests, append.
 
-        The first call unseals every entry under ``point_key`` to learn the
-        points already taken; an entry that does not unseal is a corrupted
-        state.  Each nonce is a 4-byte tag derived from (group, label,
-        seed) followed by a counter of 0, so only 32 bits vary between the
-        nonces sealed under the one point key: by the birthday bound two
-        devices share a nonce with probability about 1% at 9,300 devices
-        and about 50% at 77,000.
+        ``point_key`` is the point key's 32 bytes or its cipher
+        (``crypto.aead_cipher``).  The first call unseals every entry under
+        it to learn the points already taken; an entry that does not unseal
+        is a corrupted state.  Each nonce is a 4-byte tag derived from
+        (group, label, seed) followed by a counter of 0, so only 32 bits
+        vary between the nonces sealed under the one point key: by the
+        birthday bound two devices share a nonce with probability about 1%
+        at 9,300 devices and about 50% at 77,000.
         """
         entries = self.entries
         if device_label in self._labels:
@@ -211,7 +212,7 @@ class IdentityLedger:
         return entry
 
     @parses(StateError, "corrupted ledger state")
-    def _unseal_points(self, point_key: bytes) -> set[tuple[int, int]]:
+    def _unseal_points(self, point_key) -> set[tuple[int, int]]:
         """The points sealed in the entries, unsealed under ``point_key``."""
         return {
             point_from_bytes(self.curve, aead_decrypt(

@@ -213,16 +213,17 @@ class IsotopeQuasigroup(Quasigroup):
         self.sigma = _frozen(stack[0], np.uint16)
         self.pi, self.rho = stack[1], stack[2]
 
+    # ``take`` gathers as indexing does, and converts uint16 operands faster
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.sigma[(self.pi[a] + self.rho[b]) % self.order]
+        return self.sigma.take((self.pi.take(a) + self.rho.take(b)) % self.order)
 
     def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sigma_inv, rho_inv = _inverse(self.sigma), _inverse(self.rho)
-        return rho_inv[(sigma_inv[b] - self.pi[a]) % self.order].astype(np.uint16)
+        return rho_inv.take((sigma_inv.take(b) - self.pi.take(a)) % self.order).astype(np.uint16)
 
     def right_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sigma_inv, pi_inv = _inverse(self.sigma), _inverse(self.pi)
-        return pi_inv[(sigma_inv[a] - self.rho[b]) % self.order].astype(np.uint16)
+        return pi_inv.take((sigma_inv.take(a) - self.rho.take(b)) % self.order).astype(np.uint16)
 
     def _square(self, op) -> np.ndarray:
         """The n*n table of ``op``, built and frozen on every read."""
@@ -250,15 +251,21 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     ``x*y = sigma[(pi[x] + rho[y]) mod n]`` for three seed-derived
     permutations.  Not uniform over all Latin squares, but O(n) to build and
     reproducible across platforms.
+
+    sigma, pi and rho are the first, second and third
+    ``rng.permutation(order)`` of ``np.random.default_rng(seed)``, drawn as
+    one ``rng.permuted`` over the rows of a (3, n) stack of ``arange(n)``:
+    it shuffles row after row with the same draws as three successive
+    permutations, in one call.
     """
     # refused before the permutations are drawn: a huge order would allocate them
     if not 2 <= order <= 0xFFFF:
         raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    sigma = rng.permutation(order)
-    pi = rng.permutation(order)
-    rho = rng.permutation(order)
-    return IsotopeQuasigroup(sigma, pi, rho)
+    stack = np.empty((3, order), dtype=np.intp)
+    stack[:] = np.arange(order)
+    rng.permuted(stack, axis=1, out=stack)
+    return IsotopeQuasigroup(*stack)
 
 
 @dataclass

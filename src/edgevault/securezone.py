@@ -26,12 +26,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from .crypto import (
     KEY_LEN,
     U64_LIMIT,
     NonceSequence,
     Timestamp,
     TimestampAuthority,
+    aead_cipher,
     aead_decrypt,
     aead_encrypt,
     derive_seed,
@@ -64,7 +67,14 @@ STATES = ("generated", "distributed", "retired")
 @dataclass
 class ManagedKey:
     """One key in the zone.  Its material and nonce sequence never leave the
-    zone: they stay out of ``repr`` and :meth:`to_public_dict`."""
+    zone: they stay out of ``repr`` and :meth:`to_public_dict`.
+
+    The key holds its AES-256-GCM cipher: :attr:`cipher` builds it from the
+    material on the first seal or unseal and keeps it, so a key that never
+    seals builds none.  The material is fixed for the key's life, and the
+    cipher is not part of the key's state: it stays out of ``repr``,
+    comparisons and every dict the key is written to.
+    """
 
     key_id: bytes  # 16 bytes
     purpose: str
@@ -74,6 +84,14 @@ class ManagedKey:
     created_at: Timestamp
     material: bytes = field(repr=False)
     nonces: NonceSequence = field(repr=False)
+    _cipher: Optional[AESGCM] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def cipher(self) -> AESGCM:
+        """The AES-256-GCM cipher of the material, built on first use."""
+        if self._cipher is None:
+            self._cipher = aead_cipher(self.material)
+        return self._cipher
 
     def to_public_dict(self) -> dict:
         return {
@@ -93,6 +111,10 @@ class Decision:
     accepted: bool
     reason: Optional[str] = None  # replay | tag-mismatch | decrypt-failure |
     #                               algebra-failure | checksum-mismatch | budget-exhausted
+
+
+#: every accepted transaction's decision; frozen, so one instance serves all
+_ACCEPTED = Decision(accepted=True)
 
 
 @dataclass(frozen=True)
@@ -365,7 +387,7 @@ class SecureZone:
         target = self._require_key(target_id)
         if kek.purpose != "key-encryption":
             raise WrongPurposeError(f"key {kek_id.hex()} is {kek.purpose}, not key-encryption")
-        record = aead_encrypt(kek.material, target.material, b"wrap" + target_id, kek.nonces)
+        record = aead_encrypt(kek.cipher, target.material, b"wrap" + target_id, kek.nonces)
         self._log("wrap_key", "ok", key_id=target_id)
         return record
 
@@ -373,7 +395,7 @@ class SecureZone:
         """Check (inside the zone) that a wrap record restores the target key."""
         kek = self._require_key(kek_id)
         try:
-            restored = aead_decrypt(kek.material, record, b"wrap" + target_id)
+            restored = aead_decrypt(kek.cipher, record, b"wrap" + target_id)
         except AuthenticationFailure:
             return False
         return hmac.compare_digest(restored, self._require_key(target_id).material)
@@ -406,8 +428,8 @@ class SecureZone:
         )
 
         share_key = self._keys[self._share_key_id]
-        sealed1 = seal_share(share1, share_key.material, context_id, share_key.nonces)
-        sealed2 = seal_share(share2, share_key.material, context_id, share_key.nonces)
+        sealed1 = seal_share(share1, share_key.cipher, context_id, share_key.nonces)
+        sealed2 = seal_share(share2, share_key.cipher, context_id, share_key.nonces)
 
         self._contexts[context_id] = _Context(record, sealed1, key_id)
         key.state = "distributed"
@@ -451,7 +473,7 @@ class SecureZone:
 
         try:
             wrapped = combine_and_verify(context.edge_share, presented_cloud_share,
-                                         context.record, self._keys[self._share_key_id].material)
+                                         context.record, self._keys[self._share_key_id].cipher)
         except ShareVerificationError as exc:
             return reject(exc.code)
 
@@ -462,7 +484,7 @@ class SecureZone:
         key.uses += 1
         context.last_seen = ts
         self._log("authorize_transaction", "accepted", key_id=key_id, context_id=context_id)
-        return Decision(accepted=True)
+        return _ACCEPTED
 
     # --- hosted identity ledger ----------------------------------------------
 
@@ -474,7 +496,7 @@ class SecureZone:
         if self.ledger is None:
             raise KeyStateError("no ledger attached to this zone")
         entry = self.ledger.register_device(
-            device_label, self._tsa, self._keys[self._point_key_id].material, rng_seed
+            device_label, self._tsa, self._keys[self._point_key_id].cipher, rng_seed
         )
         self._log("register_device", "ok", key_id=self._point_key_id,
                   context_id=entry.h2)

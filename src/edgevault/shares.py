@@ -109,10 +109,13 @@ def decode_secret(digits: np.ndarray, order: int) -> bytes:
     if order < 2:
         raise InvalidOrderError(f"order must be >= 2, got {order}")
     digits = np.asarray(digits, dtype=np.uint16)
-    n_bytes = (digits.shape[0] * _digit_width(order)) // 8
+    count = digits.shape[0]
+    n_bytes = (count * _digit_width(order)) // 8
     base, places = _word(order)
     per = places.shape[0]
-    padded = np.concatenate([np.zeros(-digits.shape[0] % per, dtype=np.uint64), digits])
+    # zero-padded at the most significant end to whole words
+    padded = np.zeros(-(-count // per) * per, dtype=np.uint64)
+    padded[padded.shape[0] - count:] = digits
     value = 0
     for word in (padded.reshape(-1, per) @ places[::-1]).tolist():
         value = value * base + word
@@ -275,10 +278,9 @@ def _share_ad(index: int, context_id: bytes) -> bytes:
     return bytes([index]) + context_id
 
 
-def seal_share(
-    share: PlainShare, key: bytes, context_id: bytes, nonces: NonceSequence
-) -> SealedShare:
-    """Encrypt a share under ``key`` and attach its context binding tag."""
+def seal_share(share: PlainShare, key, context_id: bytes, nonces: NonceSequence) -> SealedShare:
+    """Encrypt a share under ``key`` (32 bytes or their cipher) and attach
+    its context binding tag."""
     plain = share.to_bytes()
     record = aead_encrypt(key, plain, _share_ad(share.index, context_id), nonces)
     return SealedShare(
@@ -288,19 +290,22 @@ def seal_share(
     )
 
 
-def unseal_share(sealed: SealedShare, key: bytes, context_id: bytes) -> PlainShare:
-    """Decrypt and parse a sealed share; raises AuthenticationFailure on tamper."""
+def unseal_share(sealed: SealedShare, key, context_id: bytes) -> tuple[bytes, PlainShare]:
+    """Decrypt and parse a sealed share under ``key`` (32 bytes or their
+    cipher): the authenticated canonical bytes, and the share they encode.
+    Raises AuthenticationFailure on tamper."""
     plain = aead_decrypt(key, sealed.record, _share_ad(sealed.index, context_id))
-    return PlainShare.from_bytes(plain)
+    return plain, PlainShare.from_bytes(plain)
 
 
-def combine_and_verify(
-    s1: SealedShare, s2: SealedShare, record: SplitRecord, key: bytes
-) -> bytes:
+def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord, key) -> bytes:
     """Reconstruct the secret, verifying every layer on the way.
 
-    In order: (1) authenticated decryption of both shares, (2) binding-tag
-    comparison against the record, (3) rebuild of the quasigroup, whose
+    In order: (1) authenticated decryption of both shares under ``key`` (32
+    bytes or their cipher), (2) binding-tag comparison against the record,
+    the tags hashed over the authenticated bytes each share decrypted to,
+    which are the share's canonical bytes since :meth:`PlainShare.from_bytes`
+    parses nothing else, (3) rebuild of the quasigroup, whose
     algebra gate (one O(n) check that sigma, pi and rho, stacked as a (3, n)
     array, each permute [0, n)) proves all six parastroph identities over
     every pair, since an isotope of a group is a quasigroup, (4) digit-wise
@@ -308,16 +313,16 @@ def combine_and_verify(
     compared in constant time.  Each failure mode raises its own error type.
     """
     try:
-        p1 = unseal_share(s1, key, record.context_id)
-        p2 = unseal_share(s2, key, record.context_id)
+        plain1, p1 = unseal_share(s1, key, record.context_id)
+        plain2, p2 = unseal_share(s2, key, record.context_id)
     except (AuthenticationFailure, MalformedTableError) as exc:
         raise DecryptFailureError(f"share decryption failed: {exc}") from exc
 
     if p1.index != 1 or p2.index != 2:
         raise TagMismatchError("share indices do not form an (edge, cloud) pair")
     tags = (
-        _binding_tag(p1.to_bytes(), 1, record.context_id),
-        _binding_tag(p2.to_bytes(), 2, record.context_id),
+        _binding_tag(plain1, 1, record.context_id),
+        _binding_tag(plain2, 2, record.context_id),
     )
     # each tag digests a secret share: compare in constant time, both (``&``)
     if not (hmac.compare_digest(tags[0], record.expected_tags[0])

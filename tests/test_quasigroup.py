@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgevault.errors import InvalidElementError, InvalidOrderError, MalformedTableError
@@ -64,6 +64,19 @@ def test_an_order_above_65535_is_refused_by_each_constructor():
 @settings(max_examples=60, deadline=None)
 def test_generated_tables_always_latin(order, seed):
     assert is_latin_square(generate_quasigroup(order, seed).table)
+
+
+@given(order=st.integers(2, 1024) | st.just(0xFFFF), seed=st.integers(0, 2 ** 64 - 1))
+@example(order=0xFFFF, seed=0)
+@example(order=2, seed=2 ** 64 - 1)
+@settings(max_examples=80, deadline=None)
+def test_generation_holds_three_successive_permutation_draws(order, seed):
+    """The one ``permuted`` draw gives exactly the permutations the frozen
+    table bytes were pinned from: three ``permutation(order)`` in turn."""
+    q = generate_quasigroup(order, seed)
+    rng = np.random.default_rng(seed)
+    for name in ("sigma", "pi", "rho"):
+        assert np.array_equal(getattr(q, name), rng.permutation(order)), name
 
 
 def test_every_order_up_to_256_generates_latin():

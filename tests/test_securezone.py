@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import edgevault.crypto
 import edgevault.shares
 from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority
 from edgevault.curves import tiny_curve
@@ -18,6 +21,9 @@ from edgevault.ledger import IdentityLedger
 from edgevault.quasigroup import IsotopeQuasigroup, generate_quasigroup
 from edgevault.securezone import DEFAULT_BUDGET, Decision, SecureZone
 from edgevault.shares import SealedShare, combine_and_verify
+from edgevault.statefile import StateDir
+
+from mutation import stored_rows
 
 CTX = bytes(range(32))
 
@@ -60,6 +66,65 @@ def test_stored_key_repr_hides_its_material(zone):
     assert key.material.hex() not in shown
     assert repr(key.material) not in shown
     assert "nonces" not in shown
+
+
+def test_a_key_keeps_its_cipher_inside_itself(zone, tsa, tmp_path):
+    """A key builds its cipher on its first seal and keeps it, but writes it
+    nowhere: not to ``repr``, the public dict, the state's units or the rows
+    of ``zone.db``; a key loaded from ``zone.db`` opens what it sealed
+    before it was written."""
+    _, result = _distributed(zone)
+    share_key = zone._keys[zone._share_key_id]
+    cipher = share_key.cipher
+    assert cipher is share_key.cipher  # built once, on the split's first seal
+    shown = repr(share_key)
+    assert "cipher" not in shown and "AESGCM" not in shown
+    assert cipher not in share_key.to_public_dict().values()
+    units = zone.state_dict()["keys"]
+    assert set(units[zone._share_key_id.hex()]) == {
+        *share_key.to_public_dict(), "material", "nonce_counter"}
+    json.dumps(zone.state_dict())  # a cipher in any unit would not serialize
+
+    StateDir(tmp_path / "state").save_zone(zone, tsa)
+    rows = stored_rows(tmp_path / "state")
+    assert not any(b"AESGCM" in body or b"object at" in body for body, _ in rows.values())
+    assert {unit_id.hex(): set(json.loads(body)) for (kind, unit_id), (body, _) in rows.items()
+            if kind == "k"} == {key_id: set(unit) for key_id, unit in units.items()}
+
+    loaded, loaded_tsa = StateDir(tmp_path / "state").load_zone()
+    reloaded_key = loaded._keys[loaded._share_key_id]
+    assert reloaded_key.cipher is not cipher
+    assert loaded.authorize_transaction(CTX, result.cloud_share, loaded_tsa.issue()).accepted
+
+
+def test_a_warm_authorize_builds_no_cipher_and_one_generator(zone, tsa, monkeypatch):
+    """Counted by wrapping the constructors the modules look up: the zone's
+    KEK and share key each build their cipher once, on the first split,
+    and an authorize or a later split builds none; an authorize draws one
+    numpy Generator, for the rebuild of its quasigroup."""
+    built = Counter()
+
+    def counting(name, constructor):
+        def construct(*args, **kwargs):
+            built[name] += 1
+            return constructor(*args, **kwargs)
+        return construct
+
+    monkeypatch.setattr(edgevault.crypto, "AESGCM",
+                        counting("cipher", edgevault.crypto.AESGCM))
+    monkeypatch.setattr(np.random, "default_rng", counting("generator", np.random.default_rng))
+
+    _, result = _distributed(zone, order=256)
+    assert built == Counter(cipher=2, generator=2)  # the KEK, the share key; rebuild and mask
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    built.clear()
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    assert built == Counter(generator=1)
+
+    built.clear()
+    key_id = zone.generate_key("data-encryption", rng_seed=9)
+    zone.split_and_distribute(key_id, bytes(32), q_order=256, rng_seed=9)
+    assert built == Counter(generator=2)
 
 
 def test_unknown_purpose_rejected(zone):

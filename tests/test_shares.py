@@ -182,7 +182,8 @@ def _share_like_bytes(draw):
 @given(st.binary(max_size=24) | _share_like_bytes())
 @settings(max_examples=300, deadline=None)
 def test_every_share_from_bytes_accepts_is_canonical(data):
-    # the binding tags hash to_bytes(), so a share must have one byte form
+    # combine hashes its binding tags over the decrypted bytes and split over
+    # to_bytes(), so the tags agree only if a share has one byte form
     try:
         share = PlainShare.from_bytes(data)
     except MalformedTableError:
@@ -194,8 +195,9 @@ def test_every_share_from_bytes_accepts_is_canonical(data):
 
 def test_seal_unseal_roundtrip():
     sealed1, _, _ = _sealed_pair()
-    share = unseal_share(sealed1, KEY, CTX)
+    plain, share = unseal_share(sealed1, KEY, CTX)
     assert share.index == 1
+    assert plain == share.to_bytes()
 
 
 def test_unseal_wrong_key_fails():
