@@ -13,6 +13,7 @@ from .crypto import (
     NonceSequence,
     Timestamp,
     TimestampAuthority,
+    aead_cipher,
     aead_decrypt,
     aead_encrypt,
     derive_seed,
@@ -31,13 +32,12 @@ from .curves import (
 )
 from .errors import EdgeVaultError
 from .ledger import ChainReport, IdentityLedger, LedgerEntry
-from .profiler import FitReport, Sample, detect_outliers, fit_distribution, regroup_devices
+from .profiler import FitReport, Sample, detect_outliers, fit_distribution
 from .quasigroup import (
     IdentityReport,
     IsotopeQuasigroup,
     Quasigroup,
     generate_quasigroup,
-    is_latin_square,
     verify_parastroph_identities,
 )
 from .securezone import Decision, DistributionResult, ManagedKey, SecureZone
@@ -59,7 +59,6 @@ from .simnet import (
     Verdict,
     builtin_scenarios,
     edge_data_split,
-    replay_determinism_check,
     run_scenario,
 )
 

@@ -45,7 +45,7 @@ STATE_ENV = "EDGEVAULT_STATE_DIR"
 
 _EXHAUSTIVE_CHECK_LIMIT = 512
 
-#: the --seed of every state or scenario command; out of range is a usage error
+#: every --seed is an unsigned 64-bit integer; out of range is a usage error
 SEED_RANGE = click.IntRange(0, U64_LIMIT - 1)
 
 
@@ -313,7 +313,7 @@ def qg():
 
 @qg.command("generate")
 @click.option("-n", "--order", type=int, required=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED_RANGE, default=0)
 @click.option("-o", "output", type=_OutputFile(), default=None,
               help="Write canonical bytes (default: hex on stdout).")
 @click.pass_obj
@@ -332,7 +332,7 @@ def qg_generate(state: AppState, order, seed, output):
 @qg.command("check")
 @click.argument("table_file", type=click.Path(exists=True, dir_okay=False), required=False)
 @click.option("-n", "--order", type=int, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED_RANGE, default=0)
 @click.pass_obj
 def qg_check(state: AppState, table_file, order, seed):
     """Verify all six parastroph identities; exit 0 iff they all hold.

@@ -115,41 +115,29 @@ class AeadRecord:
 
 
 def aead_cipher(key: bytes) -> AESGCM:
-    """The AES-256-GCM cipher of a 32-byte key.
-
-    A caller that seals or unseals under one key many times builds its
-    cipher once and passes it to :func:`aead_encrypt` and
-    :func:`aead_decrypt` in place of the key bytes.
-    """
+    """The AES-256-GCM cipher of a 32-byte key, which :func:`aead_encrypt`
+    and :func:`aead_decrypt` seal and unseal under.  A caller that seals
+    or unseals under one key many times builds its cipher once."""
     if len(key) != KEY_LEN:
         raise EncryptionError(f"key must be {KEY_LEN} bytes, got {len(key)}")
     return AESGCM(key)
 
 
-def _cipher(key) -> AESGCM:
-    """Key bytes built into their cipher; a cipher as it is."""
-    return aead_cipher(key) if isinstance(key, (bytes, bytearray, memoryview)) else key
-
-
 def aead_encrypt(
-    key, plaintext: bytes, associated_data: bytes, nonces: NonceSequence
+    cipher: AESGCM, plaintext: bytes, associated_data: bytes, nonces: NonceSequence
 ) -> AeadRecord:
     """AES-256-GCM encryption under the next nonce of ``nonces``.
 
-    ``key`` is 32 key bytes or their :func:`aead_cipher`.  The sequence is
-    advanced by one, so repeated calls with the same sequence never reuse a
-    nonce under ``key``.
+    The sequence is advanced by one, so repeated calls with the same
+    sequence never reuse a nonce under the cipher's key.
     """
-    cipher = _cipher(key)
     nonce = nonces.next_nonce()
     blob = cipher.encrypt(nonce, plaintext, associated_data)
     return AeadRecord(nonce=nonce, ciphertext=blob[:-TAG_LEN], tag=blob[-TAG_LEN:])
 
 
-def aead_decrypt(key, record: AeadRecord, associated_data: bytes) -> bytes:
-    """Authenticated decryption under 32 key bytes or their
-    :func:`aead_cipher`; any bit flip in the record or AD fails."""
-    cipher = _cipher(key)
+def aead_decrypt(cipher: AESGCM, record: AeadRecord, associated_data: bytes) -> bytes:
+    """Authenticated decryption; any bit flip in the record or AD fails."""
     try:
         return cipher.decrypt(record.nonce, record.ciphertext + record.tag, associated_data)
     except InvalidTag as exc:

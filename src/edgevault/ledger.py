@@ -32,6 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 from .crypto import (
     AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_decrypt, aead_encrypt, sha256,
 )
@@ -176,19 +178,19 @@ class IdentityLedger:
         self,
         device_label: str,
         tsa: TimestampAuthority,
-        point_key,
+        point_key: AESGCM,
         rng_seed: int,
     ) -> LedgerEntry:
         """Select a unique point, seal it, chain the digests, append.
 
-        ``point_key`` is the point key's 32 bytes or its cipher
-        (``crypto.aead_cipher``).  The first call unseals every entry under
-        it to learn the points already taken; an entry that does not unseal
-        is a corrupted state.  Each nonce is a 4-byte tag derived from
-        (group, label, seed) followed by a counter of 0, so only 32 bits
-        vary between the nonces sealed under the one point key: by the
-        birthday bound two devices share a nonce with probability about 1%
-        at 9,300 devices and about 50% at 77,000.
+        ``point_key`` is the point key's cipher (``crypto.aead_cipher``).
+        The first call unseals every entry under it to learn the points
+        already taken; an entry that does not unseal is a corrupted state.
+        Each nonce is a 4-byte tag derived from (group, label, seed)
+        followed by a counter of 0, so only 32 bits vary between the nonces
+        sealed under the one point key: by the birthday bound two devices
+        share a nonce with probability about 1% at 9,300 devices and about
+        50% at 77,000.
         """
         entries = self.entries
         if device_label in self._labels:
@@ -212,7 +214,7 @@ class IdentityLedger:
         return entry
 
     @parses(StateError, "corrupted ledger state")
-    def _unseal_points(self, point_key) -> set[tuple[int, int]]:
+    def _unseal_points(self, point_key: AESGCM) -> set[tuple[int, int]]:
         """The points sealed in the entries, unsealed under ``point_key``."""
         return {
             point_from_bytes(self.curve, aead_decrypt(
@@ -312,16 +314,6 @@ class IdentityLedger:
         entries = [LedgerEntry.from_json_dict(ed) for ed in self._base]
         self._labels = {entry.device_label for entry in entries}
         self._entries = entries
-
-    def changes(self) -> dict:
-        """The entries added since the ledger was loaded, or its whole state
-        if it was never stored."""
-        if self._base is None:
-            return self.state_dict()
-        stored = len(self._base)
-        if self._entries is None or len(self._entries) == stored:
-            return {}
-        return {"entries": [e.to_json_dict(i) for i, e in enumerate(self._entries[stored:], stored)]}
 
     def find_device(self, device_label: str) -> Optional[LedgerEntry]:
         for entry in self.entries:

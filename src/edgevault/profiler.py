@@ -1,6 +1,5 @@
 """Edge-side data intelligence: best-fit distribution selection by residual
-sum of squares, sigma-threshold outlier detection, and regrouping of devices
-with similar behaviour.
+sum of squares, and sigma-threshold outlier detection.
 
 The candidate family set is fixed to four closed-form families fitted by
 method of moments against a density histogram with ceil(sqrt(N)) equal-width
@@ -28,14 +27,12 @@ __all__ = [
     "FAMILIES",
     "fit_distribution",
     "detect_outliers",
-    "regroup_devices",
 ]
 
 #: fixed candidate order; ties in RSS break toward the earlier family
 FAMILIES = ("normal", "exponential", "uniform", "lognormal")
 
 MIN_FIT_SAMPLES = 8
-REGROUP_LINK_DISTANCE = 0.25
 
 
 @dataclass
@@ -54,9 +51,6 @@ class FitReport:
     params: dict[str, float]
     rss: float
     per_family_rss: dict[str, float] = field(default_factory=dict)
-
-    def param_vector(self) -> np.ndarray:
-        return np.array(list(self.params.values()), dtype=np.float64)
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,7 +161,10 @@ def fit_distribution(sample: Sample) -> FitReport:
 
 
 def detect_outliers(sample: Sample, threshold_sigmas: float = 3.0) -> np.ndarray:
-    """Indices where |x - mean| exceeds threshold * population stddev."""
+    """Indices where |x - mean| exceeds threshold * population stddev; the
+    threshold is a finite number of standard deviations, at least 0."""
+    if not 0.0 <= threshold_sigmas < math.inf:  # false for nan too
+        raise ValueRangeError(f"threshold must be finite and at least 0, got {threshold_sigmas}")
     values = sample.values
     _validate(values, 2)
     mean = values.mean()
@@ -175,48 +172,3 @@ def detect_outliers(sample: Sample, threshold_sigmas: float = 3.0) -> np.ndarray
     if std == 0.0:
         raise ZeroVarianceError("sample has zero variance")
     return np.nonzero(np.abs(values - mean) > threshold_sigmas * std)[0]
-
-
-def _relative_distance(u: np.ndarray, v: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(u)), float(np.linalg.norm(v)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(u - v)) / scale
-
-
-def regroup_devices(reports: list[FitReport]) -> list[list[str]]:
-    """Partition devices by family, then by parameter proximity.
-
-    Within a family, two devices link when their parameter vectors are
-    within relative distance 0.25; groups are the connected components of
-    that relation.  Returns lists of device labels, insertion-ordered.
-    """
-    if not reports:
-        raise TooFewSamplesError("need at least one report")
-
-    parent = list(range(len(reports)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        parent[find(i)] = find(j)
-
-    by_family: dict[str, list[int]] = {}
-    for idx, rep in enumerate(reports):
-        by_family.setdefault(rep.best_family, []).append(idx)
-
-    for members in by_family.values():
-        for a_pos, i in enumerate(members):
-            for j in members[a_pos + 1:]:
-                u, v = reports[i].param_vector(), reports[j].param_vector()
-                if _relative_distance(u, v) <= REGROUP_LINK_DISTANCE:
-                    union(i, j)
-
-    groups: dict[int, list[str]] = {}
-    for idx, rep in enumerate(reports):
-        groups.setdefault(find(idx), []).append(rep.device_label or f"device-{idx}")
-    return list(groups.values())

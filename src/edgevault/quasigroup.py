@@ -28,7 +28,6 @@ __all__ = [
     "IsotopeQuasigroup",
     "IdentityReport",
     "generate_quasigroup",
-    "is_latin_square",
     "verify_parastroph_identities",
 ]
 
@@ -44,14 +43,6 @@ def _coerce_table(table) -> np.ndarray:
     if arr.min() < 0 or arr.max() >= n:
         raise MalformedTableError(f"table entries must lie in [0, {n})")
     return np.ascontiguousarray(arr.astype(np.uint16))
-
-
-def is_latin_square(table) -> bool:
-    """True iff every row and every column is a permutation of [0, n).
-
-    Raises MalformedTableError for non-square input or out-of-range entries.
-    """
-    return bool(kernels.latin_square_ok(_coerce_table(table)))
 
 
 class Quasigroup:

@@ -20,10 +20,9 @@ time it is used.
 from __future__ import annotations
 
 import hmac
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -84,14 +83,11 @@ class ManagedKey:
     created_at: Timestamp
     material: bytes = field(repr=False)
     nonces: NonceSequence = field(repr=False)
-    _cipher: Optional[AESGCM] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def cipher(self) -> AESGCM:
         """The AES-256-GCM cipher of the material, built on first use."""
-        if self._cipher is None:
-            self._cipher = aead_cipher(self.material)
-        return self._cipher
+        return aead_cipher(self.material)
 
     def to_public_dict(self) -> dict:
         return {
@@ -330,13 +326,6 @@ class SecureZone:
             entry["reason"] = reason
         self._audit.append(entry)
 
-    @property
-    def audit_log(self) -> tuple[dict, ...]:
-        return (*self._audit_base, *self._audit)
-
-    def export_audit_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.audit_log)
-
     # --- key lifecycle ----------------------------------------------------
 
     def _require_key(self, key_id: bytes) -> ManagedKey:
@@ -503,14 +492,6 @@ class SecureZone:
         return entry
 
     # --- exports and persistence ----------------------------------------------
-
-    def public_state(self) -> dict:
-        """Exportable view: identifiers and metadata only, never secrets."""
-        return {
-            "keys": [k.to_public_dict() for k in self._keys.values()],
-            "contexts": sorted(c.hex() for c in self._contexts),
-            "audit_length": len(self._audit_base) + len(self._audit),
-        }
 
     def state_dict(self, whole: bool = True) -> dict:
         """Full internal state for zone-internal persistence (see module doc).

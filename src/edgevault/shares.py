@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import AeadRecord, NonceSequence, aead_decrypt, aead_encrypt, sha256
 from .errors import (
@@ -278,11 +279,11 @@ def _share_ad(index: int, context_id: bytes) -> bytes:
     return bytes([index]) + context_id
 
 
-def seal_share(share: PlainShare, key, context_id: bytes, nonces: NonceSequence) -> SealedShare:
-    """Encrypt a share under ``key`` (32 bytes or their cipher) and attach
-    its context binding tag."""
+def seal_share(share: PlainShare, cipher: AESGCM, context_id: bytes,
+               nonces: NonceSequence) -> SealedShare:
+    """Encrypt a share under ``cipher`` and attach its context binding tag."""
     plain = share.to_bytes()
-    record = aead_encrypt(key, plain, _share_ad(share.index, context_id), nonces)
+    record = aead_encrypt(cipher, plain, _share_ad(share.index, context_id), nonces)
     return SealedShare(
         index=share.index,
         record=record,
@@ -290,31 +291,33 @@ def seal_share(share: PlainShare, key, context_id: bytes, nonces: NonceSequence)
     )
 
 
-def unseal_share(sealed: SealedShare, key, context_id: bytes) -> tuple[bytes, PlainShare]:
-    """Decrypt and parse a sealed share under ``key`` (32 bytes or their
-    cipher): the authenticated canonical bytes, and the share they encode.
-    Raises AuthenticationFailure on tamper."""
-    plain = aead_decrypt(key, sealed.record, _share_ad(sealed.index, context_id))
+def unseal_share(sealed: SealedShare, cipher: AESGCM,
+                 context_id: bytes) -> tuple[bytes, PlainShare]:
+    """Decrypt and parse a sealed share under ``cipher``: the authenticated
+    canonical bytes, and the share they encode.  Raises
+    AuthenticationFailure on tamper."""
+    plain = aead_decrypt(cipher, sealed.record, _share_ad(sealed.index, context_id))
     return plain, PlainShare.from_bytes(plain)
 
 
-def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord, key) -> bytes:
+def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord,
+                       cipher: AESGCM) -> bytes:
     """Reconstruct the secret, verifying every layer on the way.
 
-    In order: (1) authenticated decryption of both shares under ``key`` (32
-    bytes or their cipher), (2) binding-tag comparison against the record,
-    the tags hashed over the authenticated bytes each share decrypted to,
-    which are the share's canonical bytes since :meth:`PlainShare.from_bytes`
-    parses nothing else, (3) rebuild of the quasigroup, whose
-    algebra gate (one O(n) check that sigma, pi and rho, stacked as a (3, n)
-    array, each permute [0, n)) proves all six parastroph identities over
-    every pair, since an isotope of a group is a quasigroup, (4) digit-wise
-    reconstruction, (5) whole-secret checksum.  The tags and the checksum are
-    compared in constant time.  Each failure mode raises its own error type.
+    In order: (1) authenticated decryption of both shares under ``cipher``,
+    (2) binding-tag comparison against the record, the tags hashed over the
+    authenticated bytes each share decrypted to, which are the share's
+    canonical bytes since :meth:`PlainShare.from_bytes` parses nothing
+    else, (3) rebuild of the quasigroup, whose algebra gate (one O(n) check
+    that sigma, pi and rho, stacked as a (3, n) array, each permute [0, n))
+    proves all six parastroph identities over every pair, since an isotope
+    of a group is a quasigroup, (4) digit-wise reconstruction, (5)
+    whole-secret checksum.  The tags and the checksum are compared in
+    constant time.  Each failure mode raises its own error type.
     """
     try:
-        plain1, p1 = unseal_share(s1, key, record.context_id)
-        plain2, p2 = unseal_share(s2, key, record.context_id)
+        plain1, p1 = unseal_share(s1, cipher, record.context_id)
+        plain2, p2 = unseal_share(s2, cipher, record.context_id)
     except (AuthenticationFailure, MalformedTableError) as exc:
         raise DecryptFailureError(f"share decryption failed: {exc}") from exc
 

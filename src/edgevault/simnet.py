@@ -55,7 +55,6 @@ __all__ = [
     "Verdict",
     "RunResult",
     "run_scenario",
-    "replay_determinism_check",
     "events_to_jsonl",
     "edge_data_split",
     "DataSplit",
@@ -180,7 +179,8 @@ class DataSplit(NamedTuple):
 
 def edge_data_split(records: list[dict], policy: dict) -> DataSplit:
     """Partition records into edge-resident (timely) and cloud-bound
-    (historical) disjoint segments.
+    (historical) disjoint segments: the paper's split of data between the
+    edge and the main cloud, kept as library API with no CLI command.
 
     ``policy`` is either ``{"max_age": t}`` (records need an ``age`` tag;
     older than t goes to the cloud) or ``{"by": "category"}`` (records carry
@@ -495,13 +495,6 @@ def events_to_jsonl(scenario: SimScenario, events: list[SimEvent]) -> bytes:
         json.dumps(e.to_json_dict(), sort_keys=True, separators=(",", ":")) for e in events
     ]
     return ("\n".join(lines) + "\n").encode()
-
-
-def replay_determinism_check(scenario: SimScenario) -> bool:
-    """Run the scenario twice; True iff the event logs are byte-identical."""
-    first = events_to_jsonl(scenario, run_scenario(scenario).events)
-    second = events_to_jsonl(scenario, run_scenario(scenario).events)
-    return first == second
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,12 @@ def _write(db, zone: SecureZone, tsa: TimestampAuthority, loaded: tuple | None =
         header, units = loaded
         seq, old = header["seq"] + 1, header["ledger"]
         changes = {name: _changed_fields(units[name], state[name]) for name in units}
+        # a new ledger whole; a stored one's new entries, if it has any
+        ledger_change = ledger if ledger is None or old is None else (
+            {"entries": ledger["entries"]} if ledger["entries"] else {})
         record = dumps({"seq": seq, "tsa": tsa.state_dict(), "zone": {
             "op_counter": state["op_counter"], **changes, "audit": state["audit"]},
-            "ledger": zone.ledger.changes() if zone.ledger is not None else None})
+            "ledger": ledger_change})
         h = sha256(bytes.fromhex(header["h"]) + record)
         db.execute("INSERT INTO log VALUES (?, ?, ?)", (seq, h, record))
         audit_at, entries_at = header["zone"]["audit"], old["entries"] if old is not None else 0

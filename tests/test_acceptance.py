@@ -4,15 +4,20 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  Criteria with runtime ceilings measure and assert them.
 """
 
+import importlib
+import re
 import struct
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import edgevault
 from edgevault.bloom import BloomFilter
-from edgevault.crypto import AeadRecord, NonceSequence, TimestampAuthority, Timestamp
+from edgevault.crypto import AeadRecord, NonceSequence, TimestampAuthority, Timestamp, aead_cipher
 from edgevault.curves import (
     CurvePoint,
     WeierstrassCurve,
@@ -22,14 +27,32 @@ from edgevault.curves import (
     tiny_curve,
 )
 from edgevault.errors import CurveError
+from edgevault.kernels import latin_square_ok
 from edgevault.ledger import IdentityLedger, LedgerEntry
 from edgevault.profiler import Sample, detect_outliers, fit_distribution
-from edgevault.quasigroup import generate_quasigroup, is_latin_square, verify_parastroph_identities
+from edgevault.quasigroup import generate_quasigroup, verify_parastroph_identities
 from edgevault.securezone import SecureZone
 from edgevault.shares import SealedShare, combine_and_verify, seal_share, split
 from edgevault.simnet import builtin_scenarios, events_to_jsonl, run_scenario
 
-KEY = bytes(range(32))
+KEY = aead_cipher(bytes(range(32)))
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: the names ``import edgevault`` binds, submodules aside; a change to the
+#: library's public surface changes this list
+PUBLIC_NAMES = [
+    "AeadRecord", "BloomFilter", "ChainReport", "CurvePoint", "Decision", "DistributionResult",
+    "EdgeVaultError", "FitReport", "IdentityLedger", "IdentityReport", "IsotopeQuasigroup",
+    "LedgerEntry", "ManagedKey", "NonceSequence", "PlainShare", "Quasigroup", "Sample",
+    "SealedShare", "SecureZone", "SimEvent", "SimScenario", "SimStep", "SplitRecord",
+    "Timestamp", "TimestampAuthority", "Verdict", "WeierstrassCurve", "aead_cipher",
+    "aead_decrypt", "aead_encrypt", "builtin_scenarios", "combine_and_verify", "decode_secret",
+    "derive_seed", "detect_outliers", "discriminant", "edge_data_split", "encode_secret",
+    "fit_distribution", "generate_quasigroup", "is_on_curve", "run_scenario", "seal_share",
+    "select_unique_point", "sha256", "split", "sqrt_mod", "standard_curve", "tiny_curve",
+    "unseal_share", "verify_freshness", "verify_parastroph_identities",
+]
 
 
 class Tick:
@@ -54,7 +77,7 @@ def test_criterion_1_quasigroup_laws():
     for order in (2, 3, 4, 8, 16, 32, 64):
         for seed in range(50):
             q = generate_quasigroup(order, seed)
-            if not is_latin_square(q.table):
+            if not latin_square_ok(q.table):
                 failures += 1
                 continue
             if not verify_parastroph_identities(q, mode="exhaustive").passed:
@@ -283,3 +306,20 @@ def test_criterion_9_simulator_determinism():
     _report(9, not mismatches,
             f"{len(builtin_scenarios())} scenarios byte-identical and passing; "
             f"mismatches={mismatches}")
+
+
+def test_the_public_surface_is_the_pinned_list_and_each_name_resolves():
+    bound = sorted(name for name, value in vars(edgevault).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert bound == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 52
+    for name in PUBLIC_NAMES:
+        value = getattr(edgevault, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_the_readme_library_example_runs():
+    (example,) = re.findall(r"## Library example\n\n```python\n(.*?)```", README.read_text(),
+                            re.DOTALL)
+    assert "from edgevault import" in example
+    exec(compile(example, "README.md", "exec"), {})

@@ -190,7 +190,7 @@ def test_ledger_verify_detects_hex_edit(runner, tmp_path):
 def _unsealed_points(state):
     """Each registered device's point, unsealed with the state dir's own point key."""
     zone, _ = AppState(state, "json").load_zone()
-    point_key = zone._keys[zone._point_key_id].material
+    point_key = zone._keys[zone._point_key_id].cipher
     return [point_from_bytes(zone.ledger.curve, aead_decrypt(
                 point_key, e.ciphertext_record, b"point" + e.device_label.encode()))
             for e in zone.ledger.entries]
@@ -606,12 +606,17 @@ def test_deeply_nested_json_gets_error_envelope(runner, tmp_path, command):
         ("keys", "generate"),
         ("keys", "split", "ab" * 16, "--context", "cd" * 32),
         ("sim", "run", "scenario.json"),
+        ("qg", "generate", "-n", "4"),
+        ("qg", "check", "-n", "4"),
     ],
-    ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "sim-run"],
+    ids=["ledger-init", "ledger-register", "keys-generate", "keys-split", "sim-run",
+         "qg-generate", "qg-check"],
 )
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 def test_out_of_range_seed_is_a_usage_error(runner, tmp_path, args, seed):
-    # each of these once ended in a raw OverflowError from the 8-byte seed encoding
+    # each of the first five once ended in a raw OverflowError from the 8-byte
+    # seed encoding; the qg commands masked the seed to 64 bits, so -1 and
+    # 2**64 - 1 printed one table under two seeds
     scenario = tmp_path / "scenario.json"
     scenario.write_text(builtin_scenarios()["replay-storm"].to_json())
     args = [str(scenario) if a == "scenario.json" else a for a in args]
@@ -802,6 +807,16 @@ def test_profile_of_values_whose_mean_overflows_is_an_error_envelope(runner, tmp
     r = invoke(runner, tmp_path / "s", "profile", command, str(csv))
     assert r.exit_code == 1
     assert "Traceback" not in r.output
+    err = json.loads(r.output.strip().splitlines()[-1])
+    assert err["error"]["code"] == "value-range"
+
+
+def test_profile_outliers_refuses_a_nan_threshold(runner, tmp_path):
+    # once: "threshold_sigmas": NaN, which is not JSON, and no outliers
+    csv = tmp_path / "data.csv"
+    csv.write_text("1.0\n2.0\n3.0\n10.0\n")
+    r = invoke(runner, tmp_path / "s", "profile", "outliers", str(csv), "--sigmas", "nan")
+    assert r.exit_code == 1, r.output
     err = json.loads(r.output.strip().splitlines()[-1])
     assert err["error"]["code"] == "value-range"
 

@@ -137,7 +137,8 @@ def _check(state, outputs: _Outputs):
     assert len(set(nonces)) == len(nonces)
     counter = zone._keys[zone._share_key_id].nonces.counter
     assert all(int.from_bytes(nonce[4:], "big") < counter for nonce in nonces)
-    registered = [e["context_id_hex"] for e in zone.audit_log if e["op"] == "register_device"]
+    audit = zone.state_dict()["audit"]
+    registered = [e["context_id_hex"] for e in audit if e["op"] == "register_device"]
     assert registered == [e.h2.hex() for e in zone.ledger.entries]
 
 

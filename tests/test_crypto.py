@@ -6,6 +6,7 @@ from edgevault.crypto import (
     NonceSequence,
     Timestamp,
     TimestampAuthority,
+    aead_cipher,
     aead_decrypt,
     aead_encrypt,
     derive_seed,
@@ -14,7 +15,7 @@ from edgevault.crypto import (
 )
 from edgevault.errors import AuthenticationFailure, ClockError, EncryptionError
 
-KEY = bytes(range(32))
+KEY = aead_cipher(bytes(range(32)))
 
 # FIPS 180-2 test vectors
 SHA_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -68,7 +69,7 @@ def test_aead_tag_bitflip_detected():
 def test_aead_wrong_key_and_wrong_ad():
     rec = aead_encrypt(KEY, b"hello", b"context", NonceSequence(3))
     with pytest.raises(AuthenticationFailure):
-        aead_decrypt(bytes(32), rec, b"context")
+        aead_decrypt(aead_cipher(bytes(32)), rec, b"context")
     with pytest.raises(AuthenticationFailure):
         aead_decrypt(KEY, rec, b"other")
 
@@ -95,10 +96,9 @@ def test_aead_exhaustive_single_bit_flips():
 
 def test_aead_key_length_enforced():
     with pytest.raises(EncryptionError):
-        aead_encrypt(b"short", b"x", b"", NonceSequence(0))
-    record = aead_encrypt(KEY, b"x", b"", NonceSequence(0))
+        aead_cipher(b"short")
     with pytest.raises(EncryptionError):
-        aead_decrypt(KEY[:16], record, b"")
+        aead_cipher(bytes(range(16)))
 
 
 def test_record_binary_and_json_roundtrip():

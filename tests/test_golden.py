@@ -13,14 +13,14 @@ import json
 
 import pytest
 
-from edgevault.crypto import NonceSequence, sha256
+from edgevault.crypto import NonceSequence, aead_cipher, sha256
 from edgevault.quasigroup import generate_quasigroup
 from edgevault.shares import seal_share, split
 from edgevault.simnet import SimScenario, SimStep, builtin_scenarios, events_to_jsonl, run_scenario
 
 SECRET = bytes(range(1, 33))
 CTX = sha256(b"edgevault.golden")
-KEY = bytes(range(32))
+KEY = aead_cipher(bytes(range(32)))
 
 
 def _hex(data: bytes) -> str:

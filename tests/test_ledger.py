@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority, aead_decrypt
+from edgevault.crypto import AeadRecord, Timestamp, TimestampAuthority, aead_cipher, aead_decrypt
 from edgevault.curves import is_on_curve, point_from_bytes, standard_curve, tiny_curve
 from edgevault.errors import (
     DuplicateDeviceError,
@@ -20,7 +20,7 @@ from edgevault.simnet import _Cloud
 
 from mutation import mutants
 
-POINT_KEY = bytes(32)
+POINT_KEY = aead_cipher(bytes(32))
 
 
 def chain_oracle(raw_entries):
@@ -155,11 +155,11 @@ def test_snapshot_import_verifies_at_cloud(f5_ledger, tsa):
 
 
 def test_snapshot_omits_key_material(f5_ledger, tsa):
-    point_key = bytes(range(32))
-    f5_ledger.register_device("d", tsa, point_key, rng_seed=1)
+    material = bytes(range(32))
+    f5_ledger.register_device("d", tsa, aead_cipher(material), rng_seed=1)
     snap = f5_ledger.sync_to_cloud()
-    assert point_key.hex().encode() not in snap
-    assert point_key not in snap
+    assert material.hex().encode() not in snap
+    assert material not in snap
     assert b"used_points" not in snap
 
 
@@ -229,7 +229,7 @@ def test_used_points_read_first_decode_a_loaded_ledger(f5_ledger, tsa):
     new = loaded.register_device("fresh", tsa, POINT_KEY, rng_seed=0)
     assert len(loaded) == 4
     assert len(set(_unsealed_points(loaded))) == 4
-    assert loaded.changes() == {"entries": [new.to_json_dict(3)]}
+    assert loaded.state_dict(whole=False)["entries"] == [new.to_json_dict(3)]
 
 
 def test_an_imported_replica_refuses_a_ninth_device_on_the_tiny_curve(f5_ledger, tsa):
@@ -240,7 +240,7 @@ def test_an_imported_replica_refuses_a_ninth_device_on_the_tiny_curve(f5_ledger,
     # without the point key the replica cannot learn its used points at all
     with pytest.raises(StateError, match="AEAD authentication failed"):
         IdentityLedger.import_snapshot(f5_ledger.sync_to_cloud()).register_device(
-            "ninth", tsa, bytes(range(32)), rng_seed=99)
+            "ninth", tsa, aead_cipher(bytes(range(32))), rng_seed=99)
 
 
 def test_an_entry_that_does_not_unseal_is_corrupted_state(f5_ledger, tsa):
@@ -248,7 +248,7 @@ def test_an_entry_that_does_not_unseal_is_corrupted_state(f5_ledger, tsa):
     state = f5_ledger.state_dict()
     ledger = IdentityLedger.from_state_dict(state)
     with pytest.raises(StateError) as info:
-        ledger.register_device("d", tsa, bytes(range(32)), 1)
+        ledger.register_device("d", tsa, aead_cipher(bytes(range(32))), 1)
     assert info.value.code == "corrupted-state"
     assert len(ledger) == 3  # the refused registration appended nothing
     # a point too short for the stored curve

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from edgevault.bloom import BloomFilter
 from edgevault.cli import AppState
-from edgevault.crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority
+from edgevault.crypto import AeadRecord, NonceSequence, Timestamp, TimestampAuthority, aead_cipher
 from edgevault.curves import WeierstrassCurve, standard_curve, tiny_curve
 from edgevault.errors import (
     CurveError,
@@ -40,7 +40,7 @@ from mutation import json_mutants, mutants, write_state
 
 CTX = bytes(32)
 _EDGE, _CLOUD, _RECORD = split(b"attack at dawn..", 16, 77, CTX, rng_seed=5)
-_SEALED = seal_share(_CLOUD, bytes(range(32)), CTX, NonceSequence(1))
+_SEALED = seal_share(_CLOUD, aead_cipher(bytes(range(32))), CTX, NonceSequence(1))
 
 PLAIN_SHARE = _EDGE.to_bytes()
 AEAD_RECORD = _SEALED.record.to_bytes()
@@ -151,7 +151,7 @@ def _ledger_state():
     ledger = IdentityLedger(group_id="g", curve=tiny_curve())
     tsa = TimestampAuthority(issuer="t", clock=lambda: 1_700_000_000)
     for i in range(2):
-        ledger.register_device(f"d{i}", tsa, bytes(32), rng_seed=i)
+        ledger.register_device(f"d{i}", tsa, aead_cipher(bytes(32)), rng_seed=i)
     return ledger.state_dict()
 
 

@@ -16,7 +16,6 @@ from edgevault.profiler import (
     _pdf,
     detect_outliers,
     fit_distribution,
-    regroup_devices,
 )
 
 
@@ -167,6 +166,16 @@ def test_outlier_zero_variance():
         detect_outliers(Sample([2.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_outlier_threshold_that_is_not_finite_or_is_negative_is_a_value_range_error(threshold):
+    with pytest.raises(ValueRangeError):
+        detect_outliers(Sample([0.0, 0.0, 0.0, 0.0, 100.0]), threshold_sigmas=threshold)
+
+
+def test_outlier_threshold_of_zero_flags_every_value_off_the_mean():
+    assert detect_outliers(Sample([0.0, 1.0, 2.0]), threshold_sigmas=0.0).tolist() == [0, 2]
+
+
 def test_outlier_affine_invariance(rng):
     values = rng.normal(10, 3, 5_000)
     base = detect_outliers(Sample(values), 2.5).tolist()
@@ -175,56 +184,10 @@ def test_outlier_affine_invariance(rng):
         assert transformed == base, (a, b)
 
 
-# --- regrouping ------------------------------------------------------------------
+# --- reports ----------------------------------------------------------------------
 
 def _report(label, family, **params):
     return FitReport(device_label=label, best_family=family, params=params, rss=0.0)
-
-
-def test_same_family_same_params_grouped():
-    groups = regroup_devices([
-        _report("a", "normal", mu=0.0, sigma=1.0),
-        _report("b", "normal", mu=0.0, sigma=1.0),
-    ])
-    assert groups == [["a", "b"]]
-
-
-def test_different_families_split():
-    groups = regroup_devices([
-        _report("a", "normal", mu=0.0, sigma=1.0),
-        _report("b", "exponential", rate=1.0),
-    ])
-    assert sorted(map(sorted, groups)) == [["a"], ["b"]]
-
-
-def test_distant_params_split():
-    # normal(0,1) vs normal(10,1): relative distance ~ 0.995 > 0.25
-    groups = regroup_devices([
-        _report("a", "normal", mu=0.0, sigma=1.0),
-        _report("b", "normal", mu=10.0, sigma=1.0),
-    ])
-    assert len(groups) == 2
-
-
-def test_transitive_linking():
-    # a-b close, b-c close, a-c not: still one connected component
-    groups = regroup_devices([
-        _report("a", "normal", mu=10.0, sigma=1.0),
-        _report("b", "normal", mu=11.5, sigma=1.0),
-        _report("c", "normal", mu=13.0, sigma=1.0),
-    ])
-    assert len(groups) == 1
-
-
-def test_all_zero_parameters_are_at_distance_zero():
-    groups = regroup_devices([_report("a", "normal", mu=0.0, sigma=0.0),
-                              _report("b", "normal", mu=0.0, sigma=0.0)])
-    assert groups == [["a", "b"]]
-
-
-def test_regroup_empty_rejected():
-    with pytest.raises(TooFewSamplesError):
-        regroup_devices([])
 
 
 def test_fit_report_json():

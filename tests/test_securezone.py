@@ -52,10 +52,12 @@ def test_generation_deterministic_for_fresh_zone(tsa, clock):
 
 
 def test_exported_state_contains_no_raw_key_bytes(zone):
-    key_id = zone.generate_key("data-encryption", rng_seed=1)
-    material = zone._keys[key_id].material
-    exported = json.dumps(zone.public_state())
-    assert material.hex() not in exported
+    # what leaves the zone: a key's public dict and the two sealed shares
+    key_id, result = _distributed(zone)
+    key = zone._keys[key_id]
+    exported = json.dumps([key.to_public_dict(), result.edge_share.to_json_dict(),
+                           result.cloud_share.to_json_dict()])
+    assert key.material.hex() not in exported
     assert key_id.hex() in exported
 
 
@@ -272,7 +274,7 @@ def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
     monkeypatch.setattr(edgevault.shares, "generate_quasigroup", broken_rebuild)
     record = zone._contexts[CTX].record
     edge_share = zone._contexts[CTX].edge_share
-    share_key = zone._keys[zone._share_key_id].material
+    share_key = zone._keys[zone._share_key_id].cipher
     with pytest.raises(AlgebraFailureError):
         combine_and_verify(edge_share, result.cloud_share, record, share_key)
 
@@ -360,7 +362,7 @@ def test_a_retired_key_no_longer_authorizes(zone, tsa):
     assert info.value.code == "key-state"
     assert key.uses == 1
     assert context.last_seen == last_seen is not None
-    last = zone.audit_log[-1]
+    last = zone.state_dict()["audit"][-1]
     assert (last["op"], last["outcome"], last["reason"]) == (
         "authorize_transaction", "error", "key-retired")
     assert last["key_id"] == key_id.hex() and last["context_id_hex"] == CTX.hex()
@@ -368,8 +370,7 @@ def test_a_retired_key_no_longer_authorizes(zone, tsa):
 
 def test_the_zone_s_own_keys_cannot_be_retired_or_split(zone, tsa):
     own = (zone._kek_id, zone._share_key_id, zone._point_key_id)
-    public = zone.public_state()
-    counters = {k.key_id: k.nonces.counter for k in zone._keys.values()}
+    state = zone.state_dict()
     for key_id in own:
         with pytest.raises(KeyStateError) as info:
             zone.retire_key(key_id)
@@ -377,8 +378,7 @@ def test_the_zone_s_own_keys_cannot_be_retired_or_split(zone, tsa):
         with pytest.raises(KeyStateError) as info:
             zone.split_and_distribute(key_id, CTX, q_order=16, rng_seed=8)
         assert info.value.code == "key-state"
-    assert zone.public_state() == public
-    assert {k.key_id: k.nonces.counter for k in zone._keys.values()} == counters
+    assert zone.state_dict() == state
     _, result = _distributed(zone)
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
 
@@ -393,12 +393,10 @@ def test_a_bad_split_is_refused_before_the_key_is_wrapped(zone, context, order, 
     """No KEK nonce is spent and no audit entry is written for a split
     that does not happen; the key can still be split."""
     key_id = zone.generate_key("data-encryption", rng_seed=7)
-    public, audit = zone.public_state(), len(zone.audit_log)
-    counters = {k.key_id: k.nonces.counter for k in zone._keys.values()}
+    state = zone.state_dict()
     with pytest.raises(error):
         zone.split_and_distribute(key_id, context, q_order=order, rng_seed=8)
-    assert zone.public_state() == public and len(zone.audit_log) == audit
-    assert {k.key_id: k.nonces.counter for k in zone._keys.values()} == counters
+    assert zone.state_dict() == state
     zone.split_and_distribute(key_id, CTX, q_order=16, rng_seed=8)
 
 
@@ -429,16 +427,14 @@ def test_fuzzed_forgeries_never_accepted(zone, tsa, rng):
 # --- audit log -----------------------------------------------------------------------
 
 def test_audit_log_counts_mutations(zone, tsa):
-    base = len(zone.audit_log)  # zone init creates 3 infrastructure keys
+    base = len(zone.state_dict()["audit"])  # zone init creates 3 infrastructure keys
     key_id = zone.generate_key("data-encryption", rng_seed=1)
     result = zone.split_and_distribute(key_id, CTX, rng_seed=2)  # logs wrap + split
     zone.authorize_transaction(CTX, result.edge_share, tsa.issue())
-    log = zone.audit_log
+    log = zone.state_dict()["audit"]
     assert len(log) == base + 4
     assert [e["sequence"] for e in log] == list(range(len(log)))
-    jsonl = zone.export_audit_jsonl()
-    rows = [json.loads(line) for line in jsonl.splitlines()]
-    assert all({"sequence", "op", "outcome"} <= set(r) for r in rows)
+    assert all({"sequence", "op", "outcome"} <= set(e) for e in log)
 
 
 def test_audit_logs_rejections(zone, tsa, rng):
@@ -448,7 +444,7 @@ def test_audit_logs_rejections(zone, tsa, rng):
         binding_tag=rng.bytes(32),
     )
     zone.authorize_transaction(CTX, forged, tsa.issue())
-    last = zone.audit_log[-1]
+    last = zone.state_dict()["audit"][-1]
     assert last["op"] == "authorize_transaction"
     assert last["outcome"] == "rejected"
     assert last["reason"] in ("decrypt-failure", "tag-mismatch")
@@ -513,8 +509,9 @@ def test_zone_hosts_ledger(zone, tsa):
     zone.attach_ledger(ledger)
     entry = zone.register_device("dev-1", rng_seed=4)
     assert ledger.verify_chain().valid
-    assert zone.audit_log[-1]["op"] == "register_device"
-    assert entry.h2.hex() == zone.audit_log[-1]["context_id_hex"]
+    last = zone.state_dict()["audit"][-1]
+    assert last["op"] == "register_device"
+    assert entry.h2.hex() == last["context_id_hex"]
 
 
 def test_register_without_ledger_raises(zone):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgevault.crypto import AeadRecord, NonceSequence, sha256
+from edgevault.crypto import AeadRecord, NonceSequence, aead_cipher, sha256
 from edgevault.errors import (
     ChecksumMismatchError,
     DecryptFailureError,
@@ -31,7 +31,7 @@ from edgevault.shares import (
     unseal_share,
 )
 
-KEY = bytes(range(32))
+KEY = aead_cipher(bytes(range(32)))
 CTX = bytes(32)
 
 
@@ -205,7 +205,7 @@ def test_unseal_wrong_key_fails():
 
     sealed1, _, _ = _sealed_pair()
     with pytest.raises(AuthenticationFailure):
-        unseal_share(sealed1, bytes(32), CTX)
+        unseal_share(sealed1, aead_cipher(bytes(32)), CTX)
 
 
 def test_reseal_changes_ciphertext_not_binding_tag():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from edgevault import simnet
-from edgevault.crypto import AeadRecord, TimestampAuthority
+from edgevault.crypto import AeadRecord, TimestampAuthority, aead_cipher
 from edgevault.curves import tiny_curve
 from edgevault.errors import ClassificationError, ScenarioConfigError, StateError
 from edgevault.ledger import ChainReport, IdentityLedger
@@ -20,7 +20,6 @@ from edgevault.simnet import (
     builtin_scenarios,
     edge_data_split,
     events_to_jsonl,
-    replay_determinism_check,
     run_scenario,
 )
 
@@ -57,9 +56,10 @@ def test_replica_byte_equality_after_sync():
 def _edge():
     ledger = IdentityLedger(group_id="g", curve=tiny_curve())
     tsa = TimestampAuthority(issuer="t", clock=lambda: 9)
+    point_key = aead_cipher(bytes(32))
 
     def register(i):
-        return ledger.register_device(f"d{i}", tsa, bytes(32), rng_seed=i)
+        return ledger.register_device(f"d{i}", tsa, point_key, rng_seed=i)
 
     return ledger, register
 
@@ -341,9 +341,15 @@ def test_zero_attacks_succeed_across_1000_seeded_runs():
 
 # --- determinism ------------------------------------------------------------------
 
+def _replays_identically(scenario):
+    """Whether two runs of the scenario log byte-identical events."""
+    first = events_to_jsonl(scenario, run_scenario(scenario).events)
+    return first == events_to_jsonl(scenario, run_scenario(scenario).events)
+
+
 def test_replay_determinism_builtin_scenarios():
     for name, scenario in builtin_scenarios().items():
-        assert replay_determinism_check(scenario), name
+        assert _replays_identically(scenario), name
 
 
 def test_different_seeds_differ():
@@ -355,7 +361,7 @@ def test_different_seeds_differ():
 
 def test_empty_scenario_deterministic():
     scenario = _scenario([])
-    assert replay_determinism_check(scenario)
+    assert _replays_identically(scenario)
     events, verdict = run_scenario(scenario)
     assert verdict.passed
     assert all(e.kind == "final-verify" for e in events)
@@ -390,7 +396,7 @@ def test_scenario_json_roundtrip_with_curve():
     back = SimScenario.from_json(scenario.to_json())
     assert back.curve == scenario.curve
     assert back.order == 16
-    assert replay_determinism_check(back)
+    assert _replays_identically(back)
 
 
 def test_scenario_rejects_malformed_json():
