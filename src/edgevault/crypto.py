@@ -138,8 +138,15 @@ def aead_encrypt(
 
 def aead_decrypt(cipher: AESGCM, record: AeadRecord, associated_data: bytes) -> bytes:
     """Authenticated decryption; any bit flip in the record or AD fails."""
+    return _aead_open(cipher, record.nonce, record.ciphertext + record.tag, associated_data)
+
+
+def _aead_open(cipher: AESGCM, nonce: bytes, sealed: bytes, associated_data: bytes) -> bytes:
+    """Authenticated decryption of ``sealed`` (ciphertext ‖ tag) under
+    ``nonce``, for a caller that holds the record's fields as bytes; raises
+    AuthenticationFailure on any tamper."""
     try:
-        return cipher.decrypt(record.nonce, record.ciphertext + record.tag, associated_data)
+        return cipher.decrypt(nonce, sealed, associated_data)
     except InvalidTag as exc:
         raise AuthenticationFailure("AEAD authentication failed") from exc
 

@@ -8,7 +8,8 @@ use it.  :class:`IsotopeQuasigroup`, which :func:`generate_quasigroup`
 returns, keeps three permutations ``sigma``, ``pi``, ``rho`` of the isotope
 ``x*y = sigma[(pi[x] + rho[y]) mod n]`` and nothing else, and evaluates
 multiplication and both divisions in closed form: its one O(n) check, over
-the three permutations stacked as a (3, n) array, is the algebra gate, a
+the three permutations stacked as a (3, n) array and run in place on the
+stack :func:`generate_quasigroup` draws, is the algebra gate, a
 division inverts the two checked permutations it reads by a plain scatter,
 and its n*n tables are built on every read and not cached.
 """
@@ -128,9 +129,8 @@ _PERMUTATIONS = ("sigma", "pi", "rho")
 
 
 def _permutation_stack(n: int, perms) -> np.ndarray:
-    """``perms`` as one frozen (3, n) intp array; MalformedTableError naming
-    the first of sigma, pi and rho that is not a permutation of [0, n), or
-    the three lengths if they differ."""
+    """``perms`` as one new (3, n) intp array; MalformedTableError if the
+    three lengths differ or a row is not n integers."""
     try:
         stack = np.asarray(perms)
     except ValueError:  # rows of different lengths
@@ -146,15 +146,7 @@ def _permutation_stack(n: int, perms) -> np.ndarray:
                                           f"of shape {row.shape}")
         # integer rows with no common integer dtype (uint64 beside int64 stack as float)
         stack = np.array([row.astype(np.intp) for row in rows])
-    stack = stack.astype(np.intp, copy=False)
-    # a row permutes [0, n) iff it sorts to 0, 1, ..., n - 1; out-of-range
-    # entries (a wrapped uint64 included) and repeats both fail that
-    ordered = np.sort(stack, axis=1)
-    if ordered.tobytes() != np.arange(n, dtype=np.intp).tobytes() * 3:
-        first = int(np.argmin((ordered == np.arange(n)).all(axis=1)))
-        raise MalformedTableError(f"{_PERMUTATIONS[first]} is not a permutation of [0, {n})")
-    stack.flags.writeable = False
-    return stack
+    return stack.astype(np.intp, copy=False)
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -176,15 +168,17 @@ class IsotopeQuasigroup(Quasigroup):
     Every row and column of that table is a permutation exactly when
     ``sigma``, ``pi`` and ``rho`` are, so checking the three permutations
     checks the Latin property in O(n).  Construction checks them at once, as
-    one (3, n) integer array, and names the first that is not a permutation
-    of [0, n).  Every operation has a closed form:
+    one (3, n) intp stack, and names the first that is not a permutation of
+    [0, n).  The constructor copies the three rows it is given into a new
+    stack; :meth:`from_stack` takes over a stack the caller built and checks
+    it in place.  Every operation has a closed form:
 
       x * y  = sigma[(pi[x] + rho[y]) mod n]
       x \\ s = rho^-1[(sigma^-1[s] - pi[x]) mod n]
       s / y  = pi^-1[(sigma^-1[s] - rho[y]) mod n]
 
     Only the three checked permutations are held: ``sigma`` as uint16, and
-    ``pi`` and ``rho`` as intp rows of the frozen stack the check read.  A
+    ``pi`` and ``rho`` as intp rows of the checked stack, which is frozen.  A
     division inverts the two it reads on each call by a plain scatter, which
     is O(n) against the n*n tables and needs no second check; ``table``,
     ``left_div`` and ``right_div`` are built on every read and not cached.
@@ -193,20 +187,48 @@ class IsotopeQuasigroup(Quasigroup):
     __slots__ = ("sigma", "pi", "rho")
 
     def __init__(self, sigma, pi, rho):
-        n = len(sigma)
+        self._adopt(_permutation_stack(len(sigma), (sigma, pi, rho)))
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray) -> "IsotopeQuasigroup":
+        """The isotope of ``stack``, sigma, pi and rho as the rows of one
+        (3, n) intp array that owns its data, which it takes over: the gate
+        checks and freezes that array in place, and it is not copied."""
+        q = cls.__new__(cls)
+        q._adopt(stack)
+        return q
+
+    def _adopt(self, stack: np.ndarray):
+        """The algebra gate: keep ``stack`` if each row permutes [0, n)."""
+        # a view is refused: freezing it would leave its base writable
+        if (stack.ndim != 2 or stack.shape[0] != 3 or stack.dtype != np.intp
+                or not stack.flags.owndata):
+            raise MalformedTableError(f"sigma, pi and rho must stack as one (3, n) intp array "
+                                      f"that owns its data, got {stack.dtype} of shape "
+                                      f"{stack.shape}")
+        n = stack.shape[1]
         if n < 2:
             raise MalformedTableError(f"order must be >= 2, got {n}")
         if n > 0xFFFF:
             raise InvalidOrderError("orders above 65535 are not supported")
-        stack = _permutation_stack(n, (sigma, pi, rho))
+        # a row permutes [0, n) iff it sorts to 0, 1, ..., n - 1; out-of-range
+        # entries (a wrapped uint64 included) and repeats both fail that
+        ordered = stack.copy()
+        ordered.sort(axis=1)
+        if ordered.tobytes() != np.arange(n, dtype=np.intp).tobytes() * 3:
+            first = int(np.argmin((ordered == np.arange(n)).all(axis=1)))
+            raise MalformedTableError(f"{_PERMUTATIONS[first]} is not a permutation of [0, {n})")
+        stack.setflags(write=False)
         self.order = n
         # operands are intp, results uint16 like the table-backed form's
-        self.sigma = _frozen(stack[0], np.uint16)
+        self.sigma = stack[0].astype(np.uint16)
+        self.sigma.setflags(write=False)
         self.pi, self.rho = stack[1], stack[2]
 
-    # ``take`` gathers as indexing does, and converts uint16 operands faster
+    # ``take`` gathers as indexing does, and converts uint16 operands faster;
+    # pi[x] + rho[y] lies in [0, 2n - 1), which ``mode="wrap"`` reduces mod n
     def multiply_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.sigma.take((self.pi.take(a) + self.rho.take(b)) % self.order)
+        return self.sigma.take(self.pi.take(a) + self.rho.take(b), mode="wrap")
 
     def left_divide_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sigma_inv, rho_inv = _inverse(self.sigma), _inverse(self.rho)
@@ -247,7 +269,9 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     ``rng.permutation(order)`` of ``np.random.default_rng(seed)``, drawn as
     one ``rng.permuted`` over the rows of a (3, n) stack of ``arange(n)``:
     it shuffles row after row with the same draws as three successive
-    permutations, in one call.
+    permutations, in one call.  That stack goes to
+    :meth:`IsotopeQuasigroup.from_stack`, whose algebra gate checks and
+    freezes it in place.
     """
     # refused before the permutations are drawn: a huge order would allocate them
     if not 2 <= order <= 0xFFFF:
@@ -256,7 +280,7 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     stack = np.empty((3, order), dtype=np.intp)
     stack[:] = np.arange(order)
     rng.permuted(stack, axis=1, out=stack)
-    return IsotopeQuasigroup(*stack)
+    return IsotopeQuasigroup.from_stack(stack)
 
 
 @dataclass

@@ -29,12 +29,13 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import (
     KEY_LEN,
+    NONCE_LEN,
     U64_LIMIT,
     NonceSequence,
     Timestamp,
     TimestampAuthority,
+    _aead_open,
     aead_cipher,
-    aead_decrypt,
     aead_encrypt,
     derive_seed,
     sha256,
@@ -162,9 +163,11 @@ class _Units:
         return item
 
     def __getitem__(self, item_id: bytes):
-        item = self.get(item_id)
+        item = self._live.get(item_id)  # a record already in use: one lookup
         if item is None:
-            raise KeyError(item_id)
+            item = self.get(item_id)
+            if item is None:
+                raise KeyError(item_id)
         return item
 
     def __setitem__(self, item_id: bytes, item):
@@ -278,6 +281,31 @@ def _audit_list(audit) -> Sequence:
     return audit
 
 
+def _audit_entry(sequence: int, op: str, outcome: str, key_id: Optional[bytes],
+                 context_id: Optional[bytes], reason: Optional[str]) -> dict:
+    """One audit entry as the state holds it, from the tuple ``_log`` keeps."""
+    entry = {
+        "sequence": sequence,
+        "op": op,
+        "key_id": key_id.hex() if key_id else None,
+        "context_id_hex": context_id.hex() if context_id else None,
+        "outcome": outcome,
+    }
+    if reason:
+        entry["reason"] = reason
+    return entry
+
+
+def _unwraps(kek_cipher: AESGCM, nonce: bytes, sealed: bytes, target: ManagedKey) -> bool:
+    """Whether the wrap record ``nonce`` ‖ ``sealed`` opens under the KEK's
+    cipher to the target key's material."""
+    try:
+        restored = _aead_open(kek_cipher, nonce, sealed, b"wrap" + target.key_id)
+    except AuthenticationFailure:
+        return False
+    return hmac.compare_digest(restored, target.material)
+
+
 def _op_counter(value) -> int:
     value = int(value)
     if not 0 <= value < U64_LIMIT:
@@ -299,7 +327,7 @@ class SecureZone:
         self._keys = _Units(_decode_key, _encode_key)
         self._contexts = _Units(partial(_decode_context, self._keys), _encode_context)
         self._audit_base: Sequence = ()  # the audit of the state the zone was loaded from
-        self._audit: list[dict] = []  # the entries after it
+        self._audit: list[tuple] = []  # the entries after it, as _log keeps them
         self._op_counter = 0
         self.ledger: Optional[IdentityLedger] = None
         # infrastructure keys: one KEK and one share-sealing key per zone
@@ -315,16 +343,9 @@ class SecureZone:
 
     def _log(self, op: str, outcome: str, key_id: Optional[bytes] = None,
              context_id: Optional[bytes] = None, reason: Optional[str] = None):
-        entry = {
-            "sequence": len(self._audit_base) + len(self._audit),
-            "op": op,
-            "key_id": key_id.hex() if key_id else None,
-            "context_id_hex": context_id.hex() if context_id else None,
-            "outcome": outcome,
-        }
-        if reason:
-            entry["reason"] = reason
-        self._audit.append(entry)
+        """Keep the entry as the objects the caller holds;
+        :meth:`state_dict` renders it."""
+        self._audit.append((op, outcome, key_id, context_id, reason))
 
     # --- key lifecycle ----------------------------------------------------
 
@@ -381,13 +402,14 @@ class SecureZone:
         return record
 
     def verify_wrapped(self, kek_id: bytes, target_id: bytes, record: AeadRecord) -> bool:
-        """Check (inside the zone) that a wrap record restores the target key."""
+        """Check (inside the zone) that a wrap record restores the target key.
+
+        Either id unknown to the zone raises UnknownKeyError.
+        :meth:`authorize_transaction` makes the same check on the wrap
+        record it reconstructs, as bytes, with the two keys it holds."""
         kek = self._require_key(kek_id)
-        try:
-            restored = aead_decrypt(kek.cipher, record, b"wrap" + target_id)
-        except AuthenticationFailure:
-            return False
-        return hmac.compare_digest(restored, self._require_key(target_id).material)
+        return _unwraps(kek.cipher, record.nonce, record.ciphertext + record.tag,
+                        self._require_key(target_id))
 
     # --- splitting and distribution ----------------------------------------
 
@@ -467,7 +489,8 @@ class SecureZone:
             return reject(exc.code)
 
         # Deep check: the reconstructed wrap record must restore the stored key.
-        if not self.verify_wrapped(self._kek_id, key_id, AeadRecord.from_bytes(wrapped)):
+        if not _unwraps(self._keys[self._kek_id].cipher, wrapped[:NONCE_LEN],
+                        wrapped[NONCE_LEN:], key):
             return reject("checksum-mismatch")
 
         key.uses += 1
@@ -500,6 +523,8 @@ class SecureZone:
         loaded from: the keys and contexts that are new or changed (whole
         units) and the audit entries after the loaded ones.
         """
+        audit = [_audit_entry(sequence, *entry)
+                 for sequence, entry in enumerate(self._audit, len(self._audit_base))]
         return {
             "op_counter": self._op_counter,
             "kek_id": self._kek_id.hex(),
@@ -507,7 +532,7 @@ class SecureZone:
             "point_key_id": self._point_key_id.hex(),
             "keys": self._keys.units() if whole else self._keys.rewritten(),
             "contexts": self._contexts.units() if whole else self._contexts.rewritten(),
-            "audit": [*self._audit_base, *self._audit] if whole else self._audit,
+            "audit": [*self._audit_base, *audit] if whole else audit,
         }
 
     @classmethod

@@ -13,6 +13,7 @@ check, and a whole-secret checksum.
 from __future__ import annotations
 
 import functools
+import hashlib
 import hmac
 import json
 import struct
@@ -28,6 +29,7 @@ from .errors import (
     ChecksumMismatchError,
     DecryptFailureError,
     EmptySecretError,
+    InvalidElementError,
     InvalidOrderError,
     MalformedTableError,
     StateError,
@@ -53,32 +55,17 @@ __all__ = [
 CONTEXT_LEN = 32
 
 
-def _digit_width(order: int) -> int:
-    """floor(log2(order)), in exact integer arithmetic."""
-    return order.bit_length() - 1
-
-
-def _digit_count(secret_len: int, order: int) -> int:
-    width = _digit_width(order)
-    count = -(-secret_len * 8 // width)  # ceil
-    if (count * width) // 8 != secret_len:
-        # Only reachable for order > 511: the count no longer determines the
-        # byte length, so shares could not be parsed back unambiguously.
-        raise UnsupportedOrderError(
-            f"order {order} cannot encode {secret_len} bytes reversibly"
-        )
-    return count
-
-
-@functools.lru_cache(maxsize=64)  # bounded: decode_secret takes any order >= 2
-def _word(order: int) -> tuple[int, np.ndarray]:
-    """A word of base-``order`` digits that fits a uint64: its base
-    ``order**per`` and the place values of its ``per`` digits, least
-    significant first, read-only, since every call for the order shares
-    them."""
-    places = order ** np.arange(64 // order.bit_length(), dtype=np.uint64)
+@functools.lru_cache(maxsize=64)  # bounded: an order is any in [2, 65535]
+def _word(order: int) -> tuple[int, int, np.ndarray]:
+    """The digit layout of ``order``: the width floor(log2(order)) a digit
+    carries, in exact integer arithmetic, and a word of base-``order``
+    digits that fits a uint64: its base ``order**per`` and the place values
+    of its ``per`` digits, most significant first, read-only, since every
+    call for the order shares them."""
+    per = 64 // order.bit_length()
+    places = order ** np.arange(per - 1, -1, -1, dtype=np.uint64)
     places.flags.writeable = False
-    return order ** places.shape[0], places
+    return order.bit_length() - 1, order ** per, places
 
 
 def encode_secret(secret: bytes, order: int) -> np.ndarray:
@@ -93,41 +80,75 @@ def encode_secret(secret: bytes, order: int) -> np.ndarray:
         raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
     if not secret:
         raise EmptySecretError("cannot encode an empty secret")
-    count = _digit_count(len(secret), order)
-    base, places = _word(order)
-    value, words = int.from_bytes(secret, "big"), []  # least significant first
+    width, base, places = _word(order)
+    count = -(-len(secret) * 8 // width)  # ceil
+    if (count * width) // 8 != len(secret):
+        # Only reachable for order > 511: the count no longer determines the
+        # byte length, so shares could not be parsed back unambiguously.
+        raise UnsupportedOrderError(
+            f"order {order} cannot encode {len(secret)} bytes reversibly"
+        )
+    value, words = int.from_bytes(secret, "big"), []
     while value:
         value, word = divmod(value, base)
         words.append(word)
-    low = (np.array(words, dtype=np.uint64)[:, None] // places % order).ravel()[:count]
+    words.reverse()  # most significant first, like the digits
+    high = (np.array(words, dtype=np.uint64)[:, None] // places % order).ravel()
+    kept = min(count, high.shape[0])  # the top word may hold leading zeros
     digits = np.zeros(count, dtype=np.uint16)
-    digits[count - low.shape[0]:] = low[::-1]
+    digits[count - kept:] = high[high.shape[0] - kept:]
     return digits
 
 
 def decode_secret(digits: np.ndarray, order: int) -> bytes:
-    """Inverse of encode_secret; the byte length is implied by the digit count."""
-    if order < 2:
-        raise InvalidOrderError(f"order must be >= 2, got {order}")
-    digits = np.asarray(digits, dtype=np.uint16)
-    count = digits.shape[0]
-    n_bytes = (count * _digit_width(order)) // 8
-    base, places = _word(order)
-    per = places.shape[0]
+    """Inverse of encode_secret; the byte length is implied by the digit count.
+
+    Refuses what encode_secret never emits: an order outside [2, 65535]
+    (InvalidOrderError), a digit outside [0, order) (InvalidElementError),
+    and digits worth more than their byte length holds (ValueError).
+    """
+    if not 2 <= order <= 0xFFFF:
+        raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
+    digits = np.asarray(digits)
+    if digits.dtype.kind not in "iu":
+        raise InvalidElementError(f"digits must be integers, got {digits.dtype}")
+    if digits.size and (digits.min() < 0 or digits.max() >= order):
+        raise InvalidElementError(f"a digit lies outside [0, {order})")
+    return _decode(digits, order)
+
+
+def _decode(digits: np.ndarray, order: int) -> bytes:
+    """decode_secret for digits known to lie in [0, order), as the digits
+    combine rebuilds through sigma do."""
+    if order == 256:  # each digit is one byte of the value, and nothing pads it
+        return digits.astype(np.uint8).tobytes()
+    width, base, places = _word(order)
+    count, per = digits.shape[0], places.shape[0]
     # zero-padded at the most significant end to whole words
-    padded = np.zeros(-(-count // per) * per, dtype=np.uint64)
-    padded[padded.shape[0] - count:] = digits
+    padded = np.zeros((-(-count // per), per), dtype=np.uint64)
+    padded.reshape(-1)[padded.size - count:] = digits
     value = 0
-    for word in (padded.reshape(-1, per) @ places[::-1]).tolist():
+    for word in padded.dot(places).tolist():
         value = value * base + word
+    n_bytes = (count * width) // 8
     if value >> (8 * n_bytes):
         raise ValueError("digit string encodes a value wider than its byte length")
     return value.to_bytes(n_bytes, "big")
 
 
+#: a share's canonical header: index u8, order u16 BE, digit count u32 BE
+_SHARE_HEADER = struct.Struct(">BHI")
+_BIG_ENDIAN_U16 = np.dtype(">u2")
+
+
 @dataclass
 class PlainShare:
-    """One of the two unencrypted shares: a digit sequence over [0, n)."""
+    """One of the two unencrypted shares: a digit sequence over [0, n).
+
+    A share that :meth:`from_bytes` parsed keeps as its digits the
+    read-only big-endian view of the bytes it range-checked; nothing is
+    copied.  Write no share's digits in place.
+    """
 
     index: int  # 1 = edge, 2 = cloud
     order: int
@@ -135,24 +156,31 @@ class PlainShare:
 
     def to_bytes(self) -> bytes:
         """Canonical form: index u8 ‖ order u16 BE ‖ digit count u32 BE ‖ digits u16 BE."""
-        header = struct.pack(">BHI", self.index, self.order, self.digits.shape[0])
-        return header + self.digits.astype(">u2").tobytes()
+        header = _SHARE_HEADER.pack(self.index, self.order, self.digits.shape[0])
+        return header + self.digits.astype(_BIG_ENDIAN_U16).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PlainShare":
-        if len(data) < 7:
+        if len(data) < _SHARE_HEADER.size:
             raise MalformedTableError("truncated share bytes")
-        index, order, count = struct.unpack_from(">BHI", data)
-        if index not in (1, 2) or order < 2 or len(data) != 7 + 2 * count:
+        index, order, count = _SHARE_HEADER.unpack_from(data)
+        if index not in (1, 2) or order < 2 or len(data) != _SHARE_HEADER.size + 2 * count:
             raise MalformedTableError("malformed canonical share bytes")
-        secret_len = (count * _digit_width(order)) // 8
-        if not secret_len or _digit_count(secret_len, order) != count:
+        width = _word(order)[0]
+        secret_len = (count * width) // 8
+        # the count encode_secret gives that byte length, or no whole secret
+        if not secret_len or -(-secret_len * 8 // width) != count:
             raise MalformedTableError(f"{count} digits of order {order} encode no whole secret")
-        # at least one digit: a whole secret has a byte
-        digits = np.frombuffer(data, dtype=">u2", offset=7).astype(np.uint16)
-        if int(digits.max()) >= order:
+        # at least one digit, as a whole secret has a byte; a view of
+        # immutable bytes (``bytes`` copies only a mutable buffer), so it is
+        # read-only, built by the constructor ``np.frombuffer`` wraps
+        digits = np.ndarray((count,), _BIG_ENDIAN_U16, bytes(data), _SHARE_HEADER.size)
+        if np.maximum.reduce(digits) >= order:
             raise MalformedTableError("share digit outside [0, order)")
-        return cls(index=index, order=order, digits=digits)
+        # each field is checked, so the generated __init__ is skipped
+        share = cls.__new__(cls)
+        share.index, share.order, share.digits = index, order, digits
+        return share
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,7 +192,7 @@ class PlainShare:
 
 
 def _binding_tag(share_bytes: bytes, index: int, context_id: bytes) -> bytes:
-    return sha256(share_bytes + bytes([index]) + context_id)
+    return hashlib.sha256(share_bytes + bytes((index,)) + context_id).digest()
 
 
 @dataclass
@@ -275,15 +303,11 @@ def split(
     return share1, share2, record
 
 
-def _share_ad(index: int, context_id: bytes) -> bytes:
-    return bytes([index]) + context_id
-
-
 def seal_share(share: PlainShare, cipher: AESGCM, context_id: bytes,
                nonces: NonceSequence) -> SealedShare:
     """Encrypt a share under ``cipher`` and attach its context binding tag."""
     plain = share.to_bytes()
-    record = aead_encrypt(cipher, plain, _share_ad(share.index, context_id), nonces)
+    record = aead_encrypt(cipher, plain, bytes((share.index,)) + context_id, nonces)
     return SealedShare(
         index=share.index,
         record=record,
@@ -296,7 +320,7 @@ def unseal_share(sealed: SealedShare, cipher: AESGCM,
     """Decrypt and parse a sealed share under ``cipher``: the authenticated
     canonical bytes, and the share they encode.  Raises
     AuthenticationFailure on tamper."""
-    plain = aead_decrypt(cipher, sealed.record, _share_ad(sealed.index, context_id))
+    plain = aead_decrypt(cipher, sealed.record, bytes((sealed.index,)) + context_id)
     return plain, PlainShare.from_bytes(plain)
 
 
@@ -315,26 +339,24 @@ def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord,
     whole-secret checksum.  The tags and the checksum are compared in
     constant time.  Each failure mode raises its own error type.
     """
+    context_id = record.context_id
     try:
-        plain1, p1 = unseal_share(s1, cipher, record.context_id)
-        plain2, p2 = unseal_share(s2, cipher, record.context_id)
+        plain1, p1 = unseal_share(s1, cipher, context_id)
+        plain2, p2 = unseal_share(s2, cipher, context_id)
     except (AuthenticationFailure, MalformedTableError) as exc:
         raise DecryptFailureError(f"share decryption failed: {exc}") from exc
 
     if p1.index != 1 or p2.index != 2:
         raise TagMismatchError("share indices do not form an (edge, cloud) pair")
-    tags = (
-        _binding_tag(plain1, 1, record.context_id),
-        _binding_tag(plain2, 2, record.context_id),
-    )
+    tag1, tag2 = _binding_tag(plain1, 1, context_id), _binding_tag(plain2, 2, context_id)
+    expected1, expected2 = record.expected_tags
     # each tag digests a secret share: compare in constant time, both (``&``)
-    if not (hmac.compare_digest(tags[0], record.expected_tags[0])
-            & hmac.compare_digest(tags[1], record.expected_tags[1])):
+    if not (hmac.compare_digest(tag1, expected1) & hmac.compare_digest(tag2, expected2)):
         raise TagMismatchError("share binding tag mismatch (possible impersonation)")
     # the transported tags must match too, so every bit of a sealed share is
     # tamper-evident (index and record via AEAD, binding_tag here)
-    if not (hmac.compare_digest(s1.binding_tag, tags[0])
-            & hmac.compare_digest(s2.binding_tag, tags[1])):
+    if not (hmac.compare_digest(s1.binding_tag, tag1)
+            & hmac.compare_digest(s2.binding_tag, tag2)):
         raise TagMismatchError("transported binding tag altered in flight")
 
     try:
@@ -344,9 +366,9 @@ def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord,
 
     if p1.order != q.order or p2.order != q.order or p1.digits.shape != p2.digits.shape:
         raise TagMismatchError("share parameters disagree with the split record")
-    secret_digits = q.multiply_many(p1.digits, p2.digits)
     try:
-        secret = decode_secret(secret_digits, q.order)
+        # the digits come out of sigma, so they lie in [0, n): no range check
+        secret = _decode(q.multiply_many(p1.digits, p2.digits), q.order)
     except ValueError as exc:
         # a wrong table can give digits worth more than the secret's bytes;
         # that is a wrong secret too

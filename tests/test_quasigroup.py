@@ -327,7 +327,29 @@ def test_isotope_rejects_non_permutation(bad):
                     if len(broken) < 4 else rf"^{bad} ")
         with pytest.raises(MalformedTableError, match=expected):
             IsotopeQuasigroup(**{**PERMS_4, bad: broken})
+        rows = [{**PERMS_4, bad: broken}[name] for name in ("sigma", "pi", "rho")]
+        if len(broken) == 4 and all(isinstance(v, int) for v in broken):
+            # the stack constructor gates the same rows, and blames the same one
+            with pytest.raises(MalformedTableError, match=rf"^{bad} "):
+                IsotopeQuasigroup.from_stack(np.array(rows, dtype=np.intp))
+        else:
+            # rows that stack as no (3, 4) intp array are refused as a whole
+            with pytest.raises(MalformedTableError, match="^sigma, pi and rho must stack as"):
+                IsotopeQuasigroup.from_stack(np.array(rows, dtype=object))
     assert IsotopeQuasigroup(**PERMS_4).order == 4
+    stack = np.array([PERMS_4[name] for name in ("sigma", "pi", "rho")], dtype=np.intp)
+    q = IsotopeQuasigroup.from_stack(stack)
+    # the stack is kept, not copied, and frozen: no caller can change a checked row
+    assert q == IsotopeQuasigroup(**PERMS_4)
+    assert not stack.flags.writeable
+    assert np.shares_memory(q.pi, stack) and np.shares_memory(q.rho, stack)
+    with pytest.raises(ValueError):
+        stack[1, 0] = 99
+    # a view of a writable array is refused too: freezing it would not freeze its base
+    wider = np.array([[*PERMS_4[name], 0] for name in ("sigma", "pi", "rho")], dtype=np.intp)
+    for wrong in (stack.astype(np.int32), stack[:2], stack.ravel(), wider[:, :4]):
+        with pytest.raises(MalformedTableError, match="^sigma, pi and rho must stack as"):
+            IsotopeQuasigroup.from_stack(wrong)
 
 
 def test_isotope_gate_keeps_the_rows_it_checked():

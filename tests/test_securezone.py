@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -100,10 +101,12 @@ def test_a_key_keeps_its_cipher_inside_itself(zone, tsa, tmp_path):
 
 
 def test_a_warm_authorize_builds_no_cipher_and_one_generator(zone, tsa, monkeypatch):
-    """Counted by wrapping the constructors the modules look up: the zone's
-    KEK and share key each build their cipher once, on the first split,
-    and an authorize or a later split builds none; an authorize draws one
-    numpy Generator, for the rebuild of its quasigroup."""
+    """Counted by wrapping the constructors the modules look up, and the
+    hook every AEAD record's construction runs: the zone's KEK and share key
+    each build their cipher once, on the first split, and an authorize or a
+    later split builds none; an authorize draws one numpy Generator, for
+    the rebuild of its quasigroup, and builds no AEAD record, since the wrap
+    check opens the reconstructed bytes as they are."""
     built = Counter()
 
     def counting(name, constructor):
@@ -115,9 +118,12 @@ def test_a_warm_authorize_builds_no_cipher_and_one_generator(zone, tsa, monkeypa
     monkeypatch.setattr(edgevault.crypto, "AESGCM",
                         counting("cipher", edgevault.crypto.AESGCM))
     monkeypatch.setattr(np.random, "default_rng", counting("generator", np.random.default_rng))
+    monkeypatch.setattr(AeadRecord, "__post_init__",
+                        counting("record", AeadRecord.__post_init__))
 
     _, result = _distributed(zone, order=256)
-    assert built == Counter(cipher=2, generator=2)  # the KEK, the share key; rebuild and mask
+    # the KEK, the share key; rebuild and mask; the wrap and two sealed shares
+    assert built == Counter(cipher=2, generator=2, record=3)
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
     built.clear()
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
@@ -126,7 +132,7 @@ def test_a_warm_authorize_builds_no_cipher_and_one_generator(zone, tsa, monkeypa
     built.clear()
     key_id = zone.generate_key("data-encryption", rng_seed=9)
     zone.split_and_distribute(key_id, bytes(32), q_order=256, rng_seed=9)
-    assert built == Counter(generator=2)
+    assert built == Counter(generator=2, record=3)
 
 
 def test_unknown_purpose_rejected(zone):
@@ -171,6 +177,15 @@ def test_verify_wrapped_with_an_unknown_kek_is_unknown_key(zone):
     record = zone.wrap_key(kek, target)
     with pytest.raises(UnknownKeyError):
         zone.verify_wrapped(bytes(16), target, record)
+
+
+def test_verify_wrapped_with_an_unknown_target_is_unknown_key(zone):
+    # whatever the record holds: it restores no key the zone has
+    kek = zone.generate_key("key-encryption", rng_seed=1)
+    target = zone.generate_key("data-encryption", rng_seed=2)
+    record = zone.wrap_key(kek, target)
+    with pytest.raises(UnknownKeyError):
+        zone.verify_wrapped(kek, bytes(16), record)
 
 
 # --- split and distribute ----------------------------------------------------------
@@ -435,6 +450,66 @@ def test_audit_log_counts_mutations(zone, tsa):
     assert len(log) == base + 4
     assert [e["sequence"] for e in log] == list(range(len(log)))
     assert all({"sequence", "op", "outcome"} <= set(e) for e in log)
+
+
+def test_the_audit_renders_each_entry_as_the_state_holds_it(zone, tsa):
+    """A split, an accepted authorize, a replay and an unknown context, as
+    ``state_dict`` writes them."""
+    key_id, result = _distributed(zone)
+    ts = tsa.issue()
+    assert zone.authorize_transaction(CTX, result.cloud_share, ts).accepted
+    assert zone.authorize_transaction(CTX, result.cloud_share, ts).reason == "replay"
+    with pytest.raises(UnknownKeyError):
+        zone.authorize_transaction(bytes(32), result.cloud_share, tsa.issue())
+    key, ctx = "9089368d1c8aab2812c78bc07db463c6", CTX.hex()
+    assert key_id.hex() == key
+    expected = [
+        {"sequence": 0, "op": "generate_key", "key_id": "5246b2ca1c890ff94abaa325b7809a10",
+         "context_id_hex": None, "outcome": "ok"},
+        {"sequence": 1, "op": "generate_key", "key_id": "0cfe865fcbdbabb5b1013f5dfba327c5",
+         "context_id_hex": None, "outcome": "ok"},
+        {"sequence": 2, "op": "generate_key", "key_id": "fa3667f1151b5b8b1ec3be49682f3cf1",
+         "context_id_hex": None, "outcome": "ok"},
+        {"sequence": 3, "op": "generate_key", "key_id": key, "context_id_hex": None,
+         "outcome": "ok"},
+        {"sequence": 4, "op": "wrap_key", "key_id": key, "context_id_hex": None, "outcome": "ok"},
+        {"sequence": 5, "op": "split_and_distribute", "key_id": key, "context_id_hex": ctx,
+         "outcome": "ok"},
+        {"sequence": 6, "op": "authorize_transaction", "key_id": key, "context_id_hex": ctx,
+         "outcome": "accepted"},
+        {"sequence": 7, "op": "authorize_transaction", "key_id": key, "context_id_hex": ctx,
+         "outcome": "rejected", "reason": "replay"},
+        {"sequence": 8, "op": "authorize_transaction", "key_id": None,
+         "context_id_hex": "00" * 32, "outcome": "error", "reason": "unknown-context"},
+    ]
+    audit = zone.state_dict()["audit"]
+    assert audit == expected
+    assert [list(entry) for entry in audit] == [list(entry) for entry in expected]  # key order
+    # a loaded zone numbers its own entries after the loaded ones
+    loaded = SecureZone.from_state_dict(zone.state_dict(), tsa)
+    assert loaded.state_dict(whole=False)["audit"] == []
+    assert loaded.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    assert loaded.state_dict(whole=False)["audit"] == [{**expected[6], "sequence": 9}]
+    assert loaded.state_dict()["audit"] == [*expected, {**expected[6], "sequence": 9}]
+
+
+def test_a_warm_authorize_retains_little_beyond_its_audit_entry(zone, tsa):
+    """The audit keeps each entry as the ids the zone already holds, not as
+    a dict of hex strings."""
+    _, result = _distributed(zone, order=256)
+    share = result.cloud_share
+    assert zone.authorize_transaction(CTX, share, tsa.issue()).accepted
+    rounds = 2000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            zone.authorize_transaction(CTX, share, tsa.issue())
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert zone._keys[zone._contexts[CTX].key_id].uses == rounds + 1
+    assert retained / rounds <= 128
 
 
 def test_audit_logs_rejections(zone, tsa, rng):

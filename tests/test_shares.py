@@ -12,6 +12,7 @@ from edgevault.errors import (
     ChecksumMismatchError,
     DecryptFailureError,
     EmptySecretError,
+    InvalidElementError,
     InvalidOrderError,
     MalformedTableError,
     TagMismatchError,
@@ -96,6 +97,36 @@ def test_decode_refuses_an_order_below_2():
         decode_secret(np.zeros(8, dtype=np.uint16), 1)
 
 
+def test_decode_refuses_what_encode_never_emits():
+    # [0, 300] would read as the canonical [1, 44] of b"\x01,": one secret, two digit strings
+    with pytest.raises(InvalidElementError):
+        decode_secret(np.array([0, 300], dtype=np.uint16), 256)
+    with pytest.raises(InvalidElementError):
+        decode_secret(np.array([-1, 3]), 256)
+    with pytest.raises(InvalidElementError):
+        decode_secret(np.array([1.0, 2.0]), 256)
+    # encode_secret refuses this order, so decode does too
+    with pytest.raises(InvalidOrderError):
+        decode_secret(np.array([1, 2], dtype=np.uint16), 70000)
+
+
+@given(secret=st.binary(min_size=1, max_size=80), order=st.integers(2, 0xFFFF),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_decode_inverts_encode_and_refuses_a_digit_at_or_above_the_order(secret, order, data):
+    try:
+        digits = encode_secret(secret, order)
+    except UnsupportedOrderError:
+        # above order 511 some lengths have no reversible digit count; one byte has
+        secret = secret[:1]
+        digits = encode_secret(secret, order)
+    assert decode_secret(digits, order) == secret
+    position = data.draw(st.integers(0, digits.shape[0] - 1))
+    digits[position] = data.draw(st.integers(order, 0xFFFF))
+    with pytest.raises(InvalidElementError):
+        decode_secret(digits, order)
+
+
 def test_encode_digit_count_rule():
     # count = ceil(len*8 / floor(log2 n))
     assert encode_secret(b"\xff", 8).shape[0] == 3  # ceil(8/3)
@@ -160,6 +191,9 @@ def test_plain_share_roundtrip():
     for share in (s1, s2):
         back = PlainShare.from_bytes(share.to_bytes())
         assert back == share
+        # the parsed digits are a read-only view of the bytes, not a copy
+        assert not back.digits.flags.writeable and back.digits.base is not None
+        assert back.to_bytes() == share.to_bytes()
 
 
 @st.composite
