@@ -6,13 +6,17 @@ The curve lives over F_p (p an odd prime, small test primes through 256-bit)
 rather than the reals so that point encoding is exact and uniqueness is decidable.
 
 Point selection draws x until the curve equation has a root in y.  Half the
-draws are non-residues, so residuosity is decided by the Jacobi symbol, plain
-integer arithmetic, and the one modular exponentiation per point goes to the
-root of a known residue.
+draws are non-residues.  On the standard curve, SEC 2's secp256k1, OpenSSL
+decides and solves each draw in C by point decompression (SEC 1 §2.3.4), and
+one Jacobi symbol per point picks the root that ``sqrt_mod`` would return.
+Every other curve goes through ``sqrt_mod``: the Jacobi symbol, plain integer
+arithmetic, decides residuosity, and the one modular exponentiation per point
+goes to the root of a known residue.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import isqrt
@@ -36,14 +40,15 @@ __all__ = [
 
 MAX_SELECT_TRIES = 4096
 
-#: 256-bit prime (p = 2^256 - 2^32 - 977, p % 4 == 3 for the fast sqrt path)
+#: secp256k1's prime (SEC 2), not NIST P-256's: p = 2^256 - 2^32 - 977, and
+#: p % 8 == 7, so p % 4 == 3 for the fast sqrt path
 P256 = 2 ** 256 - 2 ** 32 - 977
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def standard_curve() -> "WeierstrassCurve":
-    """Default production-scale curve: y^2 = x^3 + 7 over the 256-bit prime."""
+    """Default production-scale curve, secp256k1: y^2 = x^3 + 7 over P256."""
     return WeierstrassCurve.short(P256, 0, 7)
 
 
@@ -292,6 +297,35 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
+_STANDARD = standard_curve()
+
+
+@functools.cache
+def _secp256k1():
+    """OpenSSL's secp256k1 and its point decoder, imported on first use: the
+    import costs about 2 ms, which a command that selects no point skips."""
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    return ec.SECP256K1(), ec.EllipticCurvePublicKey.from_encoded_point
+
+
+def _standard_root(x: int) -> int | None:
+    """``sqrt_mod(_STANDARD.rhs_completed_square(x), P256)``, by OpenSSL.
+
+    Decompressing x gives a root y0 of a = x^3 + 7, or ValueError when a is
+    a non-residue.  sqrt_mod returns (4a)^((p+1)/4) = 2 * a^((p+1)/4), since
+    p % 8 == 7 makes 2 a residue.  (p+1)/4 is even, so a^((p+1)/4) is the
+    root of a that is itself a square; -1 is not a square, as p % 4 == 3,
+    so exactly one of y0 and p - y0 is that root.
+    """
+    k1, from_encoded_point = _secp256k1()
+    try:
+        y0 = from_encoded_point(k1, b"\x02" + x.to_bytes(32, "big")).public_numbers().y
+    except ValueError:
+        return None
+    return 2 * (y0 if _jacobi(y0, P256) == 1 else P256 - y0) % P256
+
+
 def select_unique_point(
     curve: WeierstrassCurve,
     used_points: set[tuple[int, int]],
@@ -301,15 +335,18 @@ def select_unique_point(
 
     Random x, then the curve equation is solved for y by completing the
     square and taking a modular square root; non-residues and collisions are
-    retried.  Exhausting ``MAX_SELECT_TRIES`` raises GroupFullError (realistic
-    only for tiny fields).
+    retried.  On the standard curve OpenSSL takes the root, with the same
+    draws and the same points; every other curve takes ``sqrt_mod``.
+    Exhausting ``MAX_SELECT_TRIES`` raises GroupFullError (realistic only
+    for tiny fields).
     """
     rng = random.Random(rng_seed)
     p = curve.p
     inv2 = (p + 1) // 2
+    standard = curve == _STANDARD
     for _ in range(MAX_SELECT_TRIES):
         x = rng.randrange(p)
-        t = sqrt_mod(curve.rhs_completed_square(x), p)
+        t = _standard_root(x) if standard else sqrt_mod(curve.rhs_completed_square(x), p)
         if t is None:
             continue
         if rng.getrandbits(1):

@@ -73,13 +73,16 @@ def encode_secret(secret: bytes, order: int) -> np.ndarray:
 
     The digits are the secret's big-endian integer value in base ``order``,
     zero-padded at the most significant end to the count
-    ``ceil(len*8 / floor(log2 n))``.  The big-integer loop cuts the value
-    into words of digits, which numpy then splits.
+    ``ceil(len*8 / floor(log2 n))``.  At order 256 the digits are the
+    bytes.  Otherwise the big-integer loop cuts the value into words of
+    digits, which numpy then splits.
     """
     if order < 2 or order > 0xFFFF:
         raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
     if not secret:
         raise EmptySecretError("cannot encode an empty secret")
+    if order == 256:  # each digit is one byte of the value, as in _decode
+        return np.frombuffer(secret, np.uint8).astype(np.uint16)
     width, base, places = _word(order)
     count = -(-len(secret) * 8 // width)  # ceil
     if (count * width) // 8 != len(secret):

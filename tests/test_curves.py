@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -257,20 +261,45 @@ def test_sqrt_mod_matches_the_euler_criterion_code_on_drawn_primes(p, a):
     assert sqrt_mod(a, p) == _euler_sqrt_mod(a, p)
 
 
-def test_point_selection_makes_one_exponentiation_per_point(monkeypatch):
-    calls = []
+def _count_pow_and_jacobi(monkeypatch) -> tuple[list, list]:
+    """Record each three-argument ``pow`` and each ``_jacobi`` that curves makes."""
+    pows, jacobis = [], []
+    jacobi = curves._jacobi
 
     def counting_pow(*args):
         if len(args) == 3:
-            calls.append(args)
+            pows.append(args)
         return pow(*args)
 
+    def counting_jacobi(a, n):
+        jacobis.append((a, n))
+        return jacobi(a, n)
+
     monkeypatch.setattr(curves, "pow", counting_pow, raising=False)
-    curve = standard_curve()
+    monkeypatch.setattr(curves, "_jacobi", counting_jacobi)
+    return pows, jacobis
+
+
+def test_point_selection_makes_one_exponentiation_per_point(monkeypatch):
+    # a curve over P256 that is not the standard one takes sqrt_mod, the
+    # general path; the standard curve's roots come from OpenSSL (below)
+    pows, _ = _count_pow_and_jacobi(monkeypatch)
+    curve = WeierstrassCurve.short(P256, 0, 5)
     for seed in range(100):
         select_unique_point(curve, set(), rng_seed=seed)
     # about as many non-residues were drawn, and none cost a pow
-    assert len(calls) == 100
+    assert len(pows) == 100
+
+
+def test_standard_curve_selection_makes_no_exponentiation_and_one_jacobi_per_point(monkeypatch):
+    # OpenSSL decides each draw and takes its root; one Jacobi symbol per
+    # point picks the root sqrt_mod would return
+    pows, jacobis = _count_pow_and_jacobi(monkeypatch)
+    curve = standard_curve()
+    for seed in range(100):
+        select_unique_point(curve, set(), rng_seed=seed)
+    assert len(pows) == 0
+    assert len(jacobis) == 100
 
 
 def test_a_composite_modulus_that_fails_base_41_is_refused_at_construction():
@@ -408,6 +437,58 @@ def test_selected_points_across_random_256_bit_curves():
         for seed in range(25):
             assert is_on_curve(curve, select_unique_point(curve, set(), rng_seed=seed))
         checked += 1
+
+
+def _generic_select(curve, used_points, rng_seed):
+    """select_unique_point as every curve but the standard one runs it:
+    the same draws, with sqrt_mod for the root."""
+    rng = random.Random(rng_seed)
+    p = curve.p
+    for _ in range(curves.MAX_SELECT_TRIES):
+        x = rng.randrange(p)
+        t = sqrt_mod(curve.rhs_completed_square(x), p)
+        if t is None:
+            continue
+        if rng.getrandbits(1):
+            t = (-t) % p
+        y = (t - curve.a1 * x - curve.a3) * ((p + 1) // 2) % p
+        if (x, y) not in used_points:
+            return CurvePoint(x, y)
+    raise GroupFullError("reference ran out of tries")
+
+
+@given(seed=st.integers(0, 2 ** 64), taken=st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_standard_curve_points_equal_the_generic_loop(seed, taken):
+    # the first points the seed yields are taken, so each forces one more
+    # draw past a used point
+    curve = standard_curve()
+    used: set[tuple[int, int]] = set()
+    for _ in range(taken):
+        used.add(_generic_select(curve, used, seed))
+    point = select_unique_point(curve, used, rng_seed=seed)
+    assert point == _generic_select(curve, used, seed)
+    assert point not in used and is_on_curve(curve, point)
+
+
+def test_the_ec_module_loads_on_the_first_standard_curve_selection():
+    # the CLI's import floor leaves OpenSSL's EC module out, and so does a
+    # selection on any other curve
+    probe = (
+        "import sys, edgevault.cli\n"
+        "from edgevault.curves import select_unique_point, standard_curve, tiny_curve\n"
+        "ec = lambda: any(m.startswith('cryptography.hazmat.primitives.asymmetric') for m in sys.modules)\n"
+        "print(ec())\n"
+        "select_unique_point(tiny_curve(), set(), 1)\n"
+        "print(ec())\n"
+        "select_unique_point(standard_curve(), set(), 1)\n"
+        "print(ec(), 'cryptography.hazmat.primitives.asymmetric.ec' in sys.modules)\n"
+    )
+    src = str(Path(curves.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout.split("\n")
+    assert out[:3] == ["False", "False", "True True"]
 
 
 def test_is_probable_prime_matches_a_sieve_below_5000():

@@ -24,6 +24,7 @@ from edgevault.shares import (
     PlainShare,
     SealedShare,
     SplitRecord,
+    _word,
     combine_and_verify,
     decode_secret,
     encode_secret,
@@ -74,6 +75,36 @@ def test_encode_matches_bigint_at_every_order():
             value = value * order + d
         assert value == int.from_bytes(secret, "big")
         assert decode_secret(np.array(digits, dtype=np.uint16), order) == secret
+
+
+def _word_loop_encode(secret, order):
+    """encode_secret's general path: the big integer cut into uint64 words of
+    digits, which numpy splits, zero-padded at the top to the digit count."""
+    width, base, places = _word(order)
+    count = -(-len(secret) * 8 // width)
+    value, words = int.from_bytes(secret, "big"), []
+    while value:
+        value, word = divmod(value, base)
+        words.append(word)
+    words.reverse()
+    high = (np.array(words, dtype=np.uint64)[:, None] // places % order).ravel()
+    kept = min(count, high.shape[0])
+    digits = np.zeros(count, dtype=np.uint16)
+    digits[count - kept:] = high[high.shape[0] - kept:]
+    return digits
+
+
+@given(zeros=st.integers(0, 40), tail=st.binary(max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_encode_at_order_256_is_the_word_loop(zeros, tail):
+    secret = bytes(zeros) + tail  # leading zero bytes are digits the value does not show
+    if not secret:
+        secret = b"\x00"
+    digits = encode_secret(secret, 256)
+    reference = _word_loop_encode(secret, 256)
+    assert digits.dtype == reference.dtype == np.uint16
+    assert digits.tolist() == reference.tolist() == list(secret)
+    assert digits.flags.writeable and digits.flags.owndata
 
 
 @given(secret=st.binary(min_size=1, max_size=300), order=st.sampled_from([2, 4, 8, 16, 64, 128, 256]))
