@@ -11,12 +11,16 @@ multiplication and both divisions in closed form: its one O(n) check, over
 the three permutations stacked as a (3, n) array and run in place on the
 stack :func:`generate_quasigroup` draws, is the algebra gate, a
 division inverts the two checked permutations it reads by a plain scatter,
-and its n*n tables are built on every read and not cached.
+and its n*n tables are built on every read and not cached.  A caller that
+keeps the PCG64 state a seed expands to (:func:`expand_seed`) passes it back
+to :func:`generate_quasigroup`, which then draws the same stack without
+expanding the seed again.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "Quasigroup",
     "IsotopeQuasigroup",
     "IdentityReport",
+    "expand_seed",
     "generate_quasigroup",
     "verify_parastroph_identities",
 ]
@@ -257,7 +262,33 @@ class IsotopeQuasigroup(Quasigroup):
         return self._square(self.right_divide_many)
 
 
-def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
+#: each thread's generator for rebuilds from an expanded seed: a reset of its
+#: state and the draw that follows must not interleave with another thread's
+_kept = threading.local()
+
+
+def expand_seed(seed: int) -> tuple[int, int]:
+    """The PCG64 ``state`` and ``inc`` that ``np.random.default_rng(seed)``
+    starts from: SeedSequence's expansion of the 64-bit seed, a pure
+    function of it, which :func:`generate_quasigroup` can take instead."""
+    expanded = np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF).state["state"]
+    return expanded["state"], expanded["inc"]
+
+
+def _reset_generator(state: int, inc: int) -> np.random.Generator:
+    """This thread's kept generator, reset to the PCG64 ``(state, inc)``
+    with no buffered 32-bit half, as a fresh ``default_rng`` starts."""
+    try:
+        rng = _kept.rng
+    except AttributeError:
+        rng = _kept.rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def generate_quasigroup(order: int, seed: int,
+                        expanded: tuple[int, int] | None = None) -> IsotopeQuasigroup:
     """Deterministically construct an order-n quasigroup from a 64-bit seed.
 
     It is an isotope of the cyclic group,
@@ -272,11 +303,20 @@ def generate_quasigroup(order: int, seed: int) -> IsotopeQuasigroup:
     permutations, in one call.  That stack goes to
     :meth:`IsotopeQuasigroup.from_stack`, whose algebra gate checks and
     freezes it in place.
+
+    ``expanded``, if given, is the ``(state, inc)`` that :func:`expand_seed`
+    returns for ``seed``, which the caller kept: the draw then comes from
+    this thread's kept generator reset to that state, the same stream, and
+    ``seed`` is not expanded again.  It is not checked against ``seed``;
+    another seed's state draws another seed's table.
     """
     # refused before the permutations are drawn: a huge order would allocate them
     if not 2 <= order <= 0xFFFF:
         raise InvalidOrderError(f"order must be in [2, 65535], got {order}")
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    if expanded is None:
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    else:
+        rng = _reset_generator(*expanded)
     stack = np.empty((3, order), dtype=np.intp)
     stack[:] = np.arange(order)
     rng.permuted(stack, axis=1, out=stack)

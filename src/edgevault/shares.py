@@ -36,9 +36,10 @@ from .errors import (
     TagMismatchError,
     UnknownKeyError,
     UnsupportedOrderError,
+    ValueRangeError,
     parses,
 )
-from .quasigroup import generate_quasigroup
+from .quasigroup import expand_seed, generate_quasigroup
 
 __all__ = [
     "PlainShare",
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 CONTEXT_LEN = 32
+
+
+def _is_seed(value) -> bool:
+    """Whether ``value`` is a quasigroup seed: an int in [0, 2**64), not a bool."""
+    return type(value) is int and 0 <= value <= 0xFFFFFFFFFFFFFFFF
 
 
 @functools.lru_cache(maxsize=64)  # bounded: an order is any in [2, 65535]
@@ -239,6 +245,13 @@ class SplitRecord:
     Holds everything needed to rebuild the secret quasigroup and to verify a
     presented share pair: the (order, seed) generation parameters, the
     whole-secret checksum, and both expected binding tags.
+
+    It also keeps the PCG64 ``(state, inc)`` that ``qg_seed`` expands to
+    (:func:`expand_seed`), tagged with the seed it came from, so each
+    rebuild skips the expansion: :func:`split` hands its record the state
+    it expanded for its own draw, and a parsed record expands on its first
+    :meth:`expanded_seed`.  A changed ``qg_seed`` expands again.  The kept
+    state is not a field: ``to_state_dict``, ``==`` and ``repr`` never see it.
     """
 
     context_id: bytes
@@ -246,6 +259,16 @@ class SplitRecord:
     qg_seed: int
     secret_checksum: bytes
     expected_tags: tuple[bytes, bytes]
+
+    #: (seed, state, inc), set on the instance by expanded_seed
+    _expansion = None
+
+    def expanded_seed(self) -> tuple[int, int]:
+        """The PCG64 ``(state, inc)`` that ``qg_seed`` expands to, kept."""
+        kept = self._expansion
+        if kept is None or kept[0] != self.qg_seed:
+            kept = self._expansion = (self.qg_seed, *expand_seed(self.qg_seed))
+        return kept[1:]
 
     def to_state_dict(self) -> dict:
         return {
@@ -261,16 +284,18 @@ class SplitRecord:
     def from_state_dict(cls, d: dict) -> "SplitRecord":
         record = cls(
             context_id=bytes.fromhex(d["context_id"]),
-            order=int(d["order"]),
-            qg_seed=int(d["qg_seed"]),
+            order=d["order"],
+            qg_seed=d["qg_seed"],
             secret_checksum=bytes.fromhex(d["secret_checksum"]),
             expected_tags=tuple(bytes.fromhex(t) for t in d["expected_tags"]),
         )
         digests = (record.context_id, record.secret_checksum, *record.expected_tags)
         if len(record.expected_tags) != 2 or any(len(x) != CONTEXT_LEN for x in digests):
             raise ValueError("need a 32-byte context id, checksum and two 32-byte tags")
-        if not 2 <= record.order <= 0xFFFF:
-            raise ValueError(f"order must be in [2, 65535], got {record.order}")
+        if type(record.order) is not int or not 2 <= record.order <= 0xFFFF:
+            raise ValueError(f"order must be an int in [2, 65535], got {record.order!r}")
+        if not _is_seed(record.qg_seed):
+            raise ValueError(f"qg_seed must be an int in [0, 2**64), got {record.qg_seed!r}")
         return record
 
 
@@ -280,13 +305,17 @@ def split(
     """2-of-2 split of ``secret`` over the secret quasigroup of ``(order, qg_seed)``.
 
     Per digit s: draw r uniform in [0, n); share 1 keeps r, share 2 keeps
-    r \\ s, so r * (r \\ s) = s reconstructs.  The quasigroup is built by the
-    same ``generate_quasigroup(order, qg_seed)`` call that
-    :func:`combine_and_verify` makes to rebuild it from the record.
+    r \\ s, so r * (r \\ s) = s reconstructs.  ``qg_seed`` is an int in
+    [0, 2**64) (ValueRangeError otherwise), so a record's seed has one
+    spelling.  The quasigroup is drawn from the seed's expanded state, which
+    the record keeps, as :func:`combine_and_verify` draws it to rebuild.
     """
     if len(context_id) != CONTEXT_LEN:
         raise UnknownKeyError(f"a context id is {CONTEXT_LEN} bytes, not {len(context_id)}")
-    q = generate_quasigroup(order, qg_seed)
+    if not _is_seed(qg_seed):
+        raise ValueRangeError(f"qg_seed must be an int in [0, 2**64), got {qg_seed!r}")
+    expanded = expand_seed(qg_seed)
+    q = generate_quasigroup(order, qg_seed, expanded)
     digits = encode_secret(secret, order)
     rng = np.random.default_rng(int(rng_seed) & 0xFFFFFFFFFFFFFFFF)
     r = rng.integers(0, order, size=digits.shape[0], dtype=np.uint16)
@@ -296,13 +325,14 @@ def split(
     record = SplitRecord(
         context_id=bytes(context_id),
         order=order,
-        qg_seed=int(qg_seed),
+        qg_seed=qg_seed,
         secret_checksum=sha256(secret),
         expected_tags=(
             _binding_tag(share1.to_bytes(), 1, context_id),
             _binding_tag(share2.to_bytes(), 2, context_id),
         ),
     )
+    record._expansion = (qg_seed, *expanded)
     return share1, share2, record
 
 
@@ -335,10 +365,12 @@ def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord,
     (2) binding-tag comparison against the record, the tags hashed over the
     authenticated bytes each share decrypted to, which are the share's
     canonical bytes since :meth:`PlainShare.from_bytes` parses nothing
-    else, (3) rebuild of the quasigroup, whose algebra gate (one O(n) check
-    that sigma, pi and rho, stacked as a (3, n) array, each permute [0, n))
-    proves all six parastroph identities over every pair, since an isotope
-    of a group is a quasigroup, (4) digit-wise reconstruction, (5)
+    else, (3) rebuild of the quasigroup from the seed state the record keeps
+    (:meth:`SplitRecord.expanded_seed`, expanded once per record), whose
+    algebra gate (one O(n) check that sigma, pi and rho, stacked as a (3, n)
+    array, each permute [0, n)) runs on every rebuild and proves all six
+    parastroph identities over every pair, since an isotope of a group is a
+    quasigroup, (4) digit-wise reconstruction, (5)
     whole-secret checksum.  The tags and the checksum are compared in
     constant time.  Each failure mode raises its own error type.
     """
@@ -363,7 +395,7 @@ def combine_and_verify(s1: SealedShare, s2: SealedShare, record: SplitRecord,
         raise TagMismatchError("transported binding tag altered in flight")
 
     try:
-        q = generate_quasigroup(record.order, record.qg_seed)
+        q = generate_quasigroup(record.order, record.qg_seed, record.expanded_seed())
     except MalformedTableError as exc:
         raise AlgebraFailureError(f"rebuilt quasigroup is malformed: {exc}") from exc
 

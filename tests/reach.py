@@ -9,7 +9,10 @@ go to pytest::
 
 It exits 0 when every executable line is reached or allowed, and 1 when a
 line is unreached and not allowed, when an allowed line is reached or no
-longer executable (a stale entry), or when the suite itself fails.
+longer executable (a stale entry), or when the suite itself fails.  When a
+process's main-thread trace hook is no longer the recorder's at exit, the
+lines it ran after the swap went unrecorded, so the gate fails with "trace
+hook replaced in pid N by <hook>" instead of a list of unreached lines.
 
 The recorder is a ``sys.settrace`` hook in a generated ``sitecustomize``
 module that ``PYTHONPATH`` puts first, so every Python process the suite
@@ -39,9 +42,14 @@ PACKAGE = ROOT / "src" / "edgevault"
 # "file:line" -> why no test runs it
 ALLOWED: dict[str, str] = {}
 
+#: starts a report's first line when the process's main-thread trace hook
+#: was no longer the recorder's at exit; the rest of the line is its repr
+_REPLACED = "replaced:"
+
 _RECORDER = """\
 import atexit, os, sys, threading
 
+_REPLACED = {replaced!r}
 _hits = set()
 
 
@@ -59,8 +67,11 @@ def _call(frame, event, arg):
 
 
 def _dump():
+    hook = sys.gettrace()
     sys.settrace(None)
     with open(os.path.join({out!r}, f"{{os.getpid()}}.txt"), "w") as f:
+        if hook is not _call:  # lines run after the swap went unrecorded
+            f.write(f"{{_REPLACED}}{{hook!r}}\\n")
         f.writelines(f"{{path}}:{{line}}\\n" for path, line in _hits)
 
 
@@ -80,29 +91,42 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_suite(pytest_args: list[str]) -> tuple[int, set[str]]:
-    """pytest's exit code and the reached lines as "file:line"."""
+def run_suite(pytest_args: list[str]) -> tuple[int, set[str], list[str]]:
+    """pytest's exit code, the reached lines as "file:line", and a line for
+    each process whose trace hook was replaced before it exited."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "hits")
         out.mkdir()
         Path(tmp, "sitecustomize.py").write_text(
-            _RECORDER.format(prefix=str(PACKAGE) + os.sep, out=str(out)))
+            _RECORDER.format(prefix=str(PACKAGE) + os.sep, out=str(out), replaced=_REPLACED))
         path = [tmp, str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         code = subprocess.call(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
              "-p", "no:cacheprovider", *pytest_args],
             cwd=ROOT, env=env)
-        reached = set()
+        reached, replaced = set(), []
         for report in out.iterdir():
             for entry in report.read_text().splitlines():
+                if entry.startswith(_REPLACED):
+                    replaced.append(f"trace hook replaced in pid {report.stem} by "
+                                    f"{entry[len(_REPLACED):]}")
+                    continue
                 file, line = entry.rsplit(":", 1)
                 reached.add(f"{Path(file).relative_to(PACKAGE)}:{line}")
-    return code, reached
+    return code, reached, replaced
 
 
 def main(pytest_args: list[str]) -> int:
-    code, reached = run_suite(pytest_args)
+    code, reached, replaced = run_suite(pytest_args)
+    if replaced:
+        # the lines such a process ran after the swap were not recorded, so
+        # a list of unreached lines would blame the tests for the recorder
+        for cause in sorted(replaced):
+            print(f"reach: {cause}")
+        if code != 0:
+            print(f"reach: the suite failed (pytest exit {code})")
+        return 1
     unreached, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()

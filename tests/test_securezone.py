@@ -19,9 +19,9 @@ from edgevault.errors import (
     WrongPurposeError,
 )
 from edgevault.ledger import IdentityLedger
-from edgevault.quasigroup import IsotopeQuasigroup, generate_quasigroup
+from edgevault.quasigroup import IsotopeQuasigroup, expand_seed, generate_quasigroup
 from edgevault.securezone import DEFAULT_BUDGET, Decision, SecureZone
-from edgevault.shares import SealedShare, combine_and_verify
+from edgevault.shares import SealedShare, SplitRecord, combine_and_verify
 from edgevault.statefile import StateDir
 
 from mutation import stored_rows
@@ -100,39 +100,58 @@ def test_a_key_keeps_its_cipher_inside_itself(zone, tsa, tmp_path):
     assert loaded.authorize_transaction(CTX, result.cloud_share, loaded_tsa.issue()).accepted
 
 
-def test_a_warm_authorize_builds_no_cipher_and_one_generator(zone, tsa, monkeypatch):
+def test_a_warm_authorize_builds_no_cipher_and_expands_no_seed(zone, tsa, monkeypatch,
+                                                              tmp_path):
     """Counted by wrapping the constructors the modules look up, and the
     hook every AEAD record's construction runs: the zone's KEK and share key
     each build their cipher once, on the first split, and an authorize or a
-    later split builds none; an authorize draws one numpy Generator, for
-    the rebuild of its quasigroup, and builds no AEAD record, since the wrap
-    check opens the reconstructed bytes as they are."""
+    later split builds none.  A seed expansion is a ``np.random.default_rng``
+    call or a ``np.random.PCG64`` built from a seed: a split makes two, its
+    quasigroup's and its mask's, and hands its record the first, so an
+    authorize expands none; a record loaded from ``zone.db`` expands once,
+    on its first authorize.  An authorize builds no AEAD record, since the
+    wrap check opens the reconstructed bytes as they are."""
     built = Counter()
 
-    def counting(name, constructor):
+    def counting(name, constructor, counts=lambda args, kwargs: True):
         def construct(*args, **kwargs):
-            built[name] += 1
+            if counts(args, kwargs):
+                built[name] += 1
             return constructor(*args, **kwargs)
         return construct
 
+    def seeded(args, kwargs):
+        return (args[0] if args else kwargs.get("seed")) is not None
+
     monkeypatch.setattr(edgevault.crypto, "AESGCM",
                         counting("cipher", edgevault.crypto.AESGCM))
-    monkeypatch.setattr(np.random, "default_rng", counting("generator", np.random.default_rng))
+    monkeypatch.setattr(np.random, "default_rng", counting("expansion", np.random.default_rng))
+    monkeypatch.setattr(np.random, "PCG64", counting("expansion", np.random.PCG64, seeded))
     monkeypatch.setattr(AeadRecord, "__post_init__",
                         counting("record", AeadRecord.__post_init__))
 
     _, result = _distributed(zone, order=256)
-    # the KEK, the share key; rebuild and mask; the wrap and two sealed shares
-    assert built == Counter(cipher=2, generator=2, record=3)
-    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    # the KEK, the share key; the quasigroup's seed and the mask's; the wrap
+    # and two sealed shares
+    assert built == Counter(cipher=2, expansion=2, record=3)
     built.clear()
     assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
-    assert built == Counter(generator=1)
+    assert zone.authorize_transaction(CTX, result.cloud_share, tsa.issue()).accepted
+    assert built == Counter()
 
-    built.clear()
     key_id = zone.generate_key("data-encryption", rng_seed=9)
     zone.split_and_distribute(key_id, bytes(32), q_order=256, rng_seed=9)
-    assert built == Counter(generator=2, record=3)
+    assert built == Counter(expansion=2, record=3)
+
+    StateDir(tmp_path / "state").save_zone(zone, tsa)
+    loaded, loaded_tsa = StateDir(tmp_path / "state").load_zone()
+    built.clear()
+    assert loaded.authorize_transaction(CTX, result.cloud_share, loaded_tsa.issue()).accepted
+    # the loaded keys' ciphers, the record's seed, the stored edge share's AEAD record
+    assert built == Counter(cipher=2, expansion=1, record=1)
+    built.clear()
+    assert loaded.authorize_transaction(CTX, result.cloud_share, loaded_tsa.issue()).accepted
+    assert built == Counter()
 
 
 def test_unknown_purpose_rejected(zone):
@@ -280,8 +299,8 @@ def test_malformed_rebuild_is_an_algebra_failure(zone, tsa, monkeypatch):
     # time, so a sigma that repeats an entry must reject, not reconstruct
     key_id, result = _distributed(zone)
 
-    def broken_rebuild(order, seed):
-        good = generate_quasigroup(order, seed)
+    def broken_rebuild(order, seed, expanded=None):
+        good = generate_quasigroup(order, seed, expanded)
         sigma = good.sigma.copy()
         sigma[1] = sigma[0]
         return IsotopeQuasigroup(sigma, good.pi, good.rho)
@@ -307,6 +326,35 @@ def test_wrong_table_at_a_non_power_of_two_order_is_a_checksum_mismatch(zone, ts
     decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
     assert decision == Decision(accepted=False, reason="checksum-mismatch")
     assert zone._keys[key_id].uses == 0
+
+
+def test_a_record_keeping_another_seed_s_state_is_a_checksum_mismatch(zone, tsa):
+    # the kept state is not checked against qg_seed: another seed's state
+    # rebuilds another table, which must reject on every try and never accept
+    key_id, result = _distributed(zone, order=256)
+    record = zone._contexts[CTX].record
+    record._expansion = (record.qg_seed, *expand_seed(record.qg_seed + 1))
+    for _ in range(3):
+        decision = zone.authorize_transaction(CTX, result.cloud_share, tsa.issue())
+        assert decision == Decision(accepted=False, reason="checksum-mismatch")
+    assert zone._keys[key_id].uses == 0
+
+
+def test_a_record_keeps_its_seed_state_out_of_its_state_repr_and_rows(zone, tsa, tmp_path):
+    _, result = _distributed(zone, order=256)
+    record = zone._contexts[CTX].record
+    state, inc = record.expanded_seed()
+    assert record._expansion == (record.qg_seed, state, inc)
+    stored = SplitRecord.from_state_dict(record.to_state_dict())
+    assert stored._expansion is None and stored == record  # == ignores the kept state
+    assert record.to_state_dict() == stored.to_state_dict()
+    assert repr(record) == repr(stored)
+    kept = [str(state), str(inc), f"{state:x}", f"{inc:x}"]
+    assert not any(text in repr(record) for text in kept)
+    StateDir(tmp_path / "state").save_zone(zone, tsa)
+    rows = b"".join(body for body, _ in stored_rows(tmp_path / "state").values())
+    assert b"qg_seed" in rows
+    assert not any(text.encode() in rows for text in kept)
 
 
 def test_wrong_table_setting_padding_bits_is_a_checksum_mismatch(zone, tsa):

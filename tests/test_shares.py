@@ -1,5 +1,7 @@
 import itertools
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
@@ -15,11 +17,14 @@ from edgevault.errors import (
     InvalidElementError,
     InvalidOrderError,
     MalformedTableError,
+    ShareVerificationError,
+    StateError,
     TagMismatchError,
     UnknownKeyError,
     UnsupportedOrderError,
+    ValueRangeError,
 )
-from edgevault.quasigroup import Quasigroup, generate_quasigroup
+from edgevault.quasigroup import Quasigroup, expand_seed, generate_quasigroup
 from edgevault.shares import (
     PlainShare,
     SealedShare,
@@ -396,3 +401,105 @@ def test_combine_under_50ms_for_32_byte_secret_order_256():
 def test_split_record_state_roundtrip():
     _, _, record = _sealed_pair()
     assert SplitRecord.from_state_dict(record.to_state_dict()) == record
+
+
+# --- the kept seed state -------------------------------------------------------
+
+def _permutations(q):
+    return q.sigma.tolist(), q.pi.tolist(), q.rho.tolist()
+
+
+def _fresh(order, seed):
+    """The permutations of a rebuild that expands the seed itself."""
+    return _permutations(generate_quasigroup(order, seed))
+
+
+def _kept(record):
+    """The permutations of a rebuild from the state the record keeps."""
+    return _permutations(generate_quasigroup(record.order, record.qg_seed,
+                                             record.expanded_seed()))
+
+
+_SEEDS = st.integers(0, 2 ** 64 - 1)
+_ORDERS = st.integers(2, 0xFFFF)
+
+
+@given(a=st.tuples(_ORDERS, _SEEDS), b=st.tuples(_ORDERS, _SEEDS))
+@settings(max_examples=60, deadline=None)
+def test_a_rebuild_from_the_kept_state_is_the_fresh_rebuild(a, b):
+    # one record from split (its state handed over), one parsed (expanded on
+    # first use), rebuilt interleaved in both orders on the one kept generator
+    _, _, split_record = split(b"\x5a", a[0], a[1], CTX, rng_seed=1)
+    parsed = SplitRecord.from_state_dict(dict(split_record.to_state_dict(),
+                                              order=b[0], qg_seed=b[1]))
+    cases = [(split_record, _fresh(*a)), (parsed, _fresh(*b))]
+    for record, expected in cases + cases[::-1] + cases:
+        assert _kept(record) == expected
+
+
+def test_a_changed_seed_expands_again():
+    _, _, record = _sealed_pair(order=251, qg_seed=77)
+    assert _kept(record) == _fresh(251, 77)
+    record.qg_seed = 78
+    assert _kept(record) == _fresh(251, 78)
+    assert record._expansion == (78, *expand_seed(78))
+    record.qg_seed = 77
+    assert _kept(record) == _fresh(251, 77)
+
+
+_NOT_SEEDS = [2 ** 64 + 5, -(2 ** 64) + 5, 2 ** 64, -1, True, False, 5.0, "5", None]
+
+
+@pytest.mark.parametrize("seed", _NOT_SEEDS, ids=repr)
+def test_a_seed_outside_0_to_2_64_or_not_an_int_is_refused(seed):
+    with pytest.raises(ValueRangeError):
+        split(b"secret", 16, seed, CTX, rng_seed=3)
+    _, _, record = _sealed_pair()
+    with pytest.raises(StateError, match="corrupted split record"):
+        SplitRecord.from_state_dict(dict(record.to_state_dict(), qg_seed=seed))
+
+
+@pytest.mark.parametrize("order", ["16", 16.0, True, 1, 65536], ids=repr)
+def test_a_stored_order_that_is_not_an_int_in_range_is_refused(order):
+    _, _, record = _sealed_pair()
+    with pytest.raises(StateError, match="corrupted split record"):
+        SplitRecord.from_state_dict(dict(record.to_state_dict(), order=order))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_each_seed_in_range_has_one_spelling_and_hands_its_state_over(seed):
+    _, _, record = split(b"secret", 16, seed, CTX, rng_seed=3)
+    state = record.to_state_dict()
+    assert state["qg_seed"] == seed and type(state["qg_seed"]) is int
+    assert SplitRecord.from_state_dict(state) == record
+    # the state split drew from, kept without a second expansion
+    assert record._expansion == (seed, *expand_seed(seed))
+    assert _kept(record) == _fresh(16, seed)
+
+
+def test_threads_each_rebuild_from_their_own_records_state():
+    # the kept generator is reset and then drawn from; a generator shared
+    # between threads lets one thread's reset land inside another's draw
+    def work(index, out):
+        secret = bytes([index]) * 16
+        sealed = _sealed_pair(secret, 256, qg_seed=1000 + index, mask_seed=index)
+        out[index] = 0
+        for _ in range(1500):
+            try:
+                out[index] += combine_and_verify(*sealed, KEY) == secret
+            except ShareVerificationError:
+                pass
+
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i, results)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: 1500 for i in range(4)}
